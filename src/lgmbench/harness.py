@@ -390,9 +390,8 @@ def _laplace_param_summaries(result: lap.FitResult, spec: mdl.ModelSpec) -> dict
     """Tracked-parameter (mean, sd) pairs from a deterministic fit."""
     out = {}
     for name in result.latent_names:
-        if not name.startswith(("iid_", "icar_")):
-            m = result.latent_marginal(name)
-            out[name] = (m.mean, m.sd)
+        m = result.latent_marginal(name)
+        out[name] = (m.mean, m.sd)
     for hm in result.hyper_marginals:
         out[hm.natural_name] = (hm.natural.mean, hm.natural.sd)
         if hm.name.startswith("log_precision_"):
@@ -437,6 +436,7 @@ def _fit_one_paired(args):
             strategy=lap.Strategy(config.strategy),
             config=config.laplace_config(),
             seed=config.master_seed,
+            latents=[p for p in _TRACKED[kind] if p in mdl.latent_names(spec, data.n)],
         )
         lap_summ = _laplace_param_summaries(result, spec)
     except (lap.FitFailure, mdl.LikelihoodOverflowError) as exc:
@@ -485,6 +485,7 @@ def _fit_one_selection(args):
                 strategy=lap.Strategy(config.strategy),
                 config=config.laplace_config(),
                 seed=config.master_seed,
+                latents=[],
             )
             waics[("laplace", model_name)] = waic(result.pointwise_loglik, result.grid_weights).waic
         except (lap.FitFailure, mdl.LikelihoodOverflowError) as exc:
@@ -538,6 +539,7 @@ def _fit_one_zinb(args):
             strategy=lap.Strategy(config.strategy),
             config=config.laplace_config(),
             seed=config.master_seed,
+            latents=[f"beta_{name}" for name in cov_names],
         )
         ratios = {name: rate_ratio(result.latent_marginal(f"beta_{name}"), iqr[name]) for name in cov_names}
         per_engine["laplace"] = ratios

@@ -186,16 +186,30 @@ class HyperMarginal:
 
 @dataclass
 class FitDiagnostics:
+    """What a fit did and where it fell short.
+
+    ``theta_mode_converged`` is the BFGS success flag of the
+    hyperparameter mode search; ``theta_points_failed`` counts the
+    integration points dropped because their Newton solve failed.
+    ``unreliable_latents`` holds model-order indices of built marginals
+    that fell back to the Gaussian or whose full-Laplace profile has
+    points where the inner Newton loop stopped short of convergence;
+    ``fl_unconverged_points`` counts those points.
+    """
+
     strategy: str
     propriety: str
     grid_size: int
     newton_iters: list
     newton_converged: bool
     theta_mode_evals: int
+    theta_mode_converged: bool
+    theta_points_failed: int
     curvature_clipped: bool
     constrained_reduction: bool
     unreliable_latents: list
-    fl_scanned_points: int = 0
+    fl_scanned_points: int
+    fl_unconverged_points: int
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -211,6 +225,9 @@ class FitResult:
     information criteria computed from them understate the effective
     number of parameters relative to a draw-based matrix).  Pair it with
     ``grid_weights`` when computing weighted criteria.
+
+    ``latent_names`` and ``latent_marginals`` cover the latent components
+    the fit was asked for, in model order.
     """
 
     latent_names: list
@@ -225,6 +242,7 @@ class FitResult:
     version: str = ""
 
     def latent_marginal(self, name: str) -> PosteriorMarginal:
+        """Raises ValueError for a component the fit did not build."""
         return self.latent_marginals[self.latent_names.index(name)]
 
     def hyper_marginal(self, natural_name: str) -> HyperMarginal:
@@ -500,10 +518,11 @@ def _log_posterior_theta(ctx: _Context, theta: np.ndarray, cache: dict) -> tuple
     return lp, approx
 
 
-def _theta_mode(ctx: _Context, cache: dict) -> tuple[np.ndarray, int]:
+def _theta_mode(ctx: _Context, cache: dict) -> tuple[np.ndarray, int, bool]:
+    """Mode of log p(theta | y), its evaluation count, and BFGS success."""
     m = mdl.hyper_dim(ctx.spec)
     if m == 0:
-        return np.zeros(0), 1
+        return np.zeros(0), 1, True
     evals = [0]
 
     def neg(th):
@@ -518,7 +537,7 @@ def _theta_mode(ctx: _Context, cache: dict) -> tuple[np.ndarray, int]:
     mode = np.asarray(res.x, dtype=float)
     if not np.isfinite(neg(mode)):
         raise FitFailure("theta_mode_search", "non-finite posterior at candidate mode")
-    return mode, evals[0]
+    return mode, evals[0], bool(res.success)
 
 
 def _theta_hessian(ctx: _Context, mode: np.ndarray, cache: dict) -> np.ndarray:
@@ -565,17 +584,20 @@ def _standardizer(hess: np.ndarray) -> np.ndarray:
 
 
 def _grid_points(ctx: _Context, mode, axes, lp_mode, cache):
-    """Dense axis-aligned grid in standardized coordinates."""
+    """Dense axis-aligned grid in standardized coordinates, and the
+    number of points dropped because their evaluation failed."""
     cfg = ctx.config
     m = mode.size
     step = cfg.theta_grid_step
     cutoff = cfg.theta_deficit_cutoff
+    failed = [0]
 
     def lp_at(z):
         theta = mode + axes @ (np.asarray(z, dtype=float) * step)
         try:
             return _log_posterior_theta(ctx, theta, cache)[0], theta
         except (FitFailure, mdl.LikelihoodOverflowError):
+            failed[0] += 1
             return -np.inf, theta
 
     lo = np.zeros(m, dtype=int)
@@ -608,7 +630,7 @@ def _grid_points(ctx: _Context, mode, axes, lp_mode, cache):
             coeff[at_edge] *= 0.5
     raw = coeff * np.exp(np.array([e[2] for e in entries]) - lp_mode)
     weights = raw / np.add.reduce(raw)
-    return [(e[1], e[2], w) for e, w in zip(entries, weights)]
+    return [(e[1], e[2], w) for e, w in zip(entries, weights)], failed[0]
 
 
 def _ccd_points(ctx: _Context, mode, axes, lp_mode, cache):
@@ -619,7 +641,8 @@ def _ccd_points(ctx: _Context, mode, axes, lp_mode, cache):
     and split the rest evenly, which integrates the radial second
     moment of a standard Gaussian exactly; each design weight is then
     tilted by the ratio of the actual posterior to the standard
-    Gaussian at its point.
+    Gaussian at its point.  Also returns the number of design points
+    dropped because their evaluation failed.
     """
     cfg = ctx.config
     m = mode.size
@@ -636,21 +659,26 @@ def _ccd_points(ctx: _Context, mode, axes, lp_mode, cache):
     design = np.array([1.0 / (m + 1.0)] + [m / (m + 1.0) / n_off] * n_off)
 
     entries = []
+    failed = 0
     for z, dw in zip(zs, design):
         theta = mode + axes @ z
         try:
             lp, _ = _log_posterior_theta(ctx, theta, cache)
         except (FitFailure, mdl.LikelihoodOverflowError):
+            failed += 1
             continue
         tilt = dw * math.exp(lp - lp_mode + 0.5 * float(z @ z))
         entries.append((theta, lp, tilt))
     total = sum(e[2] for e in entries)
-    return [(theta, lp, tilt / total) for theta, lp, tilt in entries]
+    return [(theta, lp, tilt / total) for theta, lp, tilt in entries], failed
 
 
-def _explore(ctx: _Context) -> tuple[ThetaGrid, list[_Approx]]:
+def _explore(ctx: _Context) -> tuple[ThetaGrid, list[_Approx], dict]:
+    """Weighted theta grid, the Gaussian approximation at each of its
+    points, and the exploration's ``FitDiagnostics`` fields."""
     cache: dict = {}
-    mode, evals = _theta_mode(ctx, cache)
+    mode, evals, converged = _theta_mode(ctx, cache)
+    stats = {"theta_mode_evals": evals, "theta_mode_converged": converged, "theta_points_failed": 0}
     m = mode.size
     if m == 0:
         lp, _ = _log_posterior_theta(ctx, mode, cache)
@@ -660,8 +688,7 @@ def _explore(ctx: _Context) -> tuple[ThetaGrid, list[_Approx]]:
             mode_hessian=np.zeros((0, 0)),
         )
         approxes = [_log_posterior_theta(ctx, mode, cache)[1]]
-        ctx._mode_evals = evals
-        return grid, approxes
+        return grid, approxes, stats
     hess = _theta_hessian(ctx, mode, cache)
     axes = _standardizer(hess)
     lp_mode, _ = _log_posterior_theta(ctx, mode, cache)
@@ -669,20 +696,19 @@ def _explore(ctx: _Context) -> tuple[ThetaGrid, list[_Approx]]:
     if method == "auto":
         method = "grid" if m <= 2 else "ccd"
     if method == "grid":
-        entries = _grid_points(ctx, mode, axes, lp_mode, cache)
+        entries, stats["theta_points_failed"] = _grid_points(ctx, mode, axes, lp_mode, cache)
     else:
-        entries = _ccd_points(ctx, mode, axes, lp_mode, cache)
+        entries, stats["theta_points_failed"] = _ccd_points(ctx, mode, axes, lp_mode, cache)
     points = tuple(ThetaPoint(theta, lp, w) for theta, lp, w in entries)
     approxes = [_log_posterior_theta(ctx, p.theta, cache)[1] for p in points]
     grid = ThetaGrid(points=points, mode=mode, mode_hessian=hess)
-    ctx._mode_evals = evals
-    return grid, approxes
+    return grid, approxes, stats
 
 
 def explore_theta(spec: mdl.ModelSpec, data: mdl.Dataset, config: LaplaceConfig | None = None) -> ThetaGrid:
     """Locate the hyperparameter mode and build the weighted grid."""
     ctx = _Context(spec, data, config or LaplaceConfig())
-    grid, _ = _explore(ctx)
+    grid, _, _ = _explore(ctx)
     return grid
 
 
@@ -746,6 +772,12 @@ def _fl_conditional_logdens(ctx: _Context, theta, approx: _Approx, index: int, v
     log determinant of the remaining-block curvature.  With a single
     latent component the correction is zero and the profile equals the
     exact unnormalized log posterior of that component.
+
+    Also returns the number of grid points whose Newton loop stopped
+    short of convergence: it ran out of iterations, or its line search
+    could not move while the gradient norm was above ``1e-6`` of the
+    point's first one (the rule ``_newton`` uses).  Their values are
+    kept.
     """
     spec, data, cfg = ctx.spec, ctx.data, ctx.config
     d = ctx.dim_u
@@ -758,6 +790,7 @@ def _fl_conditional_logdens(ctx: _Context, theta, approx: _Approx, index: int, v
     j_keep = ctx.j[:, keep]
     p_keep = p_mat[np.ix_(keep, keep)]
     u_rest = None
+    unconverged = 0
     for g_idx, v in enumerate(v_grid):
         if u_rest is None:
             # Warm start at the Gaussian conditional mean.
@@ -775,11 +808,16 @@ def _fl_conditional_logdens(ctx: _Context, theta, approx: _Approx, index: int, v
             continue
         chol = np.zeros((0, 0))
         failed = False
+        stalled = False
+        ref_grad = None
         for _ in range(cfg.newton_max_iter):
             g1, w, _ = mdl.eta_derivatives(spec, eta, theta, data)
             if keep.size == 0:
                 break
             grad = j_keep.T @ g1 - (p_mat @ u_full)[keep]
+            gnorm = float(np.linalg.norm(grad))
+            if ref_grad is None:
+                ref_grad = max(1.0, gnorm)
             hess = j_keep.T @ (w[:, None] * j_keep) + p_keep
             chol = _try_cholesky(hess)
             if chol is None:
@@ -788,7 +826,7 @@ def _fl_conditional_logdens(ctx: _Context, theta, approx: _Approx, index: int, v
                 if chol is None:
                     failed = True
                     break
-            if float(np.linalg.norm(grad)) <= 1e-9 * max(1.0, abs(f_cur)):
+            if gnorm <= 1e-9 * max(1.0, abs(f_cur)):
                 break
             step = np.linalg.solve(chol.T, np.linalg.solve(chol, grad))
             j_step = j_keep @ step
@@ -810,19 +848,33 @@ def _fl_conditional_logdens(ctx: _Context, theta, approx: _Approx, index: int, v
                     break
                 t *= 0.5
             if not moved:
+                stalled = gnorm > 1e-6 * ref_grad
                 break
+        else:
+            stalled = True
         if failed:
             continue
+        unconverged += stalled
         logdet_half = float(np.add.reduce(np.log(np.diag(chol)))) if keep.size else 0.0
         out[g_idx] = f_cur - logdet_half
         u_rest = u_full[keep]
-    return out
+    return out, unconverged
 
 
-def _mix_marginals(ctx: _Context, grid: ThetaGrid, approxes, strategy: Strategy):
-    """Mixture over the theta grid of per-theta conditional marginals."""
+def _mix_marginals(ctx: _Context, grid: ThetaGrid, approxes, strategy: Strategy, indices):
+    """Mixture over the theta grid of per-theta conditional marginals.
+
+    Builds the marginals of the latent components at ``indices`` (model
+    order) and returns them with their ``FitDiagnostics`` fields.  The
+    per-theta moments and value grids are computed for every component,
+    so a marginal does not depend on which others were requested.
+    """
     cfg = ctx.config
-    n_lat = ctx.dim_x
+    if strategy is Strategy.FULL_LAPLACE and ctx.basis is not None:
+        raise FitFailure(
+            "strategy_unsupported",
+            "full Laplace is not available with kriging constraints",
+        )
     means = np.array([ctx.to_x(a.mode_u) for a in approxes])  # G x d_x
     if ctx.basis is not None:
         sds = np.array(
@@ -841,8 +893,9 @@ def _mix_marginals(ctx: _Context, grid: ThetaGrid, approxes, strategy: Strategy)
     fl_scan = weights >= cfg.fl_min_weight * weights.max()
 
     unreliable = set()
+    fl_unconverged = 0
     marginals = []
-    for i in range(n_lat):
+    for i in indices:
         vg = vgrids[i]
         dens = np.zeros(cfg.marginal_grid_points)
         for g, (point, approx) in enumerate(zip(grid.points, approxes)):
@@ -857,17 +910,15 @@ def _mix_marginals(ctx: _Context, grid: ThetaGrid, approxes, strategy: Strategy)
                 s = (vg - mu_ig) / sd_ig
                 cond = _skew_normal_pdf(s, xi, omega, alpha) / sd_ig
             else:
-                if ctx.basis is not None:
-                    raise FitFailure(
-                        "strategy_unsupported",
-                        "full Laplace is not available with kriging constraints",
-                    )
                 v_fl = np.linspace(
                     mu_ig - cfg.fl_grid_sds * sd_ig,
                     mu_ig + cfg.fl_grid_sds * sd_ig,
                     cfg.fl_grid_points,
                 )
-                logd = _fl_conditional_logdens(ctx, point.theta, approx, i, v_fl)
+                logd, unconverged = _fl_conditional_logdens(ctx, point.theta, approx, i, v_fl)
+                if unconverged:
+                    unreliable.add(i)
+                    fl_unconverged += unconverged
                 finite = np.isfinite(logd)
                 if finite.sum() < 3:
                     unreliable.add(i)
@@ -899,7 +950,11 @@ def _mix_marginals(ctx: _Context, grid: ThetaGrid, approxes, strategy: Strategy)
             dens += point.weight * cond
         marginals.append(PosteriorMarginal.from_unnormalized(vg, dens))
     scanned = int(fl_scan.sum()) if strategy is Strategy.FULL_LAPLACE else 0
-    return marginals, sorted(unreliable), scanned
+    return marginals, {
+        "unreliable_latents": sorted(unreliable),
+        "fl_scanned_points": scanned,
+        "fl_unconverged_points": fl_unconverged,
+    }
 
 
 def latent_marginals(
@@ -910,8 +965,8 @@ def latent_marginals(
 ) -> list:
     """Posterior marginals of every latent component under a strategy."""
     ctx = _Context(spec, data, config or LaplaceConfig())
-    grid, approxes = _explore(ctx)
-    marginals, _, _ = _mix_marginals(ctx, grid, approxes, strategy)
+    grid, approxes, _ = _explore(ctx)
+    marginals, _ = _mix_marginals(ctx, grid, approxes, strategy, range(ctx.dim_x))
     return marginals
 
 
@@ -946,8 +1001,15 @@ def fit(
     strategy: Strategy = Strategy.GAUSSIAN,
     config: LaplaceConfig | None = None,
     seed: int | None = None,
+    latents: list[str] | None = None,
 ) -> FitResult:
     """Deterministic end-to-end fit.
+
+    ``latents`` names the latent components whose marginals are built
+    (default: all).  A requested marginal is identical to the same
+    component of a fit of all of them; the hyperparameter marginals,
+    grid and ``pointwise_loglik`` do not depend on the request.  An
+    unknown name raises ValueError.
 
     Raises FitFailure (rank_deficient) when the joint posterior
     precision is singular on the constraint-feasible subspace, which is
@@ -955,6 +1017,15 @@ def fit(
     """
     from . import __version__
 
+    names = mdl.latent_names(spec, data.n)
+    if latents is None:
+        indices = range(len(names))
+    else:
+        wanted = set(latents)
+        unknown = sorted(wanted - set(names))
+        if unknown:
+            raise ValueError(f"unknown latent components: {unknown}")
+        indices = [i for i, name in enumerate(names) if name in wanted]
     config = config or LaplaceConfig()
     ctx = _Context(spec, data, config)
     theta0 = np.zeros(mdl.hyper_dim(spec))
@@ -972,8 +1043,8 @@ def fit(
             deficiency=prop.deficiency,
         )
 
-    grid, approxes = _explore(ctx)
-    marginals, unreliable, fl_scanned = _mix_marginals(ctx, grid, approxes, strategy)
+    grid, approxes, explore_diag = _explore(ctx)
+    marginals, marginal_diag = _mix_marginals(ctx, grid, approxes, strategy, indices)
     hypers = hyper_marginals(grid, spec)
 
     pointwise = np.array(
@@ -985,14 +1056,13 @@ def fit(
         grid_size=len(grid.points),
         newton_iters=[a.iters for a in approxes],
         newton_converged=all(a.converged for a in approxes),
-        theta_mode_evals=getattr(ctx, "_mode_evals", 0),
         curvature_clipped=any(a.clipped for a in approxes),
         constrained_reduction=ctx.basis is not None,
-        unreliable_latents=unreliable,
-        fl_scanned_points=fl_scanned,
+        **explore_diag,
+        **marginal_diag,
     )
     return FitResult(
-        latent_names=mdl.latent_names(spec, data.n),
+        latent_names=[names[i] for i in indices],
         latent_marginals=marginals,
         hyper_marginals=hypers,
         theta_grid=grid,

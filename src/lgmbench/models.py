@@ -66,7 +66,6 @@ __all__ = [
     "pointwise_loglik_from_eta",
     "eta_derivatives",
     "gradient_hessian_loglik",
-    "third_derivative_eta",
     "log_prior_hyper",
     "latent_log_prior",
     "latent_prior_precision",
@@ -657,13 +656,6 @@ def gradient_hessian_loglik(
     if "icar" in sl:
         grad[sl["icar"]] = g1
     return grad, w
-
-
-def third_derivative_eta(spec: ModelSpec, latent: np.ndarray, hyper: np.ndarray, data: Dataset) -> np.ndarray:
-    """Per-observation third derivative of the log likelihood wrt eta."""
-    eta = linear_predictor(spec, latent, data)
-    _check_eta(eta)
-    return _eta_derivatives(spec, eta, hyper, data)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from lgmbench import harness, mcmc
+from lgmbench import harness, laplace, mcmc
 from lgmbench import models as mdl
 from lgmbench.gmrf import Constraint, IcarSpec, sample_icar_kriging
 from lgmbench.harness import (
@@ -261,6 +261,26 @@ def test_paired_study_is_byte_identical_across_worker_counts():
     assert serial.keys() == parallel.keys()
     for name in serial:
         assert serial[name] == parallel[name], name
+
+
+@pytest.mark.parametrize(
+    "kind, overrides",
+    [
+        ("poisson", dict(strategy="full_laplace", n_datasets=1, n_areas=10)),
+        ("selection", dict(strategy="gaussian", n_datasets=1, n_areas=9)),
+        ("zinb", dict(strategy="full_laplace", n_datasets=1, n_areas=60, int_strategy="ccd")),
+    ],
+)
+def test_study_reports_match_a_fit_of_every_latent(monkeypatch, kind, overrides):
+    # The harness builds only the marginals it tabulates; a run that
+    # builds every one must emit the same bytes.
+    config = tiny_config(kind=kind, mcmc_iterations=600, mcmc_burn_in=100, mcmc_thin=2, **overrides)
+    requested = harness.run_study(config, workers=1).canonical_files()
+    real_fit = laplace.fit
+    monkeypatch.setattr(laplace, "fit", lambda *args, latents=None, **kwargs: real_fit(*args, **kwargs))
+    everything = harness.run_study(config, workers=1)
+    assert everything.table("failures").rows == []
+    assert requested == everything.canonical_files()
 
 
 def test_paired_study_rejects_wrong_kind():

@@ -7,13 +7,15 @@ into the approximation code they are checking.
 """
 from __future__ import annotations
 
+import functools
 import json
+import types
 
 import numpy as np
 import pytest
 import scipy.optimize
 
-from lgmbench import laplace
+from lgmbench import harness, laplace
 from lgmbench import models as mdl
 from lgmbench.gmrf import Constraint, lattice_graph
 from lgmbench.laplace import FitFailure, LaplaceConfig, Strategy
@@ -271,6 +273,15 @@ def test_full_laplace_refuses_kriging_constraint():
     assert err.value.cause == "strategy_unsupported"
 
 
+@pytest.mark.parametrize("latents", [[], ["beta_x"]])
+def test_full_laplace_refuses_kriging_constraint_whatever_is_requested(latents):
+    # An empty request must not turn the refusal into a passing fit.
+    spec, data = small_spatial_dataset(constraint=Constraint.SUM_TO_ZERO_KRIGING)
+    with pytest.raises(FitFailure) as err:
+        laplace.fit(spec, data, strategy=Strategy.FULL_LAPLACE, latents=latents)
+    assert err.value.cause == "strategy_unsupported"
+
+
 def test_simplified_laplace_supports_kriging_constraint():
     spec, data = small_spatial_dataset(constraint=Constraint.SUM_TO_ZERO_KRIGING)
     res = laplace.fit(spec, data, strategy=Strategy.SIMPLIFIED_LAPLACE)
@@ -451,3 +462,129 @@ def test_config_validation():
         LaplaceConfig(int_strategy="fancy")
     with pytest.raises(ValueError, match="fl_grid_points"):
         LaplaceConfig(fl_grid_points=2)
+
+
+# ---------------------------------------------------------------------------
+# Latent requests: the all-latents fit is the oracle
+
+
+def small_poisson_model(n=6, seed=4):
+    """Intercept, slope and an iid block: eight latents, one hyperparameter."""
+    g = np.random.default_rng(seed)
+    x = g.uniform(0, 1, n)
+    data = mdl.Dataset(
+        y=g.poisson(np.exp(1.0 + x + g.normal(0.0, 0.3, n))),
+        covariates={"x": x},
+        offset=np.full(n, 2.0),
+    )
+    return mdl.poisson_spec(covariates=("x",)), data
+
+
+@pytest.mark.parametrize(
+    "strategy, model, subset",
+    [
+        (Strategy.FULL_LAPLACE, small_poisson_model, ["iid_3", "beta_x"]),
+        (Strategy.SIMPLIFIED_LAPLACE, small_spatial_dataset, ["icar_4", "beta_x", "icar_4"]),
+        (
+            Strategy.SIMPLIFIED_LAPLACE,
+            functools.partial(small_spatial_dataset, constraint=Constraint.SUM_TO_ZERO_KRIGING),
+            ["icar_0", "iid_8"],
+        ),
+        (Strategy.GAUSSIAN, small_spatial_dataset, ["iid_0"]),
+    ],
+)
+def test_requested_latents_are_bit_identical_to_the_all_latents_fit(strategy, model, subset):
+    spec, data = model()
+    full = laplace.fit(spec, data, strategy=strategy)
+    part = laplace.fit(spec, data, strategy=strategy, latents=subset)
+    assert part.latent_names == [name for name in full.latent_names if name in subset]
+    assert len(part.latent_marginals) == len(part.latent_names)
+    for name in subset:
+        a, b = part.latent_marginal(name), full.latent_marginal(name)
+        assert np.array_equal(a.values, b.values) and np.array_equal(a.density, b.density)
+        assert a.to_dict() == b.to_dict()
+    requested = [full.latent_names.index(name) for name in subset]
+    assert part.diagnostics.unreliable_latents == [i for i in full.diagnostics.unreliable_latents if i in requested]
+    assert part.diagnostics.fl_scanned_points == full.diagnostics.fl_scanned_points
+    assert part.diagnostics.newton_iters == full.diagnostics.newton_iters
+
+
+def test_empty_latent_request_keeps_grid_hypers_and_pointwise_loglik():
+    spec, data = small_poisson_model()
+    full = laplace.fit(spec, data, strategy=Strategy.FULL_LAPLACE)
+    bare = laplace.fit(spec, data, strategy=Strategy.FULL_LAPLACE, latents=[])
+    assert bare.latent_names == [] and bare.latent_marginals == []
+    assert np.array_equal(bare.pointwise_loglik, full.pointwise_loglik)
+    assert np.array_equal(bare.grid_weights, full.grid_weights)
+    assert bare.theta_grid.to_dict() == full.theta_grid.to_dict()
+    assert len(bare.hyper_marginals) == len(full.hyper_marginals) == 1
+    for a, b in zip(bare.hyper_marginals, full.hyper_marginals):
+        assert (a.name, a.natural_name) == (b.name, b.natural_name)
+        assert a.internal.to_dict() == b.internal.to_dict()
+        assert a.natural.to_dict() == b.natural.to_dict()
+    assert bare.diagnostics.fl_scanned_points == full.diagnostics.fl_scanned_points
+    assert bare.diagnostics.unreliable_latents == []
+
+
+def test_unrequested_or_unknown_latent_raises():
+    spec, data = small_poisson_model()
+    res = laplace.fit(spec, data, latents=["beta_x"])
+    assert res.latent_names == ["beta_x"]
+    for name in ("intercept", "iid_0", "nope"):
+        with pytest.raises(ValueError):
+            res.latent_marginal(name)
+    with pytest.raises(ValueError, match="unknown latent components"):
+        laplace.fit(spec, data, latents=["beta_x", "gamma"])
+
+
+# ---------------------------------------------------------------------------
+# Diagnostics of early stops and dropped points
+
+
+def _pool_dataset(seed, index):
+    """One dataset of a 16-area Poisson study pool."""
+    config = harness.study_config("poisson", seed=seed, n_areas=16, n_datasets=index + 1)
+    data = harness.generate_poisson_data(config)[index]
+    return mdl.poisson_spec(covariates=("x",)), data
+
+
+def test_unconverged_profile_points_flag_their_latent():
+    # On this dataset the profile Newton loop of the intercept stops short
+    # at some scan points, while the slope's profile converges everywhere.
+    spec, data = _pool_dataset(seed=0, index=5)
+    res = laplace.fit(spec, data, strategy=Strategy.FULL_LAPLACE, latents=["intercept", "beta_x"])
+    diag = res.diagnostics
+    assert diag.fl_unconverged_points > 0
+    assert diag.unreliable_latents == [0]
+    slope = laplace.fit(spec, data, strategy=Strategy.FULL_LAPLACE, latents=["beta_x"])
+    assert slope.diagnostics.fl_unconverged_points == 0
+    assert slope.diagnostics.unreliable_latents == []
+    assert slope.latent_marginal("beta_x").to_dict() == res.latent_marginal("beta_x").to_dict()
+
+
+def test_dropped_theta_points_are_counted():
+    # Both grid neighbours of the mode fail their Newton solve on this
+    # dataset (one area has a count above 1e5), collapsing the grid.
+    spec, data = _pool_dataset(seed=258543359, index=10)
+    res = laplace.fit(spec, data, latents=[])
+    assert res.diagnostics.grid_size == 1
+    assert res.diagnostics.theta_points_failed == 2
+    clean = laplace.fit(*_pool_dataset(seed=0, index=0), latents=[])
+    assert clean.diagnostics.grid_size > 1
+    assert clean.diagnostics.theta_points_failed == 0
+
+
+def test_theta_mode_search_failure_is_recorded(monkeypatch):
+    spec, data = conjugate_gaussian_model(n=10)
+    assert laplace.fit(spec, data).diagnostics.theta_mode_converged  # no hyperparameters
+
+    def stopped_early(*args, **kwargs):
+        res = scipy.optimize.minimize(*args, **kwargs)
+        res.success = False
+        return res
+
+    spec, data = variance_component_model()
+    monkeypatch.setattr(laplace, "optimize", types.SimpleNamespace(minimize=stopped_early))
+    res = laplace.fit(spec, data, latents=[])
+    assert res.diagnostics.theta_mode_converged is False
+    assert json.loads(res.to_json())["diagnostics"]["theta_mode_converged"] is False
