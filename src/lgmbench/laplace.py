@@ -867,7 +867,8 @@ def _mix_marginals(ctx: _Context, grid: ThetaGrid, approxes, strategy: Strategy,
     Builds the marginals of the latent components at ``indices`` (model
     order) and returns them with their ``FitDiagnostics`` fields.  The
     per-theta moments and value grids are computed for every component,
-    so a marginal does not depend on which others were requested.
+    so a marginal does not depend on which others were requested; with
+    none requested, none of them is computed.
     """
     cfg = ctx.config
     if strategy is Strategy.FULL_LAPLACE and ctx.basis is not None:
@@ -875,6 +876,11 @@ def _mix_marginals(ctx: _Context, grid: ThetaGrid, approxes, strategy: Strategy,
             "strategy_unsupported",
             "full Laplace is not available with kriging constraints",
         )
+    weights = grid.weights
+    fl_scan = weights >= cfg.fl_min_weight * weights.max()
+    scanned = int(fl_scan.sum()) if strategy is Strategy.FULL_LAPLACE else 0
+    if not indices:
+        return [], {"unreliable_latents": [], "fl_scanned_points": scanned, "fl_unconverged_points": 0}
     means = np.array([ctx.to_x(a.mode_u) for a in approxes])  # G x d_x
     if ctx.basis is not None:
         sds = np.array(
@@ -889,8 +895,6 @@ def _mix_marginals(ctx: _Context, grid: ThetaGrid, approxes, strategy: Strategy,
     sla = None
     if strategy in (Strategy.SIMPLIFIED_LAPLACE, Strategy.FULL_LAPLACE):
         sla = [_sla_coefficients(ctx, p.theta, a) for p, a in zip(grid.points, approxes)]
-    weights = grid.weights
-    fl_scan = weights >= cfg.fl_min_weight * weights.max()
 
     unreliable = set()
     fl_unconverged = 0
@@ -949,7 +953,6 @@ def _mix_marginals(ctx: _Context, grid: ThetaGrid, approxes, strategy: Strategy,
                     cond = cond / area
             dens += point.weight * cond
         marginals.append(PosteriorMarginal.from_unnormalized(vg, dens))
-    scanned = int(fl_scan.sum()) if strategy is Strategy.FULL_LAPLACE else 0
     return marginals, {
         "unreliable_latents": sorted(unreliable),
         "fl_scanned_points": scanned,

@@ -39,7 +39,6 @@ details and reproducible bit-for-bit.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
@@ -368,17 +367,27 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
     sw = CounterStream(config.seed, "mcmc", "swap")
     sh = CounterStream(config.seed, "mcmc", "hyper")
 
-    def log_prior_hyper_at(idx, value):
-        name = hyper_list[idx]
+    hyper_priors = []
+    for name in hyper_list:
         if name == "logit_p_zero":
-            return spec.priors.logit_zero_prior.logpdf(value)
-        if name == "log_dispersion":
-            return spec.priors.log_dispersion_prior.logpdf(value)
-        kind = name.replace("log_precision_", "")
-        return spec.priors.log_precision_priors[kind].logpdf(value)
+            hyper_priors.append(spec.priors.logit_zero_prior)
+        elif name == "log_dispersion":
+            hyper_priors.append(spec.priors.log_dispersion_prior)
+        else:
+            hyper_priors.append(spec.priors.log_precision_priors[name.replace("log_precision_", "")])
+    # Cholesky factor of the shift metric and the iid precision it was
+    # built for; refactored only when that precision changes.
+    metric_chol = None
+    metric_sigma = None
 
     for sweep in range(1, config.iterations + 1):
         in_burn = sweep <= config.burn_in
+        # Precisions change only in the hyperparameter block at the end
+        # of the sweep, so every block before it reads the same values.
+        if has_iid:
+            sigma = fixed_or_free_precision("iid")
+        if has_icar:
+            tau = fixed_or_free_precision("icar")
 
         # ----- fixed effects -------------------------------------------
         if p_beta:
@@ -413,10 +422,11 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
             g = ss.at(sweep)
             z = g.standard_normal(p_beta)
             u_acc = g.random()
-            sigma = fixed_or_free_precision("iid")
             # The log ratio is quadratic in delta with curvature
             # sigma X'X + prior, so propose with its inverse as metric.
-            metric_chol = np.linalg.cholesky(sigma * design_gram + np.diag(beta_prior_prec))
+            if sigma != metric_sigma:
+                metric_chol = np.linalg.cholesky(sigma * design_gram + np.diag(beta_prior_prec))
+                metric_sigma = sigma
             delta = adapt["shift"].scale * np.linalg.solve(metric_chol.T, z)
             beta_new = beta + delta
             eps_new = eps - design @ delta
@@ -433,7 +443,6 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
             g = si.at(sweep)
             z = g.standard_normal(n)
             u_acc = g.random(n)
-            sigma = fixed_or_free_precision("iid")
             delta = adapt["iid"].scales * z
             eta_new = eta + delta
             ll_new = _loglik_vec(spec, eta_new, hyper, data)
@@ -458,7 +467,6 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
             g = sc.at(sweep)
             z = g.standard_normal(n)
             u_acc = g.random(n)
-            tau = fixed_or_free_precision("icar")
             scales = adapt["icar"].scales
             acc_vec = np.zeros(n)
             for cls, a_rows in zip(classes, class_adj):
@@ -513,7 +521,6 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
             g = sw.at(sweep)
             z = g.standard_normal(n_comp)
             u_acc = g.random(n_comp)
-            sigma = fixed_or_free_precision("iid")
             acc_swap = np.zeros(n_comp)
             for c, comp in enumerate(comp_masks):
                 base_sd = 1.0 / math.sqrt(sigma * comp.size)
@@ -536,7 +543,7 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
             for idx, name in enumerate(hyper_list):
                 cur = hyper[idx]
                 new = cur + adapt[name].scale * z[idx]
-                d = log_prior_hyper_at(idx, new) - log_prior_hyper_at(idx, cur)
+                d = hyper_priors[idx].logpdf(new) - hyper_priors[idx].logpdf(cur)
                 ll_new = None
                 if name == "log_precision_iid":
                     d += 0.5 * n * (new - cur) - 0.5 * (math.exp(new) - math.exp(cur)) * sum_eps2
@@ -777,11 +784,3 @@ def posterior_summary(output: ChainOutput, natural_hypers: bool = True) -> dict:
                 kind = name.replace("log_precision_", "")
                 summarize(f"sd_{kind}", np.exp(-0.5 * output.draws[:, j]))
     return out
-
-
-def summary_to_json(summary: dict, path=None) -> str:
-    text = json.dumps(summary, sort_keys=True)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text

@@ -65,7 +65,6 @@ __all__ = [
     "pointwise_loglik",
     "pointwise_loglik_from_eta",
     "eta_derivatives",
-    "gradient_hessian_loglik",
     "log_prior_hyper",
     "latent_log_prior",
     "latent_prior_precision",
@@ -374,6 +373,15 @@ class Dataset:
             object.__setattr__(self, "offset", off)
         if self.graph is not None and self.graph.n_nodes != y.size:
             raise ValueError("graph node count must match the number of observations")
+        # Likelihood constants, computed once and shared read-only by
+        # every call.  Plain attributes, not fields, so equality and repr
+        # see only the data above.
+        y_float = y.astype(np.float64)
+        log_y_factorial = sps.gammaln(y_float + 1.0)
+        y_float.flags.writeable = False
+        log_y_factorial.flags.writeable = False
+        object.__setattr__(self, "_y_float", y_float)
+        object.__setattr__(self, "_log_y_factorial", log_y_factorial)
 
     @property
     def n(self) -> int:
@@ -517,6 +525,10 @@ def linear_predictor(spec: ModelSpec, latent: np.ndarray, data: Dataset) -> np.n
 
 
 def _check_eta(eta: np.ndarray) -> None:
+    # Fast path for the common in-range case; both comparisons are false
+    # for NaN, so non-finite values always reach the indexed checks.
+    if eta.max() <= ETA_OVERFLOW and eta.min() >= -ETA_OVERFLOW:
+        return
     bad = ~np.isfinite(eta)
     if np.any(bad):
         i = int(np.flatnonzero(bad)[0])
@@ -537,9 +549,9 @@ def _zinb_params(spec: ModelSpec, hyper: np.ndarray) -> tuple[float, float]:
 
 
 def _pointwise_loglik_eta(spec: ModelSpec, eta: np.ndarray, hyper: np.ndarray, data: Dataset) -> np.ndarray:
-    y = data.y.astype(np.float64)
+    y = data._y_float
     if spec.family is Family.POISSON:
-        return y * eta - np.exp(eta) - sps.gammaln(y + 1.0)
+        return y * eta - np.exp(eta) - data._log_y_factorial
     if spec.family is Family.GAUSSIAN:
         kappa = spec.gaussian_obs_precision
         r = y - eta
@@ -554,7 +566,7 @@ def _pointwise_loglik_eta(spec: ModelSpec, eta: np.ndarray, hyper: np.ndarray, d
     log_nb = (
         sps.gammaln(y + size)
         - sps.gammaln(size)
-        - sps.gammaln(y + 1.0)
+        - data._log_y_factorial
         + size * (np.log(size) - np.log(size + mu))
         + y * (eta - np.log(size + mu))
     )
@@ -592,7 +604,7 @@ def log_likelihood(spec: ModelSpec, latent: np.ndarray, hyper: np.ndarray, data:
 
 def _eta_derivatives(spec: ModelSpec, eta: np.ndarray, hyper: np.ndarray, data: Dataset):
     """(dl/deta, -d2l/deta2, d3l/deta3) per observation."""
-    y = data.y.astype(np.float64)
+    y = data._y_float
     if spec.family is Family.POISSON:
         lam = np.exp(eta)
         return y - lam, lam, -lam
@@ -631,31 +643,6 @@ def _eta_derivatives(spec: ModelSpec, eta: np.ndarray, hyper: np.ndarray, data: 
         g2[zero] = w * (1.0 - w) * s * s + w * s1
         g3[zero] = w * (1.0 - w) * (1.0 - 2.0 * w) * s**3 + 3.0 * w * (1.0 - w) * s * s1 + w * s2
     return g1, -g2, g3
-
-
-def gradient_hessian_loglik(
-    spec: ModelSpec, latent: np.ndarray, hyper: np.ndarray, data: Dataset
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient wrt the latent vector and negative curvature wrt eta.
-
-    The negative Hessian wrt the latent vector is ``J' diag(w) J`` where
-    ``J`` is the latent-to-eta map and ``w`` is the returned per
-    observation curvature vector (which may carry negative entries for
-    the non-concave zero-inflated mixture).
-    """
-    eta = linear_predictor(spec, latent, data)
-    _check_eta(eta)
-    g1, w, _ = _eta_derivatives(spec, eta, hyper, data)
-    sl = latent_slices(spec, data.n)
-    grad = np.zeros(latent_dim(spec, data.n))
-    x = design_matrix(spec, data)
-    if x.shape[1]:
-        grad[sl["beta"]] = x.T @ g1
-    if "iid" in sl:
-        grad[sl["iid"]] = g1
-    if "icar" in sl:
-        grad[sl["icar"]] = g1
-    return grad, w
 
 
 # ---------------------------------------------------------------------------

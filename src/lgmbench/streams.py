@@ -49,15 +49,34 @@ def substream_seed(seed: int, *path) -> int:
 class CounterStream:
     """A family of Generators indexed by an integer counter.
 
-    The key is fixed at construction; ``at(i)`` returns a fresh
-    Generator whose Philox counter block starts at ``i``.  This gives
-    the "keyed by (seed, block id, iteration)" discipline used by the
-    MCMC engine without hashing in the hot loop.
+    The key is fixed at construction; ``at(i)`` returns a Generator
+    whose Philox counter block starts at ``i``.  This gives the "keyed
+    by (seed, block id, iteration)" discipline used by the MCMC engine
+    without hashing in the hot loop.
+
+    The stream holds a single Generator, which ``at(i)`` rewinds to
+    counter ``i`` with an empty output buffer, so its draws are those
+    of a freshly built ``Philox(counter=[0, 0, 0, i], key=...)``.  The
+    returned Generator is therefore valid only until the next ``at()``
+    on the same stream.
     """
 
     def __init__(self, seed: int, *path):
-        self._key = derive_key(seed, *path)
+        key = derive_key(seed, *path)
+        self._counter = np.zeros(4, dtype=np.uint64)
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": self._counter, "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self._bit_generator = np.random.Philox(key=key)
+        self._generator = np.random.Generator(self._bit_generator)
 
     def at(self, counter: int) -> np.random.Generator:
-        bg = np.random.Philox(counter=[0, 0, 0, int(counter)], key=self._key)
-        return np.random.Generator(bg)
+        # The state setter copies every value, so the template is reused.
+        self._counter[3] = counter
+        self._bit_generator.state = self._state
+        return self._generator

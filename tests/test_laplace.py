@@ -509,9 +509,16 @@ def test_requested_latents_are_bit_identical_to_the_all_latents_fit(strategy, mo
     assert part.diagnostics.newton_iters == full.diagnostics.newton_iters
 
 
-def test_empty_latent_request_keeps_grid_hypers_and_pointwise_loglik():
+def test_empty_latent_request_keeps_grid_hypers_and_pointwise_loglik(monkeypatch):
     spec, data = small_poisson_model()
     full = laplace.fit(spec, data, strategy=Strategy.FULL_LAPLACE)
+
+    def unused(*args):
+        raise AssertionError("computed for a fit that requests no latent marginal")
+
+    # Nothing reads the per-theta covariances or skewness coefficients.
+    monkeypatch.setattr(laplace._Approx, "cov", property(unused))
+    monkeypatch.setattr(laplace, "_sla_coefficients", unused)
     bare = laplace.fit(spec, data, strategy=Strategy.FULL_LAPLACE, latents=[])
     assert bare.latent_names == [] and bare.latent_marginals == []
     assert np.array_equal(bare.pointwise_loglik, full.pointwise_loglik)

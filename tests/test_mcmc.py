@@ -17,7 +17,7 @@ import scipy.special
 
 from lgmbench import mcmc
 from lgmbench import models as mdl
-from lgmbench.gmrf import lattice_graph
+from lgmbench.gmrf import AdjacencyGraph, Constraint, lattice_graph
 from lgmbench.mcmc import ChainAbort, ChainConfig, ChainOutput, ConstraintMode
 
 
@@ -476,17 +476,6 @@ def test_posterior_summary_structure_and_natural_scales():
     assert "precision_iid" not in bare and "log_precision_iid" in bare
 
 
-def test_summary_to_json_round_trip(tmp_path):
-    spec, data = normal_normal_model(n=10)
-    out = mcmc.run_chain(spec, data, ChainConfig(iterations=1_500, burn_in=300, thin=1, seed=31))
-    summary = mcmc.posterior_summary(out)
-    path = tmp_path / "summary.json"
-    text = mcmc.summary_to_json(summary, path)
-    assert json.loads(text) == summary
-    with open(path, encoding="utf-8") as fh:
-        assert fh.read() == text
-
-
 def test_output_to_dict_is_json_ready():
     spec, data = normal_normal_model(n=10)
     out = mcmc.run_chain(spec, data, ChainConfig(iterations=1_500, burn_in=300, thin=1, seed=37))
@@ -495,3 +484,94 @@ def test_output_to_dict_is_json_ready():
     assert d["columns"] == ["intercept"]
     assert d["n_kept"] == out.n_kept
     json.dumps(d)
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity against the reference sampler kept in tests/oracle_mcmc.py
+
+
+def _two_component_bym(seed, include_intercept=False, constraint=None):
+    """BYM data on a 3x3 lattice plus a separate 3-path (two components)."""
+    g = np.random.default_rng(seed)
+    edges = list(lattice_graph(3, 3).edges) + [(9, 10), (10, 11)]
+    graph = AdjacencyGraph(12, edges)
+    data = mdl.Dataset(
+        y=g.poisson(np.exp(1.5 + g.normal(0.0, 0.5, 12))),
+        covariates={"x": g.uniform(0, 1, 12)},
+        offset=np.full(12, 2.0),
+        graph=graph,
+    )
+    kwargs = {"include_intercept": include_intercept}
+    if constraint is not None:
+        kwargs["constraint"] = constraint
+    return mdl.bym_spec(**kwargs), data
+
+
+def _oracle_poisson():
+    g = np.random.default_rng(71)
+    data = mdl.Dataset(
+        y=g.poisson(20.0, 15),
+        covariates={"x": g.uniform(-1, 1, 15)},
+        offset=g.uniform(0.5, 2.0, 15),
+    )
+    return mdl.poisson_spec(), data
+
+
+def _oracle_poisson_fixed_iid():
+    spec, data = _oracle_poisson()
+    return mdl.poisson_spec(iid_prior=mdl.FixedPrior(math.log(3.0))), data
+
+
+def _oracle_zinb():
+    g = np.random.default_rng(73)
+    y = g.poisson(4.0, 20)
+    y[g.uniform(size=20) < 0.3] = 0
+    data = mdl.Dataset(
+        y=y,
+        covariates={"x": g.uniform(-1, 1, 20), "z": g.normal(0, 1, 20)},
+        offset=g.uniform(50, 150, 20),
+    )
+    return mdl.zinb_spec(covariates=("x", "z")), data
+
+
+ORACLE_CASES = {
+    "poisson": (_oracle_poisson, ConstraintMode.NONE, True),
+    "poisson-fixed-iid": (_oracle_poisson_fixed_iid, ConstraintMode.NONE, True),
+    "poisson-no-pointwise": (_oracle_poisson, ConstraintMode.NONE, False),
+    "bym-none": (lambda: _two_component_bym(81), ConstraintMode.NONE, True),
+    "bym-center": (
+        lambda: _two_component_bym(82, True, Constraint.SUM_TO_ZERO_CENTERING),
+        ConstraintMode.CENTER_ON_THE_FLY,
+        True,
+    ),
+    "bym-kriging": (
+        lambda: _two_component_bym(83, True, Constraint.SUM_TO_ZERO_KRIGING),
+        ConstraintMode.KRIGING_PROJECT,
+        True,
+    ),
+    "bym-no-pointwise": (lambda: _two_component_bym(84), ConstraintMode.NONE, False),
+    "zinb": (_oracle_zinb, ConstraintMode.NONE, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_run_chain_bit_identical_to_oracle(case):
+    # 1,100 sweeps cross adaptation windows, the end of burn-in and the
+    # icar quadratic-form refresh at sweep 1,000.
+    from oracle_mcmc import run_chain as oracle_run_chain
+
+    build, mode, record = ORACLE_CASES[case]
+    spec, data = build()
+    cfg = ChainConfig(
+        iterations=1_100, burn_in=400, thin=3, seed=97, constraint_mode=mode, record_pointwise=record
+    )
+    new = mcmc.run_chain(spec, data, cfg)
+    ref = oracle_run_chain(spec, data, cfg)
+    assert new.columns == ref.columns
+    assert new.draws.tobytes() == ref.draws.tobytes()
+    if record:
+        assert new.pointwise_loglik.tobytes() == ref.pointwise_loglik.tobytes()
+    else:
+        assert new.pointwise_loglik is None and ref.pointwise_loglik is None
+    assert new.acceptance == ref.acceptance
+    assert new.final_scales == ref.final_scales

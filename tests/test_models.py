@@ -6,6 +6,7 @@ against central finite differences computed here.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -248,6 +249,82 @@ def test_eta_overflow_raises_not_nan():
         mdl.pointwise_loglik(spec, latent, np.zeros(1), data)
 
 
+def test_check_eta_limit_is_inclusive():
+    mdl._check_eta(np.array([0.0, mdl.ETA_OVERFLOW, -mdl.ETA_OVERFLOW, 3.0]))
+
+
+@pytest.mark.parametrize(
+    "values, index",
+    [
+        ([0.0, np.nextafter(mdl.ETA_OVERFLOW, np.inf), 1.0], 1),
+        ([0.0, 1.0, -np.nextafter(mdl.ETA_OVERFLOW, np.inf)], 2),
+        ([np.nan, 0.0], 0),
+        ([0.0, np.inf], 1),
+        ([0.0, 1.0, -np.inf, 2.0], 2),
+        # Non-finite values are reported before any finite over-limit
+        # value, even when the over-limit value comes first.
+        ([0.0, 800.0, np.nan], 2),
+        ([-900.0, 0.0, np.inf, np.nan], 2),
+    ],
+)
+def test_check_eta_reports_the_first_offending_index(values, index):
+    eta = np.array(values)
+    with pytest.raises(mdl.LikelihoodOverflowError) as info:
+        mdl._check_eta(eta)
+    assert info.value.index == index
+    assert info.value.value == eta[index] or (np.isnan(eta[index]) and np.isnan(info.value.value))
+
+
+@pytest.mark.parametrize("family", ["poisson", "gaussian", "zinb"])
+def test_likelihood_kernels_match_the_uncached_expressions(family):
+    # Dataset caches y as floats and gammaln(y + 1); the kernels must
+    # give the same bits as computing both on every call.
+    g = np.random.default_rng(12)
+    n = 9
+    y = g.poisson(6.0, n)
+    y[:2] = 0
+    eta = g.uniform(-1.0, 2.5, n)
+    if family == "poisson":
+        spec, hyper = mdl.poisson_spec(covariates=(), offset=None), np.zeros(1)
+    elif family == "gaussian":
+        spec = mdl.ModelSpec(family=mdl.Family.GAUSSIAN, gaussian_obs_precision=1.5)
+        y, hyper = g.normal(0, 1, n), np.zeros(0)
+    else:
+        spec, hyper = mdl.zinb_spec(covariates=(), offset=None), np.array([sps.logit(0.3), np.log(1.5)])
+    data = mdl.Dataset(y=y, covariates={})
+    yf = y.astype(np.float64)
+    if family == "poisson":
+        want = yf * eta - np.exp(eta) - sps.gammaln(yf + 1.0)
+        lam = np.exp(eta)
+        want_d = (yf - lam, lam, -lam)
+    elif family == "gaussian":
+        r = yf - eta
+        want = 0.5 * np.log(1.5 / (2.0 * np.pi)) - 0.5 * 1.5 * r * r
+        want_d = (1.5 * (yf - eta), np.full(n, 1.5), np.zeros(n))
+    else:
+        size = float(np.exp(hyper[1]))
+        mu = np.exp(eta)
+        log_nb = (
+            sps.gammaln(yf + size)
+            - sps.gammaln(size)
+            - sps.gammaln(yf + 1.0)
+            + size * (np.log(size) - np.log(size + mu))
+            + yf * (eta - np.log(size + mu))
+        )
+        want = sps.log_expit(-hyper[0]) + log_nb
+        want[y == 0] = np.logaddexp(sps.log_expit(hyper[0]), sps.log_expit(-hyper[0]) + log_nb[y == 0])
+        want_d = None
+    got = mdl.pointwise_loglik_from_eta(spec, eta, hyper, data)
+    assert got.tobytes() == want.tobytes()
+    if want_d is not None:
+        for a, b in zip(mdl.eta_derivatives(spec, eta, hyper, data), want_d):
+            assert a.tobytes() == b.tobytes()
+    # The cached arrays are not dataclass fields, so equality and repr
+    # see the data alone.
+    names = [f.name for f in dataclasses.fields(mdl.Dataset)]
+    assert names == ["y", "covariates", "offset", "graph", "generating_values"]
+
+
 # ---------------------------------------------------------------------------
 # Derivatives against finite differences
 
@@ -279,7 +356,14 @@ def test_gradient_matches_finite_differences(family):
         offset=g.uniform(1, 5, n) if family != "gaussian" else None,
     )
     latent = g.normal(0, 0.3, mdl.latent_dim(spec, n))
-    grad, _ = mdl.gradient_hessian_loglik(spec, latent, hyper, data)
+    # Chain rule through the latent-to-eta map J: gradient = J' dl/deta.
+    sl = mdl.latent_slices(spec, n)
+    j = np.zeros((n, mdl.latent_dim(spec, n)))
+    j[:, sl["beta"]] = mdl.design_matrix(spec, data)
+    if "iid" in sl:
+        j[:, sl["iid"]] = np.eye(n)
+    g1 = mdl.eta_derivatives(spec, mdl.linear_predictor(spec, latent, data), hyper, data)[0]
+    grad = j.T @ g1
     oracle = fd_gradient(lambda v: mdl.log_likelihood(spec, v, hyper, data), latent)
     np.testing.assert_allclose(grad, oracle, rtol=1e-5, atol=1e-7)
 

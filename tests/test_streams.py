@@ -61,6 +61,47 @@ def test_counter_stream_random_access_ignores_call_order():
     assert forward == backward[::-1]
 
 
+def _mixed_draws(g: np.random.Generator) -> list:
+    # 32-bit integer draws use the half-word cache and random() the
+    # 64-bit buffer, so a stale bit-generator state would show here.
+    return [
+        g.standard_normal(3),
+        g.random(),
+        g.integers(0, 2**31, 3, dtype=np.uint32),
+        g.random(5),
+        g.integers(0, 10, 1, dtype=np.uint32),
+        g.standard_normal(),
+        g.uniform(-1.0, 2.0, 2),
+    ]
+
+
+def test_counter_stream_matches_a_freshly_built_philox():
+    cs = CounterStream(13, "mcmc", "icar")
+    key = derive_key(13, "mcmc", "icar")
+    for counter in (5, 0, 1, 5, 2**31 + 7, 2**40, 3, 2**63 - 1):
+        got = _mixed_draws(cs.at(counter))
+        fresh = np.random.Generator(np.random.Philox(counter=[0, 0, 0, counter], key=key))
+        want = _mixed_draws(fresh)
+        for a, b in zip(got, want):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_counter_stream_generator_is_valid_until_the_next_at():
+    # at() rewinds and returns the stream's one Generator: a returned
+    # generator must be used up before the next at() on the same stream.
+    # Other streams do not disturb it.
+    cs = CounterStream(17, "mcmc", "beta")
+    other = CounterStream(17, "mcmc", "shift")
+    g = cs.at(4)
+    first = g.standard_normal(2)
+    other.at(9).standard_normal(8)
+    rest = g.standard_normal(2)
+    again = CounterStream(17, "mcmc", "beta")
+    np.testing.assert_array_equal(np.concatenate([first, rest]), again.at(4).standard_normal(4))
+    assert cs.at(5) is g
+    np.testing.assert_array_equal(g.standard_normal(2), again.at(5).standard_normal(2))
+
+
 def test_stream_quality_moments():
     # 1e5 standard normals from a derived stream should look standard.
     x = stream(123, "quality").standard_normal(100_000)
