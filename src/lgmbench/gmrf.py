@@ -91,17 +91,24 @@ class AdjacencyGraph:
         if len(set(canon)) != len(canon):
             raise ValueError("duplicate edge")
         object.__setattr__(self, "edges", tuple(sorted(canon)))
+        # Structure that every ICAR evaluation reads, computed once and
+        # shared read-only.  Plain attributes, not fields, so equality,
+        # hashing and repr see only the graph above.
+        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        ends = (e[:, 0].copy(), e[:, 1].copy())
+        labels = _union_find_labels(self.n_nodes, self.edges)
+        for arr in (*ends, labels):
+            arr.flags.writeable = False
+        object.__setattr__(self, "_edge_arrays", ends)
+        object.__setattr__(self, "_component_labels", labels)
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge endpoints as two int arrays (empty-safe)."""
-        if not self.edges:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        e = np.asarray(self.edges, dtype=np.int64)
-        return e[:, 0], e[:, 1]
+        """Edge endpoints as two read-only int arrays (empty-safe)."""
+        return self._edge_arrays
 
     def degrees(self) -> np.ndarray:
         deg = np.zeros(self.n_nodes, dtype=np.int64)
@@ -228,12 +235,17 @@ def graph_laplacian(graph: AdjacencyGraph) -> SparseSymMatrix:
 
 
 def component_labels(graph: AdjacencyGraph) -> np.ndarray:
-    """Connected component index per node via union-find.
+    """Connected component index per node, as a read-only array.
 
     Labels are renumbered in order of first appearance by node index, so
     node 0 is always in component 0.
     """
-    parent = np.arange(graph.n_nodes)
+    return graph._component_labels
+
+
+def _union_find_labels(n_nodes: int, edges) -> np.ndarray:
+    """Component labels of a canonical edge list via union-find."""
+    parent = np.arange(n_nodes)
 
     def find(x: int) -> int:
         root = x
@@ -243,12 +255,12 @@ def component_labels(graph: AdjacencyGraph) -> np.ndarray:
             parent[x], x = root, parent[x]
         return root
 
-    for i, j in graph.edges:
+    for i, j in edges:
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
-    roots = np.array([find(i) for i in range(graph.n_nodes)])
+    roots = np.array([find(i) for i in range(n_nodes)])
     _, labels = np.unique(roots, return_inverse=True)
     return labels
 

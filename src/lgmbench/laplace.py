@@ -49,7 +49,7 @@ from scipy import interpolate, optimize
 from scipy.special import ndtr
 
 from . import models as mdl
-from .gmrf import propriety_check
+from .gmrf import graph_laplacian, propriety_check
 from .posterior import PosteriorMarginal
 
 __all__ = [
@@ -189,8 +189,10 @@ class FitDiagnostics:
     """What a fit did and where it fell short.
 
     ``theta_mode_converged`` is the BFGS success flag of the
-    hyperparameter mode search; ``theta_points_failed`` counts the
-    integration points dropped because their Newton solve failed.
+    hyperparameter mode search.  ``theta_points_retried`` counts the
+    integration points whose warm-started Newton solve failed and was
+    retried from a cold start; ``theta_points_failed`` counts those
+    dropped because the retry failed too.
     ``unreliable_latents`` holds model-order indices of built marginals
     that fell back to the Gaussian or whose full-Laplace profile has
     points where the inner Newton loop stopped short of convergence;
@@ -204,6 +206,7 @@ class FitDiagnostics:
     newton_converged: bool
     theta_mode_evals: int
     theta_mode_converged: bool
+    theta_points_retried: int
     theta_points_failed: int
     curvature_clipped: bool
     constrained_reduction: bool
@@ -322,12 +325,42 @@ class _Context:
             self.basis = None
         self.dim_u = self.basis.shape[1] if self.basis is not None else self.dim_x
         self.j = self.j_full @ self.basis if self.basis is not None else self.j_full
+        # The prior's sparsity pattern is fixed and theta only scales its
+        # blocks (Rue, Martino & Chopin 2009, section 3), so the symmetric
+        # index pattern of mdl.latent_prior_precision is stored once and
+        # each theta scatters the scaled values into a zeroed matrix.
+        n_beta = sl["beta"].stop
+        self.prior_fixed = np.full(n_beta, mdl.fixed_effect_precision(spec))
+        diag = np.arange(n_beta + (n if "iid" in sl else 0))
+        rows, cols = [diag], [diag]
+        self.prior_laplacian = None
+        if "icar" in sl:
+            q = graph_laplacian(mdl._require_graph(data))
+            off = q.rows != q.cols
+            start = sl["icar"].start
+            rows.append(np.concatenate([q.rows, q.cols[off]]) + start)
+            cols.append(np.concatenate([q.cols, q.rows[off]]) + start)
+            self.prior_laplacian = np.concatenate([q.vals, q.vals[off]])
+        self.prior_rows = np.concatenate(rows)
+        self.prior_cols = np.concatenate(cols)
 
     def to_x(self, u: np.ndarray) -> np.ndarray:
         return self.basis @ u if self.basis is not None else u
 
     def prior_precision_u(self, theta: np.ndarray) -> np.ndarray:
-        p = mdl.latent_prior_precision(self.spec, theta, self.data).to_dense()
+        """Dense prior precision in reduced coordinates; the same bits as
+        ``mdl.latent_prior_precision(spec, theta, data).to_dense()``
+        projected onto the constraint basis."""
+        prec = mdl._block_precisions(self.spec, theta)
+        vals = [self.prior_fixed]
+        if "iid" in prec:
+            vals.append(np.full(self.n, math.exp(prec["iid"])))
+        if self.prior_laplacian is not None:
+            vals.append(self.prior_laplacian * math.exp(prec["icar"]))
+        p = np.zeros((self.dim_x, self.dim_x))
+        # Adding +0.0 turns the -0.0 of an underflowed precision times a
+        # negative Laplacian entry into the +0.0 a dropped entry leaves.
+        p[self.prior_rows, self.prior_cols] = np.concatenate(vals) + 0.0
         if self.basis is not None:
             p = self.basis.T @ p @ self.basis
         return p
@@ -502,12 +535,13 @@ def gaussian_approx_latent(
 # Hyperparameter exploration
 
 
-def _log_posterior_theta(ctx: _Context, theta: np.ndarray, cache: dict) -> tuple[float, _Approx]:
+def _log_posterior_theta(
+    ctx: _Context, theta: np.ndarray, cache: dict, cold: bool = False
+) -> tuple[float, _Approx]:
     key = np.asarray(theta, dtype=float).tobytes()
     if key in cache:
         return cache[key]
-    warm = cache.get("_warm")
-    approx = _newton(ctx, theta, warm)
+    approx = _newton(ctx, theta, None if cold else cache.get("_warm"))
     cache["_warm"] = approx.mode_u
     x = ctx.to_x(approx.mode_u)
     ll = mdl.log_likelihood(ctx.spec, x, theta, ctx.data)
@@ -583,22 +617,37 @@ def _standardizer(hess: np.ndarray) -> np.ndarray:
     return eigvec @ np.diag(1.0 / np.sqrt(eigval))
 
 
-def _grid_points(ctx: _Context, mode, axes, lp_mode, cache):
-    """Dense axis-aligned grid in standardized coordinates, and the
-    number of points dropped because their evaluation failed."""
+def _integration_point(ctx: _Context, theta: np.ndarray, cache: dict, stats: dict) -> float | None:
+    """log p(theta | y) at an integration point, or None if it fails.
+
+    The Newton solve starts from the previous point's latent mode.  On
+    large counts that warm start can leave the objective's rounding
+    noise above the decrement test, where a start from zero converges,
+    so a failed point is retried once from a cold start before it is
+    dropped.  ``stats`` counts the retries and the drops.
+    """
+    try:
+        return _log_posterior_theta(ctx, theta, cache)[0]
+    except (FitFailure, mdl.LikelihoodOverflowError):
+        stats["theta_points_retried"] += 1
+    try:
+        return _log_posterior_theta(ctx, theta, cache, cold=True)[0]
+    except (FitFailure, mdl.LikelihoodOverflowError):
+        stats["theta_points_failed"] += 1
+        return None
+
+
+def _grid_points(ctx: _Context, mode, axes, lp_mode, cache, stats):
+    """Dense axis-aligned grid in standardized coordinates."""
     cfg = ctx.config
     m = mode.size
     step = cfg.theta_grid_step
     cutoff = cfg.theta_deficit_cutoff
-    failed = [0]
 
     def lp_at(z):
         theta = mode + axes @ (np.asarray(z, dtype=float) * step)
-        try:
-            return _log_posterior_theta(ctx, theta, cache)[0], theta
-        except (FitFailure, mdl.LikelihoodOverflowError):
-            failed[0] += 1
-            return -np.inf, theta
+        lp = _integration_point(ctx, theta, cache, stats)
+        return (-np.inf if lp is None else lp), theta
 
     lo = np.zeros(m, dtype=int)
     hi = np.zeros(m, dtype=int)
@@ -630,10 +679,10 @@ def _grid_points(ctx: _Context, mode, axes, lp_mode, cache):
             coeff[at_edge] *= 0.5
     raw = coeff * np.exp(np.array([e[2] for e in entries]) - lp_mode)
     weights = raw / np.add.reduce(raw)
-    return [(e[1], e[2], w) for e, w in zip(entries, weights)], failed[0]
+    return [(e[1], e[2], w) for e, w in zip(entries, weights)]
 
 
-def _ccd_points(ctx: _Context, mode, axes, lp_mode, cache):
+def _ccd_points(ctx: _Context, mode, axes, lp_mode, cache, stats):
     """Central composite design: center, corners, and axial points.
 
     All off-center points sit at radius f0 = scale * sqrt(m + 1) in
@@ -641,8 +690,8 @@ def _ccd_points(ctx: _Context, mode, axes, lp_mode, cache):
     and split the rest evenly, which integrates the radial second
     moment of a standard Gaussian exactly; each design weight is then
     tilted by the ratio of the actual posterior to the standard
-    Gaussian at its point.  Also returns the number of design points
-    dropped because their evaluation failed.
+    Gaussian at its point.  Design points whose evaluation fails are
+    dropped.
     """
     cfg = ctx.config
     m = mode.size
@@ -659,18 +708,15 @@ def _ccd_points(ctx: _Context, mode, axes, lp_mode, cache):
     design = np.array([1.0 / (m + 1.0)] + [m / (m + 1.0) / n_off] * n_off)
 
     entries = []
-    failed = 0
     for z, dw in zip(zs, design):
         theta = mode + axes @ z
-        try:
-            lp, _ = _log_posterior_theta(ctx, theta, cache)
-        except (FitFailure, mdl.LikelihoodOverflowError):
-            failed += 1
+        lp = _integration_point(ctx, theta, cache, stats)
+        if lp is None:
             continue
         tilt = dw * math.exp(lp - lp_mode + 0.5 * float(z @ z))
         entries.append((theta, lp, tilt))
     total = sum(e[2] for e in entries)
-    return [(theta, lp, tilt / total) for theta, lp, tilt in entries], failed
+    return [(theta, lp, tilt / total) for theta, lp, tilt in entries]
 
 
 def _explore(ctx: _Context) -> tuple[ThetaGrid, list[_Approx], dict]:
@@ -678,7 +724,12 @@ def _explore(ctx: _Context) -> tuple[ThetaGrid, list[_Approx], dict]:
     points, and the exploration's ``FitDiagnostics`` fields."""
     cache: dict = {}
     mode, evals, converged = _theta_mode(ctx, cache)
-    stats = {"theta_mode_evals": evals, "theta_mode_converged": converged, "theta_points_failed": 0}
+    stats = {
+        "theta_mode_evals": evals,
+        "theta_mode_converged": converged,
+        "theta_points_retried": 0,
+        "theta_points_failed": 0,
+    }
     m = mode.size
     if m == 0:
         lp, _ = _log_posterior_theta(ctx, mode, cache)
@@ -695,10 +746,8 @@ def _explore(ctx: _Context) -> tuple[ThetaGrid, list[_Approx], dict]:
     method = ctx.config.int_strategy
     if method == "auto":
         method = "grid" if m <= 2 else "ccd"
-    if method == "grid":
-        entries, stats["theta_points_failed"] = _grid_points(ctx, mode, axes, lp_mode, cache)
-    else:
-        entries, stats["theta_points_failed"] = _ccd_points(ctx, mode, axes, lp_mode, cache)
+    points_of = _grid_points if method == "grid" else _ccd_points
+    entries = points_of(ctx, mode, axes, lp_mode, cache, stats)
     points = tuple(ThetaPoint(theta, lp, w) for theta, lp, w in entries)
     approxes = [_log_posterior_theta(ctx, p.theta, cache)[1] for p in points]
     grid = ThetaGrid(points=points, mode=mode, mode_hessian=hess)
@@ -892,9 +941,14 @@ def _mix_marginals(ctx: _Context, grid: ThetaGrid, approxes, strategy: Strategy,
     hi = (means + cfg.marginal_grid_sds * sds).max(axis=0)
     vgrids = np.linspace(lo, hi, cfg.marginal_grid_points, axis=1)  # d_x x P
 
-    sla = None
-    if strategy in (Strategy.SIMPLIFIED_LAPLACE, Strategy.FULL_LAPLACE):
-        sla = [_sla_coefficients(ctx, p.theta, a) for p, a in zip(grid.points, approxes)]
+    # Skew-normal coefficients per theta point, computed only where they
+    # are read: at every point under SIMPLIFIED_LAPLACE, and under
+    # FULL_LAPLACE at the points too light for a profile scan.
+    sla = {}
+    if strategy is not Strategy.GAUSSIAN:
+        for g, (point, approx) in enumerate(zip(grid.points, approxes)):
+            if strategy is Strategy.SIMPLIFIED_LAPLACE or not fl_scan[g]:
+                sla[g] = _sla_coefficients(ctx, point.theta, approx)
 
     unreliable = set()
     fl_unconverged = 0

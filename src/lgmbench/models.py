@@ -382,6 +382,8 @@ class Dataset:
         log_y_factorial.flags.writeable = False
         object.__setattr__(self, "_y_float", y_float)
         object.__setattr__(self, "_log_y_factorial", log_y_factorial)
+        # Single-entry cache of the ZINB constants; see _zinb_constants.
+        object.__setattr__(self, "_zinb_cache", None)
 
     @property
     def n(self) -> int:
@@ -548,6 +550,40 @@ def _zinb_params(spec: ModelSpec, hyper: np.ndarray) -> tuple[float, float]:
     return theta1, size
 
 
+def _zinb_constants(data: Dataset, theta1: float, size: float) -> dict:
+    """The parts of the ZINB kernels that depend only on y and (theta1, size).
+
+    Each is computed with the same operations, in the same order, as the
+    full expression it was taken from, so the kernels keep every bit.
+    The dataset holds one entry of read-only arrays, keyed by the exact
+    floats: every Newton iteration at one hyperparameter point reuses
+    it, and a new point replaces it.  The entry is replaced as one
+    tuple, so callers at different points never see a mixed entry.
+    """
+    key = (theta1, size)
+    cached = data._zinb_cache
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    y = data._y_float
+    zero = data.y == 0
+    consts = {
+        "log_pz": sps.log_expit(theta1),
+        "log_1mpz": sps.log_expit(-theta1),
+        "log_size": np.log(size),
+        "log_nb_const": sps.gammaln(y + size) - sps.gammaln(size) - data._log_y_factorial,
+        "size_plus_y": size + y,
+        # -(size + y) * size, the leading factor of the second and third derivatives
+        "a": -(size + y) * size,
+        "zero": zero,
+        "any_zero": bool(np.any(zero)),
+    }
+    for value in consts.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    object.__setattr__(data, "_zinb_cache", (key, consts))
+    return consts
+
+
 def _pointwise_loglik_eta(spec: ModelSpec, eta: np.ndarray, hyper: np.ndarray, data: Dataset) -> np.ndarray:
     y = data._y_float
     if spec.family is Family.POISSON:
@@ -560,21 +596,13 @@ def _pointwise_loglik_eta(spec: ModelSpec, eta: np.ndarray, hyper: np.ndarray, d
     #   P(y) = p_z 1[y=0] + (1 - p_z) NB(y; mu, size), mu = exp(eta)
     # with NB(0) = (size / (size + mu))^size, evaluated in log space.
     theta1, size = _zinb_params(spec, hyper)
-    log_pz = sps.log_expit(theta1)
-    log_1mpz = sps.log_expit(-theta1)
-    mu = np.exp(eta)
-    log_nb = (
-        sps.gammaln(y + size)
-        - sps.gammaln(size)
-        - data._log_y_factorial
-        + size * (np.log(size) - np.log(size + mu))
-        + y * (eta - np.log(size + mu))
-    )
-    out = log_1mpz + log_nb
-    zero = data.y == 0
-    if np.any(zero):
-        out = out.copy()
-        out[zero] = np.logaddexp(log_pz, log_1mpz + log_nb[zero])
+    c = _zinb_constants(data, theta1, size)
+    log_denom = np.log(size + np.exp(eta))
+    log_nb = c["log_nb_const"] + size * (c["log_size"] - log_denom) + y * (eta - log_denom)
+    out = c["log_1mpz"] + log_nb
+    if c["any_zero"]:
+        zero = c["zero"]
+        out[zero] = np.logaddexp(c["log_pz"], c["log_1mpz"] + log_nb[zero])
     return out
 
 
@@ -612,17 +640,18 @@ def _eta_derivatives(spec: ModelSpec, eta: np.ndarray, hyper: np.ndarray, data: 
         kappa = spec.gaussian_obs_precision
         return kappa * (y - eta), np.full(eta.shape, kappa), np.zeros(eta.shape)
     theta1, size = _zinb_params(spec, hyper)
+    c = _zinb_constants(data, theta1, size)
     mu = np.exp(eta)
     denom = size + mu
     # Negative binomial component derivatives in eta:
     #   l' = y - mu (size + y) / (size + mu)
     #   l'' = -(size + y) size mu / (size + mu)^2
     #   l''' = -(size + y) size mu (size - mu) / (size + mu)^3
-    g1 = y - mu * (size + y) / denom
-    g2 = -(size + y) * size * mu / denom**2
-    g3 = -(size + y) * size * mu * (size - mu) / denom**3
-    zero = data.y == 0
-    if np.any(zero):
+    g1 = y - mu * c["size_plus_y"] / denom
+    g2 = c["a"] * mu / denom**2
+    g3 = c["a"] * mu * (size - mu) / denom**3
+    if c["any_zero"]:
+        zero = c["zero"]
         # Mixture at y=0: l = log(p_z + (1-p_z) f), f = (size/(size+mu))^size.
         # With w = (1-p_z) f / (p_z + (1-p_z) f) and s = dlog f/deta = -size mu/(size+mu):
         #   l'   = w s
@@ -630,15 +659,11 @@ def _eta_derivatives(spec: ModelSpec, eta: np.ndarray, hyper: np.ndarray, data: 
         #   l''' = w(1-w)(1-2w) s^3 + 3 w(1-w) s s' + w s''
         mz = mu[zero]
         dz = denom[zero]
-        log_pz = sps.log_expit(theta1)
-        log_f1mpz = sps.log_expit(-theta1) + size * (np.log(size) - np.log(dz))
-        w = np.exp(log_f1mpz - np.logaddexp(log_pz, log_f1mpz))
+        log_f1mpz = c["log_1mpz"] + size * (c["log_size"] - np.log(dz))
+        w = np.exp(log_f1mpz - np.logaddexp(c["log_pz"], log_f1mpz))
         s = -size * mz / dz
         s1 = -(size**2) * mz / dz**2
         s2 = -(size**2) * mz * (size - mz) / dz**3
-        g1 = g1.copy()
-        g2 = g2.copy()
-        g3 = g3.copy()
         g1[zero] = w * s
         g2[zero] = w * (1.0 - w) * s * s + w * s1
         g3[zero] = w * (1.0 - w) * (1.0 - 2.0 * w) * s**3 + 3.0 * w * (1.0 - w) * s * s1 + w * s2

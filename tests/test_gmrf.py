@@ -105,6 +105,53 @@ def test_component_labels(two_component_graph):
     assert connected_components(AdjacencyGraph(3, ())) == 3
 
 
+def union_find_oracle(graph: AdjacencyGraph) -> list[int]:
+    """Component labels by repeated relabelling, numbered by first node."""
+    label = list(range(graph.n_nodes))
+    changed = True
+    while changed:
+        changed = False
+        for i, j in graph.edges:
+            lo = min(label[i], label[j])
+            if label[i] != lo or label[j] != lo:
+                label[i] = label[j] = lo
+                changed = True
+    first = {}
+    return [first.setdefault(root, len(first)) for root in label]
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        AdjacencyGraph(7, ((0, 1), (1, 2), (2, 3), (4, 5), (5, 6))),
+        AdjacencyGraph(5, ((3, 4),)),
+        AdjacencyGraph(3, ()),
+        lattice_graph(4, 5),
+        cycle_graph(6),
+    ],
+)
+def test_graph_caches_are_read_only_and_match_a_fresh_computation(graph):
+    # edge_arrays() and component_labels() are computed once per graph
+    # and shared, so no caller may write into them.
+    a, b = graph.edge_arrays()
+    labels = component_labels(graph)
+    e = np.asarray(graph.edges, dtype=np.int64).reshape(-1, 2)
+    assert a.dtype == b.dtype == np.int64
+    assert np.array_equal(a, e[:, 0]) and np.array_equal(b, e[:, 1])
+    assert labels.tolist() == union_find_oracle(graph)
+    assert connected_components(graph) == len(set(labels.tolist()))
+    for arr in (a, b, labels):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0
+    # Every call returns the same arrays; equality and hashing see only
+    # the node count and the edges.
+    assert graph.edge_arrays()[0] is a and component_labels(graph) is labels
+    twin = AdjacencyGraph(graph.n_nodes, tuple(reversed(graph.edges)))
+    assert twin == graph and hash(twin) == hash(graph)
+    assert "_component_labels" not in repr(graph)
+
+
 # ---------------------------------------------------------------------------
 # Laplacian and quadratic form
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import types
 
 import numpy as np
@@ -17,7 +18,7 @@ import scipy.optimize
 
 from lgmbench import harness, laplace
 from lgmbench import models as mdl
-from lgmbench.gmrf import Constraint, lattice_graph
+from lgmbench.gmrf import AdjacencyGraph, Constraint, lattice_graph
 from lgmbench.laplace import FitFailure, LaplaceConfig, Strategy
 
 
@@ -545,6 +546,121 @@ def test_unrequested_or_unknown_latent_raises():
 
 
 # ---------------------------------------------------------------------------
+# Theta-invariant structure: the uncached computations are the oracles
+
+
+def old_prior_precision_u(ctx, theta):
+    """The prior precision as built before its pattern was cached."""
+    p = mdl.latent_prior_precision(ctx.spec, theta, ctx.data).to_dense()
+    if ctx.basis is not None:
+        p = ctx.basis.T @ p @ ctx.basis
+    return p
+
+
+def small_zinb_model(n=25, seed=9):
+    g = np.random.default_rng(seed)
+    x = g.uniform(-1.0, 1.0, n)
+    y = g.poisson(np.exp(0.8 + 0.5 * x))
+    y[g.uniform(size=n) < 0.3] = 0
+    data = mdl.Dataset(y=y, covariates={"x": x}, offset=np.full(n, 2.0))
+    return mdl.zinb_spec(covariates=("x",)), data
+
+
+def isolated_node_bym_model():
+    # Nodes 3 and 4 have no neighbour: no Laplacian entry at all.
+    graph = AdjacencyGraph(5, ((0, 1), (1, 2)))
+    data = mdl.Dataset(y=np.array([3, 0, 4, 2, 7]), covariates={"x": np.linspace(0, 1, 5)}, graph=graph)
+    return mdl.bym_spec(offset=None), data
+
+
+FLAT_FIXED_EFFECT_SPEC = mdl.ModelSpec(
+    family=mdl.Family.POISSON,
+    fixed_effects=("x",),
+    random_effects=(mdl.IidTerm(),),
+    priors=mdl.PriorSet(
+        fixed_effect=mdl.FlatPrior(),
+        log_precision_priors={"iid": mdl.LogGammaPrior(1.0, 1.0)},
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        small_poisson_model,
+        small_spatial_dataset,
+        functools.partial(small_spatial_dataset, constraint=Constraint.SUM_TO_ZERO_CENTERING),
+        functools.partial(small_spatial_dataset, constraint=Constraint.SUM_TO_ZERO_KRIGING),
+        isolated_node_bym_model,
+        small_zinb_model,
+        # Fixed precisions and a flat fixed-effect prior.
+        lambda: (mdl.poisson_spec(iid_prior=mdl.FixedPrior(math.log(2.5))), small_poisson_model()[1]),
+        lambda: (FLAT_FIXED_EFFECT_SPEC, small_poisson_model()[1]),
+        lambda: (mdl.bym_spec(icar_prior=mdl.FixedPrior(-0.7)), small_spatial_dataset()[1]),
+        lambda: (
+            mdl.bym_spec(iid_prior=mdl.FixedPrior(1.1), icar_prior=mdl.FixedPrior(-0.7)),
+            small_spatial_dataset()[1],
+        ),
+    ],
+)
+def test_cached_prior_matches_the_sparse_prior_bit_for_bit(model):
+    spec, data = model()
+    ctx = laplace._Context(spec, data, LaplaceConfig())
+    m = mdl.hyper_dim(spec)
+    g = np.random.default_rng(5)
+    # -800 underflows exp() to zero, where the sparse prior drops every
+    # entry of the block and leaves +0.0 behind.
+    thetas = [np.zeros(m), g.normal(0.0, 2.0, m), g.normal(0.0, 2.0, m), np.full(m, -800.0)]
+    for theta in thetas:
+        assert ctx.prior_precision_u(theta).tobytes() == old_prior_precision_u(ctx, theta).tobytes()
+    if any(name.startswith("log_precision") for name in mdl.hyper_names(spec)):
+        for build in (ctx.prior_precision_u, functools.partial(old_prior_precision_u, ctx)):
+            with pytest.raises(OverflowError):
+                build(np.full(m, 800.0))
+
+
+@pytest.mark.parametrize(
+    "model, strategy, cfg",
+    [
+        (small_poisson_model, Strategy.FULL_LAPLACE, LaplaceConfig()),
+        (small_spatial_dataset, Strategy.GAUSSIAN, LaplaceConfig()),
+        (
+            functools.partial(small_spatial_dataset, constraint=Constraint.SUM_TO_ZERO_KRIGING),
+            Strategy.SIMPLIFIED_LAPLACE,
+            LaplaceConfig(int_strategy="ccd"),
+        ),
+        (small_zinb_model, Strategy.FULL_LAPLACE, LaplaceConfig(int_strategy="ccd")),
+    ],
+)
+def test_fit_with_cached_prior_is_bit_identical_to_the_uncached_fit(monkeypatch, model, strategy, cfg):
+    spec, data = model()
+    new = laplace.fit(spec, data, strategy=strategy, config=cfg).to_json()
+    monkeypatch.setattr(laplace._Context, "prior_precision_u", old_prior_precision_u)
+    old = laplace.fit(spec, data, strategy=strategy, config=cfg).to_json()
+    assert new == old
+
+
+def test_full_laplace_computes_skew_coefficients_only_where_read(monkeypatch):
+    spec, data = small_spatial_dataset()
+    cfg = LaplaceConfig(int_strategy="ccd", fl_min_weight=0.5)
+    sla = laplace._sla_coefficients
+    calls = []
+
+    def counted(ctx, theta, approx):
+        calls.append(theta.tobytes())
+        return sla(ctx, theta, approx)
+
+    monkeypatch.setattr(laplace, "_sla_coefficients", counted)
+    res = laplace.fit(spec, data, strategy=Strategy.FULL_LAPLACE, config=cfg, latents=["beta_x"])
+    light = res.grid_weights < cfg.fl_min_weight * res.grid_weights.max()
+    assert 0 < res.diagnostics.fl_scanned_points < res.diagnostics.grid_size
+    assert calls == [p.theta.tobytes() for p, skip in zip(res.theta_grid.points, light) if skip]
+    calls.clear()
+    laplace.fit(spec, data, strategy=Strategy.SIMPLIFIED_LAPLACE, config=cfg, latents=["beta_x"])
+    assert len(calls) == res.diagnostics.grid_size
+
+
+# ---------------------------------------------------------------------------
 # Diagnostics of early stops and dropped points
 
 
@@ -569,16 +685,65 @@ def test_unconverged_profile_points_flag_their_latent():
     assert slope.latent_marginal("beta_x").to_dict() == res.latent_marginal("beta_x").to_dict()
 
 
-def test_dropped_theta_points_are_counted():
-    # Both grid neighbours of the mode fail their Newton solve on this
-    # dataset (one area has a count above 1e5), collapsing the grid.
-    spec, data = _pool_dataset(seed=258543359, index=10)
-    res = laplace.fit(spec, data, latents=[])
-    assert res.diagnostics.grid_size == 1
-    assert res.diagnostics.theta_points_failed == 2
-    clean = laplace.fit(*_pool_dataset(seed=0, index=0), latents=[])
+def _failing_newton(bad_theta: bytes, cold_too: bool):
+    """``_newton`` that fails at one theta: from a warm start, or always."""
+    newton = laplace._newton
+
+    def patched(ctx, theta, u0=None):
+        if theta.tobytes() == bad_theta and (cold_too or u0 is not None):
+            raise FitFailure("newton_nonconvergence", "forced")
+        return newton(ctx, theta, u0)
+
+    return patched
+
+
+def test_dropped_theta_points_are_counted(monkeypatch):
+    spec, data = _pool_dataset(seed=0, index=0)
+    clean = laplace.fit(spec, data, latents=[])
     assert clean.diagnostics.grid_size > 1
-    assert clean.diagnostics.theta_points_failed == 0
+    assert clean.diagnostics.theta_points_retried == clean.diagnostics.theta_points_failed == 0
+    # The outermost grid point on one side fails its warm start and its
+    # cold retry: the axis scan stops short of it and the grid loses it.
+    edge = clean.theta_grid.thetas[np.argmax(clean.theta_grid.thetas[:, 0])]
+    monkeypatch.setattr(laplace, "_newton", _failing_newton(edge.tobytes(), cold_too=True))
+    res = laplace.fit(spec, data, latents=[])
+    assert res.diagnostics.grid_size == clean.diagnostics.grid_size - 1
+    assert (res.diagnostics.theta_points_retried, res.diagnostics.theta_points_failed) == (1, 1)
+    # A warm-start failure alone is mended by the retry.
+    monkeypatch.undo()
+    monkeypatch.setattr(laplace, "_newton", _failing_newton(edge.tobytes(), cold_too=False))
+    res = laplace.fit(spec, data, latents=[])
+    assert res.diagnostics.grid_size == clean.diagnostics.grid_size
+    assert (res.diagnostics.theta_points_retried, res.diagnostics.theta_points_failed) == (1, 0)
+    assert json.loads(res.to_json())["diagnostics"]["theta_points_retried"] == 1
+
+
+def test_ccd_design_points_are_retried_then_dropped(monkeypatch):
+    spec, data = small_spatial_dataset()
+    cfg = LaplaceConfig(int_strategy="ccd")
+    clean = laplace.fit(spec, data, config=cfg, latents=[])
+    assert clean.diagnostics.grid_size == 9
+    corner = clean.theta_grid.thetas[1]
+    monkeypatch.setattr(laplace, "_newton", _failing_newton(corner.tobytes(), cold_too=True))
+    res = laplace.fit(spec, data, config=cfg, latents=[])
+    assert res.diagnostics.grid_size == 8
+    assert (res.diagnostics.theta_points_retried, res.diagnostics.theta_points_failed) == (1, 1)
+    np.testing.assert_allclose(res.grid_weights.sum(), 1.0, atol=1e-12)
+
+
+def test_collapsed_theta_grid_is_recovered_by_a_cold_retry():
+    # Both grid neighbours of the mode fail their warm-started Newton
+    # solve on this dataset (one area has a count above 1e5); started
+    # from zero they converge, so the grid no longer collapses to the
+    # mode and the iid standard deviation keeps a positive spread.
+    spec, data = _pool_dataset(seed=258543359, index=10)
+    assert data.y.max() > 1e5
+    res = laplace.fit(spec, data, latents=[])
+    assert res.diagnostics.grid_size > 1
+    assert res.diagnostics.theta_points_failed == 0
+    assert res.diagnostics.theta_points_retried >= 1
+    _, sd_iid_sd = harness._laplace_param_summaries(res, spec)["sd_iid"]
+    assert sd_iid_sd > 0.0
 
 
 def test_theta_mode_search_failure_is_recorded(monkeypatch):

@@ -325,6 +325,105 @@ def test_likelihood_kernels_match_the_uncached_expressions(family):
     assert names == ["y", "covariates", "offset", "graph", "generating_values"]
 
 
+def zinb_loglik_oracle(eta, hyper, y):
+    """The ZINB pointwise log likelihood as computed before its constants
+    were cached on the dataset, expression for expression."""
+    theta1, size = float(hyper[0]), float(np.exp(hyper[1]))
+    yf = y.astype(np.float64)
+    log_pz = sps.log_expit(theta1)
+    log_1mpz = sps.log_expit(-theta1)
+    mu = np.exp(eta)
+    log_nb = (
+        sps.gammaln(yf + size)
+        - sps.gammaln(size)
+        - sps.gammaln(yf + 1.0)
+        + size * (np.log(size) - np.log(size + mu))
+        + yf * (eta - np.log(size + mu))
+    )
+    out = log_1mpz + log_nb
+    zero = y == 0
+    if np.any(zero):
+        out = out.copy()
+        out[zero] = np.logaddexp(log_pz, log_1mpz + log_nb[zero])
+    return out
+
+
+def zinb_derivatives_oracle(eta, hyper, y):
+    """The ZINB eta derivatives as computed before their constants were
+    cached on the dataset, expression for expression."""
+    theta1, size = float(hyper[0]), float(np.exp(hyper[1]))
+    yf = y.astype(np.float64)
+    mu = np.exp(eta)
+    denom = size + mu
+    g1 = yf - mu * (size + yf) / denom
+    g2 = -(size + yf) * size * mu / denom**2
+    g3 = -(size + yf) * size * mu * (size - mu) / denom**3
+    zero = y == 0
+    if np.any(zero):
+        mz = mu[zero]
+        dz = denom[zero]
+        log_pz = sps.log_expit(theta1)
+        log_f1mpz = sps.log_expit(-theta1) + size * (np.log(size) - np.log(dz))
+        w = np.exp(log_f1mpz - np.logaddexp(log_pz, log_f1mpz))
+        s = -size * mz / dz
+        s1 = -(size**2) * mz / dz**2
+        s2 = -(size**2) * mz * (size - mz) / dz**3
+        g1 = g1.copy()
+        g2 = g2.copy()
+        g3 = g3.copy()
+        g1[zero] = w * s
+        g2[zero] = w * (1.0 - w) * s * s + w * s1
+        g3[zero] = w * (1.0 - w) * (1.0 - 2.0 * w) * s**3 + 3.0 * w * (1.0 - w) * s * s1 + w * s2
+    return g1, -g2, g3
+
+
+@pytest.mark.parametrize("zeros", ["some", "all", "none"])
+def test_zinb_kernels_match_the_uncached_expressions(zeros):
+    # The dataset keeps one entry of theta-invariant ZINB constants; the
+    # kernels must give the oracle's bits whether the entry is fresh,
+    # reused, or replaced by alternating hyperparameters.
+    g = np.random.default_rng(21)
+    n = 40
+    y = g.poisson(4.0, n) + (zeros == "none")
+    if zeros == "some":
+        y[::3] = 0
+    elif zeros == "all":
+        y[:] = 0
+    assert (np.any(y == 0), np.all(y == 0)) == {"some": (True, False), "all": (True, True), "none": (False, False)}[zeros]
+    data = mdl.Dataset(y=y, covariates={})
+    spec = mdl.zinb_spec(covariates=(), offset=None)
+    hypers = [np.array([sps.logit(0.3), np.log(1.5)]), np.array([-2.0, 3.0]), np.array([0.0, -1.25])]
+    for step in range(7):
+        hyper = hypers[[0, 1, 0, 0, 2, 1, 2][step]]
+        eta = g.uniform(-3.0, 4.0, n)
+        got = mdl.pointwise_loglik_from_eta(spec, eta, hyper, data)
+        assert got.tobytes() == zinb_loglik_oracle(eta, hyper, y).tobytes()
+        for a, b in zip(mdl.eta_derivatives(spec, eta, hyper, data), zinb_derivatives_oracle(eta, hyper, y)):
+            assert a.tobytes() == b.tobytes()
+        # The cached constants are read-only, and writing into a returned
+        # array must not reach them.
+        arrays = [v for v in data._zinb_cache[1].values() if isinstance(v, np.ndarray)]
+        assert arrays and not any(a.flags.writeable for a in arrays)
+        got[:] = np.nan
+        again = mdl.pointwise_loglik_from_eta(spec, eta, hyper, data)
+        assert again.tobytes() == zinb_loglik_oracle(eta, hyper, y).tobytes()
+
+
+def test_zinb_kernels_raise_at_the_same_index():
+    data = mdl.Dataset(y=np.array([0, 3, 1, 0, 5]), covariates={})
+    spec = mdl.zinb_spec(covariates=(), offset=None)
+    hyper = np.array([-1.0, 0.5])
+    eta = np.array([0.1, 0.2, 701.0, np.nan, 0.0])
+    for kernel in (mdl.pointwise_loglik_from_eta, mdl.eta_derivatives):
+        with pytest.raises(mdl.LikelihoodOverflowError) as info:
+            kernel(spec, eta, hyper, data)
+        assert info.value.index == 3  # non-finite values are reported first
+        # An overflowing dispersion is refused before any constant is built.
+        with pytest.raises(mdl.LikelihoodOverflowError) as info, np.errstate(over="ignore"):
+            kernel(spec, np.zeros(5), np.array([-1.0, 800.0]), data)
+        assert info.value.index == -1
+
+
 # ---------------------------------------------------------------------------
 # Derivatives against finite differences
 
