@@ -20,16 +20,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
+from collections import Counter
 from dataclasses import replace
 
 from . import harness
 
 
-def _add_common(parser: argparse.ArgumentParser, default_kind: str | None) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON study config file")
-    if default_kind is None:
-        parser.add_argument("--kind", choices=harness.STUDY_KINDS, help="study kind")
     parser.add_argument("--scale", choices=harness.SCALES, default=None, help="preset sizes")
     parser.add_argument("--seed", type=int, default=None, help="master seed")
     parser.add_argument("--workers", type=int, default=None, help="process pool size")
@@ -71,33 +71,48 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _run_and_emit(config: harness.StudyConfig, out_dir: str) -> int:
+def _summary_lines(report: harness.ComparisonReport) -> list:
+    """What a study found, in a few lines of stdout."""
+    if report.kind in ("poisson", "bym"):
+        rows = report.table("results").rows
+        pe = {}
+        for r in rows:
+            pe.setdefault(r["parameter"], []).append(abs(r["pe"]))
+        lines = [f"  median |PE| {param}: {statistics.median(v):.2f}%" for param, v in sorted(pe.items())]
+        verdicts = Counter({r["dataset"]: r["mcmc_verdict"] for r in rows}.values())  # one chain per dataset
+        lines.append("  MCMC verdicts: " + (", ".join(f"{v} {n}" for v, n in sorted(verdicts.items())) or "none"))
+        return lines
+    if report.kind == "selection":
+        rows = report.table("selection").rows
+        family = report.config["selection_family"]
+        lines = []
+        for engine in ("laplace", "mcmc"):
+            correct = [r["correct"] for r in rows if r["engine"] == engine]
+            lines.append(f"  {engine} picked the generating family ({family}) in {sum(correct)}/{len(correct)} datasets")
+        return lines
+    rows = report.table("rate_ratios").rows
+    lines = []
+    for engine in ("laplace", "mcmc"):
+        significant = [r["significant"] for r in rows if r["engine"] == engine]
+        lines.append(f"  {engine}: {sum(significant)}/{len(significant)} rate ratios significant")
+    return lines
+
+
+def _cmd_study(args) -> int:
+    """run, select and zinb: select and zinb pin the kind through their
+    parser defaults; run accepts the paired kinds only."""
+    config = _resolve_config(args, default_kind="poisson")
+    if args.command == "run" and config.kind not in ("poisson", "bym"):
+        raise SystemExit("run covers the poisson and bym kinds; see select/zinb")
     report = harness.run_study(config)
-    paths = harness.emit_report(report, out_dir)
+    paths = harness.emit_report(report, args.out)
     failures = report.table("failures").rows
     print(f"{config.kind} study: {config.n_datasets} datasets, {len(failures)} failures")
+    for line in _summary_lines(report):
+        print(line)
     for path in paths:
         print(f"  {path}")
     return 0
-
-
-def _cmd_run(args) -> int:
-    config = _resolve_config(args, default_kind="poisson")
-    if config.kind not in ("poisson", "bym"):
-        raise SystemExit("run covers the poisson and bym kinds; see select/zinb")
-    return _run_and_emit(config, args.out)
-
-
-def _cmd_select(args) -> int:
-    config = _resolve_config(args, default_kind="selection")
-    config = replace(config, kind="selection")
-    return _run_and_emit(config, args.out)
-
-
-def _cmd_zinb(args) -> int:
-    config = _resolve_config(args, default_kind="zinb")
-    config = replace(config, kind="zinb")
-    return _run_and_emit(config, args.out)
 
 
 def _cmd_audit(args) -> int:
@@ -142,24 +157,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write synthetic datasets to CSV")
-    _add_common(p, default_kind=None)
+    _add_common(p)
+    p.add_argument("--kind", choices=harness.STUDY_KINDS, help="study kind")
     p.set_defaults(fn=_cmd_generate)
 
     p = sub.add_parser("run", help="paired engine study (poisson/bym)")
-    _add_common(p, default_kind="poisson")
+    _add_common(p)
     p.add_argument("--kind", choices=("poisson", "bym"), default=None)
-    p.set_defaults(fn=_cmd_run)
+    p.set_defaults(fn=_cmd_study)
 
     p = sub.add_parser("select", help="model-selection study")
-    _add_common(p, default_kind="selection")
-    p.set_defaults(fn=_cmd_select)
+    _add_common(p)
+    p.set_defaults(fn=_cmd_study, kind="selection")
 
     p = sub.add_parser("zinb", help="zero-inflated negative binomial study")
-    _add_common(p, default_kind="zinb")
-    p.set_defaults(fn=_cmd_zinb)
+    _add_common(p)
+    p.set_defaults(fn=_cmd_study, kind="zinb")
 
     p = sub.add_parser("audit", help="byte-level reproducibility audit")
-    _add_common(p, default_kind="poisson")
+    _add_common(p)
     p.add_argument("--kind", choices=harness.STUDY_KINDS, default=None)
     p.set_defaults(fn=_cmd_audit)
 

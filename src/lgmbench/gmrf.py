@@ -162,18 +162,6 @@ class SparseSymMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "vals", vals)
 
-    @classmethod
-    def from_dense(cls, a: np.ndarray, tol: float = 0.0) -> "SparseSymMatrix":
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("matrix must be square")
-        if not np.allclose(a, a.T, rtol=0.0, atol=max(tol, 1e-12 * max(1.0, np.abs(a).max()))):
-            raise ValueError("matrix is not symmetric")
-        iu = np.triu_indices(a.shape[0])
-        v = a[iu]
-        keep = v != 0.0
-        return cls(a.shape[0], iu[0][keep], iu[1][keep], v[keep])
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))
         out[self.rows, self.cols] = self.vals

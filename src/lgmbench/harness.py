@@ -18,6 +18,12 @@ kinds are supported:
   standardized covariates and a log-population offset; the harness
   emits interquartile rate ratios with significance flags per engine.
 
+:func:`run_study` runs every kind.  Its worker fits one dataset through
+the kind's row function, which returns that dataset's rows per report
+table; the runner joins them in dataset order.  ``run_paired_study``,
+``run_selection_study`` and ``run_zinb_study`` are the same runner
+behind a check of the kind.
+
 Every random quantity derives from the master seed through named
 streams, datasets are independent work units scheduled over a process
 pool, and results are assembled in dataset order — so reports are
@@ -369,192 +375,158 @@ def _analysis_spec(kind: str, data: mdl.Dataset) -> mdl.ModelSpec:
     raise ValueError(kind)
 
 
-def _poisson_builder(data: mdl.Dataset) -> mdl.ModelSpec:
-    return _analysis_spec("poisson", data)
+def _laplace_summary(result: lap.FitResult, param: str) -> tuple:
+    """(mean, sd) of a tracked parameter from a deterministic fit: a
+    latent, a hyperparameter on its natural scale, or ``sd_<block>``,
+    the standard deviation of a precision block over the hyper grid."""
+    if param in result.latent_names:
+        m = result.latent_marginal(param)
+    elif param.startswith("sd_"):
+        col = [hm.name for hm in result.hyper_marginals].index("log_precision_" + param[3:])
+        grid = result.theta_grid
+        m = PosteriorMarginal.from_weighted_points(np.exp(-0.5 * grid.thetas[:, col]), grid.weights)
+    else:
+        m = result.hyper_marginal(param).natural
+    return m.mean, m.sd
 
 
-def _bym_builder(data: mdl.Dataset) -> mdl.ModelSpec:
-    return _analysis_spec("bym", data)
-
-
-def _laplace_sd_marginal(result: lap.FitResult, name: str) -> PosteriorMarginal:
-    """Marginal of a block standard deviation from the hyper grid."""
-    grid = result.theta_grid
-    names = [hm.name for hm in result.hyper_marginals]
-    col = names.index(name)
-    values = np.exp(-0.5 * grid.thetas[:, col])
-    return PosteriorMarginal.from_weighted_points(values, grid.weights)
-
-
-def _laplace_param_summaries(result: lap.FitResult, spec: mdl.ModelSpec) -> dict:
-    """Tracked-parameter (mean, sd) pairs from a deterministic fit."""
-    out = {}
-    for name in result.latent_names:
-        m = result.latent_marginal(name)
-        out[name] = (m.mean, m.sd)
-    for hm in result.hyper_marginals:
-        out[hm.natural_name] = (hm.natural.mean, hm.natural.sd)
-        if hm.name.startswith("log_precision_"):
-            kind = hm.name.replace("log_precision_", "")
-            sd_m = _laplace_sd_marginal(result, hm.name)
-            out[f"sd_{kind}"] = (sd_m.mean, sd_m.sd)
-        if hm.name.startswith("log_precision_") or hm.name == "log_dispersion":
-            out[hm.name] = (hm.internal.mean, hm.internal.sd)
-    return out
-
-
-def _mcmc_param_summaries(summary: dict) -> dict:
-    return {name: (entry["mean"], entry["sd"]) for name, entry in summary.items()}
-
-
-_TRACKED = {
-    "poisson": ("beta_x", "sd_iid"),
-    "bym": ("beta_x", "sd_iid", "precision_icar"),
-}
-
-# Report-facing names for tracked parameters whose generating value is known.
-_GENERATING_KEY = {
-    "beta_x": "beta_x",
-    "sd_iid": "sd_iid",
-    "precision_icar": "tau_icar",
-}
-
-
-def _fit_one_paired(args):
-    """Worker: fit both engines on one dataset, return row fragments."""
-    config, index, data = args
-    kind = config.kind
-    spec = _analysis_spec(kind, data)
-    rows = []
-    failures = []
-    lap_summ = mcmc_summ = None
-    verdict = ""
+def _laplace_fit(config, index, spec, data, failures, latents, model=None):
+    """The study's deterministic fit, or None after a failure row."""
     try:
-        result = lap.fit(
+        return lap.fit(
             spec,
             data,
             strategy=lap.Strategy(config.strategy),
             config=config.laplace_config(),
             seed=config.master_seed,
-            latents=[p for p in _TRACKED[kind] if p in mdl.latent_names(spec, data.n)],
+            latents=latents,
         )
-        lap_summ = _laplace_param_summaries(result, spec)
     except (lap.FitFailure, mdl.LikelihoodOverflowError) as exc:
-        failures.append({"dataset": index, "engine": "laplace", "cause": getattr(exc, "cause", type(exc).__name__), "detail": str(exc)})
+        failures.append(_failure_row(index, "laplace", model, getattr(exc, "cause", type(exc).__name__), exc))
+        return None
+
+
+def _chain(config, index, spec, data, failures, model=None):
+    """The study's chain, or None after a failure row.  A selection
+    study passes ``model``, which also names the chain's seed stream."""
+    path = () if model is None else (model,)
     try:
-        chain = mc.run_chain(spec, data, config.chain_config(index))
-        summary = mc.posterior_summary(chain)
-        mcmc_summ = _mcmc_param_summaries(summary)
-        verdict = mc.diagnose(chain).verdict
+        return mc.run_chain(spec, data, config.chain_config(index, *path))
     except (mc.ChainAbort, mdl.LikelihoodOverflowError) as exc:
-        failures.append({"dataset": index, "engine": "mcmc", "cause": type(exc).__name__, "detail": str(exc)})
-    if lap_summ is not None and mcmc_summ is not None:
-        for param in _TRACKED[kind]:
-            lm, ls = lap_summ[param]
-            mm, ms = mcmc_summ[param]
-            gv = data.generating_values.get(_GENERATING_KEY[param]) if data.generating_values else None
-            rows.append(
-                {
-                    "dataset": index,
-                    "parameter": param,
-                    "laplace_mean": lm,
-                    "laplace_sd": ls,
-                    "mcmc_mean": mm,
-                    "mcmc_sd": ms,
-                    "pe": percent_error(lm, mm, ms),
-                    "pc_laplace": percent_change(lm, gv) if gv else None,
-                    "pc_mcmc": percent_change(mm, gv) if gv else None,
-                    "mcmc_verdict": verdict,
-                }
-            )
-    return index, rows, failures
+        failures.append(_failure_row(index, "mcmc", model, type(exc).__name__, exc))
+        return None
 
 
-def _fit_one_selection(args):
-    config, index, data, builders, generating_family = args
+def _failure_row(index, engine, model, cause, exc) -> dict:
+    label = engine if model is None else f"{engine}/{model}"
+    return {"dataset": index, "engine": label, "cause": cause, "detail": str(exc)}
+
+
+# Tracked parameters of a paired study, each with the key of its
+# generating value in ``Dataset.generating_values``.
+_TRACKED = {
+    "poisson": {"beta_x": "beta_x", "sd_iid": "sd_iid"},
+    "bym": {"beta_x": "beta_x", "sd_iid": "sd_iid", "precision_icar": "tau_icar"},
+}
+
+# Candidate models of a selection study, in fitting order.
+_SELECTION_MODELS = ("poisson", "bym")
+
+
+def _paired_rows(config, index, data, failures) -> dict:
+    """Both engines on the generating model: PE and PC per tracked parameter."""
+    tracked = _TRACKED[config.kind]
+    spec = _analysis_spec(config.kind, data)
+    latents = [p for p in tracked if p in mdl.latent_names(spec, data.n)]
+    result = _laplace_fit(config, index, spec, data, failures, latents)
+    chain = _chain(config, index, spec, data, failures)
+    if result is None or chain is None:
+        return {}
+    mcmc_summ = mc.posterior_summary(chain)
+    verdict = mc.diagnose(chain).verdict
     rows = []
-    diffs = []
-    failures = []
+    for param, key in tracked.items():
+        lm, ls = _laplace_summary(result, param)
+        mm, ms = mcmc_summ[param]["mean"], mcmc_summ[param]["sd"]
+        gv = data.generating_values.get(key) if data.generating_values else None
+        rows.append(
+            {
+                "dataset": index,
+                "parameter": param,
+                "laplace_mean": lm,
+                "laplace_sd": ls,
+                "mcmc_mean": mm,
+                "mcmc_sd": ms,
+                "pe": percent_error(lm, mm, ms),
+                "pc_laplace": percent_change(lm, gv) if gv else None,
+                "pc_mcmc": percent_change(mm, gv) if gv else None,
+                "mcmc_verdict": verdict,
+            }
+        )
+    return {"results": rows}
+
+
+def _selection_rows(config, index, data, failures) -> dict:
+    """WAIC of both candidate models per engine, the model each engine
+    selects, and the cross-engine WAIC difference per model."""
     waics = {}
-    for model_name, builder in builders.items():
-        spec = builder(data)
-        try:
-            result = lap.fit(
-                spec,
-                data,
-                strategy=lap.Strategy(config.strategy),
-                config=config.laplace_config(),
-                seed=config.master_seed,
-                latents=[],
-            )
-            waics[("laplace", model_name)] = waic(result.pointwise_loglik, result.grid_weights).waic
-        except (lap.FitFailure, mdl.LikelihoodOverflowError) as exc:
-            failures.append({"dataset": index, "engine": f"laplace/{model_name}", "cause": getattr(exc, "cause", type(exc).__name__), "detail": str(exc)})
-        try:
-            chain = mc.run_chain(spec, data, config.chain_config(index, model_name))
-            waics[("mcmc", model_name)] = waic(chain.pointwise_loglik).waic
-        except (mc.ChainAbort, mdl.LikelihoodOverflowError) as exc:
-            failures.append({"dataset": index, "engine": f"mcmc/{model_name}", "cause": type(exc).__name__, "detail": str(exc)})
-    model_names = sorted(builders)
-    if not failures:
-        for engine in ("laplace", "mcmc"):
-            per_engine = {m: waics[(engine, m)] for m in model_names}
-            sel = select_model(per_engine)
-            row = {"dataset": index, "engine": engine}
-            for m in model_names:
-                row[f"waic_{m}"] = per_engine[m]
-            row["selected"] = sel.best
-            row["correct"] = sel.best == generating_family
-            row["tie"] = sel.tie
-            rows.append(row)
+    for model in _SELECTION_MODELS:
+        spec = _analysis_spec(model, data)
+        result = _laplace_fit(config, index, spec, data, failures, [], model)
+        if result is not None:
+            waics[("laplace", model)] = waic(result.pointwise_loglik, result.grid_weights).waic
+        chain = _chain(config, index, spec, data, failures, model)
+        if chain is not None:
+            waics[("mcmc", model)] = waic(chain.pointwise_loglik).waic
+    if failures:
+        return {}
+    model_names = sorted(_SELECTION_MODELS)
+    rows = []
+    for engine in ("laplace", "mcmc"):
+        per_engine = {m: waics[(engine, m)] for m in model_names}
+        sel = select_model(per_engine)
+        row = {"dataset": index, "engine": engine}
         for m in model_names:
-            diffs.append(
-                {
-                    "dataset": index,
-                    "model": m,
-                    "waic_laplace": waics[("laplace", m)],
-                    "waic_mcmc": waics[("mcmc", m)],
-                    "diff": waics[("laplace", m)] - waics[("mcmc", m)],
-                }
-            )
-    return index, rows, diffs, failures
+            row[f"waic_{m}"] = per_engine[m]
+        row["selected"] = sel.best
+        row["correct"] = sel.best == config.selection_family
+        row["tie"] = sel.tie
+        rows.append(row)
+    diffs = [
+        {
+            "dataset": index,
+            "model": m,
+            "waic_laplace": waics[("laplace", m)],
+            "waic_mcmc": waics[("mcmc", m)],
+            "diff": waics[("laplace", m)] - waics[("mcmc", m)],
+        }
+        for m in model_names
+    ]
+    return {"selection": rows, "waic_diff": diffs}
 
 
-def _fit_one_zinb(args):
-    config, index, data = args
+def _zinb_rows(config, index, data, failures) -> dict:
+    """Interquartile rate ratios per engine, their agreement, and the
+    structural-zero probability."""
     spec = _analysis_spec("zinb", data)
     cov_names = sorted(data.covariates)
     iqr = {}
     for name in cov_names:
         q1, q3 = np.quantile(data.covariates[name], [0.25, 0.75])
         iqr[name] = float(q3 - q1)
-    rate_rows = []
-    pzero_rows = []
-    failures = []
     per_engine = {}
-    try:
-        result = lap.fit(
-            spec,
-            data,
-            strategy=lap.Strategy(config.strategy),
-            config=config.laplace_config(),
-            seed=config.master_seed,
-            latents=[f"beta_{name}" for name in cov_names],
-        )
-        ratios = {name: rate_ratio(result.latent_marginal(f"beta_{name}"), iqr[name]) for name in cov_names}
-        per_engine["laplace"] = ratios
+    pzero_rows = []
+    result = _laplace_fit(config, index, spec, data, failures, [f"beta_{name}" for name in cov_names])
+    if result is not None:
+        per_engine["laplace"] = {name: rate_ratio(result.latent_marginal(f"beta_{name}"), iqr[name]) for name in cov_names}
         pz = result.hyper_marginal("p_zero")
         pzero_rows.append({"dataset": index, "engine": "laplace", "p_zero_mean": pz.natural.mean, "p_zero_sd": pz.natural.sd})
-    except (lap.FitFailure, mdl.LikelihoodOverflowError) as exc:
-        failures.append({"dataset": index, "engine": "laplace", "cause": getattr(exc, "cause", type(exc).__name__), "detail": str(exc)})
-    try:
-        chain = mc.run_chain(spec, data, config.chain_config(index))
-        ratios = {name: rate_ratio(chain.column(f"beta_{name}"), iqr[name]) for name in cov_names}
-        per_engine["mcmc"] = ratios
+    chain = _chain(config, index, spec, data, failures)
+    if chain is not None:
+        per_engine["mcmc"] = {name: rate_ratio(chain.column(f"beta_{name}"), iqr[name]) for name in cov_names}
         pz_draws = mdl.to_natural_hyper("logit_p_zero", chain.column("logit_p_zero"))
         pzero_rows.append({"dataset": index, "engine": "mcmc", "p_zero_mean": float(np.mean(pz_draws)), "p_zero_sd": float(np.std(pz_draws, ddof=1))})
-    except (mc.ChainAbort, mdl.LikelihoodOverflowError) as exc:
-        failures.append({"dataset": index, "engine": "mcmc", "cause": type(exc).__name__, "detail": str(exc)})
+    rate_rows = []
     for engine, ratios in sorted(per_engine.items()):
         for name in cov_names:
             r = ratios[name]
@@ -583,7 +555,41 @@ def _fit_one_zinb(args):
                     "significance_agree": a.significant == b.significant,
                 }
             )
-    return index, rate_rows, agreement_rows, pzero_rows, failures
+    return {"rate_ratios": rate_rows, "agreement": agreement_rows, "p_zero": pzero_rows}
+
+
+_ROWS_BY_KIND = {"poisson": _paired_rows, "bym": _paired_rows, "selection": _selection_rows, "zinb": _zinb_rows}
+
+_PAIRED_TABLES = {
+    "results": ["dataset", "parameter", "laplace_mean", "laplace_sd", "mcmc_mean", "mcmc_sd", "pe", "pc_laplace", "pc_mcmc", "mcmc_verdict"],
+    "pe_long": ["dataset", "parameter", "pe"],
+    "pc_long": ["dataset", "engine", "parameter", "pc"],
+}
+
+# Report tables per study kind, in report order.  A study's first table
+# is its main one; every study ends with the failures table.
+_TABLES = {
+    "poisson": _PAIRED_TABLES,
+    "bym": _PAIRED_TABLES,
+    "selection": {
+        "selection": ["dataset", "engine"] + [f"waic_{m}" for m in sorted(_SELECTION_MODELS)] + ["selected", "correct", "tie"],
+        "waic_diff": ["dataset", "model", "waic_laplace", "waic_mcmc", "diff"],
+    },
+    "zinb": {
+        "rate_ratios": ["dataset", "engine", "covariate", "iqr", "rate_ratio", "rate_ratio_mean", "lower", "upper", "significant"],
+        "agreement": ["dataset", "covariate", "direction_agree", "significance_agree"],
+        "p_zero": ["dataset", "engine", "p_zero_mean", "p_zero_sd"],
+    },
+}
+_FAILURE_COLUMNS = ["dataset", "engine", "cause", "detail"]
+
+
+def _fit_one(config: StudyConfig, index: int, data: mdl.Dataset) -> dict:
+    """Worker: one dataset's rows, keyed by table name, failures included."""
+    failures = []
+    rows = _ROWS_BY_KIND[config.kind](config, index, data, failures)
+    rows["failures"] = failures
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -648,169 +654,79 @@ class ComparisonReport:
         return files
 
 
-def _map_datasets(config: StudyConfig, worker, payloads, workers: int):
-    """Run per-dataset jobs, preserving dataset order in the results."""
-    if workers <= 1:
-        return [worker(p) for p in payloads]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, payloads, chunksize=1))
+# ---------------------------------------------------------------------------
+# Study runner
 
 
-def _maybe_shuffle(config: StudyConfig, rows: list) -> list:
-    if config.debug_shuffle_reduction and len(rows) > 1:
-        # Deliberate nondeterminism for audit testing: fresh OS entropy.
-        g = np.random.default_rng()
-        order = g.permutation(len(rows))
-        return [rows[i] for i in order]
-    return rows
+def _long_tables(results: list) -> tuple[list, list]:
+    """PE per row and PC per row and engine of a paired results table."""
+    pe_long = [{"dataset": r["dataset"], "parameter": r["parameter"], "pe": r["pe"]} for r in results]
+    pc_long = [
+        {"dataset": r["dataset"], "engine": engine, "parameter": r["parameter"], "pc": r[f"pc_{engine}"]}
+        for r in results
+        for engine in ("laplace", "mcmc")
+        if r[f"pc_{engine}"] is not None
+    ]
+    return pe_long, pc_long
 
 
-_PAIRED_COLUMNS = [
-    "dataset",
-    "parameter",
-    "laplace_mean",
-    "laplace_sd",
-    "mcmc_mean",
-    "mcmc_sd",
-    "pe",
-    "pc_laplace",
-    "pc_mcmc",
-    "mcmc_verdict",
-]
-_FAILURE_COLUMNS = ["dataset", "engine", "cause", "detail"]
+def run_study(config: StudyConfig, workers: int | None = None, datasets: list | None = None) -> ComparisonReport:
+    """Fit every dataset of the study with both engines and tabulate.
 
-
-def run_paired_study(config: StudyConfig, workers: int | None = None, datasets: list | None = None) -> ComparisonReport:
-    """Fit every dataset with both engines and tabulate PE and PC."""
-    if config.kind not in ("poisson", "bym"):
-        raise ValueError("paired studies cover the poisson and bym kinds")
+    Datasets (generated from the config unless given) are independent
+    work units over ``workers`` processes (default ``config.workers``);
+    rows are joined in dataset order, so the report's bytes do not
+    depend on the worker count.
+    """
     workers = config.workers if workers is None else workers
     data_list = generate_datasets(config) if datasets is None else datasets
-    payloads = [(config, i, d) for i, d in enumerate(data_list)]
-    outputs = _map_datasets(config, _fit_one_paired, payloads, workers)
-    outputs.sort(key=lambda t: t[0])
-    result_rows = []
-    failure_rows = []
-    for _, rows, failures in outputs:
-        result_rows.extend(rows)
-        failure_rows.extend(failures)
-    result_rows = _maybe_shuffle(config, result_rows)
-    pe_long = [
-        {"dataset": r["dataset"], "parameter": r["parameter"], "pe": r["pe"]} for r in result_rows
-    ]
-    pc_long = []
-    for r in result_rows:
-        for engine in ("laplace", "mcmc"):
-            if r[f"pc_{engine}"] is not None:
-                pc_long.append(
-                    {
-                        "dataset": r["dataset"],
-                        "engine": engine,
-                        "parameter": r["parameter"],
-                        "pc": r[f"pc_{engine}"],
-                    }
-                )
-    tables = [
-        Table("results", _PAIRED_COLUMNS, result_rows),
-        Table("pe_long", ["dataset", "parameter", "pe"], pe_long),
-        Table("pc_long", ["dataset", "engine", "parameter", "pc"], pc_long),
-        Table("failures", _FAILURE_COLUMNS, failure_rows),
-    ]
+    args = ([config] * len(data_list), range(len(data_list)), data_list)
+    if workers <= 1:
+        outputs = list(map(_fit_one, *args))
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            outputs = list(pool.map(_fit_one, *args, chunksize=1))
+    columns = {**_TABLES[config.kind], "failures": _FAILURE_COLUMNS}
+    rows = {name: [row for out in outputs for row in out.get(name, [])] for name in columns}
+    main = next(iter(columns))
+    if config.debug_shuffle_reduction and len(rows[main]) > 1:
+        # Deliberate nondeterminism for audit testing: fresh OS entropy.
+        order = np.random.default_rng().permutation(len(rows[main]))
+        rows[main] = [rows[main][i] for i in order]
+    if main == "results":
+        rows["pe_long"], rows["pc_long"] = _long_tables(rows["results"])
     return ComparisonReport(
         kind=config.kind,
         config=json.loads(config_to_json(config)),
-        tables=tables,
+        tables=[Table(name, cols, rows[name]) for name, cols in columns.items()],
         version=__version__,
         config_digest=config_hash(config),
     )
 
 
-def run_selection_study(
-    config: StudyConfig,
-    workers: int | None = None,
-    datasets: list | None = None,
-    model_builders: dict | None = None,
-    generating_family: str | None = None,
-) -> ComparisonReport:
-    """Per dataset and engine: criterion values for both candidate
-    models, the selected model, and correctness against the family the
-    data actually came from.  ``model_builders`` maps a model name to a
-    function building its spec from a dataset, so toy model pairs can
-    reuse the bookkeeping."""
-    workers = config.workers if workers is None else workers
-    data_list = generate_datasets(config) if datasets is None else datasets
-    if model_builders is None:
-        model_builders = {"poisson": _poisson_builder, "bym": _bym_builder}
-    family = config.selection_family if generating_family is None else generating_family
-    payloads = [(config, i, d, model_builders, family) for i, d in enumerate(data_list)]
-    outputs = _map_datasets(config, _fit_one_selection, payloads, workers)
-    outputs.sort(key=lambda t: t[0])
-    selection_rows = []
-    diff_rows = []
-    failure_rows = []
-    for _, rows, diffs, failures in outputs:
-        selection_rows.extend(rows)
-        diff_rows.extend(diffs)
-        failure_rows.extend(failures)
-    selection_rows = _maybe_shuffle(config, selection_rows)
-    model_names = sorted(model_builders)
-    sel_columns = ["dataset", "engine"] + [f"waic_{m}" for m in model_names] + ["selected", "correct", "tie"]
-    tables = [
-        Table("selection", sel_columns, selection_rows),
-        Table("waic_diff", ["dataset", "model", "waic_laplace", "waic_mcmc", "diff"], diff_rows),
-        Table("failures", _FAILURE_COLUMNS, failure_rows),
-    ]
-    return ComparisonReport(
-        kind="selection",
-        config=json.loads(config_to_json(config)),
-        tables=tables,
-        version=__version__,
-        config_digest=config_hash(config),
-    )
+def run_paired_study(config: StudyConfig, workers: int | None = None, datasets: list | None = None) -> ComparisonReport:
+    """:func:`run_study` of a poisson or bym study: PE and PC per tracked
+    parameter."""
+    if config.kind not in ("poisson", "bym"):
+        raise ValueError("paired studies cover the poisson and bym kinds")
+    return run_study(config, workers, datasets)
+
+
+def run_selection_study(config: StudyConfig, workers: int | None = None, datasets: list | None = None) -> ComparisonReport:
+    """:func:`run_study` of a selection study: per dataset and engine,
+    WAIC of both candidate models, the selected model, and correctness
+    against ``config.selection_family``."""
+    if config.kind != "selection":
+        raise ValueError("run_selection_study covers the selection kind")
+    return run_study(config, workers, datasets)
 
 
 def run_zinb_study(config: StudyConfig, workers: int | None = None, datasets: list | None = None) -> ComparisonReport:
-    """Interquartile rate ratios and zero-probability recovery per engine."""
-    workers = config.workers if workers is None else workers
-    data_list = generate_datasets(config) if datasets is None else datasets
-    payloads = [(config, i, d) for i, d in enumerate(data_list)]
-    outputs = _map_datasets(config, _fit_one_zinb, payloads, workers)
-    outputs.sort(key=lambda t: t[0])
-    rate_rows = []
-    agreement_rows = []
-    pzero_rows = []
-    failure_rows = []
-    for _, rates, agreements, pzeros, failures in outputs:
-        rate_rows.extend(rates)
-        agreement_rows.extend(agreements)
-        pzero_rows.extend(pzeros)
-        failure_rows.extend(failures)
-    rate_rows = _maybe_shuffle(config, rate_rows)
-    tables = [
-        Table(
-            "rate_ratios",
-            ["dataset", "engine", "covariate", "iqr", "rate_ratio", "rate_ratio_mean", "lower", "upper", "significant"],
-            rate_rows,
-        ),
-        Table("agreement", ["dataset", "covariate", "direction_agree", "significance_agree"], agreement_rows),
-        Table("p_zero", ["dataset", "engine", "p_zero_mean", "p_zero_sd"], pzero_rows),
-        Table("failures", _FAILURE_COLUMNS, failure_rows),
-    ]
-    return ComparisonReport(
-        kind="zinb",
-        config=json.loads(config_to_json(config)),
-        tables=tables,
-        version=__version__,
-        config_digest=config_hash(config),
-    )
-
-
-def run_study(config: StudyConfig, workers: int | None = None) -> ComparisonReport:
-    if config.kind in ("poisson", "bym"):
-        return run_paired_study(config, workers=workers)
-    if config.kind == "selection":
-        return run_selection_study(config, workers=workers)
-    return run_zinb_study(config, workers=workers)
+    """:func:`run_study` of a zinb study: interquartile rate ratios and
+    zero-probability recovery per engine."""
+    if config.kind != "zinb":
+        raise ValueError("run_zinb_study covers the zinb kind")
+    return run_study(config, workers, datasets)
 
 
 # ---------------------------------------------------------------------------

@@ -128,11 +128,10 @@ class GaussianApprox:
     """Gaussian approximation to p(x | theta, y) at its mode."""
 
     mode: np.ndarray
-    precision: "object"  # SparseSymMatrix
+    precision: np.ndarray  # dense, symmetric
     log_det_half: float
     newton_iters: int
     converged: bool
-    dense_precision: np.ndarray | None = field(default=None, repr=False, compare=False)
     curvature_clipped: bool = field(default=False, compare=False)
 
 
@@ -506,8 +505,6 @@ def gaussian_approx_latent(
     constrained specs the precision is the reduced-space curvature
     pushed back through the constraint basis).
     """
-    from .gmrf import SparseSymMatrix
-
     config = config or LaplaceConfig()
     ctx = _Context(spec, data, config)
     u0 = None
@@ -519,14 +516,12 @@ def gaussian_approx_latent(
         dense = ctx.basis @ approx.hess @ ctx.basis.T
     else:
         dense = approx.hess
-    dense_sym = 0.5 * (dense + dense.T)
     return GaussianApprox(
         mode=mode,
-        precision=SparseSymMatrix.from_dense(dense_sym),
+        precision=0.5 * (dense + dense.T),
         log_det_half=approx.log_det_half,
         newton_iters=approx.iters,
         converged=approx.converged,
-        dense_precision=dense_sym,
         curvature_clipped=approx.clipped,
     )
 

@@ -70,7 +70,13 @@ def test_run_emits_report_files(tmp_path, capsys):
     payload = json.loads((out / "report.json").read_text())
     assert payload["kind"] == "poisson"
     assert payload["config"]["master_seed"] == config.master_seed
-    assert "poisson study: 1 datasets, 0 failures" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "poisson study: 1 datasets, 0 failures" in text
+    rows = payload["tables"]["results"]["rows"]
+    for param in ("beta_x", "sd_iid"):
+        (pe,) = [abs(r["pe"]) for r in rows if r["parameter"] == param]  # one dataset
+        assert f"  median |PE| {param}: {pe:.2f}%\n" in text
+    assert f"  MCMC verdicts: {rows[0]['mcmc_verdict']} 1\n" in text  # one chain
 
 
 def test_seed_and_workers_flags_override_config(tmp_path):
@@ -88,22 +94,32 @@ def test_run_rejects_non_paired_kind(tmp_path):
         cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
 
 
-def test_select_subcommand(tmp_path):
+def test_select_subcommand(tmp_path, capsys):
     cfg_path, _ = write_config(tmp_path, kind="selection", n_areas=9)
     out = tmp_path / "sel"
     assert cli.main(["select", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert (out / "selection.csv").exists()
     assert (out / "waic_diff.csv").exists()
-    header = (out / "selection.csv").read_text().splitlines()[0]
-    assert header == "dataset,engine,waic_bym,waic_poisson,selected,correct,tie"
+    lines = (out / "selection.csv").read_text().splitlines()
+    assert lines[0] == "dataset,engine,waic_bym,waic_poisson,selected,correct,tie"
+    text = capsys.readouterr().out
+    for line in lines[1:]:
+        cells = line.split(",")
+        engine, correct = cells[1], int(cells[5] == "true")
+        assert f"  {engine} picked the generating family (poisson) in {correct}/1 datasets\n" in text
 
 
-def test_zinb_subcommand(tmp_path):
+def test_zinb_subcommand(tmp_path, capsys):
     cfg_path, _ = write_config(tmp_path, kind="zinb", n_areas=50, mcmc_iterations=600, mcmc_burn_in=150)
     out = tmp_path / "zinb"
     assert cli.main(["zinb", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert (out / "rate_ratios.csv").exists()
     assert (out / "p_zero.csv").exists()
+    text = capsys.readouterr().out
+    rows = [line.split(",") for line in (out / "rate_ratios.csv").read_text().splitlines()[1:]]
+    for engine in ("laplace", "mcmc"):
+        significant = sum(r[8] == "true" for r in rows if r[1] == engine)
+        assert f"  {engine}: {significant}/5 rate ratios significant\n" in text
 
 
 def test_audit_exit_codes_and_artifacts(tmp_path, capsys):

@@ -254,21 +254,13 @@ def test_paired_study_rows_satisfy_their_definitions():
     assert len(report.table("pc_long").rows) == 2 * len(results.rows)
 
 
-def test_paired_study_is_byte_identical_across_worker_counts():
-    config = tiny_config()
-    serial = harness.run_paired_study(config, workers=1).canonical_files()
-    parallel = harness.run_paired_study(config, workers=2).canonical_files()
-    assert serial.keys() == parallel.keys()
-    for name in serial:
-        assert serial[name] == parallel[name], name
-
-
 @pytest.mark.parametrize(
     "kind, overrides",
     [
         ("poisson", dict(strategy="full_laplace", n_datasets=1, n_areas=10)),
         ("selection", dict(strategy="gaussian", n_datasets=1, n_areas=9)),
         ("zinb", dict(strategy="full_laplace", n_datasets=1, n_areas=60, int_strategy="ccd")),
+        ("bym", dict(strategy="full_laplace", n_datasets=1, n_areas=6)),
     ],
 )
 def test_study_reports_match_a_fit_of_every_latent(monkeypatch, kind, overrides):
@@ -283,49 +275,85 @@ def test_study_reports_match_a_fit_of_every_latent(monkeypatch, kind, overrides)
     assert requested == everything.canonical_files()
 
 
-def test_paired_study_rejects_wrong_kind():
-    with pytest.raises(ValueError):
-        harness.run_paired_study(tiny_config(kind="zinb"))
+@pytest.mark.parametrize(
+    "entry_point, wrong_kind",
+    [
+        ("run_paired_study", "zinb"),
+        ("run_paired_study", "selection"),
+        ("run_selection_study", "poisson"),
+        ("run_zinb_study", "bym"),
+    ],
+)
+def test_study_entry_points_reject_a_wrong_kind(monkeypatch, entry_point, wrong_kind):
+    monkeypatch.setattr(laplace, "fit", None)  # the check comes before any fit
+    with pytest.raises(ValueError, match="cover"):
+        getattr(harness, entry_point)(tiny_config(kind=wrong_kind))
+
+
+@pytest.mark.parametrize(
+    "kind, engines",
+    [
+        ("poisson", ["laplace", "mcmc"]),
+        ("selection", ["laplace/poisson", "mcmc/poisson", "laplace/bym", "mcmc/bym"]),
+        ("zinb", ["laplace", "mcmc"]),
+    ],
+)
+def test_engine_failures_become_failure_rows(monkeypatch, kind, engines):
+    chain_seeds = []
+
+    def fit(*args, **kwargs):
+        raise laplace.FitFailure("injected", "by the test")
+
+    def run_chain(spec, data, chain_config):
+        chain_seeds.append(chain_config.seed)
+        raise mcmc.ChainAbort(3, "by the test")
+
+    monkeypatch.setattr(laplace, "fit", fit)
+    monkeypatch.setattr(mcmc, "run_chain", run_chain)
+    config = tiny_config(kind=kind, n_areas=60 if kind == "zinb" else 9)
+    report = harness.run_study(config)
+    expected = [
+        {
+            "dataset": i,
+            "engine": engine,
+            "cause": "injected" if engine.startswith("laplace") else "ChainAbort",
+            "detail": "injected: by the test" if engine.startswith("laplace") else "chain aborted at iteration 3: by the test",
+        }
+        for i in range(2)
+        for engine in engines
+    ]
+    assert report.table("failures").rows == expected
+    assert all(t.rows == [] for t in report.tables if t.name != "failures")
+    # A selection study's chains draw from one stream per candidate model.
+    mcmc_engines = [e for e in engines if e.startswith("mcmc")]
+    assert chain_seeds == [config.chain_config(i, *e.split("/")[1:]).seed for i in range(2) for e in mcmc_engines]
 
 
 # ---------------------------------------------------------------------------
 # Selection study bookkeeping
 
 
-def _iid_builder(data):
-    return mdl.poisson_spec(covariates=("x",))
-
-
-def _no_noise_builder(data):
-    return mdl.ModelSpec(
-        family=mdl.Family.POISSON,
-        fixed_effects=("x",),
-        offset="total",
-        include_intercept=True,
-        priors=mdl.PriorSet(fixed_effect=mdl.NormalPrior(0.0, 1000.0)),
-    )
-
-
 def test_selection_rows_satisfy_their_definitions():
-    config = tiny_config(mcmc_iterations=800, mcmc_burn_in=200, mcmc_thin=1)
-    datasets = harness.generate_poisson_data(config)
-    report = harness.run_selection_study(
-        config,
-        workers=1,
-        datasets=datasets,
-        model_builders={"iid": _iid_builder, "no_noise": _no_noise_builder},
-        generating_family="iid",
+    config = tiny_config(
+        kind="selection", selection_family="bym", n_areas=9, mcmc_iterations=800, mcmc_burn_in=200, mcmc_thin=1
     )
+    report = harness.run_selection_study(config, workers=1)
+    assert report.table("failures").rows == []
     selection = report.table("selection")
-    assert selection.columns == ["dataset", "engine", "waic_iid", "waic_no_noise", "selected", "correct", "tie"]
+    assert selection.columns == ["dataset", "engine", "waic_bym", "waic_poisson", "selected", "correct", "tie"]
     assert len(selection.rows) == 2 * 2  # datasets x engines
     for row in selection.rows:
-        per_model = {"iid": row["waic_iid"], "no_noise": row["waic_no_noise"]}
+        per_model = {"bym": row["waic_bym"], "poisson": row["waic_poisson"]}
         expected = min(sorted(per_model), key=lambda m: (per_model[m], m))
         assert row["selected"] == expected
-        assert row["correct"] == (row["selected"] == "iid")
-        assert row["tie"] == (per_model["iid"] == per_model["no_noise"])
-    for row in report.table("waic_diff").rows:
+        assert row["correct"] == (row["selected"] == "bym")
+        assert row["tie"] == (per_model["bym"] == per_model["poisson"])
+    diffs = report.table("waic_diff").rows
+    assert [(r["dataset"], r["model"]) for r in diffs] == [(0, "bym"), (0, "poisson"), (1, "bym"), (1, "poisson")]
+    by_engine = {(r["dataset"], r["engine"]): r for r in selection.rows}
+    for row in diffs:
+        assert row["waic_laplace"] == by_engine[(row["dataset"], "laplace")][f"waic_{row['model']}"]
+        assert row["waic_mcmc"] == by_engine[(row["dataset"], "mcmc")][f"waic_{row['model']}"]
         assert row["diff"] == row["waic_laplace"] - row["waic_mcmc"]
         assert math.isfinite(row["diff"])
 
@@ -370,15 +398,26 @@ def test_zinb_study_rows_satisfy_their_definitions():
 
 
 # ---------------------------------------------------------------------------
-# Parallel mapping and the audit
+# Worker counts and the audit
 
 
-def test_map_datasets_parallel_matches_serial():
-    config = tiny_config()
-    payloads = [(config, i, d) for i, d in enumerate(harness.generate_poisson_data(config))]
-    serial = harness._map_datasets(config, harness._fit_one_paired, payloads, 1)
-    parallel = harness._map_datasets(config, harness._fit_one_paired, payloads, 2)
-    assert serial == parallel
+# Per-kind sizes small enough for a two-worker run of every kind.
+_BYTE_AUDIT_OVERRIDES = {
+    "poisson": {},
+    "bym": {},
+    "selection": dict(n_areas=9, mcmc_iterations=600, mcmc_burn_in=150, mcmc_thin=1),
+    "zinb": dict(n_areas=60, mcmc_iterations=600, mcmc_burn_in=150, mcmc_thin=1),
+}
+
+
+@pytest.mark.parametrize("kind", harness.STUDY_KINDS)
+def test_study_is_byte_identical_across_worker_counts(kind):
+    config = tiny_config(kind=kind, **_BYTE_AUDIT_OVERRIDES[kind])
+    serial = harness.run_study(config, workers=1).canonical_files()
+    parallel = harness.run_study(config, workers=2).canonical_files()
+    assert serial.keys() == parallel.keys()
+    for name in serial:
+        assert serial[name] == parallel[name], name
 
 
 def test_reproducibility_audit_passes_on_clean_config():

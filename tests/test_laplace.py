@@ -117,7 +117,7 @@ def test_gaussian_approx_matches_conjugate_precision():
     j = np.hstack([np.ones((n, 1)), np.eye(n)])
     p = np.diag([spec.priors.fixed_effect.sd ** -2] + [4.0] * n)
     np.testing.assert_allclose(
-        approx.dense_precision, j.T @ (kappa * j) + p, rtol=1e-12, atol=1e-12
+        approx.precision, j.T @ (kappa * j) + p, rtol=1e-12, atol=1e-12
     )
 
 
@@ -133,7 +133,7 @@ def test_poisson_mode_matches_root_oracle():
     assert approx.mode[0] == pytest.approx(root, abs=1e-8)
     assert root == pytest.approx(0.792059, abs=1e-6)  # frozen
     # curvature at the mode: e^b + 1
-    assert approx.dense_precision[0, 0] == pytest.approx(np.exp(root) + 1.0, rel=1e-8)
+    assert approx.precision[0, 0] == pytest.approx(np.exp(root) + 1.0, rel=1e-8)
 
 
 def test_poisson_mode_unit_count_is_zero():
@@ -742,7 +742,7 @@ def test_collapsed_theta_grid_is_recovered_by_a_cold_retry():
     assert res.diagnostics.grid_size > 1
     assert res.diagnostics.theta_points_failed == 0
     assert res.diagnostics.theta_points_retried >= 1
-    _, sd_iid_sd = harness._laplace_param_summaries(res, spec)["sd_iid"]
+    _, sd_iid_sd = harness._laplace_summary(res, "sd_iid")
     assert sd_iid_sd > 0.0
 
 
