@@ -38,6 +38,7 @@ __all__ = [
     "icar_log_density",
     "icar_quadratic_form",
     "sample_icar_kriging",
+    "null_space_basis",
     "propriety_check",
     "lattice_graph",
     "path_graph",
@@ -340,6 +341,13 @@ def sample_icar_kriging(
     return x[0] if size is None else x
 
 
+def null_space_basis(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of null(A), one column per direction, from the full SVD."""
+    _, sv, vt = np.linalg.svd(a)
+    rank = int(np.sum(sv > max(a.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)))
+    return vt[rank:].T
+
+
 def propriety_check(
     precision: SparseSymMatrix | np.ndarray,
     constraints: np.ndarray | None = None,
@@ -358,10 +366,7 @@ def propriety_check(
         a = np.atleast_2d(np.asarray(constraints, dtype=np.float64))
         if a.shape[1] != n:
             raise ValueError("constraint row length mismatch")
-        # Orthonormal basis of null(A) from the full SVD.
-        _, sv, vt = np.linalg.svd(a)
-        rank = int(np.sum(sv > max(a.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)))
-        basis = vt[rank:].T
+        basis = null_space_basis(a)
         if basis.shape[1] == 0:
             return ProprietyResult(True, 0, np.inf, np.inf)
         dense = basis.T @ dense @ basis

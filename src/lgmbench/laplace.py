@@ -49,7 +49,7 @@ from scipy import interpolate, optimize
 from scipy.special import ndtr
 
 from . import models as mdl
-from .gmrf import graph_laplacian, propriety_check
+from .gmrf import graph_laplacian, null_space_basis, propriety_check
 from .posterior import PosteriorMarginal
 
 __all__ = [
@@ -316,12 +316,9 @@ class _Context:
         self.j_full = j
         self.log_off = np.log(data.offset) if spec.offset is not None else np.zeros(n)
         self.constraints = mdl.constraint_rows(spec, data)
+        self.basis = None  # dim_x x dim_u when constrained
         if self.constraints is not None:
-            _, sv, vt = np.linalg.svd(self.constraints)
-            rank = int(np.sum(sv > max(self.constraints.shape) * np.finfo(float).eps * sv[0]))
-            self.basis = vt[rank:].T  # dim_x x dim_u
-        else:
-            self.basis = None
+            self.basis = null_space_basis(self.constraints)
         self.dim_u = self.basis.shape[1] if self.basis is not None else self.dim_x
         self.j = self.j_full @ self.basis if self.basis is not None else self.j_full
         # The prior's sparsity pattern is fixed and theta only scales its
@@ -397,62 +394,71 @@ def _try_cholesky(h: np.ndarray):
         return None
 
 
-def _newton(ctx: _Context, theta: np.ndarray, u0: np.ndarray | None = None) -> _Approx:
-    """Newton ascent of the conditional log posterior of the latent field."""
+def _ascend(ctx: _Context, theta: np.ndarray, p_mat: np.ndarray, u: np.ndarray, free=None):
+    """Damped Newton ascent of the conditional log posterior of the latent field.
+
+    Maximizes log p(y | u, theta) - u' p_mat u / 2 over the coordinates
+    ``free`` (an index array; None means all of them), holding the
+    others at their values in ``u``.  Returns ``(u, f, hess, chol, iters,
+    outcome, clipped)``: the point, its objective, the free-block
+    curvature there and its Cholesky factor, the Newton steps taken,
+    ``"converged"``, ``"stalled"`` or ``"max_iter"``, and whether the
+    curvature was ever clipped to non-negative likelihood weights.
+
+    The stop rule: the gradient norm falls to ``newton_tol`` times the
+    first one, or the Newton decrement to ``newton_tol**2 * max(1, |f|)``.
+    On large-count data the gradient has a floating-point noise floor
+    that can exceed any relative gradient tolerance (especially under
+    warm starts, where the first gradient is small), while the step
+    already locates the mode to machine precision; the decrement bounds
+    the attainable objective gain and stops once it is below the
+    objective's own rounding.  A line search that cannot ascend counts as
+    converged only at a gradient within 1e-6 of the first one.  After
+    ``newton_max_iter`` steps the gradient test is applied once more.
+
+    Raises FitFailure (hessian_not_pd) when even the clipped curvature
+    is not positive definite.
+    """
     cfg = ctx.config
     spec, data = ctx.spec, ctx.data
-    p_mat = ctx.prior_precision_u(theta)
-    u = np.zeros(ctx.dim_u) if u0 is None else u0.copy()
+    sel = slice(None) if free is None else free
+    j = ctx.j[:, sel]
+    p_free = p_mat[sel][:, sel]
 
     def objective(eta_vec, u_vec):
         ll = float(np.add.reduce(mdl.pointwise_loglik_from_eta(spec, eta_vec, theta, data)))
         return ll - 0.5 * float(u_vec @ (p_mat @ u_vec))
 
     eta = ctx.eta(u)
-    mdl._check_eta(eta)
     f_cur = objective(eta, u)
-    clipped_any = False
-    converged = False
-    iters = 0
+    clipped = False
     ref_grad = None
-    chol = None
-    hess = None
-    for iters in range(1, cfg.newton_max_iter + 1):
+    for iters in range(cfg.newton_max_iter + 1):
         g1, w, _ = mdl.eta_derivatives(spec, eta, theta, data)
-        grad = ctx.j.T @ g1 - p_mat @ u
+        grad = j.T @ g1 - (p_mat @ u)[sel]
         gnorm = float(np.linalg.norm(grad))
         if ref_grad is None:
             ref_grad = max(1.0, gnorm)
-        hess = ctx.j.T @ (w[:, None] * ctx.j) + p_mat
+        hess = j.T @ (w[:, None] * j) + p_free
         chol = _try_cholesky(hess)
         if chol is None:
-            w_clip = np.maximum(w, 0.0)
-            hess = ctx.j.T @ (w_clip[:, None] * ctx.j) + p_mat
+            hess = j.T @ (np.maximum(w, 0.0)[:, None] * j) + p_free
             chol = _try_cholesky(hess)
-            clipped_any = True
+            clipped = True
             if chol is None:
                 raise FitFailure("hessian_not_pd", "negative curvature at Newton iterate")
         if gnorm <= cfg.newton_tol * ref_grad:
-            converged = True
-            iters -= 1  # converged before taking this step
-            break
+            return u, f_cur, hess, chol, iters, "converged", clipped
+        if iters == cfg.newton_max_iter:
+            return u, f_cur, hess, chol, iters, "max_iter", clipped
         step = np.linalg.solve(chol.T, np.linalg.solve(chol, grad))
-        # Newton decrement: grad @ step bounds the attainable objective gain.
-        # On large-count data the gradient has a floating-point noise floor
-        # that can exceed any relative gradient tolerance (especially under
-        # warm starts, where ref_grad is small), while the step already
-        # locates the mode to machine precision.  Stop once the remaining
-        # gain is below rounding error of the objective itself.
-        decrement = float(grad @ step)
-        if decrement <= cfg.newton_tol**2 * max(1.0, abs(f_cur)):
-            converged = True
-            iters -= 1
-            break
-        j_step = ctx.j @ step
+        if float(grad @ step) <= cfg.newton_tol**2 * max(1.0, abs(f_cur)):
+            return u, f_cur, hess, chol, iters, "converged", clipped
+        j_step = j @ step
         t = 1.0
-        accepted = False
         for _ in range(cfg.max_step_halvings + 1):
-            u_new = u + t * step
+            u_new = u.copy()
+            u_new[sel] = u[sel] + t * step
             eta_new = eta + t * j_step
             try:
                 f_new = objective(eta_new, u_new)
@@ -460,36 +466,31 @@ def _newton(ctx: _Context, theta: np.ndarray, u0: np.ndarray | None = None) -> _
                 f_new = -np.inf
             if np.isfinite(f_new) and f_new >= f_cur - 1e-12 * max(1.0, abs(f_cur)):
                 u, eta, f_cur = u_new, eta_new, f_new
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
-            # No ascent possible at the smallest step: treat as converged
-            # only if the gradient is already tiny, else fail.
-            if gnorm <= 1e-6 * ref_grad:
-                converged = True
-                break
-            raise FitFailure("newton_line_search", f"no ascent step at iteration {iters}")
-    else:
-        iters = cfg.newton_max_iter
-    if not converged:
-        g1, w, _ = mdl.eta_derivatives(spec, eta, theta, data)
-        grad = ctx.j.T @ g1 - p_mat @ u
-        if float(np.linalg.norm(grad)) <= cfg.newton_tol * ref_grad:
-            converged = True
-            hess = ctx.j.T @ (w[:, None] * ctx.j) + p_mat
-            chol = _try_cholesky(hess)
-            if chol is None:
-                hess = ctx.j.T @ (np.maximum(w, 0.0)[:, None] * ctx.j) + p_mat
-                chol = _try_cholesky(hess)
-                clipped_any = True
-    if not converged or chol is None:
+        else:
+            outcome = "converged" if gnorm <= 1e-6 * ref_grad else "stalled"
+            return u, f_cur, hess, chol, iters + 1, outcome, clipped
+
+
+def _newton(ctx: _Context, theta: np.ndarray, u0: np.ndarray | None = None) -> _Approx:
+    """Gaussian approximation of the latent field at ``theta``: the mode
+    of its conditional log posterior and the curvature there.
+
+    Raises FitFailure (newton_line_search, newton_nonconvergence) when
+    the ascent stalls or runs out of iterations.
+    """
+    u = np.zeros(ctx.dim_u) if u0 is None else u0.copy()
+    u, _, hess, chol, iters, outcome, clipped = _ascend(ctx, theta, ctx.prior_precision_u(theta), u)
+    if outcome == "stalled":
+        raise FitFailure("newton_line_search", f"no ascent step at iteration {iters}")
+    if outcome == "max_iter":
         raise FitFailure(
             "newton_nonconvergence",
-            f"no convergence in {cfg.newton_max_iter} iterations",
+            f"no convergence in {ctx.config.newton_max_iter} iterations",
         )
     log_det_half = float(np.add.reduce(np.log(np.diag(chol))))
-    return _Approx(u, hess, chol, log_det_half, iters, converged, clipped_any)
+    return _Approx(u, hess, chol, log_det_half, iters, True, clipped)
 
 
 def gaussian_approx_latent(
@@ -811,97 +812,38 @@ def _fl_conditional_logdens(ctx: _Context, theta, approx: _Approx, index: int, v
     """Full-Laplace log density of component ``index`` on ``v_grid``.
 
     For each fixed value ``v`` the remaining components are
-    re-maximized by a small Newton loop warm-started from the previous
-    grid point, and the profile value is corrected by minus half the
-    log determinant of the remaining-block curvature.  With a single
-    latent component the correction is zero and the profile equals the
-    exact unnormalized log posterior of that component.
+    re-maximized by ``_ascend``, warm-started from the previous grid
+    point, and the profile value is corrected by minus half the log
+    determinant of the remaining-block curvature.  With a single latent
+    component the correction is zero and the profile equals the exact
+    unnormalized log posterior of that component.  A point whose ascent
+    fails (non-positive-definite curvature, predictor overflow) is
+    dropped as ``-inf``.
 
-    Also returns the number of grid points whose Newton loop stopped
-    short of convergence: it ran out of iterations, or its line search
-    could not move while the gradient norm was above ``1e-6`` of the
-    point's first one (the rule ``_newton`` uses).  Their values are
-    kept.
+    Also returns the number of grid points where the ascent stalled or
+    ran out of iterations; their values are kept.
     """
-    spec, data, cfg = ctx.spec, ctx.data, ctx.config
-    d = ctx.dim_u
     p_mat = ctx.prior_precision_u(theta)
-    keep = np.array([k for k in range(d) if k != index], dtype=int)
-    mode = approx.mode_u
+    keep = np.array([k for k in range(ctx.dim_u) if k != index], dtype=int)
     cov_col = approx.cov[:, index]
-    var_i = cov_col[index]
+    shift = cov_col / cov_col[index]
     out = np.full(v_grid.size, -np.inf)
-    j_keep = ctx.j[:, keep]
-    p_keep = p_mat[np.ix_(keep, keep)]
-    u_rest = None
     unconverged = 0
+    u = approx.mode_u
     for g_idx, v in enumerate(v_grid):
-        if u_rest is None:
-            # Warm start at the Gaussian conditional mean.
-            u_cond = mode + (cov_col / var_i) * (v - mode[index])
-            u_rest = u_cond[keep]
-        u_full = np.empty(d)
-        u_full[index] = v
-        u_full[keep] = u_rest
+        # Warm start: the last solution moved along the Gaussian
+        # conditional mean to the new value.  Without the move the first
+        # gradient carries the whole step in v, and the stop rule's
+        # gradient test, relative to that first gradient, stops early.
+        start = u + shift * (v - u[index])
+        start[index] = v
         try:
-            eta = ctx.eta(u_full)
-            f_cur = float(
-                np.add.reduce(mdl.pointwise_loglik_from_eta(spec, eta, theta, data))
-            ) - 0.5 * float(u_full @ (p_mat @ u_full))
-        except mdl.LikelihoodOverflowError:
+            u_hat, f, _, chol, _, outcome, _ = _ascend(ctx, theta, p_mat, start, keep)
+        except (FitFailure, mdl.LikelihoodOverflowError):
             continue
-        chol = np.zeros((0, 0))
-        failed = False
-        stalled = False
-        ref_grad = None
-        for _ in range(cfg.newton_max_iter):
-            g1, w, _ = mdl.eta_derivatives(spec, eta, theta, data)
-            if keep.size == 0:
-                break
-            grad = j_keep.T @ g1 - (p_mat @ u_full)[keep]
-            gnorm = float(np.linalg.norm(grad))
-            if ref_grad is None:
-                ref_grad = max(1.0, gnorm)
-            hess = j_keep.T @ (w[:, None] * j_keep) + p_keep
-            chol = _try_cholesky(hess)
-            if chol is None:
-                hess = j_keep.T @ (np.maximum(w, 0.0)[:, None] * j_keep) + p_keep
-                chol = _try_cholesky(hess)
-                if chol is None:
-                    failed = True
-                    break
-            if gnorm <= 1e-9 * max(1.0, abs(f_cur)):
-                break
-            step = np.linalg.solve(chol.T, np.linalg.solve(chol, grad))
-            j_step = j_keep @ step
-            t = 1.0
-            moved = False
-            for _ in range(cfg.max_step_halvings + 1):
-                u_try = u_full.copy()
-                u_try[keep] = u_full[keep] + t * step
-                eta_try = eta + t * j_step
-                try:
-                    f_try = float(
-                        np.add.reduce(mdl.pointwise_loglik_from_eta(spec, eta_try, theta, data))
-                    ) - 0.5 * float(u_try @ (p_mat @ u_try))
-                except mdl.LikelihoodOverflowError:
-                    f_try = -np.inf
-                if np.isfinite(f_try) and f_try >= f_cur - 1e-12 * max(1.0, abs(f_cur)):
-                    u_full, eta, f_cur = u_try, eta_try, f_try
-                    moved = True
-                    break
-                t *= 0.5
-            if not moved:
-                stalled = gnorm > 1e-6 * ref_grad
-                break
-        else:
-            stalled = True
-        if failed:
-            continue
-        unconverged += stalled
-        logdet_half = float(np.add.reduce(np.log(np.diag(chol)))) if keep.size else 0.0
-        out[g_idx] = f_cur - logdet_half
-        u_rest = u_full[keep]
+        unconverged += outcome != "converged"
+        out[g_idx] = f - float(np.add.reduce(np.log(np.diag(chol))))
+        u = u_hat
     return out, unconverged
 
 

@@ -259,6 +259,32 @@ def _loglik_vec(spec, eta, hyper, data):
         return None
 
 
+def _site_loglik(spec, eta, hyper, data):
+    """Pointwise log likelihood with -inf at the sites whose predictor
+    overflows, so a site proposal there is rejected on its own."""
+    ll = _loglik_vec(spec, eta, hyper, data)
+    if ll is None:
+        ok = np.abs(eta) <= mdl.ETA_OVERFLOW
+        ll = mdl.pointwise_loglik_from_eta(spec, np.where(ok, eta, 0.0), hyper, data)
+        ll = np.where(ok, ll, -np.inf)
+    return ll
+
+
+def _recentre(spec, hyper, data, mu, eta, ll, comp_masks, sweep, what):
+    """Subtract each connected component's mean from the intrinsic field
+    and the predictor; returns the new (mu, eta, ll)."""
+    shift = np.zeros(mu.size)
+    for comp in comp_masks:
+        shift[comp] = np.add.reduce(mu[comp]) / comp.size
+    if not np.any(shift != 0.0):
+        return mu, eta, ll
+    eta = eta - shift
+    ll = _loglik_vec(spec, eta, hyper, data)
+    if ll is None:
+        raise ChainAbort(sweep, f"{what} produced an invalid state")
+    return mu - shift, eta, ll
+
+
 def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> ChainOutput:
     """Run one adaptive Metropolis-within-Gibbs chain."""
     t_start = time.perf_counter()
@@ -280,8 +306,7 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
         degrees = graph.degrees().astype(float)
         labels = component_labels(graph)
         n_comp = int(labels.max()) + 1
-        icar_term = next(t for t in spec.random_effects if t.kind == "icar")
-        if icar_term.half_exponent:
+        if spec.icar_term.half_exponent:
             icar_coef = 0.5 * (n - n_comp)
         else:
             icar_coef = float(n - n_comp)
@@ -445,12 +470,7 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
             u_acc = g.random(n)
             delta = adapt["iid"].scales * z
             eta_new = eta + delta
-            ll_new = _loglik_vec(spec, eta_new, hyper, data)
-            if ll_new is None:
-                ok = np.abs(eta_new) <= mdl.ETA_OVERFLOW
-                safe_eta = np.where(ok, eta_new, 0.0)
-                ll_new = mdl.pointwise_loglik_from_eta(spec, safe_eta, hyper, data)
-                ll_new = np.where(ok, ll_new, -np.inf)
+            ll_new = _site_loglik(spec, eta_new, hyper, data)
             eps_new = eps + delta
             d_site = (ll_new - ll) - 0.5 * sigma * (eps_new**2 - eps**2)
             with np.errstate(divide="ignore"):
@@ -474,12 +494,7 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                 mu_new_c = mu[cls] + delta
                 eta_new = eta.copy()
                 eta_new[cls] += delta
-                ll_new = _loglik_vec(spec, eta_new, hyper, data)
-                if ll_new is None:
-                    ok = np.abs(eta_new) <= mdl.ETA_OVERFLOW
-                    safe_eta = np.where(ok, eta_new, 0.0)
-                    ll_new = mdl.pointwise_loglik_from_eta(spec, safe_eta, hyper, data)
-                    ll_new = np.where(ok, ll_new, -np.inf)
+                ll_new = _site_loglik(spec, eta_new, hyper, data)
                 s_neigh = a_rows @ mu
                 d_quad = degrees[cls] * (mu_new_c**2 - mu[cls] ** 2) - 2.0 * delta * s_neigh
                 d_site = (ll_new[cls] - ll[cls]) - 0.5 * tau * d_quad
@@ -493,27 +508,9 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                     icar_quad += float(np.add.reduce(d_quad[accept]))
                 acc_vec[cls] = accept.astype(float)
                 if config.constraint_mode == ConstraintMode.CENTER_ON_THE_FLY:
-                    shift = np.zeros(n)
-                    for comp in comp_masks:
-                        shift[comp] = np.add.reduce(mu[comp]) / comp.size
-                    if np.any(shift != 0.0):
-                        mu = mu - shift
-                        eta = eta - shift
-                        ll_c = _loglik_vec(spec, eta, hyper, data)
-                        if ll_c is None:
-                            raise ChainAbort(sweep, "recentering produced an invalid state")
-                        ll = ll_c
+                    mu, eta, ll = _recentre(spec, hyper, data, mu, eta, ll, comp_masks, sweep, "recentering")
             if config.constraint_mode == ConstraintMode.KRIGING_PROJECT:
-                shift = np.zeros(n)
-                for comp in comp_masks:
-                    shift[comp] = np.add.reduce(mu[comp]) / comp.size
-                if np.any(shift != 0.0):
-                    mu = mu - shift
-                    eta = eta - shift
-                    ll_c = _loglik_vec(spec, eta, hyper, data)
-                    if ll_c is None:
-                        raise ChainAbort(sweep, "constraint projection produced an invalid state")
-                    ll = ll_c
+                mu, eta, ll = _recentre(spec, hyper, data, mu, eta, ll, comp_masks, sweep, "constraint projection")
             adapt["icar"].record(acc_vec)
 
         # ----- predictor-preserving level swap mu <-> eps --------------
