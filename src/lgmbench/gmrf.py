@@ -28,7 +28,6 @@ import numpy as np
 __all__ = [
     "Constraint",
     "AdjacencyGraph",
-    "SparseSymMatrix",
     "IcarSpec",
     "ProprietyResult",
     "SingularConstraintError",
@@ -127,61 +126,6 @@ class AdjacencyGraph:
 
 
 @dataclass(frozen=True)
-class SparseSymMatrix:
-    """Symmetric matrix stored as its upper triangle in COO form.
-
-    Entries are sorted by (row, col) with row <= col and explicit zeros
-    dropped, so two structurally equal matrices compare equal entrywise.
-    """
-
-    n: int
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("dimension must be >= 1")
-        rows = np.asarray(self.rows, dtype=np.int64)
-        cols = np.asarray(self.cols, dtype=np.int64)
-        vals = np.asarray(self.vals, dtype=np.float64)
-        if not (rows.shape == cols.shape == vals.shape):
-            raise ValueError("rows/cols/vals must have matching shapes")
-        if rows.size and (rows.min() < 0 or cols.max() >= self.n):
-            raise ValueError("index out of range")
-        if np.any(rows > cols):
-            raise ValueError("entries must lie in the upper triangle")
-        keep = vals != 0.0
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if rows.size > 1:
-            same = (np.diff(rows) == 0) & (np.diff(cols) == 0)
-            if np.any(same):
-                raise ValueError("duplicate entry")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "vals", vals)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        out[self.rows, self.cols] = self.vals
-        off = self.rows != self.cols
-        out[self.cols[off], self.rows[off]] = self.vals[off]
-        return out
-
-    def diagonal(self) -> np.ndarray:
-        d = np.zeros(self.n)
-        on = self.rows == self.cols
-        d[self.rows[on]] = self.vals[on]
-        return d
-
-    @property
-    def nnz_upper(self) -> int:
-        return int(self.vals.size)
-
-
-@dataclass(frozen=True)
 class IcarSpec:
     """An intrinsic CAR field: graph, precision scale, and constraint."""
 
@@ -212,15 +156,13 @@ class ProprietyResult:
         return f"RankDeficient({self.deficiency})"
 
 
-def graph_laplacian(graph: AdjacencyGraph) -> SparseSymMatrix:
-    """Graph Laplacian Q = D - A as a sparse symmetric matrix."""
-    deg = graph.degrees()
+def graph_laplacian(graph: AdjacencyGraph) -> np.ndarray:
+    """Graph Laplacian Q = D - A as a dense n x n matrix."""
+    q = np.diag(graph.degrees().astype(np.float64))
     a, b = graph.edge_arrays()
-    on = deg > 0
-    rows = np.concatenate([np.flatnonzero(on), a])
-    cols = np.concatenate([np.flatnonzero(on), b])
-    vals = np.concatenate([deg[on].astype(np.float64), -np.ones(a.size)])
-    return SparseSymMatrix(graph.n_nodes, rows, cols, vals)
+    q[a, b] = -1.0
+    q[b, a] = -1.0
+    return q
 
 
 def component_labels(graph: AdjacencyGraph) -> np.ndarray:
@@ -292,7 +234,7 @@ def _regularized_precision(spec: IcarSpec) -> tuple[np.ndarray, np.ndarray]:
     vectors; adding ``jitter * v v' / |c|`` along each leaves the range
     space untouched while making the matrix positive definite.
     """
-    q = graph_laplacian(spec.graph).to_dense() * spec.tau
+    q = graph_laplacian(spec.graph) * spec.tau
     labels = component_labels(spec.graph)
     k = labels.max() + 1
     a_rows = np.zeros((k, spec.graph.n_nodes))
@@ -349,7 +291,7 @@ def null_space_basis(a: np.ndarray) -> np.ndarray:
 
 
 def propriety_check(
-    precision: SparseSymMatrix | np.ndarray,
+    precision: np.ndarray,
     constraints: np.ndarray | None = None,
     tol: float = PROPRIETY_EIG_TOL,
 ) -> ProprietyResult:
@@ -360,7 +302,7 @@ def propriety_check(
     its eigenvalues are compared against ``tol`` times the largest.
     Reports the number of non-positive directions as the deficiency.
     """
-    dense = precision.to_dense() if isinstance(precision, SparseSymMatrix) else np.asarray(precision, dtype=np.float64)
+    dense = np.asarray(precision, dtype=np.float64)
     n = dense.shape[0]
     if constraints is not None and np.asarray(constraints).size:
         a = np.atleast_2d(np.asarray(constraints, dtype=np.float64))

@@ -215,11 +215,7 @@ def _count_covariates(config: StudyConfig) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-per-study covariate x (percent scale) and exposure total."""
     n = config.n_areas
     if config.covariate_csv:
-        cols = _read_csv_columns(config.covariate_csv)
-        x = np.asarray(cols["x"], dtype=float)[:n]
-        total = np.asarray(cols["total"], dtype=float)[:n]
-        if x.size < n:
-            raise ValueError("covariate file has fewer rows than n_areas")
+        x, total = _covariate_columns(config.covariate_csv, ("x", "total"), n)
         return x, total
     g = stream(config.master_seed, "covariates")
     x = g.uniform(0.0, 60.0, n)
@@ -231,15 +227,26 @@ def _zinb_covariates(config: StudyConfig) -> tuple[np.ndarray, np.ndarray]:
     """Five standardized covariate columns and a population offset."""
     n = config.n_areas
     if config.covariate_csv:
-        cols = _read_csv_columns(config.covariate_csv)
-        z = np.column_stack([np.asarray(cols[f"z{k}"], dtype=float)[:n] for k in range(1, 6)])
-        pop = np.asarray(cols["population"], dtype=float)[:n]
-        return z, pop
+        *z, pop = _covariate_columns(config.covariate_csv, ("z1", "z2", "z3", "z4", "z5", "population"), n)
+        return np.column_stack(z), pop
     g = stream(config.master_seed, "covariates")
     raw = g.standard_normal((n, 5))
     z = (raw - raw.mean(axis=0)) / raw.std(axis=0)
     pop = np.floor(10.0 ** g.uniform(3.0, 5.5, n))
     return z, pop
+
+
+def _covariate_columns(path, names: tuple[str, ...], n: int) -> list:
+    """The first ``n`` values of each named column of a covariate file."""
+    cols = _read_csv_columns(path)
+    out = []
+    for name in names:
+        if name not in cols:
+            raise ValueError(f"covariate file has no column {name!r}")
+        if cols[name].size < n:
+            raise ValueError("covariate file has fewer rows than n_areas")
+        out.append(cols[name][:n])
+    return out
 
 
 def _read_csv_columns(path) -> dict:

@@ -49,7 +49,7 @@ from scipy import interpolate, optimize
 from scipy.special import ndtr
 
 from . import models as mdl
-from .gmrf import graph_laplacian, null_space_basis, propriety_check
+from .gmrf import null_space_basis, propriety_check
 from .posterior import PosteriorMarginal
 
 __all__ = [
@@ -64,7 +64,6 @@ __all__ = [
     "FitFailure",
     "gaussian_approx_latent",
     "explore_theta",
-    "latent_marginals",
     "hyper_marginals",
     "fit",
 ]
@@ -289,7 +288,7 @@ class FitResult:
 
 
 class _Context:
-    """Design, offsets, prior structure, and optional constraint reduction.
+    """Design, offsets, and optional constraint reduction.
 
     With a sum-to-zero kriging constraint the whole problem is reduced
     to coordinates u with x = Z u, Z an orthonormal basis of the
@@ -321,42 +320,13 @@ class _Context:
             self.basis = null_space_basis(self.constraints)
         self.dim_u = self.basis.shape[1] if self.basis is not None else self.dim_x
         self.j = self.j_full @ self.basis if self.basis is not None else self.j_full
-        # The prior's sparsity pattern is fixed and theta only scales its
-        # blocks (Rue, Martino & Chopin 2009, section 3), so the symmetric
-        # index pattern of mdl.latent_prior_precision is stored once and
-        # each theta scatters the scaled values into a zeroed matrix.
-        n_beta = sl["beta"].stop
-        self.prior_fixed = np.full(n_beta, mdl.fixed_effect_precision(spec))
-        diag = np.arange(n_beta + (n if "iid" in sl else 0))
-        rows, cols = [diag], [diag]
-        self.prior_laplacian = None
-        if "icar" in sl:
-            q = graph_laplacian(mdl._require_graph(data))
-            off = q.rows != q.cols
-            start = sl["icar"].start
-            rows.append(np.concatenate([q.rows, q.cols[off]]) + start)
-            cols.append(np.concatenate([q.cols, q.rows[off]]) + start)
-            self.prior_laplacian = np.concatenate([q.vals, q.vals[off]])
-        self.prior_rows = np.concatenate(rows)
-        self.prior_cols = np.concatenate(cols)
 
     def to_x(self, u: np.ndarray) -> np.ndarray:
         return self.basis @ u if self.basis is not None else u
 
     def prior_precision_u(self, theta: np.ndarray) -> np.ndarray:
-        """Dense prior precision in reduced coordinates; the same bits as
-        ``mdl.latent_prior_precision(spec, theta, data).to_dense()``
-        projected onto the constraint basis."""
-        prec = mdl._block_precisions(self.spec, theta)
-        vals = [self.prior_fixed]
-        if "iid" in prec:
-            vals.append(np.full(self.n, math.exp(prec["iid"])))
-        if self.prior_laplacian is not None:
-            vals.append(self.prior_laplacian * math.exp(prec["icar"]))
-        p = np.zeros((self.dim_x, self.dim_x))
-        # Adding +0.0 turns the -0.0 of an underflowed precision times a
-        # negative Laplacian entry into the +0.0 a dropped entry leaves.
-        p[self.prior_rows, self.prior_cols] = np.concatenate(vals) + 0.0
+        """Dense prior precision projected onto the constraint basis."""
+        p = mdl.latent_prior_precision(self.spec, theta, self.data)
         if self.basis is not None:
             p = self.basis.T @ p @ self.basis
         return p
@@ -949,19 +919,6 @@ def _mix_marginals(ctx: _Context, grid: ThetaGrid, approxes, strategy: Strategy,
         "fl_scanned_points": scanned,
         "fl_unconverged_points": fl_unconverged,
     }
-
-
-def latent_marginals(
-    spec: mdl.ModelSpec,
-    data: mdl.Dataset,
-    strategy: Strategy = Strategy.GAUSSIAN,
-    config: LaplaceConfig | None = None,
-) -> list:
-    """Posterior marginals of every latent component under a strategy."""
-    ctx = _Context(spec, data, config or LaplaceConfig())
-    grid, approxes, _ = _explore(ctx)
-    marginals, _ = _mix_marginals(ctx, grid, approxes, strategy, range(ctx.dim_x))
-    return marginals
 
 
 def hyper_marginals(grid: ThetaGrid, spec: mdl.ModelSpec) -> list:

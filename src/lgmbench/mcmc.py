@@ -46,7 +46,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import models as mdl
-from .gmrf import component_labels, icar_quadratic_form
+from .gmrf import component_labels, graph_laplacian, icar_quadratic_form
 from .streams import CounterStream
 
 __all__ = [
@@ -313,10 +313,7 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
         comp_masks = [np.flatnonzero(labels == c) for c in range(n_comp)]
         # Dense adjacency rows let each color class compute its neighbor
         # sums in a single matrix-vector product.
-        adj = np.zeros((n, n))
-        ia, ib = graph.edge_arrays()
-        adj[ia, ib] = 1.0
-        adj[ib, ia] = 1.0
+        adj = np.diag(degrees) - graph_laplacian(graph)
         class_adj = [adj[cls] for cls in classes]
     free_kinds = [h.replace("log_precision_", "") for h in hyper_list if h.startswith("log_precision_")]
 

@@ -31,7 +31,6 @@ from .gmrf import (
     AdjacencyGraph,
     Constraint,
     IcarSpec,
-    SparseSymMatrix,
     component_labels,
     graph_laplacian,
     icar_log_density,
@@ -730,39 +729,30 @@ def _require_graph(data: Dataset) -> AdjacencyGraph:
     return data.graph
 
 
-def latent_prior_precision(spec: ModelSpec, hyper: np.ndarray, data: Dataset) -> SparseSymMatrix:
-    """Block-diagonal prior precision of the latent vector.
+def latent_prior_precision(spec: ModelSpec, hyper: np.ndarray, data: Dataset) -> np.ndarray:
+    """Dense block-diagonal prior precision of the latent vector.
 
     Fixed effects get ``1/sd^2``, the IID block its precision times the
     identity, and the intrinsic block its precision times the graph
-    Laplacian (rank n - k).
+    Laplacian (rank n - k).  The pattern is fixed and theta only scales
+    the blocks (Rue, Martino & Chopin 2009, section 3); this is the one
+    place that builds it.
     """
     n = data.n
     sl = latent_slices(spec, n)
     prec = _block_precisions(spec, hyper)
     d = latent_dim(spec, n)
-    rows = []
-    cols = []
-    vals = []
-    p_fixed = fixed_effect_precision(spec)
-    for i in range(sl["beta"].stop):
-        rows.append(i)
-        cols.append(i)
-        vals.append(p_fixed)
+    p = np.zeros((d, d))
+    fixed = np.arange(sl["beta"].stop)
+    p[fixed, fixed] = fixed_effect_precision(spec)
     if "iid" in sl:
-        s = math.exp(prec["iid"])
-        for i in range(sl["iid"].start, sl["iid"].stop):
-            rows.append(i)
-            cols.append(i)
-            vals.append(s)
+        iid = np.arange(sl["iid"].start, sl["iid"].stop)
+        p[iid, iid] = math.exp(prec["iid"])
     if "icar" in sl:
-        tau = math.exp(prec["icar"])
-        q = graph_laplacian(_require_graph(data))
-        off = sl["icar"].start
-        rows.extend((q.rows + off).tolist())
-        cols.extend((q.cols + off).tolist())
-        vals.extend((q.vals * tau).tolist())
-    return SparseSymMatrix(d, np.array(rows), np.array(cols), np.array(vals))
+        # Adding +0.0 turns the -0.0 of an underflowed precision times a
+        # negative Laplacian entry into +0.0.
+        p[sl["icar"], sl["icar"]] = graph_laplacian(_require_graph(data)) * math.exp(prec["icar"]) + 0.0
+    return p
 
 
 def constraint_rows(spec: ModelSpec, data: Dataset) -> np.ndarray | None:

@@ -16,7 +16,6 @@ from lgmbench.gmrf import (
     AdjacencyGraph,
     Constraint,
     IcarSpec,
-    SparseSymMatrix,
     component_labels,
     connected_components,
     cycle_graph,
@@ -158,9 +157,7 @@ def test_graph_caches_are_read_only_and_match_a_fresh_computation(graph):
 
 def test_laplacian_matches_dense_oracle(lattice_5x4, two_component_graph):
     for g in (lattice_5x4, two_component_graph, path_graph(6)):
-        np.testing.assert_allclose(
-            graph_laplacian(g).to_dense(), dense_laplacian_oracle(g), atol=0.0
-        )
+        np.testing.assert_allclose(graph_laplacian(g), dense_laplacian_oracle(g), atol=0.0)
 
 
 def test_laplacian_frozen_2x2():
@@ -173,7 +170,7 @@ def test_laplacian_frozen_2x2():
         ],
         dtype=float,
     )
-    np.testing.assert_array_equal(graph_laplacian(lattice_graph(2, 2)).to_dense(), expected)
+    np.testing.assert_array_equal(graph_laplacian(lattice_graph(2, 2)), expected)
 
 
 def test_quadratic_form_frozen_path():
@@ -300,27 +297,6 @@ def test_propriety_identity_and_negative():
 def test_propriety_fully_constrained_space_is_vacuously_proper():
     res = propriety_check(np.zeros((2, 2)), constraints=np.eye(2))
     assert res.proper
-
-
-# ---------------------------------------------------------------------------
-# Sparse symmetric storage
-
-
-def test_sparse_round_trip_and_diagonal():
-    a = np.array([[2.0, -1.0, 0.0], [-1.0, 3.0, 0.5], [0.0, 0.5, 1.0]])
-    # Upper triangle out of order, with an explicit zero to drop.
-    m = SparseSymMatrix(3, np.array([1, 0, 2, 0, 1, 0]), np.array([2, 0, 2, 1, 1, 2]), np.array([0.5, 2.0, 1.0, -1.0, 3.0, 0.0]))
-    np.testing.assert_array_equal(m.to_dense(), a)
-    np.testing.assert_array_equal(m.diagonal(), np.diag(a))
-    assert m.nnz_upper == 5  # three diagonal + two off-diagonal entries
-    assert list(zip(m.rows, m.cols)) == [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)]
-
-
-def test_sparse_rejects_bad_input():
-    with pytest.raises(ValueError, match="upper triangle"):
-        SparseSymMatrix(2, np.array([1]), np.array([0]), np.array([1.0]))
-    with pytest.raises(ValueError, match="duplicate"):
-        SparseSymMatrix(2, np.array([0, 0]), np.array([1, 1]), np.array([1.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------

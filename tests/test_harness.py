@@ -190,6 +190,56 @@ def test_zinb_generator_rejects_wrong_beta_count():
         harness.generate_zinb_data(config)
 
 
+COVARIATE_COLUMNS = {
+    "poisson": ("x", "total"),
+    "zinb": ("z1", "z2", "z3", "z4", "z5", "population"),
+}
+
+
+def write_covariate_csv(path, columns, n_rows):
+    g = np.random.default_rng(3)
+    values = {name: g.uniform(1.0, 50.0, n_rows) for name in columns}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        for i in range(n_rows):
+            fh.write(",".join(repr(float(values[name][i])) for name in columns) + "\n")
+    return values
+
+
+@pytest.mark.parametrize("kind", ["poisson", "zinb"])
+def test_covariate_file_is_read_as_written(tmp_path, kind):
+    path = tmp_path / "covariates.csv"
+    # More rows than areas: the first n_areas are read.
+    values = write_covariate_csv(path, COVARIATE_COLUMNS[kind], 12)
+    data = harness.generate_datasets(tiny_config(kind=kind, n_areas=10, covariate_csv=str(path)))[0]
+    if kind == "poisson":
+        assert np.array_equal(data.covariates["x"], values["x"][:10])
+        assert np.array_equal(data.offset, values["total"][:10])
+    else:
+        for k in range(1, 6):
+            assert np.array_equal(data.covariates[f"z{k}"], values[f"z{k}"][:10])
+        assert np.array_equal(data.offset, values["population"][:10])
+
+
+@pytest.mark.parametrize("n_rows", [1, 3, 9])
+@pytest.mark.parametrize("kind", ["poisson", "zinb"])
+def test_short_covariate_file_raises(tmp_path, kind, n_rows):
+    path = tmp_path / "covariates.csv"
+    write_covariate_csv(path, COVARIATE_COLUMNS[kind], n_rows)
+    with pytest.raises(ValueError, match="fewer rows than n_areas"):
+        harness.generate_datasets(tiny_config(kind=kind, n_areas=10, covariate_csv=str(path)))
+
+
+@pytest.mark.parametrize("kind", ["poisson", "zinb"])
+def test_covariate_file_missing_a_column_raises(tmp_path, kind):
+    columns = COVARIATE_COLUMNS[kind]
+    for missing in columns:
+        path = tmp_path / f"without_{missing}.csv"
+        write_covariate_csv(path, tuple(c for c in columns if c != missing), 10)
+        with pytest.raises(ValueError, match=f"no column '{missing}'"):
+            harness.generate_datasets(tiny_config(kind=kind, n_areas=10, covariate_csv=str(path)))
+
+
 def test_generate_datasets_dispatch():
     assert harness.generate_datasets(tiny_config())[0].graph is None
     sel = harness.generate_datasets(tiny_config(kind="selection"))

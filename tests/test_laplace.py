@@ -14,6 +14,7 @@ import types
 
 import numpy as np
 import oracle_laplace
+import oracle_prior
 import pytest
 import scipy.optimize
 
@@ -547,12 +548,12 @@ def test_unrequested_or_unknown_latent_raises():
 
 
 # ---------------------------------------------------------------------------
-# Theta-invariant structure: the uncached computations are the oracles
+# Theta-invariant structure: the sparse prior builder is the oracle
 
 
 def old_prior_precision_u(ctx, theta):
-    """The prior precision as built before its pattern was cached."""
-    p = mdl.latent_prior_precision(ctx.spec, theta, ctx.data).to_dense()
+    """The prior precision as the sparse COO builder made it."""
+    p = oracle_prior.latent_prior_precision(ctx.spec, theta, ctx.data).to_dense()
     if ctx.basis is not None:
         p = ctx.basis.T @ p @ ctx.basis
     return p

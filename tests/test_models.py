@@ -527,7 +527,7 @@ def test_latent_log_prior_matches_direct_formula():
     expected = st_dist.norm.logpdf(beta, 0.0, 1000.0).sum()
     expected += st_dist.norm.logpdf(eps, 0.0, np.exp(-0.1)).sum()
     tau = np.exp(-0.3)
-    q = graph_laplacian(graph).to_dense()
+    q = graph_laplacian(graph)
     expected += (6 - 1) * np.log(tau) - 0.5 * tau * mu @ q @ mu
     assert mdl.latent_log_prior(spec, latent, hyper, data) == pytest.approx(expected, rel=1e-10)
 
@@ -543,11 +543,11 @@ def test_latent_prior_precision_blocks():
         graph=graph,
     )
     hyper = np.array([np.log(2.0), np.log(3.0)])
-    dense = mdl.latent_prior_precision(spec, hyper, data).to_dense()
+    dense = mdl.latent_prior_precision(spec, hyper, data)
     assert dense.shape == (9, 9)
     assert dense[0, 0] == pytest.approx(1e-6)  # 1 / 1000^2
     np.testing.assert_allclose(dense[1:5, 1:5], 2.0 * np.eye(4))
-    np.testing.assert_allclose(dense[5:, 5:], 3.0 * graph_laplacian(graph).to_dense())
+    np.testing.assert_allclose(dense[5:, 5:], 3.0 * graph_laplacian(graph))
 
 
 def test_constraint_rows_cover_icar_block_only():
