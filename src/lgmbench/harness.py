@@ -253,6 +253,9 @@ def _read_csv_columns(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         rows = [line.strip().split(",") for line in fh if line.strip()]
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise ValueError(f"covariate file header repeats column {name!r}")
     cols = {name: [] for name in header}
     for row in rows:
         for name, value in zip(header, row):
@@ -397,6 +400,20 @@ def _laplace_summary(result: lap.FitResult, param: str) -> tuple:
     return m.mean, m.sd
 
 
+def _mcmc_summary(chain: mc.ChainOutput, param: str) -> tuple:
+    """(mean, sd) of a tracked parameter from the chain, as
+    ``mc.posterior_summary`` computes them for that one column: a latent,
+    a hyperparameter on its natural scale, or ``sd_<block>``."""
+    if param.startswith("sd_"):
+        x = np.exp(-0.5 * chain.column("log_precision_" + param[3:]))
+    elif param in chain.columns:
+        x = chain.column(param)
+    else:
+        name = next(h for h, nat in mdl._NATURAL_NAME.items() if nat == param)
+        x = mdl.to_natural_hyper(name, chain.column(name))
+    return float(np.mean(x)), (float(np.std(x, ddof=1)) if x.size > 1 else 0.0)
+
+
 def _laplace_fit(config, index, spec, data, failures, latents, model=None):
     """The study's deterministic fit, or None after a failure row."""
     try:
@@ -449,12 +466,11 @@ def _paired_rows(config, index, data, failures) -> dict:
     chain = _chain(config, index, spec, data, failures)
     if result is None or chain is None:
         return {}
-    mcmc_summ = mc.posterior_summary(chain)
     verdict = mc.diagnose(chain).verdict
     rows = []
     for param, key in tracked.items():
         lm, ls = _laplace_summary(result, param)
-        mm, ms = mcmc_summ[param]["mean"], mcmc_summ[param]["sd"]
+        mm, ms = _mcmc_summary(chain, param)
         gv = data.generating_values.get(key) if data.generating_values else None
         rows.append(
             {

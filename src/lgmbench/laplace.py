@@ -404,7 +404,7 @@ def _ascend(ctx: _Context, theta: np.ndarray, p_mat: np.ndarray, u: np.ndarray, 
     clipped = False
     ref_grad = None
     for iters in range(cfg.newton_max_iter + 1):
-        g1, w, _ = mdl.eta_derivatives(spec, eta, theta, data)
+        g1, w = mdl.eta_derivatives(spec, eta, theta, data)
         grad = j.T @ g1 - (p_mat @ u)[sel]
         gnorm = float(np.linalg.norm(grad))
         if ref_grad is None:
@@ -770,7 +770,7 @@ def _sla_coefficients(ctx: _Context, theta: np.ndarray, approx: _Approx):
         c = c_u
         sigma = np.sqrt(np.diag(cov_u))
     eta = ctx.eta(approx.mode_u)
-    g3 = mdl.eta_derivatives(ctx.spec, eta, theta, ctx.data)[2]
+    g3 = mdl.eta_third_derivative(ctx.spec, eta, theta, ctx.data)
     a1 = c.T @ (g3 * var_eta)
     a3 = (c**3).T @ g3
     gamma1 = 0.5 * (a1 / sigma - a3 / sigma**3)

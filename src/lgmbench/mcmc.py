@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -169,6 +169,7 @@ class _Adapt:
 
     def __init__(self, scale: float, target: float, window: int):
         self.log_scale = math.log(scale)
+        self.scale = math.exp(self.log_scale)
         self.target = target
         self.window = window
         self.window_index = 0
@@ -177,10 +178,6 @@ class _Adapt:
         self.total_acc = 0.0
         self.total_tries = 0
         self.frozen = False
-
-    @property
-    def scale(self) -> float:
-        return math.exp(self.log_scale)
 
     def record(self, rate: float, count: int = 1) -> None:
         self.acc += rate * count
@@ -191,6 +188,7 @@ class _Adapt:
             self.window_index += 1
             gain = 1.0 / math.sqrt(self.window_index)
             self.log_scale += gain * (self.acc / self.tries - self.target)
+            self.scale = math.exp(self.log_scale)
             self.acc = 0.0
             self.tries = 0
 
@@ -203,6 +201,7 @@ class _VectorAdapt:
 
     def __init__(self, scales: np.ndarray, target: float, window: int):
         self.log_scales = np.log(scales)
+        self.scales = np.exp(self.log_scales)
         self.target = target
         self.window = window
         self.window_index = 0
@@ -211,10 +210,6 @@ class _VectorAdapt:
         self.total_acc = np.zeros_like(scales)
         self.total_tries = 0
         self.frozen = False
-
-    @property
-    def scales(self) -> np.ndarray:
-        return np.exp(self.log_scales)
 
     def record(self, accepted: np.ndarray) -> None:
         self.acc += accepted
@@ -225,6 +220,7 @@ class _VectorAdapt:
             self.window_index += 1
             gain = 1.0 / math.sqrt(self.window_index)
             self.log_scales += gain * (self.acc / self.tries - self.target)
+            self.scales = np.exp(self.log_scales)
             self.acc[:] = 0.0
             self.tries = 0
 
@@ -397,191 +393,195 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
             hyper_priors.append(spec.priors.log_dispersion_prior)
         else:
             hyper_priors.append(spec.priors.log_precision_priors[name.replace("log_precision_", "")])
+    # Each hyperparameter's prior log density at its current value.
+    prior_cur = [prior.logpdf(h) for prior, h in zip(hyper_priors, hyper)]
     # Cholesky factor of the shift metric and the iid precision it was
     # built for; refactored only when that precision changes.
     metric_chol = None
     metric_sigma = None
 
-    for sweep in range(1, config.iterations + 1):
-        in_burn = sweep <= config.burn_in
-        # Precisions change only in the hyperparameter block at the end
-        # of the sweep, so every block before it reads the same values.
-        if has_iid:
-            sigma = fixed_or_free_precision("iid")
-        if has_icar:
-            tau = fixed_or_free_precision("icar")
-
-        # ----- fixed effects -------------------------------------------
-        if p_beta:
-            g = sb.at(sweep)
-            z = g.standard_normal(p_beta)
-            u_acc = g.random()
-            step = adapt["beta"].scale * (prop_chol @ z)
-            beta_new = beta + step
-            eta_new = eta + design @ step
-            ll_new = _loglik_vec(spec, eta_new, hyper, data)
-            if ll_new is None:
-                accept = False
-            else:
-                d_prior = -0.5 * float(beta_prior_prec @ (beta_new**2 - beta**2))
-                d = float(np.add.reduce(ll_new - ll)) + d_prior
-                accept = math.log(u_acc) < d if u_acc > 0.0 else True
-            if accept:
-                beta, eta, ll = beta_new, eta_new, ll_new
-            adapt["beta"].record(1.0 if accept else 0.0)
-            if in_burn:
-                welford.update(beta)
-                if sweep % config.adaptation_window == 0:
-                    cov = welford.cov()
-                    if cov is not None:
-                        try:
-                            prop_chol = np.linalg.cholesky(cov + RIDGE * np.eye(p_beta))
-                        except np.linalg.LinAlgError:
-                            pass
-
-        # ----- predictor-preserving shift beta <-> sites ---------------
-        if has_shift:
-            g = ss.at(sweep)
-            z = g.standard_normal(p_beta)
-            u_acc = g.random()
-            # The log ratio is quadratic in delta with curvature
-            # sigma X'X + prior, so propose with its inverse as metric.
-            if sigma != metric_sigma:
-                metric_chol = np.linalg.cholesky(sigma * design_gram + np.diag(beta_prior_prec))
-                metric_sigma = sigma
-            delta = adapt["shift"].scale * np.linalg.solve(metric_chol.T, z)
-            beta_new = beta + delta
-            eps_new = eps - design @ delta
-            d = -0.5 * float(beta_prior_prec @ (beta_new**2 - beta**2))
-            d += -0.5 * sigma * float(eps_new @ eps_new - eps @ eps)
-            accept = math.log(u_acc) < d if u_acc > 0.0 else True
-            if accept:
-                beta, eps = beta_new, eps_new
-                sum_eps2 = float(eps @ eps)
-            adapt["shift"].record(1.0 if accept else 0.0)
-
-        # ----- exchangeable sites --------------------------------------
-        if has_iid:
-            g = si.at(sweep)
-            z = g.standard_normal(n)
-            u_acc = g.random(n)
-            delta = adapt["iid"].scales * z
-            eta_new = eta + delta
-            ll_new = _site_loglik(spec, eta_new, hyper, data)
-            eps_new = eps + delta
-            d_site = (ll_new - ll) - 0.5 * sigma * (eps_new**2 - eps**2)
-            with np.errstate(divide="ignore"):
-                accept = np.log(u_acc) < d_site
-            if np.any(accept):
-                eps = np.where(accept, eps_new, eps)
-                eta = np.where(accept, eta_new, eta)
-                ll = np.where(accept, ll_new, ll)
-            adapt["iid"].record(accept.astype(float))
-            sum_eps2 = float(eps @ eps)
-
-        # ----- intrinsic CAR sites -------------------------------------
-        if has_icar:
-            g = sc.at(sweep)
-            z = g.standard_normal(n)
-            u_acc = g.random(n)
-            scales = adapt["icar"].scales
-            acc_vec = np.zeros(n)
-            for cls, a_rows in zip(classes, class_adj):
-                delta = scales[cls] * z[cls]
-                mu_new_c = mu[cls] + delta
-                eta_new = eta.copy()
-                eta_new[cls] += delta
-                ll_new = _site_loglik(spec, eta_new, hyper, data)
-                s_neigh = a_rows @ mu
-                d_quad = degrees[cls] * (mu_new_c**2 - mu[cls] ** 2) - 2.0 * delta * s_neigh
-                d_site = (ll_new[cls] - ll[cls]) - 0.5 * tau * d_quad
-                with np.errstate(divide="ignore"):
-                    accept = np.log(u_acc[cls]) < d_site
-                if np.any(accept):
-                    idx = cls[accept]
-                    mu[idx] += delta[accept]
-                    eta[idx] = eta_new[idx]
-                    ll[idx] = ll_new[idx]
-                    icar_quad += float(np.add.reduce(d_quad[accept]))
-                acc_vec[cls] = accept.astype(float)
-                if config.constraint_mode == ConstraintMode.CENTER_ON_THE_FLY:
-                    mu, eta, ll = _recentre(spec, hyper, data, mu, eta, ll, comp_masks, sweep, "recentering")
-            if config.constraint_mode == ConstraintMode.KRIGING_PROJECT:
-                mu, eta, ll = _recentre(spec, hyper, data, mu, eta, ll, comp_masks, sweep, "constraint projection")
-            adapt["icar"].record(acc_vec)
-
-        # ----- predictor-preserving level swap mu <-> eps --------------
-        if has_swap:
-            g = sw.at(sweep)
-            z = g.standard_normal(n_comp)
-            u_acc = g.random(n_comp)
-            acc_swap = np.zeros(n_comp)
-            for c, comp in enumerate(comp_masks):
-                base_sd = 1.0 / math.sqrt(sigma * comp.size)
-                gamma = adapt["swap"].scales[c] * base_sd * z[c]
-                s_c = float(np.add.reduce(eps[comp]))
-                d = -0.5 * sigma * (comp.size * gamma * gamma - 2.0 * gamma * s_c)
-                accept = math.log(u_acc[c]) < d if u_acc[c] > 0.0 else True
-                if accept:
-                    eps[comp] -= gamma
-                    mu[comp] += gamma
-                    acc_swap[c] = 1.0
-            adapt["swap"].record(acc_swap)
-            sum_eps2 = float(eps @ eps)
-
-        # ----- hyperparameters -----------------------------------------
-        if n_hyper:
-            g = sh.at(sweep)
-            z = g.standard_normal(n_hyper)
-            u_acc = g.random(n_hyper)
-            for idx, name in enumerate(hyper_list):
-                cur = hyper[idx]
-                new = cur + adapt[name].scale * z[idx]
-                d = hyper_priors[idx].logpdf(new) - hyper_priors[idx].logpdf(cur)
-                ll_new = None
-                if name == "log_precision_iid":
-                    d += 0.5 * n * (new - cur) - 0.5 * (math.exp(new) - math.exp(cur)) * sum_eps2
-                elif name == "log_precision_icar":
-                    d += icar_coef * (new - cur) - 0.5 * (math.exp(new) - math.exp(cur)) * icar_quad
-                else:
-                    hyper_try = hyper.copy()
-                    hyper_try[idx] = new
-                    ll_new = _loglik_vec(spec, eta, hyper_try, data)
-                    if ll_new is None:
-                        d = -np.inf
-                    else:
-                        d += float(np.add.reduce(ll_new - ll))
-                accept = np.isfinite(d) and math.log(u_acc[idx]) < d
-                if accept:
-                    hyper[idx] = new
-                    if ll_new is not None:
-                        ll = ll_new
-                adapt[name].record(1.0 if accept else 0.0)
-
-        if sweep == config.burn_in:
-            for a in adapt.values():
-                a.frozen = True
-        if has_icar and sweep % 1000 == 0:
-            # Refresh the incrementally tracked quadratic form to keep
-            # accumulated rounding out of the hyper updates.
-            icar_quad = icar_quadratic_form(mu, graph)
-
-        total = float(np.add.reduce(ll))
-        if not np.isfinite(total):
-            raise ChainAbort(sweep, "non-finite log likelihood in current state")
-
-        if sweep > config.burn_in and (sweep - config.burn_in) % config.thin == 0:
-            row = draws[kept]
-            if p_beta:
-                row[slices["beta"]] = beta
+    # The site blocks take np.log of uniform draws, which can be 0: -inf, no warning.
+    with np.errstate(divide="ignore"):
+        for sweep in range(1, config.iterations + 1):
+            in_burn = sweep <= config.burn_in
+            # Precisions change only in the hyperparameter block at the end
+            # of the sweep, so every block before it reads the same values.
             if has_iid:
-                row[slices["iid"]] = eps
+                sigma = fixed_or_free_precision("iid")
             if has_icar:
-                row[slices["icar"]] = mu
-            row[dim_x:] = hyper
-            if pw is not None:
-                pw[kept] = ll
-            kept += 1
+                tau = fixed_or_free_precision("icar")
+
+            # ----- fixed effects -------------------------------------------
+            if p_beta:
+                g = sb.at(sweep)
+                z = g.standard_normal(p_beta)
+                u_acc = g.random()
+                step = adapt["beta"].scale * (prop_chol @ z)
+                beta_new = beta + step
+                eta_new = eta + design @ step
+                ll_new = _loglik_vec(spec, eta_new, hyper, data)
+                if ll_new is None:
+                    accept = False
+                else:
+                    d_prior = -0.5 * float(beta_prior_prec @ (beta_new**2 - beta**2))
+                    d = float(np.add.reduce(ll_new - ll)) + d_prior
+                    accept = math.log(u_acc) < d if u_acc > 0.0 else True
+                if accept:
+                    beta, eta, ll = beta_new, eta_new, ll_new
+                adapt["beta"].record(1.0 if accept else 0.0)
+                if in_burn:
+                    welford.update(beta)
+                    if sweep % config.adaptation_window == 0:
+                        cov = welford.cov()
+                        if cov is not None:
+                            try:
+                                prop_chol = np.linalg.cholesky(cov + RIDGE * np.eye(p_beta))
+                            except np.linalg.LinAlgError:
+                                pass
+
+            # ----- predictor-preserving shift beta <-> sites ---------------
+            if has_shift:
+                g = ss.at(sweep)
+                z = g.standard_normal(p_beta)
+                u_acc = g.random()
+                # The log ratio is quadratic in delta with curvature
+                # sigma X'X + prior, so propose with its inverse as metric.
+                if sigma != metric_sigma:
+                    metric_chol = np.linalg.cholesky(sigma * design_gram + np.diag(beta_prior_prec))
+                    metric_sigma = sigma
+                delta = adapt["shift"].scale * np.linalg.solve(metric_chol.T, z)
+                beta_new = beta + delta
+                eps_new = eps - design @ delta
+                d = -0.5 * float(beta_prior_prec @ (beta_new**2 - beta**2))
+                d += -0.5 * sigma * float(eps_new @ eps_new - eps @ eps)
+                accept = math.log(u_acc) < d if u_acc > 0.0 else True
+                if accept:
+                    beta, eps = beta_new, eps_new
+                    sum_eps2 = float(eps @ eps)
+                adapt["shift"].record(1.0 if accept else 0.0)
+
+            # ----- exchangeable sites --------------------------------------
+            if has_iid:
+                g = si.at(sweep)
+                z = g.standard_normal(n)
+                u_acc = g.random(n)
+                delta = adapt["iid"].scales * z
+                eta_new = eta + delta
+                ll_new = _site_loglik(spec, eta_new, hyper, data)
+                eps_new = eps + delta
+                d_site = (ll_new - ll) - 0.5 * sigma * (eps_new**2 - eps**2)
+                accept = np.log(u_acc) < d_site
+                if accept.any():
+                    eps = np.where(accept, eps_new, eps)
+                    eta = np.where(accept, eta_new, eta)
+                    ll = np.where(accept, ll_new, ll)
+                adapt["iid"].record(accept)
+                sum_eps2 = float(eps @ eps)
+
+            # ----- intrinsic CAR sites -------------------------------------
+            if has_icar:
+                g = sc.at(sweep)
+                z = g.standard_normal(n)
+                u_acc = g.random(n)
+                scales = adapt["icar"].scales
+                acc_vec = np.zeros(n)
+                for cls, a_rows in zip(classes, class_adj):
+                    delta = scales[cls] * z[cls]
+                    mu_new_c = mu[cls] + delta
+                    eta_new = eta.copy()
+                    eta_new[cls] += delta
+                    ll_new = _site_loglik(spec, eta_new, hyper, data)
+                    s_neigh = a_rows @ mu
+                    d_quad = degrees[cls] * (mu_new_c**2 - mu[cls] ** 2) - 2.0 * delta * s_neigh
+                    d_site = (ll_new[cls] - ll[cls]) - 0.5 * tau * d_quad
+                    accept = np.log(u_acc[cls]) < d_site
+                    if accept.any():
+                        idx = cls[accept]
+                        mu[idx] += delta[accept]
+                        eta[idx] = eta_new[idx]
+                        ll[idx] = ll_new[idx]
+                        icar_quad += float(np.add.reduce(d_quad[accept]))
+                    acc_vec[cls] = accept
+                    if config.constraint_mode == ConstraintMode.CENTER_ON_THE_FLY:
+                        mu, eta, ll = _recentre(spec, hyper, data, mu, eta, ll, comp_masks, sweep, "recentering")
+                if config.constraint_mode == ConstraintMode.KRIGING_PROJECT:
+                    mu, eta, ll = _recentre(spec, hyper, data, mu, eta, ll, comp_masks, sweep, "constraint projection")
+                adapt["icar"].record(acc_vec)
+
+            # ----- predictor-preserving level swap mu <-> eps --------------
+            if has_swap:
+                g = sw.at(sweep)
+                z = g.standard_normal(n_comp)
+                u_acc = g.random(n_comp)
+                acc_swap = np.zeros(n_comp)
+                for c, comp in enumerate(comp_masks):
+                    base_sd = 1.0 / math.sqrt(sigma * comp.size)
+                    gamma = adapt["swap"].scales[c] * base_sd * z[c]
+                    s_c = float(np.add.reduce(eps[comp]))
+                    d = -0.5 * sigma * (comp.size * gamma * gamma - 2.0 * gamma * s_c)
+                    accept = math.log(u_acc[c]) < d if u_acc[c] > 0.0 else True
+                    if accept:
+                        eps[comp] -= gamma
+                        mu[comp] += gamma
+                        acc_swap[c] = 1.0
+                adapt["swap"].record(acc_swap)
+                sum_eps2 = float(eps @ eps)
+
+            # ----- hyperparameters -----------------------------------------
+            if n_hyper:
+                g = sh.at(sweep)
+                z = g.standard_normal(n_hyper)
+                u_acc = g.random(n_hyper)
+                for idx, name in enumerate(hyper_list):
+                    cur = hyper[idx]
+                    new = cur + adapt[name].scale * z[idx]
+                    prior_new = hyper_priors[idx].logpdf(new)
+                    d = prior_new - prior_cur[idx]
+                    ll_new = None
+                    if name == "log_precision_iid":
+                        d += 0.5 * n * (new - cur) - 0.5 * (math.exp(new) - math.exp(cur)) * sum_eps2
+                    elif name == "log_precision_icar":
+                        d += icar_coef * (new - cur) - 0.5 * (math.exp(new) - math.exp(cur)) * icar_quad
+                    else:
+                        hyper_try = hyper.copy()
+                        hyper_try[idx] = new
+                        ll_new = _loglik_vec(spec, eta, hyper_try, data)
+                        if ll_new is None:
+                            d = -np.inf
+                        else:
+                            d += float(np.add.reduce(ll_new - ll))
+                    accept = np.isfinite(d) and math.log(u_acc[idx]) < d
+                    if accept:
+                        hyper[idx] = new
+                        prior_cur[idx] = prior_new
+                        if ll_new is not None:
+                            ll = ll_new
+                    adapt[name].record(1.0 if accept else 0.0)
+
+            if sweep == config.burn_in:
+                for a in adapt.values():
+                    a.frozen = True
+            if has_icar and sweep % 1000 == 0:
+                # Refresh the incrementally tracked quadratic form to keep
+                # accumulated rounding out of the hyper updates.
+                icar_quad = icar_quadratic_form(mu, graph)
+
+            total = float(np.add.reduce(ll))
+            if not np.isfinite(total):
+                raise ChainAbort(sweep, "non-finite log likelihood in current state")
+
+            if sweep > config.burn_in and (sweep - config.burn_in) % config.thin == 0:
+                row = draws[kept]
+                if p_beta:
+                    row[slices["beta"]] = beta
+                if has_iid:
+                    row[slices["iid"]] = eps
+                if has_icar:
+                    row[slices["icar"]] = mu
+                row[dim_x:] = hyper
+                if pw is not None:
+                    pw[kept] = ll
+                kept += 1
 
     acceptance = {k: a.rate() for k, a in adapt.items()}
     final_scales = {

@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special as sps
@@ -64,6 +64,7 @@ __all__ = [
     "pointwise_loglik",
     "pointwise_loglik_from_eta",
     "eta_derivatives",
+    "eta_third_derivative",
     "log_prior_hyper",
     "latent_log_prior",
     "latent_prior_precision",
@@ -377,12 +378,16 @@ class Dataset:
         # see only the data above.
         y_float = y.astype(np.float64)
         log_y_factorial = sps.gammaln(y_float + 1.0)
-        y_float.flags.writeable = False
-        log_y_factorial.flags.writeable = False
+        zero = y == 0
+        for arr in (y_float, log_y_factorial, zero):
+            arr.flags.writeable = False
         object.__setattr__(self, "_y_float", y_float)
         object.__setattr__(self, "_log_y_factorial", log_y_factorial)
-        # Single-entry cache of the ZINB constants; see _zinb_constants.
-        object.__setattr__(self, "_zinb_cache", None)
+        object.__setattr__(self, "_zero", zero)
+        object.__setattr__(self, "_any_zero", bool(np.any(zero)))
+        # Two-entry caches of the ZINB constants; see _zinb_constants.
+        object.__setattr__(self, "_zinb_pz_cache", ())
+        object.__setattr__(self, "_zinb_size_cache", ())
 
     @property
     def n(self) -> int:
@@ -549,38 +554,55 @@ def _zinb_params(spec: ModelSpec, hyper: np.ndarray) -> tuple[float, float]:
     return theta1, size
 
 
-def _zinb_constants(data: Dataset, theta1: float, size: float) -> dict:
-    """The parts of the ZINB kernels that depend only on y and (theta1, size).
+def _two_recent(data: Dataset, attr: str, key: float, build):
+    """The value for ``key`` in the two-entry cache ``attr`` of ``data``.
 
-    Each is computed with the same operations, in the same order, as the
-    full expression it was taken from, so the kernels keep every bit.
-    The dataset holds one entry of read-only arrays, keyed by the exact
-    floats: every Newton iteration at one hyperparameter point reuses
-    it, and a new point replaces it.  The entry is replaced as one
-    tuple, so callers at different points never see a mixed entry.
+    Entries are ``(key, value)`` pairs, most recently used first; a miss
+    calls ``build()`` and drops the older entry.  The cache is replaced
+    as one tuple, so a reader never sees a half-updated cache.
     """
-    key = (theta1, size)
-    cached = data._zinb_cache
-    if cached is not None and cached[0] == key:
-        return cached[1]
+    entries = getattr(data, attr)
+    if entries:
+        if entries[0][0] == key:
+            return entries[0][1]
+        if len(entries) == 2 and entries[1][0] == key:
+            object.__setattr__(data, attr, (entries[1], entries[0]))
+            return entries[1][1]
+    value = build()
+    object.__setattr__(data, attr, ((key, value),) + entries[:1])
+    return value
+
+
+def _dispersion_constants(data: Dataset, size: float) -> dict:
     y = data._y_float
-    zero = data.y == 0
     consts = {
-        "log_pz": sps.log_expit(theta1),
-        "log_1mpz": sps.log_expit(-theta1),
         "log_size": np.log(size),
         "log_nb_const": sps.gammaln(y + size) - sps.gammaln(size) - data._log_y_factorial,
         "size_plus_y": size + y,
         # -(size + y) * size, the leading factor of the second and third derivatives
         "a": -(size + y) * size,
-        "zero": zero,
-        "any_zero": bool(np.any(zero)),
     }
     for value in consts.values():
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
-    object.__setattr__(data, "_zinb_cache", (key, consts))
     return consts
+
+
+def _zinb_constants(data: Dataset, theta1: float, size: float) -> tuple:
+    """The parts of the ZINB kernels that depend only on y and (theta1, size).
+
+    Returns ``((log p_zero, log(1 - p_zero)), dispersion constants)``;
+    the zero mask depends on y alone and lives on the dataset.  Each
+    part is computed with the same operations, in the same order, as
+    the full expression it was taken from, so the kernels keep every
+    bit.  The dataset keeps the two most recent entries of each part,
+    keyed by the exact float it depends on: every Newton iteration at
+    one hyperparameter point reuses them, and a sampler proposal that
+    moves one hyperparameter keeps the other's entry and the current
+    point's.  Cached arrays are read-only.
+    """
+    log_p = _two_recent(data, "_zinb_pz_cache", theta1, lambda: (sps.log_expit(theta1), sps.log_expit(-theta1)))
+    return log_p, _two_recent(data, "_zinb_size_cache", size, lambda: _dispersion_constants(data, size))
 
 
 def _pointwise_loglik_eta(spec: ModelSpec, eta: np.ndarray, hyper: np.ndarray, data: Dataset) -> np.ndarray:
@@ -595,13 +617,13 @@ def _pointwise_loglik_eta(spec: ModelSpec, eta: np.ndarray, hyper: np.ndarray, d
     #   P(y) = p_z 1[y=0] + (1 - p_z) NB(y; mu, size), mu = exp(eta)
     # with NB(0) = (size / (size + mu))^size, evaluated in log space.
     theta1, size = _zinb_params(spec, hyper)
-    c = _zinb_constants(data, theta1, size)
+    (log_pz, log_1mpz), c = _zinb_constants(data, theta1, size)
     log_denom = np.log(size + np.exp(eta))
     log_nb = c["log_nb_const"] + size * (c["log_size"] - log_denom) + y * (eta - log_denom)
-    out = c["log_1mpz"] + log_nb
-    if c["any_zero"]:
-        zero = c["zero"]
-        out[zero] = np.logaddexp(c["log_pz"], c["log_1mpz"] + log_nb[zero])
+    out = log_1mpz + log_nb
+    if data._any_zero:
+        zero = data._zero
+        out[zero] = np.logaddexp(log_pz, log_1mpz + log_nb[zero])
     return out
 
 
@@ -619,9 +641,15 @@ def pointwise_loglik_from_eta(spec: ModelSpec, eta: np.ndarray, hyper: np.ndarra
 
 
 def eta_derivatives(spec: ModelSpec, eta: np.ndarray, hyper: np.ndarray, data: Dataset):
-    """(dl/deta, -d2l/deta2, d3l/deta3) per observation, eta precomputed."""
+    """(dl/deta, -d2l/deta2) per observation, eta precomputed."""
     _check_eta(eta)
-    return _eta_derivatives(spec, eta, hyper, data)
+    return _eta_derivatives(spec, eta, hyper, data, third=False)
+
+
+def eta_third_derivative(spec: ModelSpec, eta: np.ndarray, hyper: np.ndarray, data: Dataset) -> np.ndarray:
+    """d3l/deta3 per observation, eta precomputed."""
+    _check_eta(eta)
+    return _eta_derivatives(spec, eta, hyper, data, third=True)
 
 
 def log_likelihood(spec: ModelSpec, latent: np.ndarray, hyper: np.ndarray, data: Dataset) -> float:
@@ -629,28 +657,30 @@ def log_likelihood(spec: ModelSpec, latent: np.ndarray, hyper: np.ndarray, data:
     return float(np.add.reduce(pointwise_loglik(spec, latent, hyper, data)))
 
 
-def _eta_derivatives(spec: ModelSpec, eta: np.ndarray, hyper: np.ndarray, data: Dataset):
-    """(dl/deta, -d2l/deta2, d3l/deta3) per observation."""
+def _eta_derivatives(spec: ModelSpec, eta: np.ndarray, hyper: np.ndarray, data: Dataset, third: bool):
+    """d3l/deta3 per observation if ``third``, else (dl/deta, -d2l/deta2)."""
     y = data._y_float
     if spec.family is Family.POISSON:
         lam = np.exp(eta)
-        return y - lam, lam, -lam
+        return -lam if third else (y - lam, lam)
     if spec.family is Family.GAUSSIAN:
         kappa = spec.gaussian_obs_precision
-        return kappa * (y - eta), np.full(eta.shape, kappa), np.zeros(eta.shape)
+        return np.zeros(eta.shape) if third else (kappa * (y - eta), np.full(eta.shape, kappa))
     theta1, size = _zinb_params(spec, hyper)
-    c = _zinb_constants(data, theta1, size)
+    (log_pz, log_1mpz), c = _zinb_constants(data, theta1, size)
     mu = np.exp(eta)
     denom = size + mu
     # Negative binomial component derivatives in eta:
     #   l' = y - mu (size + y) / (size + mu)
     #   l'' = -(size + y) size mu / (size + mu)^2
     #   l''' = -(size + y) size mu (size - mu) / (size + mu)^3
-    g1 = y - mu * c["size_plus_y"] / denom
-    g2 = c["a"] * mu / denom**2
-    g3 = c["a"] * mu * (size - mu) / denom**3
-    if c["any_zero"]:
-        zero = c["zero"]
+    if third:
+        g3 = c["a"] * mu * (size - mu) / denom**3
+    else:
+        g1 = y - mu * c["size_plus_y"] / denom
+        g2 = c["a"] * mu / denom**2
+    if data._any_zero:
+        zero = data._zero
         # Mixture at y=0: l = log(p_z + (1-p_z) f), f = (size/(size+mu))^size.
         # With w = (1-p_z) f / (p_z + (1-p_z) f) and s = dlog f/deta = -size mu/(size+mu):
         #   l'   = w s
@@ -658,15 +688,17 @@ def _eta_derivatives(spec: ModelSpec, eta: np.ndarray, hyper: np.ndarray, data: 
         #   l''' = w(1-w)(1-2w) s^3 + 3 w(1-w) s s' + w s''
         mz = mu[zero]
         dz = denom[zero]
-        log_f1mpz = c["log_1mpz"] + size * (c["log_size"] - np.log(dz))
-        w = np.exp(log_f1mpz - np.logaddexp(c["log_pz"], log_f1mpz))
+        log_f1mpz = log_1mpz + size * (c["log_size"] - np.log(dz))
+        w = np.exp(log_f1mpz - np.logaddexp(log_pz, log_f1mpz))
         s = -size * mz / dz
         s1 = -(size**2) * mz / dz**2
-        s2 = -(size**2) * mz * (size - mz) / dz**3
-        g1[zero] = w * s
-        g2[zero] = w * (1.0 - w) * s * s + w * s1
-        g3[zero] = w * (1.0 - w) * (1.0 - 2.0 * w) * s**3 + 3.0 * w * (1.0 - w) * s * s1 + w * s2
-    return g1, -g2, g3
+        if third:
+            s2 = -(size**2) * mz * (size - mz) / dz**3
+            g3[zero] = w * (1.0 - w) * (1.0 - 2.0 * w) * s**3 + 3.0 * w * (1.0 - w) * s * s1 + w * s2
+        else:
+            g1[zero] = w * s
+            g2[zero] = w * (1.0 - w) * s * s + w * s1
+    return g3 if third else (g1, -g2)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ def _newton(ctx: _Context, theta: np.ndarray, u0: np.ndarray | None = None) -> _
     chol = None
     hess = None
     for iters in range(1, cfg.newton_max_iter + 1):
-        g1, w, _ = mdl.eta_derivatives(spec, eta, theta, data)
+        g1, w = mdl.eta_derivatives(spec, eta, theta, data)
         grad = ctx.j.T @ g1 - p_mat @ u
         gnorm = float(np.linalg.norm(grad))
         if ref_grad is None:
@@ -95,7 +95,7 @@ def _newton(ctx: _Context, theta: np.ndarray, u0: np.ndarray | None = None) -> _
     else:
         iters = cfg.newton_max_iter
     if not converged:
-        g1, w, _ = mdl.eta_derivatives(spec, eta, theta, data)
+        g1, w = mdl.eta_derivatives(spec, eta, theta, data)
         grad = ctx.j.T @ g1 - p_mat @ u
         if float(np.linalg.norm(grad)) <= cfg.newton_tol * ref_grad:
             converged = True
@@ -162,7 +162,7 @@ def _fl_conditional_logdens(ctx: _Context, theta, approx: _Approx, index: int, v
         stalled = False
         ref_grad = None
         for _ in range(cfg.newton_max_iter):
-            g1, w, _ = mdl.eta_derivatives(spec, eta, theta, data)
+            g1, w = mdl.eta_derivatives(spec, eta, theta, data)
             if keep.size == 0:
                 break
             grad = j_keep.T @ g1 - (p_mat @ u_full)[keep]

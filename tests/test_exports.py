@@ -1,8 +1,12 @@
-"""Every name a module exports in ``__all__`` exists in that module."""
+"""Every name a module exports in ``__all__`` exists in that module, and
+every name it imports is used."""
 from __future__ import annotations
 
+import ast
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -22,3 +26,31 @@ def test_every_export_resolves(name):
     assert len(exported) == len(set(exported)), "duplicate export"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert missing == []
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by an import that the module never reads or exports."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    return sorted(imported - used - exported)
+
+
+def test_unused_import_check_finds_a_planted_import():
+    source = "from __future__ import annotations\nimport os.path\nfrom math import pi, tau as t\nprint(pi)\n"
+    assert unused_imports(source) == ["os", "t"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_import_is_used(name):
+    source = Path(importlib.util.find_spec(name).origin).read_text(encoding="utf-8")
+    assert unused_imports(source) == []

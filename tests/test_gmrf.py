@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lgmbench import gmrf
 from lgmbench.gmrf import (
     AdjacencyGraph,
     Constraint,

@@ -240,6 +240,14 @@ def test_covariate_file_missing_a_column_raises(tmp_path, kind):
             harness.generate_datasets(tiny_config(kind=kind, n_areas=10, covariate_csv=str(path)))
 
 
+def test_covariate_file_with_a_repeated_column_raises(tmp_path):
+    # Both "x" columns would otherwise be read into one interleaved list.
+    path = tmp_path / "covariates.csv"
+    path.write_text("x,total,x\n1,10,100\n2,20,200\n3,30,300\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="repeats column 'x'"):
+        harness.generate_datasets(tiny_config(n_areas=3, covariate_csv=str(path)))
+
+
 def test_generate_datasets_dispatch():
     assert harness.generate_datasets(tiny_config())[0].graph is None
     sel = harness.generate_datasets(tiny_config(kind="selection"))
@@ -302,6 +310,20 @@ def test_paired_study_rows_satisfy_their_definitions():
     pe_long = report.table("pe_long").rows
     assert [r["pe"] for r in pe_long] == [r["pe"] for r in results.rows]
     assert len(report.table("pc_long").rows) == 2 * len(results.rows)
+
+
+@pytest.mark.parametrize("kind", ["poisson", "bym"])
+def test_mcmc_summary_of_a_tracked_parameter_is_the_posterior_summary_entry(kind):
+    # A paired study summarizes only its tracked columns; each must get
+    # the bits the all-column summary gives it.
+    config = tiny_config(kind=kind, n_datasets=1, n_areas=9, mcmc_iterations=600, mcmc_burn_in=100, mcmc_thin=2)
+    data = harness.generate_datasets(config)[0]
+    chain = mcmc.run_chain(harness._analysis_spec(kind, data), data, config.chain_config(0))
+    full = mcmc.posterior_summary(chain)
+    for param in harness._TRACKED[kind]:
+        mean, sd = harness._mcmc_summary(chain, param)
+        assert np.float64(mean).tobytes() == np.float64(full[param]["mean"]).tobytes()
+        assert np.float64(sd).tobytes() == np.float64(full[param]["sd"]).tobytes()
 
 
 @pytest.mark.parametrize(

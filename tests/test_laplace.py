@@ -694,7 +694,7 @@ def exact_profile_point(ctx, theta, approx, index, v):
     u = approx.mode_u + approx.cov[:, index] / approx.cov[index, index] * (v - approx.mode_u[index])
     u[index] = v
     for _ in range(30):
-        g1, w, _ = mdl.eta_derivatives(ctx.spec, ctx.eta(u), theta, ctx.data)
+        g1, w = mdl.eta_derivatives(ctx.spec, ctx.eta(u), theta, ctx.data)
         u[keep] += np.linalg.solve(j.T @ (w[:, None] * j) + p_keep, j.T @ g1 - (p @ u)[keep])
     eta = ctx.eta(u)
     w = mdl.eta_derivatives(ctx.spec, eta, theta, ctx.data)[1]
@@ -798,8 +798,8 @@ def test_profile_point_with_non_pd_clipped_curvature_is_dropped(monkeypatch):
             raise
 
     def negative_curvature(spec, eta, hyper, data):
-        g1, w, g3 = eta_derivatives(spec, eta, hyper, data)
-        return (g1, -w, g3) if at_bad_point[0] else (g1, w, g3)
+        g1, w = eta_derivatives(spec, eta, hyper, data)
+        return (g1, -w) if at_bad_point[0] else (g1, w)
 
     monkeypatch.setattr(laplace, "_ascend", traced_ascend)
     monkeypatch.setattr(mdl, "eta_derivatives", negative_curvature)

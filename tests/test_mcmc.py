@@ -427,6 +427,24 @@ def test_acceptance_rates_near_adaptation_targets():
         assert 0.2 < rate < 0.7, (name, rate)
 
 
+def test_adaptation_keeps_its_scales_equal_to_the_exp_of_the_log_scales():
+    # The samplers read the stored scales; each window update must
+    # refresh them, and a bool accept vector counts like 0.0 / 1.0.
+    g = np.random.default_rng(5)
+    scalar = mcmc._Adapt(0.5, 0.44, 3)
+    vector, floats = (mcmc._VectorAdapt(np.full(4, 2.4), 0.44, 3) for _ in range(2))
+    for _ in range(10):
+        scalar.record(float(g.random() < 0.3))
+        accept = g.random(4) < 0.6
+        vector.record(accept)
+        floats.record(accept.astype(float))
+        assert scalar.scale == math.exp(scalar.log_scale)
+        assert vector.scales.tobytes() == np.exp(vector.log_scales).tobytes()
+        assert vector.scales.tobytes() == floats.scales.tobytes()
+    assert scalar.window_index == vector.window_index == 3
+    assert vector.rate() == floats.rate()
+
+
 # ---------------------------------------------------------------------------
 # Constraint handling on the intrinsic block
 

@@ -317,8 +317,8 @@ def test_likelihood_kernels_match_the_uncached_expressions(family):
     got = mdl.pointwise_loglik_from_eta(spec, eta, hyper, data)
     assert got.tobytes() == want.tobytes()
     if want_d is not None:
-        for a, b in zip(mdl.eta_derivatives(spec, eta, hyper, data), want_d):
-            assert a.tobytes() == b.tobytes()
+        got_d = (*mdl.eta_derivatives(spec, eta, hyper, data), mdl.eta_third_derivative(spec, eta, hyper, data))
+        assert [a.tobytes() for a in got_d] == [b.tobytes() for b in want_d]
     # The cached arrays are not dataclass fields, so equality and repr
     # see the data alone.
     names = [f.name for f in dataclasses.fields(mdl.Dataset)]
@@ -379,9 +379,9 @@ def zinb_derivatives_oracle(eta, hyper, y):
 
 @pytest.mark.parametrize("zeros", ["some", "all", "none"])
 def test_zinb_kernels_match_the_uncached_expressions(zeros):
-    # The dataset keeps one entry of theta-invariant ZINB constants; the
-    # kernels must give the oracle's bits whether the entry is fresh,
-    # reused, or replaced by alternating hyperparameters.
+    # The dataset keeps the two latest entries of each part of the ZINB
+    # constants; the kernels must give the oracle's bits whether an entry
+    # is fresh, reused, or replaced by alternating hyperparameters.
     g = np.random.default_rng(21)
     n = 40
     y = g.poisson(4.0, n) + (zeros == "none")
@@ -398,12 +398,14 @@ def test_zinb_kernels_match_the_uncached_expressions(zeros):
         eta = g.uniform(-3.0, 4.0, n)
         got = mdl.pointwise_loglik_from_eta(spec, eta, hyper, data)
         assert got.tobytes() == zinb_loglik_oracle(eta, hyper, y).tobytes()
-        for a, b in zip(mdl.eta_derivatives(spec, eta, hyper, data), zinb_derivatives_oracle(eta, hyper, y)):
-            assert a.tobytes() == b.tobytes()
+        want_d = zinb_derivatives_oracle(eta, hyper, y)
+        got_d = (*mdl.eta_derivatives(spec, eta, hyper, data), mdl.eta_third_derivative(spec, eta, hyper, data))
+        assert [a.tobytes() for a in got_d] == [b.tobytes() for b in want_d]
         # The cached constants are read-only, and writing into a returned
         # array must not reach them.
-        arrays = [v for v in data._zinb_cache[1].values() if isinstance(v, np.ndarray)]
-        assert arrays and not any(a.flags.writeable for a in arrays)
+        arrays = [data._zero] + [v for _, c in data._zinb_size_cache for v in c.values() if isinstance(v, np.ndarray)]
+        assert len(arrays) > 1 and not any(a.flags.writeable for a in arrays)
+        assert all(isinstance(v, float) for _, log_p in data._zinb_pz_cache for v in log_p)
         got[:] = np.nan
         again = mdl.pointwise_loglik_from_eta(spec, eta, hyper, data)
         assert again.tobytes() == zinb_loglik_oracle(eta, hyper, y).tobytes()
@@ -414,7 +416,7 @@ def test_zinb_kernels_raise_at_the_same_index():
     spec = mdl.zinb_spec(covariates=(), offset=None)
     hyper = np.array([-1.0, 0.5])
     eta = np.array([0.1, 0.2, 701.0, np.nan, 0.0])
-    for kernel in (mdl.pointwise_loglik_from_eta, mdl.eta_derivatives):
+    for kernel in (mdl.pointwise_loglik_from_eta, mdl.eta_derivatives, mdl.eta_third_derivative):
         with pytest.raises(mdl.LikelihoodOverflowError) as info:
             kernel(spec, eta, hyper, data)
         assert info.value.index == 3  # non-finite values are reported first
@@ -422,6 +424,74 @@ def test_zinb_kernels_raise_at_the_same_index():
         with pytest.raises(mdl.LikelihoodOverflowError) as info, np.errstate(over="ignore"):
             kernel(spec, np.zeros(5), np.array([-1.0, 800.0]), data)
         assert info.value.index == -1
+
+
+# Hyperparameter indices (logit p_zero, log dispersion) that change one
+# coordinate at a time and return to earlier values, so each two-entry
+# cache is hit at its first and second entry, fills, and evicts.
+CACHE_WALK = [(0, 0), (1, 0), (0, 0), (0, 1), (0, 0), (2, 0), (2, 1), (2, 0), (1, 0), (1, 2), (1, 1), (0, 1), (0, 2), (0, 0), (2, 0)]
+
+
+@pytest.mark.parametrize("case", ["poisson", "gaussian", "zinb_zeros", "zinb_no_zeros", "zinb_all_zeros"])
+def test_split_derivative_kernels_match_the_three_derivative_oracle(case):
+    import oracle_models
+
+    g = np.random.default_rng(31)
+    n = 25
+    y = g.poisson(5.0, n)
+    if case == "zinb_zeros":
+        y[::4] = 0
+    elif case == "zinb_no_zeros":
+        y += 1
+    elif case == "zinb_all_zeros":
+        y[:] = 0
+    if case == "poisson":
+        spec = mdl.poisson_spec(covariates=(), offset=None)
+        hypers = [np.array([v]) for v in (0.0, 1.5, -2.0)]
+    elif case == "gaussian":
+        spec = mdl.ModelSpec(family=mdl.Family.GAUSSIAN, gaussian_obs_precision=1.5)
+        y, hypers = g.normal(0, 1, n), [np.zeros(0)] * 3
+    else:
+        spec = mdl.zinb_spec(covariates=(), offset=None)
+        hypers = [np.array([a, b]) for a, b in zip((sps.logit(0.3), -2.0, 0.75), (np.log(1.5), 3.0, -1.25))]
+    data = mdl.Dataset(y=y, covariates={})
+    oracle_data = mdl.Dataset(y=y, covariates={})
+    for i, j in CACHE_WALK:
+        hyper = np.array([hypers[i][0], hypers[j][1]]) if case.startswith("zinb") else hypers[i]
+        # Wide enough that mu runs from tiny to far above the dispersion.
+        eta = g.uniform(-6.0, 9.0, n)
+        want = oracle_models.eta_derivatives(spec, eta, hyper, oracle_data)
+        got = mdl.eta_derivatives(spec, eta, hyper, data)
+        assert len(got) == 2
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want[:2]]
+        assert mdl.eta_third_derivative(spec, eta, hyper, data).tobytes() == want[2].tobytes()
+        if case.startswith("zinb"):
+            # The current point's entries are the most recent ones.
+            assert data._zinb_pz_cache[0][0] == hyper[0]
+            assert data._zinb_size_cache[0][0] == float(np.exp(hyper[1]))
+            for cache in (data._zinb_pz_cache, data._zinb_size_cache):
+                assert 1 <= len(cache) <= 2 and len({key for key, _ in cache}) == len(cache)
+
+
+def test_zinb_proposals_keep_the_current_constants_cached():
+    # Each sweep the sampler tries a proposal that moves one
+    # hyperparameter and returns to the current point: neither the
+    # current point's constants nor the part a proposal leaves alone is
+    # rebuilt, also after a proposal at a third value of the same part.
+    data = mdl.Dataset(y=np.array([0, 3, 1, 0, 5, 2]), covariates={})
+    spec = mdl.zinb_spec(covariates=(), offset=None)
+    eta = np.linspace(-1.0, 2.0, 6)
+    current = np.array([-1.0, 0.5])
+    mdl.eta_derivatives(spec, eta, current, data)
+    log_p, dispersion = data._zinb_pz_cache[0][1], data._zinb_size_cache[0][1]
+    for i, value in [(0, -0.4), (1, 0.9), (0, 0.3), (1, -0.2)]:
+        proposal = current.copy()
+        proposal[i] = value
+        mdl.pointwise_loglik_from_eta(spec, eta, proposal, data)
+        other_cache, other_part = (data._zinb_size_cache, dispersion) if i == 0 else (data._zinb_pz_cache, log_p)
+        assert other_cache[0][1] is other_part
+        mdl.eta_derivatives(spec, eta, current, data)
+        assert data._zinb_pz_cache[0][1] is log_p and data._zinb_size_cache[0][1] is dispersion
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +556,8 @@ def test_eta_curvature_and_third_derivative_match_finite_differences(family):
         return mdl.pointwise_loglik_from_eta(spec, e, hyper, data)
 
     h = 1e-4
-    g1, neg_g2, g3 = mdl.eta_derivatives(spec, eta, hyper, data)
+    g1, neg_g2 = mdl.eta_derivatives(spec, eta, hyper, data)
+    g3 = mdl.eta_third_derivative(spec, eta, hyper, data)
     for i in range(n):
         up, dn = eta.copy(), eta.copy()
         up[i] += h
