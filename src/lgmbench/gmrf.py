@@ -97,10 +97,15 @@ class AdjacencyGraph:
         e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         ends = (e[:, 0].copy(), e[:, 1].copy())
         labels = _union_find_labels(self.n_nodes, self.edges)
-        for arr in (*ends, labels):
-            arr.flags.writeable = False
         object.__setattr__(self, "_edge_arrays", ends)
         object.__setattr__(self, "_component_labels", labels)
+        laplacian = np.diag(self.degrees().astype(np.float64))
+        a, b = ends
+        laplacian[a, b] = -1.0
+        laplacian[b, a] = -1.0
+        object.__setattr__(self, "_laplacian", laplacian)
+        for arr in (*ends, labels, laplacian):
+            arr.flags.writeable = False
 
     @property
     def n_edges(self) -> int:
@@ -157,12 +162,9 @@ class ProprietyResult:
 
 
 def graph_laplacian(graph: AdjacencyGraph) -> np.ndarray:
-    """Graph Laplacian Q = D - A as a dense n x n matrix."""
-    q = np.diag(graph.degrees().astype(np.float64))
-    a, b = graph.edge_arrays()
-    q[a, b] = -1.0
-    q[b, a] = -1.0
-    return q
+    """Graph Laplacian Q = D - A as a dense n x n matrix, built once per
+    graph and shared read-only."""
+    return graph._laplacian
 
 
 def component_labels(graph: AdjacencyGraph) -> np.ndarray:

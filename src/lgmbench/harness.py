@@ -253,9 +253,7 @@ def _read_csv_columns(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         rows = [line.strip().split(",") for line in fh if line.strip()]
-    for i, name in enumerate(header):
-        if name in header[:i]:
-            raise ValueError(f"covariate file header repeats column {name!r}")
+    mdl._check_csv_header(header, path)
     cols = {name: [] for name in header}
     for row in rows:
         for name, value in zip(header, row):

@@ -187,7 +187,9 @@ class FitDiagnostics:
     """What a fit did and where it fell short.
 
     ``theta_mode_converged`` is the BFGS success flag of the
-    hyperparameter mode search.  ``theta_points_retried`` counts the
+    hyperparameter mode search, and ``theta_mode_failed_evals`` counts
+    its evaluations whose Newton solve failed and that BFGS saw as a
+    1e30 wall.  ``theta_points_retried`` counts the
     integration points whose warm-started Newton solve failed and was
     retried from a cold start; ``theta_points_failed`` counts those
     dropped because the retry failed too.
@@ -204,6 +206,7 @@ class FitDiagnostics:
     newton_converged: bool
     theta_mode_evals: int
     theta_mode_converged: bool
+    theta_mode_failed_evals: int
     theta_points_retried: int
     theta_points_failed: int
     curvature_clipped: bool
@@ -336,25 +339,18 @@ class _Context:
 
 
 class _Approx:
-    """Internal Gaussian approximation in reduced coordinates."""
+    """What the theta cache keeps of one Gaussian approximation, in
+    reduced coordinates: the latent mode, the linear predictor that the
+    Newton ascent ended on, and scalars.  No d x d array is kept; a grid
+    point's curvature is rebuilt from ``eta`` by ``_curvature``."""
 
-    def __init__(self, mode_u, hess, chol, log_det_half, iters, converged, clipped):
+    def __init__(self, mode_u, eta, log_det_half, iters, converged, clipped):
         self.mode_u = mode_u
-        self.hess = hess
-        self.chol = chol
+        self.eta = eta
         self.log_det_half = log_det_half
         self.iters = iters
         self.converged = converged
         self.clipped = clipped
-        self._cov = None
-
-    @property
-    def cov(self) -> np.ndarray:
-        if self._cov is None:
-            eye = np.eye(self.hess.shape[0])
-            half = np.linalg.solve(self.chol, eye)
-            self._cov = half.T @ half
-        return self._cov
 
 
 def _try_cholesky(h: np.ndarray):
@@ -364,16 +360,41 @@ def _try_cholesky(h: np.ndarray):
         return None
 
 
+def _curvature(ctx: _Context, theta: np.ndarray, eta: np.ndarray, j: np.ndarray, p_free: np.ndarray):
+    """Curvature of the conditional log posterior at the predictor ``eta``.
+
+    Returns ``(g1, hess, chol, clipped)``: the likelihood gradient in eta,
+    ``hess = j' W j + p_free`` and its Cholesky factor, and whether W had
+    to be clipped to non-negative weights for the factorization to
+    succeed.  The same inputs give the same bits, so the curvature of a
+    Newton solve's last iterate is rebuilt exactly from its final eta.
+
+    Raises FitFailure (hessian_not_pd) when even the clipped curvature
+    is not positive definite.
+    """
+    g1, w = mdl.eta_derivatives(ctx.spec, eta, theta, ctx.data)
+    hess = j.T @ (w[:, None] * j) + p_free
+    chol = _try_cholesky(hess)
+    clipped = chol is None
+    if clipped:
+        hess = j.T @ (np.maximum(w, 0.0)[:, None] * j) + p_free
+        chol = _try_cholesky(hess)
+        if chol is None:
+            raise FitFailure("hessian_not_pd", "negative curvature at Newton iterate")
+    return g1, hess, chol, clipped
+
+
 def _ascend(ctx: _Context, theta: np.ndarray, p_mat: np.ndarray, u: np.ndarray, free=None):
     """Damped Newton ascent of the conditional log posterior of the latent field.
 
     Maximizes log p(y | u, theta) - u' p_mat u / 2 over the coordinates
     ``free`` (an index array; None means all of them), holding the
-    others at their values in ``u``.  Returns ``(u, f, hess, chol, iters,
-    outcome, clipped)``: the point, its objective, the free-block
-    curvature there and its Cholesky factor, the Newton steps taken,
-    ``"converged"``, ``"stalled"`` or ``"max_iter"``, and whether the
-    curvature was ever clipped to non-negative likelihood weights.
+    others at their values in ``u``.  Returns ``(u, eta, f, chol, iters,
+    outcome, clipped)``: the point, its linear predictor (updated step
+    by step, so not bit-equal to ``ctx.eta(u)``), its objective, the
+    Cholesky factor of the free-block curvature there, the Newton steps
+    taken, ``"converged"``, ``"stalled"`` or ``"max_iter"``, and whether
+    the curvature was ever clipped to non-negative likelihood weights.
 
     The stop rule: the gradient norm falls to ``newton_tol`` times the
     first one, or the Newton decrement to ``newton_tol**2 * max(1, |f|)``.
@@ -404,26 +425,19 @@ def _ascend(ctx: _Context, theta: np.ndarray, p_mat: np.ndarray, u: np.ndarray, 
     clipped = False
     ref_grad = None
     for iters in range(cfg.newton_max_iter + 1):
-        g1, w = mdl.eta_derivatives(spec, eta, theta, data)
+        g1, _, chol, clipped_here = _curvature(ctx, theta, eta, j, p_free)
+        clipped = clipped or clipped_here
         grad = j.T @ g1 - (p_mat @ u)[sel]
         gnorm = float(np.linalg.norm(grad))
         if ref_grad is None:
             ref_grad = max(1.0, gnorm)
-        hess = j.T @ (w[:, None] * j) + p_free
-        chol = _try_cholesky(hess)
-        if chol is None:
-            hess = j.T @ (np.maximum(w, 0.0)[:, None] * j) + p_free
-            chol = _try_cholesky(hess)
-            clipped = True
-            if chol is None:
-                raise FitFailure("hessian_not_pd", "negative curvature at Newton iterate")
         if gnorm <= cfg.newton_tol * ref_grad:
-            return u, f_cur, hess, chol, iters, "converged", clipped
+            return u, eta, f_cur, chol, iters, "converged", clipped
         if iters == cfg.newton_max_iter:
-            return u, f_cur, hess, chol, iters, "max_iter", clipped
+            return u, eta, f_cur, chol, iters, "max_iter", clipped
         step = np.linalg.solve(chol.T, np.linalg.solve(chol, grad))
         if float(grad @ step) <= cfg.newton_tol**2 * max(1.0, abs(f_cur)):
-            return u, f_cur, hess, chol, iters, "converged", clipped
+            return u, eta, f_cur, chol, iters, "converged", clipped
         j_step = j @ step
         t = 1.0
         for _ in range(cfg.max_step_halvings + 1):
@@ -440,18 +454,19 @@ def _ascend(ctx: _Context, theta: np.ndarray, p_mat: np.ndarray, u: np.ndarray, 
             t *= 0.5
         else:
             outcome = "converged" if gnorm <= 1e-6 * ref_grad else "stalled"
-            return u, f_cur, hess, chol, iters + 1, outcome, clipped
+            return u, eta, f_cur, chol, iters + 1, outcome, clipped
 
 
 def _newton(ctx: _Context, theta: np.ndarray, u0: np.ndarray | None = None) -> _Approx:
     """Gaussian approximation of the latent field at ``theta``: the mode
-    of its conditional log posterior and the curvature there.
+    of its conditional log posterior, the predictor there and the log
+    determinant of the curvature.
 
     Raises FitFailure (newton_line_search, newton_nonconvergence) when
     the ascent stalls or runs out of iterations.
     """
     u = np.zeros(ctx.dim_u) if u0 is None else u0.copy()
-    u, _, hess, chol, iters, outcome, clipped = _ascend(ctx, theta, ctx.prior_precision_u(theta), u)
+    u, eta, _, chol, iters, outcome, clipped = _ascend(ctx, theta, ctx.prior_precision_u(theta), u)
     if outcome == "stalled":
         raise FitFailure("newton_line_search", f"no ascent step at iteration {iters}")
     if outcome == "max_iter":
@@ -460,7 +475,7 @@ def _newton(ctx: _Context, theta: np.ndarray, u0: np.ndarray | None = None) -> _
             f"no convergence in {ctx.config.newton_max_iter} iterations",
         )
     log_det_half = float(np.add.reduce(np.log(np.diag(chol))))
-    return _Approx(u, hess, chol, log_det_half, iters, True, clipped)
+    return _Approx(u, eta, log_det_half, iters, True, clipped)
 
 
 def gaussian_approx_latent(
@@ -478,15 +493,17 @@ def gaussian_approx_latent(
     """
     config = config or LaplaceConfig()
     ctx = _Context(spec, data, config)
+    theta = np.asarray(theta, dtype=float)
     u0 = None
     if x0 is not None:
         u0 = ctx.basis.T @ x0 if ctx.basis is not None else np.asarray(x0, dtype=float)
-    approx = _newton(ctx, np.asarray(theta, dtype=float), u0)
+    approx = _newton(ctx, theta, u0)
+    hess = _curvature(ctx, theta, approx.eta, ctx.j, ctx.prior_precision_u(theta))[1]
     mode = ctx.to_x(approx.mode_u)
     if ctx.basis is not None:
-        dense = ctx.basis @ approx.hess @ ctx.basis.T
+        dense = ctx.basis @ hess @ ctx.basis.T
     else:
-        dense = approx.hess
+        dense = hess
     return GaussianApprox(
         mode=mode,
         precision=0.5 * (dense + dense.T),
@@ -504,6 +521,16 @@ def gaussian_approx_latent(
 def _log_posterior_theta(
     ctx: _Context, theta: np.ndarray, cache: dict, cold: bool = False
 ) -> tuple[float, _Approx]:
+    """log p(theta | y) up to a constant, and the Gaussian approximation
+    it was computed from.
+
+    ``cache`` maps each evaluated theta to ``(lp, approx)``, whose arrays
+    are the latent mode and the final predictor (length ``dim_u`` and
+    ``n``), and keeps the last mode under ``"_warm"`` as the next
+    solve's starting point.  Mode search, Hessian stencil and grid all
+    evaluate through it; only the grid points' curvature is ever read
+    again, and ``_mix_marginals`` rebuilds it.
+    """
     key = np.asarray(theta, dtype=float).tobytes()
     if key in cache:
         return cache[key]
@@ -518,18 +545,22 @@ def _log_posterior_theta(
     return lp, approx
 
 
-def _theta_mode(ctx: _Context, cache: dict) -> tuple[np.ndarray, int, bool]:
-    """Mode of log p(theta | y), its evaluation count, and BFGS success."""
+def _theta_mode(ctx: _Context, cache: dict) -> tuple[np.ndarray, dict]:
+    """Mode of log p(theta | y) and the search's ``FitDiagnostics``
+    fields: its evaluation count, BFGS success, and the evaluations that
+    failed and were returned to BFGS as 1e30."""
     m = mdl.hyper_dim(ctx.spec)
+    stats = {"theta_mode_evals": 0, "theta_mode_converged": True, "theta_mode_failed_evals": 0}
     if m == 0:
-        return np.zeros(0), 1, True
-    evals = [0]
+        stats["theta_mode_evals"] = 1
+        return np.zeros(0), stats
 
     def neg(th):
-        evals[0] += 1
+        stats["theta_mode_evals"] += 1
         try:
             lp, _ = _log_posterior_theta(ctx, np.asarray(th, dtype=float), cache)
         except (FitFailure, mdl.LikelihoodOverflowError):
+            stats["theta_mode_failed_evals"] += 1
             return 1e30
         return -lp
 
@@ -537,7 +568,8 @@ def _theta_mode(ctx: _Context, cache: dict) -> tuple[np.ndarray, int, bool]:
     mode = np.asarray(res.x, dtype=float)
     if not np.isfinite(neg(mode)):
         raise FitFailure("theta_mode_search", "non-finite posterior at candidate mode")
-    return mode, evals[0], bool(res.success)
+    stats["theta_mode_converged"] = bool(res.success)
+    return mode, stats
 
 
 def _theta_hessian(ctx: _Context, mode: np.ndarray, cache: dict) -> np.ndarray:
@@ -686,26 +718,21 @@ def _ccd_points(ctx: _Context, mode, axes, lp_mode, cache, stats):
 
 
 def _explore(ctx: _Context) -> tuple[ThetaGrid, list[_Approx], dict]:
-    """Weighted theta grid, the Gaussian approximation at each of its
-    points, and the exploration's ``FitDiagnostics`` fields."""
+    """Weighted theta grid, the cached Gaussian approximation at each of
+    its points, and the exploration's ``FitDiagnostics`` fields."""
     cache: dict = {}
-    mode, evals, converged = _theta_mode(ctx, cache)
-    stats = {
-        "theta_mode_evals": evals,
-        "theta_mode_converged": converged,
-        "theta_points_retried": 0,
-        "theta_points_failed": 0,
-    }
+    mode, stats = _theta_mode(ctx, cache)
+    stats["theta_points_retried"] = 0
+    stats["theta_points_failed"] = 0
     m = mode.size
     if m == 0:
-        lp, _ = _log_posterior_theta(ctx, mode, cache)
+        lp, approx = _log_posterior_theta(ctx, mode, cache)
         grid = ThetaGrid(
             points=(ThetaPoint(mode, lp, 1.0),),
             mode=mode,
             mode_hessian=np.zeros((0, 0)),
         )
-        approxes = [_log_posterior_theta(ctx, mode, cache)[1]]
-        return grid, approxes, stats
+        return grid, [approx], stats
     hess = _theta_hessian(ctx, mode, cache)
     axes = _standardizer(hess)
     lp_mode, _ = _log_posterior_theta(ctx, mode, cache)
@@ -758,9 +785,16 @@ def _skew_normal_pdf(x, xi, omega, alpha):
     return 2.0 / omega * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) * ndtr(alpha * z)
 
 
-def _sla_coefficients(ctx: _Context, theta: np.ndarray, approx: _Approx):
+def _covariance(ctx: _Context, theta: np.ndarray, approx: _Approx) -> np.ndarray:
+    """Covariance of the Gaussian approximation at a grid point, from the
+    curvature of its Newton solve rebuilt at the cached predictor."""
+    chol = _curvature(ctx, theta, approx.eta, ctx.j, ctx.prior_precision_u(theta))[2]
+    half = np.linalg.solve(chol, np.eye(chol.shape[0]))
+    return half.T @ half
+
+
+def _sla_coefficients(ctx: _Context, theta: np.ndarray, mode_u: np.ndarray, cov_u: np.ndarray):
     """(gamma1, gamma3) per latent component for the skew correction."""
-    cov_u = approx.cov
     c_u = ctx.j @ cov_u  # cov(eta_m, u_d), n x dim_u
     var_eta = np.einsum("md,md->m", c_u, ctx.j)
     if ctx.basis is not None:
@@ -769,7 +803,7 @@ def _sla_coefficients(ctx: _Context, theta: np.ndarray, approx: _Approx):
     else:
         c = c_u
         sigma = np.sqrt(np.diag(cov_u))
-    eta = ctx.eta(approx.mode_u)
+    eta = ctx.eta(mode_u)
     g3 = mdl.eta_third_derivative(ctx.spec, eta, theta, ctx.data)
     a1 = c.T @ (g3 * var_eta)
     a3 = (c**3).T @ g3
@@ -778,28 +812,28 @@ def _sla_coefficients(ctx: _Context, theta: np.ndarray, approx: _Approx):
     return gamma1, gamma3
 
 
-def _fl_conditional_logdens(ctx: _Context, theta, approx: _Approx, index: int, v_grid: np.ndarray):
+def _fl_conditional_logdens(ctx: _Context, theta, mode_u, cov_col, index: int, v_grid: np.ndarray):
     """Full-Laplace log density of component ``index`` on ``v_grid``.
 
-    For each fixed value ``v`` the remaining components are
-    re-maximized by ``_ascend``, warm-started from the previous grid
-    point, and the profile value is corrected by minus half the log
-    determinant of the remaining-block curvature.  With a single latent
-    component the correction is zero and the profile equals the exact
-    unnormalized log posterior of that component.  A point whose ascent
-    fails (non-positive-definite curvature, predictor overflow) is
-    dropped as ``-inf``.
+    ``mode_u`` is the Gaussian approximation's mode and ``cov_col`` the
+    column ``index`` of its covariance.  For each fixed value ``v`` the
+    remaining components are re-maximized by ``_ascend``, warm-started
+    from the previous grid point, and the profile value is corrected by
+    minus half the log determinant of the remaining-block curvature.
+    With a single latent component the correction is zero and the
+    profile equals the exact unnormalized log posterior of that
+    component.  A point whose ascent fails (non-positive-definite
+    curvature, predictor overflow) is dropped as ``-inf``.
 
     Also returns the number of grid points where the ascent stalled or
     ran out of iterations; their values are kept.
     """
     p_mat = ctx.prior_precision_u(theta)
     keep = np.array([k for k in range(ctx.dim_u) if k != index], dtype=int)
-    cov_col = approx.cov[:, index]
     shift = cov_col / cov_col[index]
     out = np.full(v_grid.size, -np.inf)
     unconverged = 0
-    u = approx.mode_u
+    u = mode_u
     for g_idx, v in enumerate(v_grid):
         # Warm start: the last solution moved along the Gaussian
         # conditional mean to the new value.  Without the move the first
@@ -808,7 +842,7 @@ def _fl_conditional_logdens(ctx: _Context, theta, approx: _Approx, index: int, v
         start = u + shift * (v - u[index])
         start[index] = v
         try:
-            u_hat, f, _, chol, _, outcome, _ = _ascend(ctx, theta, p_mat, start, keep)
+            u_hat, _, f, chol, _, outcome, _ = _ascend(ctx, theta, p_mat, start, keep)
         except (FitFailure, mdl.LikelihoodOverflowError):
             continue
         unconverged += outcome != "converged"
@@ -825,6 +859,12 @@ def _mix_marginals(ctx: _Context, grid: ThetaGrid, approxes, strategy: Strategy,
     per-theta moments and value grids are computed for every component,
     so a marginal does not depend on which others were requested; with
     none requested, none of them is computed.
+
+    Each grid point's covariance is rebuilt once and reduced to what the
+    mixture reads, then dropped: the sds, the skew-normal coefficients
+    where they are read, and at points that get a profile scan the
+    covariance columns of the requested components.  So memory grows
+    as O(G d) over G grid points, not O(G d^2).
     """
     cfg = ctx.config
     if strategy is Strategy.FULL_LAPLACE and ctx.basis is not None:
@@ -838,29 +878,30 @@ def _mix_marginals(ctx: _Context, grid: ThetaGrid, approxes, strategy: Strategy,
     if not indices:
         return [], {"unreliable_latents": [], "fl_scanned_points": scanned, "fl_unconverged_points": 0}
     means = np.array([ctx.to_x(a.mode_u) for a in approxes])  # G x d_x
-    if ctx.basis is not None:
-        sds = np.array(
-            [np.sqrt(np.einsum("ij,jk,ik->i", ctx.basis, a.cov, ctx.basis)) for a in approxes]
-        )
-    else:
-        sds = np.array([np.sqrt(np.diag(a.cov)) for a in approxes])
+    # Skew-normal coefficients per theta point, computed only where they
+    # are read: at every point under SIMPLIFIED_LAPLACE, and under
+    # FULL_LAPLACE at the points too light for a profile scan.
+    sds, sla, cov_cols = [], {}, {}
+    for g, (point, approx) in enumerate(zip(grid.points, approxes)):
+        cov = _covariance(ctx, point.theta, approx)
+        if ctx.basis is not None:
+            sds.append(np.sqrt(np.einsum("ij,jk,ik->i", ctx.basis, cov, ctx.basis)))
+        else:
+            sds.append(np.sqrt(np.diag(cov)))
+        if strategy is Strategy.SIMPLIFIED_LAPLACE or (strategy is Strategy.FULL_LAPLACE and not fl_scan[g]):
+            sla[g] = _sla_coefficients(ctx, point.theta, approx.mode_u, cov)
+        elif strategy is Strategy.FULL_LAPLACE:
+            cov_cols[g] = cov[:, indices]  # d x len(indices)
+        del cov
+    sds = np.array(sds)
     lo = (means - cfg.marginal_grid_sds * sds).min(axis=0)
     hi = (means + cfg.marginal_grid_sds * sds).max(axis=0)
     vgrids = np.linspace(lo, hi, cfg.marginal_grid_points, axis=1)  # d_x x P
 
-    # Skew-normal coefficients per theta point, computed only where they
-    # are read: at every point under SIMPLIFIED_LAPLACE, and under
-    # FULL_LAPLACE at the points too light for a profile scan.
-    sla = {}
-    if strategy is not Strategy.GAUSSIAN:
-        for g, (point, approx) in enumerate(zip(grid.points, approxes)):
-            if strategy is Strategy.SIMPLIFIED_LAPLACE or not fl_scan[g]:
-                sla[g] = _sla_coefficients(ctx, point.theta, approx)
-
     unreliable = set()
     fl_unconverged = 0
     marginals = []
-    for i in indices:
+    for k, i in enumerate(indices):
         vg = vgrids[i]
         dens = np.zeros(cfg.marginal_grid_points)
         for g, (point, approx) in enumerate(zip(grid.points, approxes)):
@@ -880,7 +921,9 @@ def _mix_marginals(ctx: _Context, grid: ThetaGrid, approxes, strategy: Strategy,
                     mu_ig + cfg.fl_grid_sds * sd_ig,
                     cfg.fl_grid_points,
                 )
-                logd, unconverged = _fl_conditional_logdens(ctx, point.theta, approx, i, v_fl)
+                logd, unconverged = _fl_conditional_logdens(
+                    ctx, point.theta, approx.mode_u, cov_cols[g][:, k], i, v_fl
+                )
                 if unconverged:
                     unreliable.add(i)
                     fl_unconverged += unconverged

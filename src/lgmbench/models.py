@@ -826,6 +826,14 @@ def dataset_to_csv(data: Dataset, path, y_name: str = "y", offset_name: str = "o
             writer.writerow(row)
 
 
+def _check_csv_header(header: list, path) -> None:
+    """Raise ValueError when a CSV header names a column twice: the
+    readers would otherwise read both columns into one list."""
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise ValueError(f"{path}: header repeats column {name!r}")
+
+
 def dataset_from_csv(
     path,
     y_name: str = "y",
@@ -842,6 +850,7 @@ def dataset_from_csv(
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
+        _check_csv_header(header, path)
         table = {name: [] for name in header}
         for row in reader:
             if not row:

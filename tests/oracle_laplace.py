@@ -14,9 +14,43 @@ not copied.
 from __future__ import annotations
 
 import numpy as np
+from scipy import interpolate
 
+from lgmbench import laplace
 from lgmbench import models as mdl
-from lgmbench.laplace import FitFailure, _Approx, _Context, _try_cholesky
+from lgmbench.laplace import (
+    FitFailure,
+    Strategy,
+    ThetaGrid,
+    _Context,
+    _normal_pdf,
+    _skew_normal_pdf,
+    _skew_normal_std_params,
+    _try_cholesky,
+)
+from lgmbench.posterior import PosteriorMarginal
+
+
+class _Approx:
+    """Internal Gaussian approximation in reduced coordinates."""
+
+    def __init__(self, mode_u, hess, chol, log_det_half, iters, converged, clipped):
+        self.mode_u = mode_u
+        self.hess = hess
+        self.chol = chol
+        self.log_det_half = log_det_half
+        self.iters = iters
+        self.converged = converged
+        self.clipped = clipped
+        self._cov = None
+
+    @property
+    def cov(self) -> np.ndarray:
+        if self._cov is None:
+            eye = np.eye(self.hess.shape[0])
+            half = np.linalg.solve(self.chol, eye)
+            self._cov = half.T @ half
+        return self._cov
 
 
 def _newton(ctx: _Context, theta: np.ndarray, u0: np.ndarray | None = None) -> _Approx:
@@ -210,3 +244,162 @@ def _fl_conditional_logdens(ctx: _Context, theta, approx: _Approx, index: int, v
         out[g_idx] = f_cur - logdet_half
         u_rest = u_full[keep]
     return out, unconverged
+
+
+# ---------------------------------------------------------------------------
+# The theta cache that kept every evaluation's curvature
+#
+# ``_log_posterior_theta`` cached, for every theta it evaluated, the
+# Hessian and Cholesky factor of the Newton solve (``_Approx`` above),
+# and ``_mix_marginals`` read each grid point's ``cov`` from them.  The
+# engine now caches the mode and predictor only and rebuilds a grid
+# point's curvature once; fits must match these copies bit for bit.
+# ``_mix_marginals`` is the engine's copy but for the name of the
+# profile scan it calls: ``_profile_scan`` passes the engine's
+# single-loop scan the mode and covariance column it reads.
+
+
+def _log_posterior_theta(
+    ctx: _Context, theta: np.ndarray, cache: dict, cold: bool = False
+) -> tuple[float, _Approx]:
+    key = np.asarray(theta, dtype=float).tobytes()
+    if key in cache:
+        return cache[key]
+    approx = _newton(ctx, theta, None if cold else cache.get("_warm"))
+    cache["_warm"] = approx.mode_u
+    x = ctx.to_x(approx.mode_u)
+    ll = mdl.log_likelihood(ctx.spec, x, theta, ctx.data)
+    lp_latent = mdl.latent_log_prior(ctx.spec, x, theta, ctx.data)
+    lp_hyper = mdl.log_prior_hyper(ctx.spec, theta)
+    lp = ll + lp_latent + lp_hyper - approx.log_det_half
+    cache[key] = (lp, approx)
+    return lp, approx
+
+
+
+def _sla_coefficients(ctx: _Context, theta: np.ndarray, approx: _Approx):
+    """(gamma1, gamma3) per latent component for the skew correction."""
+    cov_u = approx.cov
+    c_u = ctx.j @ cov_u  # cov(eta_m, u_d), n x dim_u
+    var_eta = np.einsum("md,md->m", c_u, ctx.j)
+    if ctx.basis is not None:
+        c = c_u @ ctx.basis.T  # cov(eta_m, x_i), n x dim_x
+        sigma = np.sqrt(np.einsum("ij,jk,ik->i", ctx.basis, cov_u, ctx.basis))
+    else:
+        c = c_u
+        sigma = np.sqrt(np.diag(cov_u))
+    eta = ctx.eta(approx.mode_u)
+    g3 = mdl.eta_third_derivative(ctx.spec, eta, theta, ctx.data)
+    a1 = c.T @ (g3 * var_eta)
+    a3 = (c**3).T @ g3
+    gamma1 = 0.5 * (a1 / sigma - a3 / sigma**3)
+    gamma3 = a3 / sigma**3
+    return gamma1, gamma3
+
+
+def _profile_scan(ctx: _Context, theta, approx: _Approx, index: int, v_grid: np.ndarray):
+    return laplace._fl_conditional_logdens(ctx, theta, approx.mode_u, approx.cov[:, index], index, v_grid)
+
+
+def _mix_marginals(ctx: _Context, grid: ThetaGrid, approxes, strategy: Strategy, indices):
+    """Mixture over the theta grid of per-theta conditional marginals.
+
+    Builds the marginals of the latent components at ``indices`` (model
+    order) and returns them with their ``FitDiagnostics`` fields.  The
+    per-theta moments and value grids are computed for every component,
+    so a marginal does not depend on which others were requested; with
+    none requested, none of them is computed.
+    """
+    cfg = ctx.config
+    if strategy is Strategy.FULL_LAPLACE and ctx.basis is not None:
+        raise FitFailure(
+            "strategy_unsupported",
+            "full Laplace is not available with kriging constraints",
+        )
+    weights = grid.weights
+    fl_scan = weights >= cfg.fl_min_weight * weights.max()
+    scanned = int(fl_scan.sum()) if strategy is Strategy.FULL_LAPLACE else 0
+    if not indices:
+        return [], {"unreliable_latents": [], "fl_scanned_points": scanned, "fl_unconverged_points": 0}
+    means = np.array([ctx.to_x(a.mode_u) for a in approxes])  # G x d_x
+    if ctx.basis is not None:
+        sds = np.array(
+            [np.sqrt(np.einsum("ij,jk,ik->i", ctx.basis, a.cov, ctx.basis)) for a in approxes]
+        )
+    else:
+        sds = np.array([np.sqrt(np.diag(a.cov)) for a in approxes])
+    lo = (means - cfg.marginal_grid_sds * sds).min(axis=0)
+    hi = (means + cfg.marginal_grid_sds * sds).max(axis=0)
+    vgrids = np.linspace(lo, hi, cfg.marginal_grid_points, axis=1)  # d_x x P
+
+    # Skew-normal coefficients per theta point, computed only where they
+    # are read: at every point under SIMPLIFIED_LAPLACE, and under
+    # FULL_LAPLACE at the points too light for a profile scan.
+    sla = {}
+    if strategy is not Strategy.GAUSSIAN:
+        for g, (point, approx) in enumerate(zip(grid.points, approxes)):
+            if strategy is Strategy.SIMPLIFIED_LAPLACE or not fl_scan[g]:
+                sla[g] = _sla_coefficients(ctx, point.theta, approx)
+
+    unreliable = set()
+    fl_unconverged = 0
+    marginals = []
+    for i in indices:
+        vg = vgrids[i]
+        dens = np.zeros(cfg.marginal_grid_points)
+        for g, (point, approx) in enumerate(zip(grid.points, approxes)):
+            mu_ig = means[g, i]
+            sd_ig = sds[g, i]
+            if strategy is Strategy.GAUSSIAN:
+                cond = _normal_pdf(vg, mu_ig, sd_ig)
+            elif strategy is Strategy.SIMPLIFIED_LAPLACE or not fl_scan[g]:
+                gamma1, gamma3 = sla[g]
+                m_std = gamma1[i] + 0.5 * gamma3[i]
+                xi, omega, alpha = _skew_normal_std_params(m_std, gamma3[i])
+                s = (vg - mu_ig) / sd_ig
+                cond = _skew_normal_pdf(s, xi, omega, alpha) / sd_ig
+            else:
+                v_fl = np.linspace(
+                    mu_ig - cfg.fl_grid_sds * sd_ig,
+                    mu_ig + cfg.fl_grid_sds * sd_ig,
+                    cfg.fl_grid_points,
+                )
+                logd, unconverged = _profile_scan(ctx, point.theta, approx, i, v_fl)
+                if unconverged:
+                    unreliable.add(i)
+                    fl_unconverged += unconverged
+                finite = np.isfinite(logd)
+                if finite.sum() < 3:
+                    unreliable.add(i)
+                    cond = _normal_pdf(vg, mu_ig, sd_ig)
+                else:
+                    vf, lf = v_fl[finite], logd[finite]
+                    lf = lf - lf.max()
+                    # not-a-knot reproduces polynomial log densities up
+                    # to cubic exactly, so a quadratic (Gaussian) profile
+                    # passes through unchanged.
+                    spline = interpolate.CubicSpline(vf, lf, bc_type="not-a-knot")
+                    inside = (vg >= vf[0]) & (vg <= vf[-1])
+                    logc = np.empty_like(vg)
+                    logc[inside] = spline(vg[inside])
+                    # Outside the scan, continue with the Gaussian tail
+                    # matched additively at the scan edge.
+                    for edge, mask in ((vf[0], vg < vf[0]), (vf[-1], vg > vf[-1])):
+                        if np.any(mask):
+                            quad = -0.5 * ((vg[mask] - mu_ig) / sd_ig) ** 2
+                            quad_edge = -0.5 * ((edge - mu_ig) / sd_ig) ** 2
+                            logc[mask] = spline(edge) + quad - quad_edge
+                    cond = np.exp(logc - logc.max())
+                area = np.trapezoid(cond, vg)
+                if not (area > 0 and np.isfinite(area)):
+                    unreliable.add(i)
+                    cond = _normal_pdf(vg, mu_ig, sd_ig)
+                else:
+                    cond = cond / area
+            dens += point.weight * cond
+        marginals.append(PosteriorMarginal.from_unnormalized(vg, dens))
+    return marginals, {
+        "unreliable_latents": sorted(unreliable),
+        "fl_scanned_points": scanned,
+        "fl_unconverged_points": fl_unconverged,
+    }

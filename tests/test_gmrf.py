@@ -129,25 +129,30 @@ def union_find_oracle(graph: AdjacencyGraph) -> list[int]:
     ],
 )
 def test_graph_caches_are_read_only_and_match_a_fresh_computation(graph):
-    # edge_arrays() and component_labels() are computed once per graph
-    # and shared, so no caller may write into them.
+    # edge_arrays(), component_labels() and graph_laplacian() are computed
+    # once per graph and shared, so no caller may write into them.
     a, b = graph.edge_arrays()
     labels = component_labels(graph)
+    laplacian = graph_laplacian(graph)
     e = np.asarray(graph.edges, dtype=np.int64).reshape(-1, 2)
     assert a.dtype == b.dtype == np.int64
     assert np.array_equal(a, e[:, 0]) and np.array_equal(b, e[:, 1])
     assert labels.tolist() == union_find_oracle(graph)
     assert connected_components(graph) == len(set(labels.tolist()))
-    for arr in (a, b, labels):
+    assert laplacian.tobytes() == dense_laplacian_oracle(graph).tobytes()
+    for arr in (a, b, labels, laplacian):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[...] = 0
+    with pytest.raises(ValueError):
+        laplacian[0, 0] += 1.0
     # Every call returns the same arrays; equality and hashing see only
     # the node count and the edges.
     assert graph.edge_arrays()[0] is a and component_labels(graph) is labels
+    assert graph_laplacian(graph) is laplacian
     twin = AdjacencyGraph(graph.n_nodes, tuple(reversed(graph.edges)))
     assert twin == graph and hash(twin) == hash(graph)
-    assert "_component_labels" not in repr(graph)
+    assert "_component_labels" not in repr(graph) and "_laplacian" not in repr(graph)
 
 
 # ---------------------------------------------------------------------------

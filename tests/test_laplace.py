@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -519,8 +520,8 @@ def test_empty_latent_request_keeps_grid_hypers_and_pointwise_loglik(monkeypatch
     def unused(*args):
         raise AssertionError("computed for a fit that requests no latent marginal")
 
-    # Nothing reads the per-theta covariances or skewness coefficients.
-    monkeypatch.setattr(laplace._Approx, "cov", property(unused))
+    # Nothing rebuilds the per-theta covariances or skewness coefficients.
+    monkeypatch.setattr(laplace, "_covariance", unused)
     monkeypatch.setattr(laplace, "_sla_coefficients", unused)
     bare = laplace.fit(spec, data, strategy=Strategy.FULL_LAPLACE, latents=[])
     assert bare.latent_names == [] and bare.latent_marginals == []
@@ -648,9 +649,9 @@ def test_full_laplace_computes_skew_coefficients_only_where_read(monkeypatch):
     sla = laplace._sla_coefficients
     calls = []
 
-    def counted(ctx, theta, approx):
+    def counted(ctx, theta, *rest):
         calls.append(theta.tobytes())
-        return sla(ctx, theta, approx)
+        return sla(ctx, theta, *rest)
 
     monkeypatch.setattr(laplace, "_sla_coefficients", counted)
     res = laplace.fit(spec, data, strategy=Strategy.FULL_LAPLACE, config=cfg, latents=["beta_x"])
@@ -678,20 +679,93 @@ def test_full_laplace_computes_skew_coefficients_only_where_read(monkeypatch):
     ],
 )
 def test_gaussian_and_sla_fits_are_bit_identical_to_the_two_loop_oracle(monkeypatch, model, cfg, strategy):
+    assert_bit_identical_to_the_cache_everything_oracle(monkeypatch, model, cfg, strategy)
+
+
+@pytest.mark.parametrize(
+    "model, cfg",
+    [
+        (small_poisson_model, LaplaceConfig()),
+        (small_zinb_model, LaplaceConfig(int_strategy="ccd")),
+        # Defined below with the other pool-dataset tests.
+        (lambda: _pool_dataset(seed=0, index=5), LaplaceConfig()),
+    ],
+)
+def test_full_laplace_fits_are_bit_identical_to_the_cache_everything_oracle(monkeypatch, model, cfg):
+    assert_bit_identical_to_the_cache_everything_oracle(monkeypatch, model, cfg, Strategy.FULL_LAPLACE)
+
+
+def assert_bit_identical_to_the_cache_everything_oracle(monkeypatch, model, cfg, strategy):
+    """The fit matches, byte for byte, the theta cache that kept every
+    evaluation's curvature, fed by the two-loop Newton solver."""
     spec, data = model()
     new = laplace.fit(spec, data, strategy=strategy, config=cfg).to_json()
     monkeypatch.setattr(laplace, "_newton", oracle_laplace._newton)
+    monkeypatch.setattr(laplace, "_log_posterior_theta", oracle_laplace._log_posterior_theta)
+    monkeypatch.setattr(laplace, "_mix_marginals", oracle_laplace._mix_marginals)
     assert laplace.fit(spec, data, strategy=strategy, config=cfg).to_json() == new
 
 
-def exact_profile_point(ctx, theta, approx, index, v):
+def test_theta_cache_keeps_no_array_longer_than_the_latent_mode_or_predictor(monkeypatch):
+    spec, data = small_spatial_dataset()
+    caches = []
+    log_posterior_theta = laplace._log_posterior_theta
+
+    def recorded(ctx, theta, cache, cold=False):
+        caches.append((ctx, cache))
+        return log_posterior_theta(ctx, theta, cache, cold)
+
+    monkeypatch.setattr(laplace, "_log_posterior_theta", recorded)
+    laplace.fit(spec, data, strategy=Strategy.SIMPLIFIED_LAPLACE)
+    ctx, cache = caches[-1]
+    assert len(cache) > 100
+    for key, entry in cache.items():
+        arrays = [entry] if key == "_warm" else [v for v in vars(entry[1]).values() if isinstance(v, np.ndarray)]
+        assert all(a.ndim == 1 and a.size in (ctx.dim_u, ctx.n) for a in arrays)
+
+
+def traced_peak_mib_of_a_bym_gaussian_fit(n_areas):
+    """tracemalloc peak, in MiB, of a Gaussian fit of the slope on dataset
+    0 of a BYM study of ``n_areas`` areas."""
+    config = harness.study_config("bym", n_areas=n_areas, n_datasets=1, strategy="gaussian")
+    data = harness.generate_datasets(config)[0]
+    spec = mdl.bym_spec(covariates=("x",))
+    tracemalloc.start()
+    try:
+        laplace.fit(spec, data, strategy=Strategy.GAUSSIAN, config=config.laplace_config(), latents=["beta_x"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
+
+
+def test_bym_fit_memory_does_not_grow_with_the_theta_evaluations():
+    # A cache of every evaluation's d x d curvature peaked at 58.7 MiB here.
+    assert traced_peak_mib_of_a_bym_gaussian_fit(64) <= 8.0
+
+
+@pytest.mark.slow
+def test_paper_size_bym_fit_memory_does_not_grow_with_the_theta_evaluations():
+    # A cache of every evaluation's d x d curvature peaked at 1,117 MiB here.
+    assert traced_peak_mib_of_a_bym_gaussian_fit(296) <= 100.0
+
+
+def as_two_loop_args(ctx, theta, mode_u, cov_col, index, v_grid):
+    """The profile scan's arguments as the two-loop oracle takes them: an
+    approximation whose covariance column ``index`` is ``cov_col``."""
+    cov = np.zeros((mode_u.size, mode_u.size))
+    cov[:, index] = cov_col
+    return ctx, theta, types.SimpleNamespace(mode_u=mode_u, cov=cov), index, v_grid
+
+
+def exact_profile_point(ctx, theta, mode_u, cov_col, index, v):
     """Full-Laplace log density of one component at ``v`` after 30 plain
     Newton steps from the Gaussian conditional mean (log-concave
     likelihoods only), with the log determinant from ``slogdet``."""
     p = ctx.prior_precision_u(theta)
     keep = np.array([k for k in range(ctx.dim_u) if k != index])
     j, p_keep = ctx.j[:, keep], p[np.ix_(keep, keep)]
-    u = approx.mode_u + approx.cov[:, index] / approx.cov[index, index] * (v - approx.mode_u[index])
+    u = mode_u + cov_col / cov_col[index] * (v - mode_u[index])
     u[index] = v
     for _ in range(30):
         g1, w = mdl.eta_derivatives(ctx.spec, ctx.eta(u), theta, ctx.data)
@@ -725,7 +799,7 @@ def test_full_laplace_profiles_match_the_two_loop_oracle(monkeypatch):
         laplace.fit(spec, data, strategy=Strategy.FULL_LAPLACE, latents=latents)
     flagged = flagged_oracle = compared = 0
     for args, (logd, unconverged) in scans:
-        ref, ref_unconverged = oracle_laplace._fl_conditional_logdens(*args)
+        ref, ref_unconverged = oracle_laplace._fl_conditional_logdens(*as_two_loop_args(*args))
         flagged += unconverged
         flagged_oracle += ref_unconverged
         if ref_unconverged:
@@ -740,7 +814,7 @@ def test_full_laplace_profiles_match_the_two_loop_oracle(monkeypatch):
         # decrement test), the scan either flags its stop or is right.
         if off.size and not unconverged:
             assert args[0].spec.family is not mdl.Family.ZERO_INFLATED_NEG_BINOMIAL
-            exact = np.array([exact_profile_point(*args[:4], args[4][g]) for g in off])
+            exact = np.array([exact_profile_point(*args[:5], args[5][g]) for g in off])
             np.testing.assert_allclose(logd[off], exact, rtol=1e-8, atol=1e-8)
     assert compared > 0.8 * len(scans)
     # The oracle's scan stops short on both pool datasets.
@@ -780,9 +854,10 @@ def test_profile_point_with_non_pd_clipped_curvature_is_dropped(monkeypatch):
     theta = np.zeros(mdl.hyper_dim(spec))
     approx = laplace._newton(ctx, theta)
     index = mdl.latent_names(spec, data.n).index("beta_x")
-    sd = math.sqrt(approx.cov[index, index])
+    cov_col = laplace._covariance(ctx, theta, approx)[:, index]
+    sd = math.sqrt(cov_col[index])
     v_grid = approx.mode_u[index] + sd * np.linspace(-3.0, 3.0, 7)
-    clean, _ = laplace._fl_conditional_logdens(ctx, theta, approx, index, v_grid)
+    clean, _ = laplace._fl_conditional_logdens(ctx, theta, approx.mode_u, cov_col, index, v_grid)
     assert np.all(np.isfinite(clean))
 
     # At the fourth scan point the likelihood curvature turns negative.
@@ -803,7 +878,7 @@ def test_profile_point_with_non_pd_clipped_curvature_is_dropped(monkeypatch):
 
     monkeypatch.setattr(laplace, "_ascend", traced_ascend)
     monkeypatch.setattr(mdl, "eta_derivatives", negative_curvature)
-    logd, unconverged = laplace._fl_conditional_logdens(ctx, theta, approx, index, v_grid)
+    logd, unconverged = laplace._fl_conditional_logdens(ctx, theta, approx.mode_u, cov_col, index, v_grid)
     assert causes == ["hessian_not_pd"]
     assert unconverged == 0
     assert logd[3] == -np.inf
@@ -888,3 +963,23 @@ def test_theta_mode_search_failure_is_recorded(monkeypatch):
     res = laplace.fit(spec, data, latents=[])
     assert res.diagnostics.theta_mode_converged is False
     assert json.loads(res.to_json())["diagnostics"]["theta_mode_converged"] is False
+
+
+def test_failed_theta_mode_evaluations_are_counted(monkeypatch):
+    spec, data = _pool_dataset(seed=0, index=0)
+    newton, visited = laplace._newton, []
+
+    def recorded(ctx, theta, u0=None):
+        visited.append(theta.tobytes())
+        return newton(ctx, theta, u0)
+
+    monkeypatch.setattr(laplace, "_newton", recorded)
+    clean = laplace.fit(spec, data, latents=[])
+    assert clean.diagnostics.theta_mode_failed_evals == 0
+    # The first two evaluations are the start and its finite-difference
+    # neighbour; the third is BFGS's first line-search trial.
+    assert visited[2] != visited[0]
+    monkeypatch.setattr(laplace, "_newton", _failing_newton(visited[2], cold_too=True))
+    res = laplace.fit(spec, data, latents=[])
+    assert res.diagnostics.theta_mode_failed_evals == 1
+    assert json.loads(res.to_json())["diagnostics"]["theta_mode_failed_evals"] == 1

@@ -673,6 +673,14 @@ def test_csv_missing_columns_raise(tmp_path):
         mdl.dataset_from_csv(path, y_name="count")
 
 
+def test_csv_with_a_repeated_column_raises(tmp_path):
+    # Both "y" columns would otherwise be read as six sites from three rows.
+    path = tmp_path / "data.csv"
+    path.write_text("y,y\n1,100\n2,200\n3,300\n")
+    with pytest.raises(ValueError, match="repeats column 'y'"):
+        mdl.dataset_from_csv(path, offset_name=None)
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=20)
 def test_csv_round_trip_preserves_floats_exactly(seed):
