@@ -133,8 +133,9 @@ class StudyConfig:
             raise ValueError("n_datasets must be >= 1")
         if self.n_areas < 1:
             raise ValueError("n_areas must be >= 1")
-        Strategy = lap.Strategy
-        Strategy(self.strategy)  # validates
+        lap.Strategy(self.strategy)  # validates
+        if self.int_strategy not in lap.INT_STRATEGIES:
+            raise ValueError(f"int_strategy must be one of {lap.INT_STRATEGIES}, not {self.int_strategy!r}")
 
     def chain_config(self, dataset_index: int, *stream_path) -> mc.ChainConfig:
         return mc.ChainConfig(
@@ -145,9 +146,6 @@ class StudyConfig:
             adaptation_window=self.adaptation_window,
             constraint_mode=self.constraint_mode,
         )
-
-    def laplace_config(self) -> lap.LaplaceConfig:
-        return lap.LaplaceConfig(int_strategy=self.int_strategy)
 
 
 _DESK = {"n_datasets": 20, "n_areas": 50, "mcmc_iterations": 100_000, "mcmc_burn_in": 10_000, "mcmc_thin": 10}
@@ -238,27 +236,15 @@ def _zinb_covariates(config: StudyConfig) -> tuple[np.ndarray, np.ndarray]:
 
 def _covariate_columns(path, names: tuple[str, ...], n: int) -> list:
     """The first ``n`` values of each named column of a covariate file."""
-    cols = _read_csv_columns(path)
+    _, cols = mdl.read_csv_table(path)
     out = []
     for name in names:
         if name not in cols:
             raise ValueError(f"covariate file has no column {name!r}")
-        if cols[name].size < n:
+        if len(cols[name]) < n:
             raise ValueError("covariate file has fewer rows than n_areas")
-        out.append(cols[name][:n])
+        out.append(np.array([float(v) for v in cols[name][:n]]))
     return out
-
-
-def _read_csv_columns(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    mdl._check_csv_header(header, path)
-    cols = {name: [] for name in header}
-    for row in rows:
-        for name, value in zip(header, row):
-            cols[name].append(float(value))
-    return {k: np.array(v) for k, v in cols.items()}
 
 
 def generate_poisson_data(config: StudyConfig, attach_graph: bool = False) -> list:
@@ -419,7 +405,7 @@ def _laplace_fit(config, index, spec, data, failures, latents, model=None):
             spec,
             data,
             strategy=lap.Strategy(config.strategy),
-            config=config.laplace_config(),
+            int_strategy=config.int_strategy,
             seed=config.master_seed,
             latents=latents,
         )

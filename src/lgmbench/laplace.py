@@ -28,7 +28,7 @@ strategies applied to the Gaussian (Newton) approximation at theta:
 
       log p~(v) = f(x_hat(v)) - (1/2) log det H_{-i,-i}(x_hat(v))
 
-  evaluated on ``fl_grid_points`` points over +-``fl_grid_sds``
+  evaluated on ``FL_GRID_POINTS`` points over +-``FL_GRID_SDS``
   conditional standard deviations and spline-interpolated.
 
 Everything here is deterministic: no random numbers are drawn, grids
@@ -42,7 +42,7 @@ import enum
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import interpolate, optimize
@@ -54,7 +54,7 @@ from .posterior import PosteriorMarginal
 
 __all__ = [
     "Strategy",
-    "LaplaceConfig",
+    "INT_STRATEGIES",
     "GaussianApprox",
     "ThetaPoint",
     "ThetaGrid",
@@ -86,40 +86,34 @@ class FitFailure(Exception):
         super().__init__(msg)
 
 
-@dataclass(frozen=True)
-class LaplaceConfig:
-    """Tuning knobs for the deterministic inference engine."""
+#: Integration strategies for the hyperparameter grid: ``"auto"`` takes
+#: the dense grid up to two hyperparameters and the central composite
+#: design above that.
+INT_STRATEGIES = ("auto", "grid", "ccd")
 
-    newton_tol: float = 1e-8
-    newton_max_iter: int = 50
-    max_step_halvings: int = 20
-    theta_grid_step: float = 0.75
-    theta_deficit_cutoff: float = 6.0
-    theta_max_steps_per_axis: int = 25
-    int_strategy: str = "auto"  # "auto" | "grid" | "ccd"
-    ccd_radius_scale: float = 1.0
-    # The profile scan spans the same +-6 sd as the marginal grid so no
-    # integration node falls in the extrapolated Gaussian tail.
-    fl_grid_points: int = 15
-    fl_grid_sds: float = 6.0
-    # Hyperparameter grid points whose weight falls below this fraction
-    # of the largest weight contribute through the skew-normal
-    # conditional instead of a full profile scan; the induced error is
-    # bounded by the skipped mass times the conditional discrepancy.
-    fl_min_weight: float = 1e-2
-    # +-6 sd keeps the truncated tail mass below 1e-7 of the variance,
-    # which is what lets exactly-Gaussian posteriors summarize to 1e-6
-    # relative accuracy from the grid.
-    marginal_grid_points: int = 161
-    marginal_grid_sds: float = 6.0
-    propriety_tol: float = 1e-10
-    fd_step: float = 1e-3
-
-    def __post_init__(self):
-        if self.int_strategy not in ("auto", "grid", "ccd"):
-            raise ValueError("int_strategy must be auto, grid, or ccd")
-        if self.fl_grid_points < 3:
-            raise ValueError("fl_grid_points must be >= 3")
+# The engine's tolerances and grid sizes.  They are fixed, so a fit is
+# stated in full by its spec, data, strategy and ``int_strategy``.
+NEWTON_TOL = 1e-8
+NEWTON_MAX_ITER = 50
+MAX_STEP_HALVINGS = 20
+THETA_GRID_STEP = 0.75
+THETA_DEFICIT_CUTOFF = 6.0
+THETA_MAX_STEPS_PER_AXIS = 25
+# The profile scan spans the same +-6 sd as the marginal grid so no
+# integration node falls in the extrapolated Gaussian tail.
+FL_GRID_POINTS = 15
+FL_GRID_SDS = 6.0
+# Hyperparameter grid points whose weight falls below this fraction
+# of the largest weight contribute through the skew-normal
+# conditional instead of a full profile scan; the induced error is
+# bounded by the skipped mass times the conditional discrepancy.
+FL_MIN_WEIGHT = 1e-2
+# +-6 sd keeps the truncated tail mass below 1e-7 of the variance,
+# which is what lets exactly-Gaussian posteriors summarize to 1e-6
+# relative accuracy from the grid.
+MARGINAL_GRID_POINTS = 161
+MARGINAL_GRID_SDS = 6.0
+FD_STEP = 1e-3
 
 
 @dataclass
@@ -241,7 +235,7 @@ class FitResult:
     pointwise_loglik: np.ndarray
     grid_weights: np.ndarray
     diagnostics: FitDiagnostics
-    config: LaplaceConfig
+    int_strategy: str
     seed: int | None = None
     version: str = ""
 
@@ -260,7 +254,7 @@ class FitResult:
             "engine": "laplace",
             "version": self.version,
             "seed": self.seed,
-            "config": asdict(self.config),
+            "int_strategy": self.int_strategy,
             "diagnostics": self.diagnostics.to_dict(),
             "theta_grid": self.theta_grid.to_dict(),
             "latent_names": list(self.latent_names),
@@ -299,10 +293,12 @@ class _Context:
     approximation into an ordinary one.
     """
 
-    def __init__(self, spec: mdl.ModelSpec, data: mdl.Dataset, config: LaplaceConfig):
+    def __init__(self, spec: mdl.ModelSpec, data: mdl.Dataset, int_strategy: str = "auto"):
+        if int_strategy not in INT_STRATEGIES:
+            raise ValueError(f"int_strategy must be one of {INT_STRATEGIES}, not {int_strategy!r}")
         self.spec = spec
         self.data = data
-        self.config = config
+        self.int_strategy = int_strategy
         n = data.n
         self.n = n
         self.dim_x = mdl.latent_dim(spec, n)
@@ -396,8 +392,8 @@ def _ascend(ctx: _Context, theta: np.ndarray, p_mat: np.ndarray, u: np.ndarray, 
     taken, ``"converged"``, ``"stalled"`` or ``"max_iter"``, and whether
     the curvature was ever clipped to non-negative likelihood weights.
 
-    The stop rule: the gradient norm falls to ``newton_tol`` times the
-    first one, or the Newton decrement to ``newton_tol**2 * max(1, |f|)``.
+    The stop rule: the gradient norm falls to ``NEWTON_TOL`` times the
+    first one, or the Newton decrement to ``NEWTON_TOL**2 * max(1, |f|)``.
     On large-count data the gradient has a floating-point noise floor
     that can exceed any relative gradient tolerance (especially under
     warm starts, where the first gradient is small), while the step
@@ -405,12 +401,11 @@ def _ascend(ctx: _Context, theta: np.ndarray, p_mat: np.ndarray, u: np.ndarray, 
     the attainable objective gain and stops once it is below the
     objective's own rounding.  A line search that cannot ascend counts as
     converged only at a gradient within 1e-6 of the first one.  After
-    ``newton_max_iter`` steps the gradient test is applied once more.
+    ``NEWTON_MAX_ITER`` steps the gradient test is applied once more.
 
     Raises FitFailure (hessian_not_pd) when even the clipped curvature
     is not positive definite.
     """
-    cfg = ctx.config
     spec, data = ctx.spec, ctx.data
     sel = slice(None) if free is None else free
     j = ctx.j[:, sel]
@@ -424,23 +419,23 @@ def _ascend(ctx: _Context, theta: np.ndarray, p_mat: np.ndarray, u: np.ndarray, 
     f_cur = objective(eta, u)
     clipped = False
     ref_grad = None
-    for iters in range(cfg.newton_max_iter + 1):
+    for iters in range(NEWTON_MAX_ITER + 1):
         g1, _, chol, clipped_here = _curvature(ctx, theta, eta, j, p_free)
         clipped = clipped or clipped_here
         grad = j.T @ g1 - (p_mat @ u)[sel]
         gnorm = float(np.linalg.norm(grad))
         if ref_grad is None:
             ref_grad = max(1.0, gnorm)
-        if gnorm <= cfg.newton_tol * ref_grad:
+        if gnorm <= NEWTON_TOL * ref_grad:
             return u, eta, f_cur, chol, iters, "converged", clipped
-        if iters == cfg.newton_max_iter:
+        if iters == NEWTON_MAX_ITER:
             return u, eta, f_cur, chol, iters, "max_iter", clipped
         step = np.linalg.solve(chol.T, np.linalg.solve(chol, grad))
-        if float(grad @ step) <= cfg.newton_tol**2 * max(1.0, abs(f_cur)):
+        if float(grad @ step) <= NEWTON_TOL**2 * max(1.0, abs(f_cur)):
             return u, eta, f_cur, chol, iters, "converged", clipped
         j_step = j @ step
         t = 1.0
-        for _ in range(cfg.max_step_halvings + 1):
+        for _ in range(MAX_STEP_HALVINGS + 1):
             u_new = u.copy()
             u_new[sel] = u[sel] + t * step
             eta_new = eta + t * j_step
@@ -472,7 +467,7 @@ def _newton(ctx: _Context, theta: np.ndarray, u0: np.ndarray | None = None) -> _
     if outcome == "max_iter":
         raise FitFailure(
             "newton_nonconvergence",
-            f"no convergence in {ctx.config.newton_max_iter} iterations",
+            f"no convergence in {NEWTON_MAX_ITER} iterations",
         )
     log_det_half = float(np.add.reduce(np.log(np.diag(chol))))
     return _Approx(u, eta, log_det_half, iters, True, clipped)
@@ -482,7 +477,6 @@ def gaussian_approx_latent(
     spec: mdl.ModelSpec,
     theta: np.ndarray,
     data: mdl.Dataset,
-    config: LaplaceConfig | None = None,
     x0: np.ndarray | None = None,
 ) -> GaussianApprox:
     """Public Gaussian approximation at fixed hyperparameters.
@@ -491,8 +485,7 @@ def gaussian_approx_latent(
     constrained specs the precision is the reduced-space curvature
     pushed back through the constraint basis).
     """
-    config = config or LaplaceConfig()
-    ctx = _Context(spec, data, config)
+    ctx = _Context(spec, data)
     theta = np.asarray(theta, dtype=float)
     u0 = None
     if x0 is not None:
@@ -577,7 +570,7 @@ def _theta_hessian(ctx: _Context, mode: np.ndarray, cache: dict) -> np.ndarray:
     m = mode.size
     if m == 0:
         return np.zeros((0, 0))
-    h = np.array([ctx.config.fd_step * max(1.0, abs(v)) for v in mode])
+    h = np.array([FD_STEP * max(1.0, abs(v)) for v in mode])
 
     def lp(th):
         return _log_posterior_theta(ctx, th, cache)[0]
@@ -637,13 +630,10 @@ def _integration_point(ctx: _Context, theta: np.ndarray, cache: dict, stats: dic
 
 def _grid_points(ctx: _Context, mode, axes, lp_mode, cache, stats):
     """Dense axis-aligned grid in standardized coordinates."""
-    cfg = ctx.config
     m = mode.size
-    step = cfg.theta_grid_step
-    cutoff = cfg.theta_deficit_cutoff
 
     def lp_at(z):
-        theta = mode + axes @ (np.asarray(z, dtype=float) * step)
+        theta = mode + axes @ (np.asarray(z, dtype=float) * THETA_GRID_STEP)
         lp = _integration_point(ctx, theta, cache, stats)
         return (-np.inf if lp is None else lp), theta
 
@@ -652,11 +642,11 @@ def _grid_points(ctx: _Context, mode, axes, lp_mode, cache, stats):
     for axis in range(m):
         for direction, bound in ((1, hi), (-1, lo)):
             t = 1
-            while t <= cfg.theta_max_steps_per_axis:
+            while t <= THETA_MAX_STEPS_PER_AXIS:
                 z = np.zeros(m)
                 z[axis] = direction * t
                 val, _ = lp_at(z)
-                if lp_mode - val > cutoff:
+                if lp_mode - val > THETA_DEFICIT_CUTOFF:
                     break
                 t += 1
             bound[axis] = direction * (t - 1)
@@ -666,7 +656,7 @@ def _grid_points(ctx: _Context, mode, axes, lp_mode, cache, stats):
     for combo in itertools.product(*ranges):
         z = np.array(combo, dtype=float)
         val, theta = lp_at(z)
-        if lp_mode - val <= cutoff:
+        if lp_mode - val <= THETA_DEFICIT_CUTOFF:
             entries.append((np.array(combo), theta, val))
     zs = np.array([e[0] for e in entries])
     coeff = np.ones(len(entries))
@@ -683,7 +673,7 @@ def _grid_points(ctx: _Context, mode, axes, lp_mode, cache, stats):
 def _ccd_points(ctx: _Context, mode, axes, lp_mode, cache, stats):
     """Central composite design: center, corners, and axial points.
 
-    All off-center points sit at radius f0 = scale * sqrt(m + 1) in
+    All off-center points sit at radius f0 = sqrt(m + 1) in
     standardized coordinates.  Design weights give the center 1/(m+1)
     and split the rest evenly, which integrates the radial second
     moment of a standard Gaussian exactly; each design weight is then
@@ -691,9 +681,8 @@ def _ccd_points(ctx: _Context, mode, axes, lp_mode, cache, stats):
     Gaussian at its point.  Design points whose evaluation fails are
     dropped.
     """
-    cfg = ctx.config
     m = mode.size
-    f0 = cfg.ccd_radius_scale * math.sqrt(m + 1.0)
+    f0 = math.sqrt(m + 1.0)
     zs = [np.zeros(m)]
     for corner in itertools.product((-1.0, 1.0), repeat=m):
         zs.append(f0 / math.sqrt(m) * np.array(corner))
@@ -736,7 +725,7 @@ def _explore(ctx: _Context) -> tuple[ThetaGrid, list[_Approx], dict]:
     hess = _theta_hessian(ctx, mode, cache)
     axes = _standardizer(hess)
     lp_mode, _ = _log_posterior_theta(ctx, mode, cache)
-    method = ctx.config.int_strategy
+    method = ctx.int_strategy
     if method == "auto":
         method = "grid" if m <= 2 else "ccd"
     points_of = _grid_points if method == "grid" else _ccd_points
@@ -747,9 +736,9 @@ def _explore(ctx: _Context) -> tuple[ThetaGrid, list[_Approx], dict]:
     return grid, approxes, stats
 
 
-def explore_theta(spec: mdl.ModelSpec, data: mdl.Dataset, config: LaplaceConfig | None = None) -> ThetaGrid:
+def explore_theta(spec: mdl.ModelSpec, data: mdl.Dataset, int_strategy: str = "auto") -> ThetaGrid:
     """Locate the hyperparameter mode and build the weighted grid."""
-    ctx = _Context(spec, data, config or LaplaceConfig())
+    ctx = _Context(spec, data, int_strategy)
     grid, _, _ = _explore(ctx)
     return grid
 
@@ -866,14 +855,13 @@ def _mix_marginals(ctx: _Context, grid: ThetaGrid, approxes, strategy: Strategy,
     covariance columns of the requested components.  So memory grows
     as O(G d) over G grid points, not O(G d^2).
     """
-    cfg = ctx.config
     if strategy is Strategy.FULL_LAPLACE and ctx.basis is not None:
         raise FitFailure(
             "strategy_unsupported",
             "full Laplace is not available with kriging constraints",
         )
     weights = grid.weights
-    fl_scan = weights >= cfg.fl_min_weight * weights.max()
+    fl_scan = weights >= FL_MIN_WEIGHT * weights.max()
     scanned = int(fl_scan.sum()) if strategy is Strategy.FULL_LAPLACE else 0
     if not indices:
         return [], {"unreliable_latents": [], "fl_scanned_points": scanned, "fl_unconverged_points": 0}
@@ -894,16 +882,16 @@ def _mix_marginals(ctx: _Context, grid: ThetaGrid, approxes, strategy: Strategy,
             cov_cols[g] = cov[:, indices]  # d x len(indices)
         del cov
     sds = np.array(sds)
-    lo = (means - cfg.marginal_grid_sds * sds).min(axis=0)
-    hi = (means + cfg.marginal_grid_sds * sds).max(axis=0)
-    vgrids = np.linspace(lo, hi, cfg.marginal_grid_points, axis=1)  # d_x x P
+    lo = (means - MARGINAL_GRID_SDS * sds).min(axis=0)
+    hi = (means + MARGINAL_GRID_SDS * sds).max(axis=0)
+    vgrids = np.linspace(lo, hi, MARGINAL_GRID_POINTS, axis=1)  # d_x x P
 
     unreliable = set()
     fl_unconverged = 0
     marginals = []
     for k, i in enumerate(indices):
         vg = vgrids[i]
-        dens = np.zeros(cfg.marginal_grid_points)
+        dens = np.zeros(MARGINAL_GRID_POINTS)
         for g, (point, approx) in enumerate(zip(grid.points, approxes)):
             mu_ig = means[g, i]
             sd_ig = sds[g, i]
@@ -917,9 +905,9 @@ def _mix_marginals(ctx: _Context, grid: ThetaGrid, approxes, strategy: Strategy,
                 cond = _skew_normal_pdf(s, xi, omega, alpha) / sd_ig
             else:
                 v_fl = np.linspace(
-                    mu_ig - cfg.fl_grid_sds * sd_ig,
-                    mu_ig + cfg.fl_grid_sds * sd_ig,
-                    cfg.fl_grid_points,
+                    mu_ig - FL_GRID_SDS * sd_ig,
+                    mu_ig + FL_GRID_SDS * sd_ig,
+                    FL_GRID_POINTS,
                 )
                 logd, unconverged = _fl_conditional_logdens(
                     ctx, point.theta, approx.mode_u, cov_cols[g][:, k], i, v_fl
@@ -993,7 +981,7 @@ def fit(
     spec: mdl.ModelSpec,
     data: mdl.Dataset,
     strategy: Strategy = Strategy.GAUSSIAN,
-    config: LaplaceConfig | None = None,
+    int_strategy: str = "auto",
     seed: int | None = None,
     latents: list[str] | None = None,
 ) -> FitResult:
@@ -1003,7 +991,9 @@ def fit(
     (default: all).  A requested marginal is identical to the same
     component of a fit of all of them; the hyperparameter marginals,
     grid and ``pointwise_loglik`` do not depend on the request.  An
-    unknown name raises ValueError.
+    unknown name raises ValueError.  ``int_strategy`` (one of
+    ``INT_STRATEGIES``) picks the hyperparameter integration design; any
+    other value raises ValueError.
 
     Raises FitFailure (rank_deficient) when the joint posterior
     precision is singular on the constraint-feasible subspace, which is
@@ -1020,8 +1010,7 @@ def fit(
         if unknown:
             raise ValueError(f"unknown latent components: {unknown}")
         indices = [i for i, name in enumerate(names) if name in wanted]
-    config = config or LaplaceConfig()
-    ctx = _Context(spec, data, config)
+    ctx = _Context(spec, data, int_strategy)
     theta0 = np.zeros(mdl.hyper_dim(spec))
 
     # Propriety gate: curvature at the prior mean must be positive
@@ -1029,7 +1018,7 @@ def fit(
     eta0 = ctx.eta(np.zeros(ctx.dim_u))
     w0 = np.maximum(mdl.eta_derivatives(spec, eta0, theta0, data)[1], 0.0)
     h0 = ctx.j.T @ (w0[:, None] * ctx.j) + ctx.prior_precision_u(theta0)
-    prop = propriety_check(h0, None, tol=config.propriety_tol)
+    prop = propriety_check(h0, None)
     if not prop.proper:
         raise FitFailure(
             "rank_deficient",
@@ -1063,7 +1052,7 @@ def fit(
         pointwise_loglik=pointwise,
         grid_weights=grid.weights,
         diagnostics=diag,
-        config=config,
+        int_strategy=int_strategy,
         seed=seed,
         version=__version__,
     )

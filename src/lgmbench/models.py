@@ -71,6 +71,7 @@ __all__ = [
     "constraint_rows",
     "dataset_to_csv",
     "dataset_from_csv",
+    "read_csv_table",
 ]
 
 #: Linear predictors beyond this value would overflow exp() downstream.
@@ -826,12 +827,29 @@ def dataset_to_csv(data: Dataset, path, y_name: str = "y", offset_name: str = "o
             writer.writerow(row)
 
 
-def _check_csv_header(header: list, path) -> None:
-    """Raise ValueError when a CSV header names a column twice: the
-    readers would otherwise read both columns into one list."""
-    for i, name in enumerate(header):
-        if name in header[:i]:
-            raise ValueError(f"{path}: header repeats column {name!r}")
+def read_csv_table(path) -> tuple[list, dict]:
+    """The header of a headed CSV and its cells by column, as strings.
+
+    Blank lines are skipped, and an empty file has no columns.  Raises
+    ValueError when the header names a column twice (both columns would
+    be read into one list) or when a row has more or fewer cells than
+    the header (its cells would shift into the wrong columns).
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise ValueError(f"{path}: header repeats column {name!r}")
+        table = {name: [] for name in header}
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{path}: ragged row {row!r}")
+            for name, cell in zip(header, row):
+                table[name].append(cell)
+    return header, table
 
 
 def dataset_from_csv(
@@ -847,18 +865,7 @@ def dataset_from_csv(
     ``covariate_names=None`` takes every column that is not the response
     or the offset.  Declared columns must exist.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        _check_csv_header(header, path)
-        table = {name: [] for name in header}
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}: ragged row {row!r}")
-            for name, cell in zip(header, row):
-                table[name].append(cell)
+    header, table = read_csv_table(path)
     if y_name not in table:
         raise ValueError(f"{path}: missing response column {y_name!r}")
     y = np.array([int(v) for v in table[y_name]])

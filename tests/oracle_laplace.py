@@ -55,7 +55,6 @@ class _Approx:
 
 def _newton(ctx: _Context, theta: np.ndarray, u0: np.ndarray | None = None) -> _Approx:
     """Newton ascent of the conditional log posterior of the latent field."""
-    cfg = ctx.config
     spec, data = ctx.spec, ctx.data
     p_mat = ctx.prior_precision_u(theta)
     u = np.zeros(ctx.dim_u) if u0 is None else u0.copy()
@@ -73,7 +72,7 @@ def _newton(ctx: _Context, theta: np.ndarray, u0: np.ndarray | None = None) -> _
     ref_grad = None
     chol = None
     hess = None
-    for iters in range(1, cfg.newton_max_iter + 1):
+    for iters in range(1, laplace.NEWTON_MAX_ITER + 1):
         g1, w = mdl.eta_derivatives(spec, eta, theta, data)
         grad = ctx.j.T @ g1 - p_mat @ u
         gnorm = float(np.linalg.norm(grad))
@@ -88,7 +87,7 @@ def _newton(ctx: _Context, theta: np.ndarray, u0: np.ndarray | None = None) -> _
             clipped_any = True
             if chol is None:
                 raise FitFailure("hessian_not_pd", "negative curvature at Newton iterate")
-        if gnorm <= cfg.newton_tol * ref_grad:
+        if gnorm <= laplace.NEWTON_TOL * ref_grad:
             converged = True
             iters -= 1  # converged before taking this step
             break
@@ -100,14 +99,14 @@ def _newton(ctx: _Context, theta: np.ndarray, u0: np.ndarray | None = None) -> _
         # locates the mode to machine precision.  Stop once the remaining
         # gain is below rounding error of the objective itself.
         decrement = float(grad @ step)
-        if decrement <= cfg.newton_tol**2 * max(1.0, abs(f_cur)):
+        if decrement <= laplace.NEWTON_TOL**2 * max(1.0, abs(f_cur)):
             converged = True
             iters -= 1
             break
         j_step = ctx.j @ step
         t = 1.0
         accepted = False
-        for _ in range(cfg.max_step_halvings + 1):
+        for _ in range(laplace.MAX_STEP_HALVINGS + 1):
             u_new = u + t * step
             eta_new = eta + t * j_step
             try:
@@ -127,11 +126,11 @@ def _newton(ctx: _Context, theta: np.ndarray, u0: np.ndarray | None = None) -> _
                 break
             raise FitFailure("newton_line_search", f"no ascent step at iteration {iters}")
     else:
-        iters = cfg.newton_max_iter
+        iters = laplace.NEWTON_MAX_ITER
     if not converged:
         g1, w = mdl.eta_derivatives(spec, eta, theta, data)
         grad = ctx.j.T @ g1 - p_mat @ u
-        if float(np.linalg.norm(grad)) <= cfg.newton_tol * ref_grad:
+        if float(np.linalg.norm(grad)) <= laplace.NEWTON_TOL * ref_grad:
             converged = True
             hess = ctx.j.T @ (w[:, None] * ctx.j) + p_mat
             chol = _try_cholesky(hess)
@@ -142,7 +141,7 @@ def _newton(ctx: _Context, theta: np.ndarray, u0: np.ndarray | None = None) -> _
     if not converged or chol is None:
         raise FitFailure(
             "newton_nonconvergence",
-            f"no convergence in {cfg.newton_max_iter} iterations",
+            f"no convergence in {laplace.NEWTON_MAX_ITER} iterations",
         )
     log_det_half = float(np.add.reduce(np.log(np.diag(chol))))
     return _Approx(u, hess, chol, log_det_half, iters, converged, clipped_any)
@@ -164,7 +163,7 @@ def _fl_conditional_logdens(ctx: _Context, theta, approx: _Approx, index: int, v
     point's first one (the rule ``_newton`` uses).  Their values are
     kept.
     """
-    spec, data, cfg = ctx.spec, ctx.data, ctx.config
+    spec, data = ctx.spec, ctx.data
     d = ctx.dim_u
     p_mat = ctx.prior_precision_u(theta)
     keep = np.array([k for k in range(d) if k != index], dtype=int)
@@ -195,7 +194,7 @@ def _fl_conditional_logdens(ctx: _Context, theta, approx: _Approx, index: int, v
         failed = False
         stalled = False
         ref_grad = None
-        for _ in range(cfg.newton_max_iter):
+        for _ in range(laplace.NEWTON_MAX_ITER):
             g1, w = mdl.eta_derivatives(spec, eta, theta, data)
             if keep.size == 0:
                 break
@@ -217,7 +216,7 @@ def _fl_conditional_logdens(ctx: _Context, theta, approx: _Approx, index: int, v
             j_step = j_keep @ step
             t = 1.0
             moved = False
-            for _ in range(cfg.max_step_halvings + 1):
+            for _ in range(laplace.MAX_STEP_HALVINGS + 1):
                 u_try = u_full.copy()
                 u_try[keep] = u_full[keep] + t * step
                 eta_try = eta + t * j_step
@@ -310,14 +309,13 @@ def _mix_marginals(ctx: _Context, grid: ThetaGrid, approxes, strategy: Strategy,
     so a marginal does not depend on which others were requested; with
     none requested, none of them is computed.
     """
-    cfg = ctx.config
     if strategy is Strategy.FULL_LAPLACE and ctx.basis is not None:
         raise FitFailure(
             "strategy_unsupported",
             "full Laplace is not available with kriging constraints",
         )
     weights = grid.weights
-    fl_scan = weights >= cfg.fl_min_weight * weights.max()
+    fl_scan = weights >= laplace.FL_MIN_WEIGHT * weights.max()
     scanned = int(fl_scan.sum()) if strategy is Strategy.FULL_LAPLACE else 0
     if not indices:
         return [], {"unreliable_latents": [], "fl_scanned_points": scanned, "fl_unconverged_points": 0}
@@ -328,9 +326,9 @@ def _mix_marginals(ctx: _Context, grid: ThetaGrid, approxes, strategy: Strategy,
         )
     else:
         sds = np.array([np.sqrt(np.diag(a.cov)) for a in approxes])
-    lo = (means - cfg.marginal_grid_sds * sds).min(axis=0)
-    hi = (means + cfg.marginal_grid_sds * sds).max(axis=0)
-    vgrids = np.linspace(lo, hi, cfg.marginal_grid_points, axis=1)  # d_x x P
+    lo = (means - laplace.MARGINAL_GRID_SDS * sds).min(axis=0)
+    hi = (means + laplace.MARGINAL_GRID_SDS * sds).max(axis=0)
+    vgrids = np.linspace(lo, hi, laplace.MARGINAL_GRID_POINTS, axis=1)  # d_x x P
 
     # Skew-normal coefficients per theta point, computed only where they
     # are read: at every point under SIMPLIFIED_LAPLACE, and under
@@ -346,7 +344,7 @@ def _mix_marginals(ctx: _Context, grid: ThetaGrid, approxes, strategy: Strategy,
     marginals = []
     for i in indices:
         vg = vgrids[i]
-        dens = np.zeros(cfg.marginal_grid_points)
+        dens = np.zeros(laplace.MARGINAL_GRID_POINTS)
         for g, (point, approx) in enumerate(zip(grid.points, approxes)):
             mu_ig = means[g, i]
             sd_ig = sds[g, i]
@@ -360,9 +358,9 @@ def _mix_marginals(ctx: _Context, grid: ThetaGrid, approxes, strategy: Strategy,
                 cond = _skew_normal_pdf(s, xi, omega, alpha) / sd_ig
             else:
                 v_fl = np.linspace(
-                    mu_ig - cfg.fl_grid_sds * sd_ig,
-                    mu_ig + cfg.fl_grid_sds * sd_ig,
-                    cfg.fl_grid_points,
+                    mu_ig - laplace.FL_GRID_SDS * sd_ig,
+                    mu_ig + laplace.FL_GRID_SDS * sd_ig,
+                    laplace.FL_GRID_POINTS,
                 )
                 logd, unconverged = _profile_scan(ctx, point.theta, approx, i, v_fl)
                 if unconverged:

@@ -1,5 +1,6 @@
 """Every name a module exports in ``__all__`` exists in that module, and
-every name it imports is used."""
+every name it imports is used; the test modules import nothing unused
+either."""
 from __future__ import annotations
 
 import ast
@@ -13,6 +14,7 @@ import pytest
 import lgmbench
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(lgmbench.__path__, "lgmbench."))
+TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def test_the_package_has_its_modules():
@@ -54,3 +56,8 @@ def test_unused_import_check_finds_a_planted_import():
 def test_every_import_is_used(name):
     source = Path(importlib.util.find_spec(name).origin).read_text(encoding="utf-8")
     assert unused_imports(source) == []
+
+
+@pytest.mark.parametrize("path", TEST_FILES, ids=lambda path: path.name)
+def test_every_test_module_import_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -70,6 +70,16 @@ def test_study_config_validation():
         StudyConfig(kind="poisson", n_datasets=0, n_areas=10)
     with pytest.raises(ValueError):
         StudyConfig(kind="poisson", n_datasets=1, n_areas=10, strategy="psychic")
+    # An integration design is checked when the config is built or
+    # loaded, not when its first Laplace fit runs.
+    with pytest.raises(ValueError, match="int_strategy"):
+        StudyConfig(kind="poisson", n_datasets=1, n_areas=10, int_strategy="fancy")
+    payload = json.loads(config_to_json(study_config("poisson")))
+    payload["int_strategy"] = "fancy"
+    with pytest.raises(ValueError, match="int_strategy"):
+        config_from_json(json.dumps(payload))
+    for int_strategy in laplace.INT_STRATEGIES:
+        assert study_config("poisson", int_strategy=int_strategy).int_strategy == int_strategy
 
 
 def test_config_json_round_trip(tmp_path):
@@ -91,7 +101,6 @@ def test_chain_and_laplace_config_derivation():
     assert (cc.iterations, cc.burn_in, cc.thin) == (1_500, 300, 3)
     assert cc.seed != config.chain_config(1).seed
     assert config.chain_config(0, "alt").seed != cc.seed
-    assert config.laplace_config().int_strategy == "grid"
 
 
 def test_default_lattice_shapes():
@@ -238,6 +247,10 @@ def test_covariate_file_missing_a_column_raises(tmp_path, kind):
         write_covariate_csv(path, tuple(c for c in columns if c != missing), 10)
         with pytest.raises(ValueError, match=f"no column '{missing}'"):
             harness.generate_datasets(tiny_config(kind=kind, n_areas=10, covariate_csv=str(path)))
+    path = tmp_path / "empty.csv"
+    path.write_text("", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"no column '{columns[0]}'"):
+        harness.generate_datasets(tiny_config(kind=kind, n_areas=10, covariate_csv=str(path)))
 
 
 def test_covariate_file_with_a_repeated_column_raises(tmp_path):
@@ -246,6 +259,16 @@ def test_covariate_file_with_a_repeated_column_raises(tmp_path):
     path.write_text("x,total,x\n1,10,100\n2,20,200\n3,30,300\n", encoding="utf-8")
     with pytest.raises(ValueError, match="repeats column 'x'"):
         harness.generate_datasets(tiny_config(n_areas=3, covariate_csv=str(path)))
+
+
+@pytest.mark.parametrize("rows", ["1,10\n2\n3,30\n", "1,10\n2,20,99\n3,30\n"], ids=["short", "long"])
+def test_covariate_file_with_a_ragged_row_raises(tmp_path, rows):
+    # A short row would otherwise shift the later values of its missing
+    # column up by one row; a long row would lose its extra cells.
+    path = tmp_path / "covariates.csv"
+    path.write_text("x,total\n" + rows, encoding="utf-8")
+    with pytest.raises(ValueError, match="ragged row"):
+        harness.generate_datasets(tiny_config(n_areas=2, covariate_csv=str(path)))
 
 
 def test_generate_datasets_dispatch():

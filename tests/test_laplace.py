@@ -22,7 +22,7 @@ import scipy.optimize
 from lgmbench import harness, laplace
 from lgmbench import models as mdl
 from lgmbench.gmrf import AdjacencyGraph, Constraint, lattice_graph
-from lgmbench.laplace import FitFailure, LaplaceConfig, Strategy
+from lgmbench.laplace import FitFailure, Strategy
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +358,8 @@ def test_flat_fixed_prior_alone_is_accepted():
 
 def test_dense_grid_and_ccd_agree_on_two_hypers():
     spec, data = small_spatial_dataset()
-    res_grid = laplace.fit(spec, data, config=LaplaceConfig(int_strategy="grid"))
-    res_ccd = laplace.fit(spec, data, config=LaplaceConfig(int_strategy="ccd"))
+    res_grid = laplace.fit(spec, data, int_strategy="grid")
+    res_ccd = laplace.fit(spec, data, int_strategy="ccd")
     assert res_ccd.diagnostics.grid_size == 9  # centre + 4 corners + 4 axial
     assert res_grid.diagnostics.grid_size > 9
     for g_size in (res_grid, res_ccd):
@@ -398,12 +398,12 @@ def test_auto_strategy_uses_ccd_for_three_hypers():
     np.testing.assert_allclose(res.grid_weights.sum(), 1.0, atol=1e-12)
 
 
-def test_full_laplace_weight_floor_skips_low_mass_points():
+def test_full_laplace_weight_floor_skips_low_mass_points(monkeypatch):
     spec, data = small_spatial_dataset()
-    cfg_all = LaplaceConfig(int_strategy="ccd", fl_min_weight=0.0)
-    cfg_floor = LaplaceConfig(int_strategy="ccd", fl_min_weight=0.5)
-    full = laplace.fit(spec, data, strategy=Strategy.FULL_LAPLACE, config=cfg_all)
-    floored = laplace.fit(spec, data, strategy=Strategy.FULL_LAPLACE, config=cfg_floor)
+    monkeypatch.setattr(laplace, "FL_MIN_WEIGHT", 0.0)
+    full = laplace.fit(spec, data, strategy=Strategy.FULL_LAPLACE, int_strategy="ccd")
+    monkeypatch.setattr(laplace, "FL_MIN_WEIGHT", 0.5)
+    floored = laplace.fit(spec, data, strategy=Strategy.FULL_LAPLACE, int_strategy="ccd")
     assert full.diagnostics.fl_scanned_points == full.diagnostics.grid_size
     assert floored.diagnostics.fl_scanned_points < floored.diagnostics.grid_size
     for a, b in zip(full.latent_marginals, floored.latent_marginals):
@@ -446,6 +446,8 @@ def test_fit_result_serialization_structure(tmp_path):
     assert loaded["seed"] == 9
     assert loaded["latent_names"] == ["intercept"]
     assert loaded["diagnostics"]["strategy"] == "full_laplace"
+    assert loaded["int_strategy"] == "auto"
+    assert "config" not in loaded
     g = len(loaded["grid_weights"])
     assert np.asarray(loaded["pointwise_loglik"]).shape == (g, 3)
     with pytest.raises(KeyError):
@@ -462,10 +464,9 @@ def test_pointwise_loglik_mixture_is_finite():
 
 
 def test_config_validation():
+    spec, data = intercept_poisson_model([2, 4, 1])
     with pytest.raises(ValueError, match="int_strategy"):
-        LaplaceConfig(int_strategy="fancy")
-    with pytest.raises(ValueError, match="fl_grid_points"):
-        LaplaceConfig(fl_grid_points=2)
+        laplace.fit(spec, data, int_strategy="fancy")
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +609,7 @@ FLAT_FIXED_EFFECT_SPEC = mdl.ModelSpec(
 )
 def test_cached_prior_matches_the_sparse_prior_bit_for_bit(model):
     spec, data = model()
-    ctx = laplace._Context(spec, data, LaplaceConfig())
+    ctx = laplace._Context(spec, data)
     m = mdl.hyper_dim(spec)
     g = np.random.default_rng(5)
     # -800 underflows exp() to zero, where the sparse prior drops every
@@ -623,29 +624,29 @@ def test_cached_prior_matches_the_sparse_prior_bit_for_bit(model):
 
 
 @pytest.mark.parametrize(
-    "model, strategy, cfg",
+    "model, strategy, int_strategy",
     [
-        (small_poisson_model, Strategy.FULL_LAPLACE, LaplaceConfig()),
-        (small_spatial_dataset, Strategy.GAUSSIAN, LaplaceConfig()),
+        (small_poisson_model, Strategy.FULL_LAPLACE, "auto"),
+        (small_spatial_dataset, Strategy.GAUSSIAN, "auto"),
         (
             functools.partial(small_spatial_dataset, constraint=Constraint.SUM_TO_ZERO_KRIGING),
             Strategy.SIMPLIFIED_LAPLACE,
-            LaplaceConfig(int_strategy="ccd"),
+            "ccd",
         ),
-        (small_zinb_model, Strategy.FULL_LAPLACE, LaplaceConfig(int_strategy="ccd")),
+        (small_zinb_model, Strategy.FULL_LAPLACE, "ccd"),
     ],
 )
-def test_fit_with_cached_prior_is_bit_identical_to_the_uncached_fit(monkeypatch, model, strategy, cfg):
+def test_fit_with_cached_prior_is_bit_identical_to_the_uncached_fit(monkeypatch, model, strategy, int_strategy):
     spec, data = model()
-    new = laplace.fit(spec, data, strategy=strategy, config=cfg).to_json()
+    new = laplace.fit(spec, data, strategy=strategy, int_strategy=int_strategy).to_json()
     monkeypatch.setattr(laplace._Context, "prior_precision_u", old_prior_precision_u)
-    old = laplace.fit(spec, data, strategy=strategy, config=cfg).to_json()
+    old = laplace.fit(spec, data, strategy=strategy, int_strategy=int_strategy).to_json()
     assert new == old
 
 
 def test_full_laplace_computes_skew_coefficients_only_where_read(monkeypatch):
     spec, data = small_spatial_dataset()
-    cfg = LaplaceConfig(int_strategy="ccd", fl_min_weight=0.5)
+    monkeypatch.setattr(laplace, "FL_MIN_WEIGHT", 0.5)
     sla = laplace._sla_coefficients
     calls = []
 
@@ -654,12 +655,12 @@ def test_full_laplace_computes_skew_coefficients_only_where_read(monkeypatch):
         return sla(ctx, theta, *rest)
 
     monkeypatch.setattr(laplace, "_sla_coefficients", counted)
-    res = laplace.fit(spec, data, strategy=Strategy.FULL_LAPLACE, config=cfg, latents=["beta_x"])
-    light = res.grid_weights < cfg.fl_min_weight * res.grid_weights.max()
+    res = laplace.fit(spec, data, strategy=Strategy.FULL_LAPLACE, int_strategy="ccd", latents=["beta_x"])
+    light = res.grid_weights < laplace.FL_MIN_WEIGHT * res.grid_weights.max()
     assert 0 < res.diagnostics.fl_scanned_points < res.diagnostics.grid_size
     assert calls == [p.theta.tobytes() for p, skip in zip(res.theta_grid.points, light) if skip]
     calls.clear()
-    laplace.fit(spec, data, strategy=Strategy.SIMPLIFIED_LAPLACE, config=cfg, latents=["beta_x"])
+    laplace.fit(spec, data, strategy=Strategy.SIMPLIFIED_LAPLACE, int_strategy="ccd", latents=["beta_x"])
     assert len(calls) == res.diagnostics.grid_size
 
 
@@ -669,41 +670,41 @@ def test_full_laplace_computes_skew_coefficients_only_where_read(monkeypatch):
 
 @pytest.mark.parametrize("strategy", [Strategy.GAUSSIAN, Strategy.SIMPLIFIED_LAPLACE])
 @pytest.mark.parametrize(
-    "model, cfg",
+    "model, int_strategy",
     [
-        (small_poisson_model, LaplaceConfig()),
-        (small_spatial_dataset, LaplaceConfig()),
-        (functools.partial(small_spatial_dataset, constraint=Constraint.SUM_TO_ZERO_CENTERING), LaplaceConfig()),
-        (functools.partial(small_spatial_dataset, constraint=Constraint.SUM_TO_ZERO_KRIGING), LaplaceConfig()),
-        (small_zinb_model, LaplaceConfig(int_strategy="ccd")),
+        (small_poisson_model, "auto"),
+        (small_spatial_dataset, "auto"),
+        (functools.partial(small_spatial_dataset, constraint=Constraint.SUM_TO_ZERO_CENTERING), "auto"),
+        (functools.partial(small_spatial_dataset, constraint=Constraint.SUM_TO_ZERO_KRIGING), "auto"),
+        (small_zinb_model, "ccd"),
     ],
 )
-def test_gaussian_and_sla_fits_are_bit_identical_to_the_two_loop_oracle(monkeypatch, model, cfg, strategy):
-    assert_bit_identical_to_the_cache_everything_oracle(monkeypatch, model, cfg, strategy)
+def test_gaussian_and_sla_fits_are_bit_identical_to_the_two_loop_oracle(monkeypatch, model, int_strategy, strategy):
+    assert_bit_identical_to_the_cache_everything_oracle(monkeypatch, model, int_strategy, strategy)
 
 
 @pytest.mark.parametrize(
-    "model, cfg",
+    "model, int_strategy",
     [
-        (small_poisson_model, LaplaceConfig()),
-        (small_zinb_model, LaplaceConfig(int_strategy="ccd")),
+        (small_poisson_model, "auto"),
+        (small_zinb_model, "ccd"),
         # Defined below with the other pool-dataset tests.
-        (lambda: _pool_dataset(seed=0, index=5), LaplaceConfig()),
+        (lambda: _pool_dataset(seed=0, index=5), "auto"),
     ],
 )
-def test_full_laplace_fits_are_bit_identical_to_the_cache_everything_oracle(monkeypatch, model, cfg):
-    assert_bit_identical_to_the_cache_everything_oracle(monkeypatch, model, cfg, Strategy.FULL_LAPLACE)
+def test_full_laplace_fits_are_bit_identical_to_the_cache_everything_oracle(monkeypatch, model, int_strategy):
+    assert_bit_identical_to_the_cache_everything_oracle(monkeypatch, model, int_strategy, Strategy.FULL_LAPLACE)
 
 
-def assert_bit_identical_to_the_cache_everything_oracle(monkeypatch, model, cfg, strategy):
+def assert_bit_identical_to_the_cache_everything_oracle(monkeypatch, model, int_strategy, strategy):
     """The fit matches, byte for byte, the theta cache that kept every
     evaluation's curvature, fed by the two-loop Newton solver."""
     spec, data = model()
-    new = laplace.fit(spec, data, strategy=strategy, config=cfg).to_json()
+    new = laplace.fit(spec, data, strategy=strategy, int_strategy=int_strategy).to_json()
     monkeypatch.setattr(laplace, "_newton", oracle_laplace._newton)
     monkeypatch.setattr(laplace, "_log_posterior_theta", oracle_laplace._log_posterior_theta)
     monkeypatch.setattr(laplace, "_mix_marginals", oracle_laplace._mix_marginals)
-    assert laplace.fit(spec, data, strategy=strategy, config=cfg).to_json() == new
+    assert laplace.fit(spec, data, strategy=strategy, int_strategy=int_strategy).to_json() == new
 
 
 def test_theta_cache_keeps_no_array_longer_than_the_latent_mode_or_predictor(monkeypatch):
@@ -732,7 +733,7 @@ def traced_peak_mib_of_a_bym_gaussian_fit(n_areas):
     spec = mdl.bym_spec(covariates=("x",))
     tracemalloc.start()
     try:
-        laplace.fit(spec, data, strategy=Strategy.GAUSSIAN, config=config.laplace_config(), latents=["beta_x"])
+        laplace.fit(spec, data, strategy=Strategy.GAUSSIAN, int_strategy=config.int_strategy, latents=["beta_x"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -850,7 +851,7 @@ def test_profile_point_with_non_pd_clipped_curvature_is_dropped(monkeypatch):
     # Under a flat fixed-effect prior the clipped curvature has nothing
     # on the intercept once every likelihood weight is clipped to zero.
     spec, data = FLAT_FIXED_EFFECT_SPEC, small_poisson_model()[1]
-    ctx = laplace._Context(spec, data, LaplaceConfig())
+    ctx = laplace._Context(spec, data)
     theta = np.zeros(mdl.hyper_dim(spec))
     approx = laplace._newton(ctx, theta)
     index = mdl.latent_names(spec, data.n).index("beta_x")
@@ -923,12 +924,11 @@ def test_dropped_theta_points_are_counted(monkeypatch):
 
 def test_ccd_design_points_are_retried_then_dropped(monkeypatch):
     spec, data = small_spatial_dataset()
-    cfg = LaplaceConfig(int_strategy="ccd")
-    clean = laplace.fit(spec, data, config=cfg, latents=[])
+    clean = laplace.fit(spec, data, int_strategy="ccd", latents=[])
     assert clean.diagnostics.grid_size == 9
     corner = clean.theta_grid.thetas[1]
     monkeypatch.setattr(laplace, "_newton", _failing_newton(corner.tobytes(), cold_too=True))
-    res = laplace.fit(spec, data, config=cfg, latents=[])
+    res = laplace.fit(spec, data, int_strategy="ccd", latents=[])
     assert res.diagnostics.grid_size == 8
     assert (res.diagnostics.theta_points_retried, res.diagnostics.theta_points_failed) == (1, 1)
     np.testing.assert_allclose(res.grid_weights.sum(), 1.0, atol=1e-12)

@@ -671,6 +671,10 @@ def test_csv_missing_columns_raise(tmp_path):
         mdl.dataset_from_csv(path, covariate_names=("z",))
     with pytest.raises(ValueError, match="missing response"):
         mdl.dataset_from_csv(path, y_name="count")
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with pytest.raises(ValueError, match="missing response"):
+        mdl.dataset_from_csv(empty)
 
 
 def test_csv_with_a_repeated_column_raises(tmp_path):
