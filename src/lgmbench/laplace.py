@@ -559,7 +559,13 @@ def _theta_mode(ctx: _Context, cache: dict) -> tuple[np.ndarray, dict]:
 
     res = optimize.minimize(neg, np.zeros(m), method="BFGS", options={"gtol": 1e-5, "maxiter": 200})
     mode = np.asarray(res.x, dtype=float)
-    if not np.isfinite(neg(mode)):
+    # BFGS has evaluated its answer, so this reads the cache and is not
+    # a search evaluation; it fails where that evaluation failed.
+    try:
+        lp, _ = _log_posterior_theta(ctx, mode, cache)
+    except (FitFailure, mdl.LikelihoodOverflowError) as exc:
+        raise FitFailure("theta_mode_search", f"posterior fails at the candidate mode: {exc}") from exc
+    if not np.isfinite(lp):
         raise FitFailure("theta_mode_search", "non-finite posterior at candidate mode")
     stats["theta_mode_converged"] = bool(res.success)
     return mode, stats

@@ -44,6 +44,7 @@ import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import models as mdl
 from .gmrf import component_labels, graph_laplacian, icar_quadratic_form
@@ -197,7 +198,13 @@ class _Adapt:
 
 
 class _VectorAdapt:
-    """Per-site windowed adaptation sharing one window counter."""
+    """Per-site windowed adaptation sharing one window counter.
+
+    ``total_acc`` holds the acceptances of the closed windows only; the
+    open window's are added when a window closes and when ``rate()``
+    reads them.  Every count is a whole number far below 2**53, so the
+    sums are exact in any order.
+    """
 
     def __init__(self, scales: np.ndarray, target: float, window: int):
         self.log_scales = np.log(scales)
@@ -214,18 +221,20 @@ class _VectorAdapt:
     def record(self, accepted: np.ndarray) -> None:
         self.acc += accepted
         self.tries += 1
-        self.total_acc += accepted
         self.total_tries += 1
         if not self.frozen and self.tries >= self.window:
             self.window_index += 1
             gain = 1.0 / math.sqrt(self.window_index)
             self.log_scales += gain * (self.acc / self.tries - self.target)
             self.scales = np.exp(self.log_scales)
+            self.total_acc += self.acc
             self.acc[:] = 0.0
             self.tries = 0
 
     def rate(self) -> float:
-        return float(np.mean(self.total_acc / self.total_tries)) if self.total_tries else float("nan")
+        if not self.total_tries:
+            return float("nan")
+        return float(np.mean((self.total_acc + self.acc) / self.total_tries))
 
 
 class _Welford:
@@ -240,7 +249,7 @@ class _Welford:
         self.count += 1
         delta = x - self.mean
         self.mean += delta / self.count
-        self.m2 += np.outer(delta, x - self.mean)
+        self.m2 += np.multiply.outer(delta, x - self.mean)
 
     def cov(self) -> np.ndarray | None:
         if self.count < 2:
@@ -258,12 +267,12 @@ def _loglik_vec(spec, eta, hyper, data):
 def _site_loglik(spec, eta, hyper, data):
     """Pointwise log likelihood with -inf at the sites whose predictor
     overflows, so a site proposal there is rejected on its own."""
-    ll = _loglik_vec(spec, eta, hyper, data)
-    if ll is None:
+    try:
+        return mdl.pointwise_loglik_from_eta(spec, eta, hyper, data)
+    except mdl.LikelihoodOverflowError:
         ok = np.abs(eta) <= mdl.ETA_OVERFLOW
         ll = mdl.pointwise_loglik_from_eta(spec, np.where(ok, eta, 0.0), hyper, data)
-        ll = np.where(ok, ll, -np.inf)
-    return ll
+        return np.where(ok, ll, -np.inf)
 
 
 def _recentre(spec, hyper, data, mu, eta, ll, comp_masks, sweep, what):
@@ -311,7 +320,7 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
         # sums in a single matrix-vector product.
         adj = np.diag(degrees) - graph_laplacian(graph)
         class_adj = [adj[cls] for cls in classes]
-    free_kinds = [h.replace("log_precision_", "") for h in hyper_list if h.startswith("log_precision_")]
+        class_deg = [degrees[cls] for cls in classes]
 
     # --- state ----------------------------------------------------------
     x = np.zeros(dim_x)
@@ -330,14 +339,12 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
     sum_eps2 = 0.0
     icar_quad = 0.0
 
-    def hyper_value(name):
-        return hyper[hyper_list.index(name)]
-
-    def fixed_or_free_precision(kind):
+    def precision_source(kind):
+        """(fixed precision, None), or (None, index of its log in hyper)."""
         prior = spec.priors.log_precision_priors[kind]
         if isinstance(prior, mdl.FixedPrior):
-            return math.exp(prior.log_value)
-        return math.exp(hyper_value(f"log_precision_{kind}"))
+            return math.exp(prior.log_value), None
+        return None, hyper_list.index(f"log_precision_{kind}")
 
     fixed_prior = spec.priors.fixed_effect
     if isinstance(fixed_prior, mdl.NormalPrior) and fixed_prior.mean != 0.0:
@@ -360,10 +367,13 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
             2.4 / math.sqrt(p_beta), TARGET_JOINT if p_beta > 1 else TARGET_SCALAR, config.adaptation_window
         )
         design_gram = design.T @ design
+        prior_diag = np.diag(beta_prior_prec)
     if has_iid:
         adapt["iid"] = _VectorAdapt(2.4 / np.sqrt(1.0 + w0), TARGET_SCALAR, config.adaptation_window)
+        iid_fixed, iid_at = precision_source("iid")
     if has_icar:
-        tau0 = fixed_or_free_precision("icar")
+        icar_fixed, icar_at = precision_source("icar")
+        tau0 = icar_fixed if icar_at is None else math.exp(hyper[icar_at])
         adapt["icar"] = _VectorAdapt(
             2.4 / np.sqrt(1.0 + w0 + tau0 * degrees), TARGET_SCALAR, config.adaptation_window
         )
@@ -407,9 +417,9 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
             # Precisions change only in the hyperparameter block at the end
             # of the sweep, so every block before it reads the same values.
             if has_iid:
-                sigma = fixed_or_free_precision("iid")
+                sigma = iid_fixed if iid_at is None else math.exp(hyper[iid_at])
             if has_icar:
-                tau = fixed_or_free_precision("icar")
+                tau = icar_fixed if icar_at is None else math.exp(hyper[icar_at])
 
             # ----- fixed effects -------------------------------------------
             if p_beta:
@@ -447,9 +457,12 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                 # The log ratio is quadratic in delta with curvature
                 # sigma X'X + prior, so propose with its inverse as metric.
                 if sigma != metric_sigma:
-                    metric_chol = np.linalg.cholesky(sigma * design_gram + np.diag(beta_prior_prec))
+                    metric_chol = np.linalg.cholesky(sigma * design_gram + prior_diag)
                     metric_sigma = sigma
-                delta = adapt["shift"].scale * np.linalg.solve(metric_chol.T, z)
+                # np.linalg.solve's own kernel, without its ~7 us of
+                # argument checks; the factor of a successful Cholesky is
+                # never singular.
+                delta = adapt["shift"].scale * _umath_linalg.solve1(metric_chol.T, z, signature="dd->d")
                 beta_new = beta + delta
                 eps_new = eps - design @ delta
                 d = -0.5 * float(beta_prior_prec @ (beta_new**2 - beta**2))
@@ -471,36 +484,38 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                 eps_new = eps + delta
                 d_site = (ll_new - ll) - 0.5 * sigma * (eps_new**2 - eps**2)
                 accept = np.log(u_acc) < d_site
-                if accept.any():
-                    eps = np.where(accept, eps_new, eps)
-                    eta = np.where(accept, eta_new, eta)
-                    ll = np.where(accept, ll_new, ll)
+                # With nothing accepted these keep every value.
+                eps = np.where(accept, eps_new, eps)
+                eta = np.where(accept, eta_new, eta)
+                ll = np.where(accept, ll_new, ll)
                 adapt["iid"].record(accept)
                 sum_eps2 = float(eps @ eps)
 
             # ----- intrinsic CAR sites -------------------------------------
             if has_icar:
                 g = sc.at(sweep)
-                z = g.standard_normal(n)
-                u_acc = g.random(n)
-                scales = adapt["icar"].scales
+                # Each site's step, for every class at once: the product
+                # is elementwise, so the bits match a per-class one.
+                step = adapt["icar"].scales * g.standard_normal(n)
+                log_u = np.log(g.random(n))
                 acc_vec = np.zeros(n)
-                for cls, a_rows in zip(classes, class_adj):
-                    delta = scales[cls] * z[cls]
-                    mu_new_c = mu[cls] + delta
+                for cls, a_rows, deg in zip(classes, class_adj, class_deg):
+                    delta = step[cls]
+                    mu_c = mu[cls]
+                    mu_new_c = mu_c + delta
                     eta_new = eta.copy()
                     eta_new[cls] += delta
                     ll_new = _site_loglik(spec, eta_new, hyper, data)
                     s_neigh = a_rows @ mu
-                    d_quad = degrees[cls] * (mu_new_c**2 - mu[cls] ** 2) - 2.0 * delta * s_neigh
+                    d_quad = deg * (mu_new_c**2 - mu_c**2) - 2.0 * delta * s_neigh
                     d_site = (ll_new[cls] - ll[cls]) - 0.5 * tau * d_quad
-                    accept = np.log(u_acc[cls]) < d_site
-                    if accept.any():
-                        idx = cls[accept]
-                        mu[idx] += delta[accept]
-                        eta[idx] = eta_new[idx]
-                        ll[idx] = ll_new[idx]
-                        icar_quad += float(np.add.reduce(d_quad[accept]))
+                    accept = log_u[cls] < d_site
+                    # With nothing accepted these change nothing and add 0.0.
+                    idx = cls[accept]
+                    mu[idx] = mu_new_c[accept]
+                    eta[idx] = eta_new[idx]
+                    ll[idx] = ll_new[idx]
+                    icar_quad += float(np.add.reduce(d_quad[accept]))
                     acc_vec[cls] = accept
                     if config.constraint_mode == ConstraintMode.CENTER_ON_THE_FLY:
                         mu, eta, ll = _recentre(spec, hyper, data, mu, eta, ll, comp_masks, sweep, "recentering")
@@ -550,7 +565,7 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                             d = -np.inf
                         else:
                             d += float(np.add.reduce(ll_new - ll))
-                    accept = np.isfinite(d) and math.log(u_acc[idx]) < d
+                    accept = math.isfinite(d) and math.log(u_acc[idx]) < d
                     if accept:
                         hyper[idx] = new
                         prior_cur[idx] = prior_new
@@ -567,7 +582,7 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                 icar_quad = icar_quadratic_form(mu, graph)
 
             total = float(np.add.reduce(ll))
-            if not np.isfinite(total):
+            if not math.isfinite(total):
                 raise ChainAbort(sweep, "non-finite log likelihood in current state")
 
             if sweep > config.burn_in and (sweep - config.burn_in) % config.thin == 0:
@@ -671,8 +686,11 @@ def split_rhat(x: np.ndarray) -> float:
     return float(math.sqrt(v / w))
 
 
-def trace_slope_z(x: np.ndarray) -> float:
-    """Standardized linear drift of the trace, autocorrelation adjusted."""
+def trace_slope_z(x: np.ndarray, ess: float | None = None) -> float:
+    """Standardized linear drift of the trace, autocorrelation adjusted.
+
+    ``ess`` is ``ess_ips(x)`` when the caller has it already.
+    """
     x = np.asarray(x, dtype=float)
     n = x.size
     t = np.arange(n, dtype=float)
@@ -685,7 +703,9 @@ def trace_slope_z(x: np.ndarray) -> float:
     s2 = float(resid @ resid) / max(n - 2, 1)
     if s2 == 0.0:
         return 0.0
-    se = math.sqrt(s2 / denom) * math.sqrt(n / ess_ips(x))
+    if ess is None:
+        ess = ess_ips(x)
+    se = math.sqrt(s2 / denom) * math.sqrt(n / ess)
     return float(slope / se)
 
 
@@ -724,7 +744,7 @@ def diagnose(output: ChainOutput, z_threshold: float = 4.0, rhat_threshold: floa
         ess = float(n) if degenerate else ess_ips(x)
         z = 0.0 if degenerate else geweke_z(x)
         rhat = 1.0 if degenerate else split_rhat(x)
-        slope = 0.0 if degenerate else trace_slope_z(x)
+        slope = 0.0 if degenerate else trace_slope_z(x, ess)
         per_column[name] = {
             "ess": ess,
             "geweke_z": z,

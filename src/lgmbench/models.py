@@ -379,13 +379,15 @@ class Dataset:
         # see only the data above.
         y_float = y.astype(np.float64)
         log_y_factorial = sps.gammaln(y_float + 1.0)
-        zero = y == 0
+        # The y = 0 sites as an index: the ZINB kernels gather and
+        # scatter them, which an index does in fewer steps than a mask.
+        zero = np.flatnonzero(y == 0)
         for arr in (y_float, log_y_factorial, zero):
             arr.flags.writeable = False
         object.__setattr__(self, "_y_float", y_float)
         object.__setattr__(self, "_log_y_factorial", log_y_factorial)
         object.__setattr__(self, "_zero", zero)
-        object.__setattr__(self, "_any_zero", bool(np.any(zero)))
+        object.__setattr__(self, "_any_zero", bool(zero.size))
         # Two-entry caches of the ZINB constants; see _zinb_constants.
         object.__setattr__(self, "_zinb_pz_cache", ())
         object.__setattr__(self, "_zinb_size_cache", ())
@@ -532,9 +534,10 @@ def linear_predictor(spec: ModelSpec, latent: np.ndarray, data: Dataset) -> np.n
 
 
 def _check_eta(eta: np.ndarray) -> None:
-    # Fast path for the common in-range case; both comparisons are false
-    # for NaN, so non-finite values always reach the indexed checks.
-    if eta.max() <= ETA_OVERFLOW and eta.min() >= -ETA_OVERFLOW:
+    # Fast path for the common in-range case, in one reduction; the
+    # maximum propagates NaN and the comparison is false for it, so
+    # non-finite values always reach the indexed checks.
+    if np.maximum.reduce(np.abs(eta)) <= ETA_OVERFLOW:
         return
     bad = ~np.isfinite(eta)
     if np.any(bad):
@@ -593,14 +596,14 @@ def _zinb_constants(data: Dataset, theta1: float, size: float) -> tuple:
     """The parts of the ZINB kernels that depend only on y and (theta1, size).
 
     Returns ``((log p_zero, log(1 - p_zero)), dispersion constants)``;
-    the zero mask depends on y alone and lives on the dataset.  Each
-    part is computed with the same operations, in the same order, as
-    the full expression it was taken from, so the kernels keep every
-    bit.  The dataset keeps the two most recent entries of each part,
-    keyed by the exact float it depends on: every Newton iteration at
-    one hyperparameter point reuses them, and a sampler proposal that
-    moves one hyperparameter keeps the other's entry and the current
-    point's.  Cached arrays are read-only.
+    the index of the y = 0 sites depends on y alone and lives on the
+    dataset.  Each part is computed with the same operations, in the
+    same order, as the full expression it was taken from, so the
+    kernels keep every bit.  The dataset keeps the two most recent
+    entries of each part, keyed by the exact float it depends on: every
+    Newton iteration at one hyperparameter point reuses them, and a
+    sampler proposal that moves one hyperparameter keeps the other's
+    entry and the current point's.  Cached arrays are read-only.
     """
     log_p = _two_recent(data, "_zinb_pz_cache", theta1, lambda: (sps.log_expit(theta1), sps.log_expit(-theta1)))
     return log_p, _two_recent(data, "_zinb_size_cache", size, lambda: _dispersion_constants(data, size))

@@ -63,11 +63,14 @@ class CounterStream:
 
     def __init__(self, seed: int, *path):
         key = derive_key(seed, *path)
-        self._counter = np.zeros(4, dtype=np.uint64)
+        # The rewind template holds Python ints in lists: the state setter
+        # reads each entry by index and converts a Python int faster than
+        # a numpy uint64 scalar.
+        self._counter = [0, 0, 0, 0]
         self._state = {
             "bit_generator": "Philox",
-            "state": {"counter": self._counter, "key": key},
-            "buffer": np.zeros(4, dtype=np.uint64),
+            "state": {"counter": self._counter, "key": [int(k) for k in key]},
+            "buffer": [0, 0, 0, 0],
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,

@@ -3,9 +3,12 @@
 ``run_chain`` and ``CounterStream.at`` below are the versions that
 built a fresh Philox generator for every (block, sweep) pair, refactored
 the shift metric every sweep and looked each precision up per block.
-The sampler in ``lgmbench.mcmc`` must reproduce their draws bit for bit.
-The helpers they share with the sampler (adaptation, Welford, colouring,
-the likelihood wrapper) are imported, not copied.
+``_VectorAdapt`` is the version that added every acceptance vector to
+both of its counters, and ``_Welford`` the one that called ``np.outer``.
+The sampler in ``lgmbench.mcmc`` must reproduce their draws, acceptance
+rates and scales bit for bit.  The helpers they share with the sampler
+(scalar adaptation, colouring, the likelihood wrapper) are imported,
+not copied.
 """
 from __future__ import annotations
 
@@ -26,11 +29,61 @@ from lgmbench.mcmc import (
     ConstraintMode,
     _Adapt,
     _loglik_vec,
-    _VectorAdapt,
-    _Welford,
     greedy_coloring,
 )
 from lgmbench.streams import derive_key
+
+
+class _VectorAdapt:
+    """Per-site windowed adaptation sharing one window counter."""
+
+    def __init__(self, scales: np.ndarray, target: float, window: int):
+        self.log_scales = np.log(scales)
+        self.scales = np.exp(self.log_scales)
+        self.target = target
+        self.window = window
+        self.window_index = 0
+        self.acc = np.zeros_like(scales)
+        self.tries = 0
+        self.total_acc = np.zeros_like(scales)
+        self.total_tries = 0
+        self.frozen = False
+
+    def record(self, accepted: np.ndarray) -> None:
+        self.acc += accepted
+        self.tries += 1
+        self.total_acc += accepted
+        self.total_tries += 1
+        if not self.frozen and self.tries >= self.window:
+            self.window_index += 1
+            gain = 1.0 / math.sqrt(self.window_index)
+            self.log_scales += gain * (self.acc / self.tries - self.target)
+            self.scales = np.exp(self.log_scales)
+            self.acc[:] = 0.0
+            self.tries = 0
+
+    def rate(self) -> float:
+        return float(np.mean(self.total_acc / self.total_tries)) if self.total_tries else float("nan")
+
+
+class _Welford:
+    """Running mean and covariance of the fixed-effect draws."""
+
+    def __init__(self, dim: int):
+        self.count = 0
+        self.mean = np.zeros(dim)
+        self.m2 = np.zeros((dim, dim))
+
+    def update(self, x: np.ndarray) -> None:
+        self.count += 1
+        delta = x - self.mean
+        self.mean += delta / self.count
+        self.m2 += np.outer(delta, x - self.mean)
+
+    def cov(self) -> np.ndarray | None:
+        if self.count < 2:
+            return None
+        return self.m2 / (self.count - 1)
 
 
 class CounterStream:

@@ -8,6 +8,11 @@ and the third from ``eta_third_derivative``, and keeps the constants in
 parts split by what they depend on.  Both must match these copies bit
 for bit.  ``eta_derivatives`` here is the public entry point of that
 version; it gives a dataset the single-entry cache the copies read.
+
+``_check_eta`` is the predictor check whose fast path took the maximum
+and the minimum of eta; ``lgmbench.models._check_eta`` now takes one
+maximum of |eta|.  Both must pass or raise alike, with the same index
+and value.
 """
 from __future__ import annotations
 
@@ -15,7 +20,22 @@ import numpy as np
 from scipy import special as sps
 
 from lgmbench import models as mdl
-from lgmbench.models import Dataset, Family, LikelihoodOverflowError, ModelSpec
+from lgmbench.models import ETA_OVERFLOW, Dataset, Family, LikelihoodOverflowError, ModelSpec
+
+
+def _check_eta(eta: np.ndarray) -> None:
+    # Fast path for the common in-range case; both comparisons are false
+    # for NaN, so non-finite values always reach the indexed checks.
+    if eta.max() <= ETA_OVERFLOW and eta.min() >= -ETA_OVERFLOW:
+        return
+    bad = ~np.isfinite(eta)
+    if np.any(bad):
+        i = int(np.flatnonzero(bad)[0])
+        raise LikelihoodOverflowError(i, eta[i])
+    big = np.abs(eta) > ETA_OVERFLOW
+    if np.any(big):
+        i = int(np.flatnonzero(big)[0])
+        raise LikelihoodOverflowError(i, eta[i])
 
 
 def eta_derivatives(spec: ModelSpec, eta: np.ndarray, hyper: np.ndarray, data: Dataset):

@@ -983,3 +983,32 @@ def test_failed_theta_mode_evaluations_are_counted(monkeypatch):
     res = laplace.fit(spec, data, latents=[])
     assert res.diagnostics.theta_mode_failed_evals == 1
     assert json.loads(res.to_json())["diagnostics"]["theta_mode_failed_evals"] == 1
+
+
+def test_theta_mode_evals_equal_the_objective_calls_bfgs_makes(monkeypatch):
+    spec, data = _pool_dataset(seed=0, index=0)
+    calls = []
+
+    def counted(fun, x0, **kwargs):
+        def wrapped(th):
+            calls.append(th.tobytes())
+            return fun(th)
+
+        return scipy.optimize.minimize(wrapped, x0, **kwargs)
+
+    monkeypatch.setattr(laplace, "optimize", types.SimpleNamespace(minimize=counted))
+    res = laplace.fit(spec, data, latents=[])
+    assert len(calls) > 1
+    assert res.diagnostics.theta_mode_evals == len(calls)
+
+
+def test_theta_mode_search_fails_when_every_evaluation_fails(monkeypatch):
+    spec, data = _pool_dataset(seed=0, index=0)
+
+    def failing(ctx, theta, u0=None):
+        raise FitFailure("newton_nonconvergence", "forced")
+
+    monkeypatch.setattr(laplace, "_newton", failing)
+    with pytest.raises(FitFailure) as info:
+        laplace.fit(spec, data, latents=[])
+    assert info.value.cause == "theta_mode_search"

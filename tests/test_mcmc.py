@@ -17,6 +17,7 @@ import scipy.special
 
 from lgmbench import mcmc
 from lgmbench import models as mdl
+from lgmbench import streams
 from lgmbench.gmrf import AdjacencyGraph, Constraint, lattice_graph
 from lgmbench.mcmc import ChainAbort, ChainConfig, ChainOutput, ConstraintMode
 
@@ -331,6 +332,30 @@ def test_diagnose_round_trips_to_dict():
     assert json.loads(json.dumps(d)) == d
 
 
+def test_diagnose_computes_each_full_series_ess_once(monkeypatch):
+    spec, data = _two_component_bym(81)
+    out = mcmc.run_chain(spec, data, ChainConfig(iterations=1_100, burn_in=400, thin=3, seed=97))
+    # Each column's entry as computed when trace_slope_z took its own ESS.
+    want = {}
+    for j, name in enumerate(out.columns):
+        x = out.draws[:, j]
+        want[name] = {
+            "ess": mcmc.ess_ips(x),
+            "geweke_z": mcmc.geweke_z(x),
+            "split_rhat": mcmc.split_rhat(x),
+            "trace_slope_z": mcmc.trace_slope_z(x),
+            "degenerate": False,
+        }
+    calls = []
+    ess_ips = mcmc.ess_ips
+    monkeypatch.setattr(mcmc, "ess_ips", lambda x: calls.append(x.size) or ess_ips(x))
+    diag = mcmc.diagnose(out)
+    assert diag.per_column == want
+    # One full-series ESS and Geweke's two segment ESS per column.
+    assert calls.count(out.n_kept) == len(out.columns)
+    assert len(calls) == 3 * len(out.columns)
+
+
 # ---------------------------------------------------------------------------
 # An improper posterior is flagged, not silently summarized
 
@@ -593,3 +618,43 @@ def test_run_chain_bit_identical_to_oracle(case):
         assert new.pointwise_loglik is None and ref.pointwise_loglik is None
     assert new.acceptance == ref.acceptance
     assert new.final_scales == ref.final_scales
+
+
+# Per-sweep work: the counts a benchmark reads as draws per sweep and
+# likelihood calls per sweep.  Blocks: beta (fixed effects), shift (with
+# an iid block), iid, icar (one likelihood call per colour class), swap
+# (with both site blocks) and hyper (one likelihood call per
+# hyperparameter that is not a log precision).
+CALL_CASES = {
+    # case: (build, streams drawn per sweep, likelihood calls per sweep)
+    "poisson": (_oracle_poisson, 4, 2),  # beta shift iid hyper; beta iid
+    "poisson-fixed-iid": (_oracle_poisson_fixed_iid, 3, 2),  # no hyper block
+    "bym": (lambda: _two_component_bym(81), 6, None),  # beta shift iid icar swap hyper
+    "zinb": (_oracle_zinb, 2, 3),  # beta hyper; beta, logit_p_zero, log_dispersion
+}
+
+
+@pytest.mark.parametrize("case", sorted(CALL_CASES))
+def test_each_block_draws_once_and_calls_the_likelihood_as_its_structure_says(case, monkeypatch):
+    build, draws_per_sweep, calls_per_sweep = CALL_CASES[case]
+    spec, data = build()
+    if calls_per_sweep is None:
+        calls_per_sweep = 2 + len(mcmc.greedy_coloring(data.graph))
+    counts = {"at": 0, "loglik": 0}
+    at, loglik = streams.CounterStream.at, mdl.pointwise_loglik_from_eta
+
+    def counted_at(self, counter):
+        counts["at"] += 1
+        return at(self, counter)
+
+    def counted_loglik(*args):
+        counts["loglik"] += 1
+        return loglik(*args)
+
+    monkeypatch.setattr(streams.CounterStream, "at", counted_at)
+    monkeypatch.setattr(mdl, "pointwise_loglik_from_eta", counted_loglik)
+    sweeps = 60
+    mcmc.run_chain(spec, data, ChainConfig(iterations=sweeps, burn_in=20, thin=2, seed=3))
+    assert counts["at"] == draws_per_sweep * sweeps
+    # One more call builds the initial state.
+    assert counts["loglik"] == calls_per_sweep * sweeps + 1

@@ -10,6 +10,7 @@ import dataclasses
 import math
 
 import numpy as np
+import oracle_models
 import pytest
 import scipy.special as sps
 import scipy.stats as st_dist
@@ -275,6 +276,29 @@ def test_check_eta_reports_the_first_offending_index(values, index):
     assert info.value.value == eta[index] or (np.isnan(eta[index]) and np.isnan(info.value.value))
 
 
+_LIMIT_PAST = np.nextafter(mdl.ETA_OVERFLOW, np.inf)
+_SPECIAL_ETA = [np.nan, np.inf, -np.inf, mdl.ETA_OVERFLOW, -mdl.ETA_OVERFLOW, _LIMIT_PAST, -_LIMIT_PAST, -0.0]
+
+
+@given(
+    st.lists(st.floats(-720.0, 720.0), min_size=1, max_size=40),
+    st.lists(st.tuples(st.integers(0, 39), st.sampled_from(_SPECIAL_ETA)), max_size=4),
+)
+def test_check_eta_matches_the_two_reduction_version(values, specials):
+    eta = np.array(values)
+    for pos, value in specials:
+        eta[pos % eta.size] = value
+
+    def outcome(check):
+        try:
+            check(eta)
+        except mdl.LikelihoodOverflowError as exc:
+            return exc.index, np.float64(exc.value).tobytes()
+        return None
+
+    assert outcome(mdl._check_eta) == outcome(oracle_models._check_eta)
+
+
 @pytest.mark.parametrize("family", ["poisson", "gaussian", "zinb"])
 def test_likelihood_kernels_match_the_uncached_expressions(family):
     # Dataset caches y as floats and gammaln(y + 1); the kernels must
@@ -434,8 +458,6 @@ CACHE_WALK = [(0, 0), (1, 0), (0, 0), (0, 1), (0, 0), (2, 0), (2, 1), (2, 0), (1
 
 @pytest.mark.parametrize("case", ["poisson", "gaussian", "zinb_zeros", "zinb_no_zeros", "zinb_all_zeros"])
 def test_split_derivative_kernels_match_the_three_derivative_oracle(case):
-    import oracle_models
-
     g = np.random.default_rng(31)
     n = 25
     y = g.poisson(5.0, n)
