@@ -55,7 +55,12 @@ NULL_SPACE_JITTER = 1e-8
 
 
 class Constraint(enum.Enum):
-    """How (or whether) an intrinsic field is identified."""
+    """How (or whether) an intrinsic field is identified.
+
+    Both sum-to-zero values name one posterior, each connected component
+    summing to zero (Rue & Held 2005, section 2.3.3); they differ only in
+    how the sampler keeps to it (see ``lgmbench.mcmc``).
+    """
 
     NONE = "none"
     SUM_TO_ZERO_KRIGING = "sum_to_zero_kriging"

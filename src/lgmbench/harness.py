@@ -10,7 +10,8 @@ kinds are supported:
   deviation.
 * ``bym`` — adds a spatially structured intrinsic CAR field on a
   lattice, sampled under a sum-to-zero constraint; the analysis model
-  carries both random effects and no intercept.
+  carries both random effects, and an intercept only when
+  ``constraint_mode`` sets a sum-to-zero constraint on the field.
 * ``selection`` — generates from one family, fits both the IID-only
   and the spatial model with both engines, and records which model the
   information criterion prefers per engine.
@@ -115,7 +116,7 @@ class StudyConfig:
     mcmc_burn_in: int = 10_000
     mcmc_thin: int = 10
     adaptation_window: int = 50
-    constraint_mode: str = mc.ConstraintMode.NONE
+    constraint_mode: str = Constraint.NONE.value
     strategy: str = "full_laplace"
     int_strategy: str = "auto"
     generating: GeneratingValues = field(default_factory=GeneratingValues)
@@ -133,9 +134,11 @@ class StudyConfig:
             raise ValueError("n_datasets must be >= 1")
         if self.n_areas < 1:
             raise ValueError("n_areas must be >= 1")
-        lap.Strategy(self.strategy)  # validates
+        strategy = lap.Strategy(self.strategy)  # validates
         if self.int_strategy not in lap.INT_STRATEGIES:
             raise ValueError(f"int_strategy must be one of {lap.INT_STRATEGIES}, not {self.int_strategy!r}")
+        if Constraint(self.constraint_mode) is not Constraint.NONE and strategy is lap.Strategy.FULL_LAPLACE:
+            raise ValueError("full_laplace is not available with a sum-to-zero constraint")
 
     def chain_config(self, dataset_index: int, *stream_path) -> mc.ChainConfig:
         return mc.ChainConfig(
@@ -144,7 +147,8 @@ class StudyConfig:
             thin=self.mcmc_thin,
             seed=substream_seed(self.master_seed, "chain", dataset_index, *stream_path),
             adaptation_window=self.adaptation_window,
-            constraint_mode=self.constraint_mode,
+            # Only WAIC, in a selection study, reads the pointwise matrix.
+            record_pointwise=self.kind == "selection",
         )
 
 
@@ -358,11 +362,14 @@ def generate_datasets(config: StudyConfig) -> list:
 # Analysis models and single-dataset fits
 
 
-def _analysis_spec(kind: str, data: mdl.Dataset) -> mdl.ModelSpec:
+def _analysis_spec(config: StudyConfig, kind: str, data: mdl.Dataset) -> mdl.ModelSpec:
+    """The model a study fits as ``kind``: a sum-to-zero constraint on
+    the bym field identifies the level, so it comes with an intercept."""
     if kind == "poisson":
         return mdl.poisson_spec(covariates=("x",))
     if kind == "bym":
-        return mdl.bym_spec(covariates=("x",))
+        c = Constraint(config.constraint_mode)
+        return mdl.bym_spec(covariates=("x",), constraint=c, include_intercept=c is not Constraint.NONE)
     if kind == "zinb":
         names = tuple(sorted(data.covariates))
         return mdl.zinb_spec(covariates=names)
@@ -444,7 +451,7 @@ _SELECTION_MODELS = ("poisson", "bym")
 def _paired_rows(config, index, data, failures) -> dict:
     """Both engines on the generating model: PE and PC per tracked parameter."""
     tracked = _TRACKED[config.kind]
-    spec = _analysis_spec(config.kind, data)
+    spec = _analysis_spec(config, config.kind, data)
     latents = [p for p in tracked if p in mdl.latent_names(spec, data.n)]
     result = _laplace_fit(config, index, spec, data, failures, latents)
     chain = _chain(config, index, spec, data, failures)
@@ -478,7 +485,7 @@ def _selection_rows(config, index, data, failures) -> dict:
     selects, and the cross-engine WAIC difference per model."""
     waics = {}
     for model in _SELECTION_MODELS:
-        spec = _analysis_spec(model, data)
+        spec = _analysis_spec(config, model, data)
         result = _laplace_fit(config, index, spec, data, failures, [], model)
         if result is not None:
             waics[("laplace", model)] = waic(result.pointwise_loglik, result.grid_weights).waic
@@ -515,7 +522,7 @@ def _selection_rows(config, index, data, failures) -> dict:
 def _zinb_rows(config, index, data, failures) -> dict:
     """Interquartile rate ratios per engine, their agreement, and the
     structural-zero probability."""
-    spec = _analysis_spec("zinb", data)
+    spec = _analysis_spec(config, "zinb", data)
     cov_names = sorted(data.covariates)
     iqr = {}
     for name in cov_names:

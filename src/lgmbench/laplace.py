@@ -287,9 +287,9 @@ class FitResult:
 class _Context:
     """Design, offsets, and optional constraint reduction.
 
-    With a sum-to-zero kriging constraint the whole problem is reduced
-    to coordinates u with x = Z u, Z an orthonormal basis of the
-    constraint null space, which turns the constrained Laplace
+    With a sum-to-zero constraint (either spelling) the whole problem
+    is reduced to coordinates u with x = Z u, Z an orthonormal basis of
+    the constraint null space, which turns the constrained Laplace
     approximation into an ordinary one.
     """
 
@@ -864,7 +864,7 @@ def _mix_marginals(ctx: _Context, grid: ThetaGrid, approxes, strategy: Strategy,
     if strategy is Strategy.FULL_LAPLACE and ctx.basis is not None:
         raise FitFailure(
             "strategy_unsupported",
-            "full Laplace is not available with kriging constraints",
+            "full Laplace is not available with sum-to-zero constraints",
         )
     weights = grid.weights
     fl_scan = weights >= FL_MIN_WEIGHT * weights.max()

@@ -18,7 +18,10 @@ in a fixed order:
    and the prior factorize over sites given the rest;
 4. intrinsic CAR random effects: sites are grouped by a greedy graph
    coloring and each color class is proposed simultaneously — no two
-   updated sites are neighbors, so the class conditional factorizes;
+   updated sites are neighbors, so the class conditional factorizes.
+   The spec's sum-to-zero constraint subtracts each connected
+   component's mean after every color class (``SUM_TO_ZERO_CENTERING``)
+   or once after the block (``SUM_TO_ZERO_KRIGING``);
 5. when both random-effect blocks are present and unconstrained, a
    per-component level swap (mu + gamma, eps - gamma) that again
    leaves the linear predictor untouched; the intrinsic prior is
@@ -47,11 +50,10 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from . import models as mdl
-from .gmrf import component_labels, graph_laplacian, icar_quadratic_form
+from .gmrf import Constraint, component_labels, graph_laplacian, icar_quadratic_form
 from .streams import CounterStream
 
 __all__ = [
-    "ConstraintMode",
     "ChainConfig",
     "ChainAbort",
     "ChainOutput",
@@ -70,16 +72,6 @@ TARGET_JOINT = 0.234
 RIDGE = 1e-6
 
 
-class ConstraintMode:
-    """How a sum-to-zero restriction on the intrinsic block is enforced."""
-
-    NONE = "none"
-    CENTER_ON_THE_FLY = "center_on_the_fly"
-    KRIGING_PROJECT = "kriging_project"
-
-    ALL = (NONE, CENTER_ON_THE_FLY, KRIGING_PROJECT)
-
-
 class ChainAbort(RuntimeError):
     """The current chain state became non-finite."""
 
@@ -95,7 +87,6 @@ class ChainConfig:
     thin: int = 10
     seed: int = 0
     adaptation_window: int = 50
-    constraint_mode: str = ConstraintMode.NONE
     record_pointwise: bool = True
 
     def __post_init__(self):
@@ -103,8 +94,6 @@ class ChainConfig:
             raise ValueError("burn_in must be smaller than iterations")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
-        if self.constraint_mode not in ConstraintMode.ALL:
-            raise ValueError(f"unknown constraint mode {self.constraint_mode!r}")
 
     @property
     def n_kept(self) -> int:
@@ -180,11 +169,11 @@ class _Adapt:
         self.total_tries = 0
         self.frozen = False
 
-    def record(self, rate: float, count: int = 1) -> None:
-        self.acc += rate * count
-        self.tries += count
-        self.total_acc += rate * count
-        self.total_tries += count
+    def record(self, rate: float) -> None:
+        self.acc += rate
+        self.tries += 1
+        self.total_acc += rate
+        self.total_tries += 1
         if not self.frozen and self.tries >= self.window:
             self.window_index += 1
             gain = 1.0 / math.sqrt(self.window_index)
@@ -298,6 +287,7 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
     dim_x = mdl.latent_dim(spec, n)
     names = mdl.latent_names(spec, n) + mdl.hyper_names(spec)
     hyper_list = mdl.hyper_names(spec)
+    hyper_priors = mdl.hyper_priors(spec)
     n_hyper = len(hyper_list)
     design = mdl.design_matrix(spec, data)
     p_beta = design.shape[1]
@@ -305,6 +295,7 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
     has_icar = "icar" in slices
     log_off = np.log(data.offset) if spec.offset is not None else np.zeros(n)
 
+    constraint = spec.icar_term.constraint if has_icar else Constraint.NONE
     if has_icar:
         graph = data.graph
         classes = greedy_coloring(graph)
@@ -346,16 +337,13 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
             return math.exp(prior.log_value), None
         return None, hyper_list.index(f"log_precision_{kind}")
 
-    fixed_prior = spec.priors.fixed_effect
-    if isinstance(fixed_prior, mdl.NormalPrior) and fixed_prior.mean != 0.0:
-        raise ValueError("the sampler only supports zero-mean fixed-effect priors")
     beta_prior_prec = np.full(p_beta, mdl.fixed_effect_precision(spec))
 
     # --- informed initial proposal scales -------------------------------
     w0 = np.maximum(mdl.eta_derivatives(spec, eta, hyper, data)[1], 1e-3)
     adapt = {}
     has_shift = bool(p_beta) and has_iid
-    has_swap = has_iid and has_icar and config.constraint_mode == ConstraintMode.NONE
+    has_swap = has_iid and has_icar and constraint is Constraint.NONE
     if p_beta:
         target_b = TARGET_JOINT if p_beta > 1 else TARGET_SCALAR
         adapt["beta"] = _Adapt(2.4 / math.sqrt(p_beta), target_b, config.adaptation_window)
@@ -395,14 +383,6 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
     sw = CounterStream(config.seed, "mcmc", "swap")
     sh = CounterStream(config.seed, "mcmc", "hyper")
 
-    hyper_priors = []
-    for name in hyper_list:
-        if name == "logit_p_zero":
-            hyper_priors.append(spec.priors.logit_zero_prior)
-        elif name == "log_dispersion":
-            hyper_priors.append(spec.priors.log_dispersion_prior)
-        else:
-            hyper_priors.append(spec.priors.log_precision_priors[name.replace("log_precision_", "")])
     # Each hyperparameter's prior log density at its current value.
     prior_cur = [prior.logpdf(h) for prior, h in zip(hyper_priors, hyper)]
     # Cholesky factor of the shift metric and the iid precision it was
@@ -517,9 +497,9 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                     ll[idx] = ll_new[idx]
                     icar_quad += float(np.add.reduce(d_quad[accept]))
                     acc_vec[cls] = accept
-                    if config.constraint_mode == ConstraintMode.CENTER_ON_THE_FLY:
+                    if constraint is Constraint.SUM_TO_ZERO_CENTERING:
                         mu, eta, ll = _recentre(spec, hyper, data, mu, eta, ll, comp_masks, sweep, "recentering")
-                if config.constraint_mode == ConstraintMode.KRIGING_PROJECT:
+                if constraint is Constraint.SUM_TO_ZERO_KRIGING:
                     mu, eta, ll = _recentre(spec, hyper, data, mu, eta, ll, comp_masks, sweep, "constraint projection")
                 adapt["icar"].record(acc_vec)
 

@@ -56,6 +56,7 @@ __all__ = [
     "latent_slices",
     "latent_names",
     "hyper_names",
+    "hyper_priors",
     "natural_hyper_names",
     "hyper_dim",
     "to_natural_hyper",
@@ -174,7 +175,8 @@ class PriorSet:
 
     ``log_precision_priors`` is keyed by block kind ("iid" / "icar").
     The zero-inflation priors only apply to the zero-inflated family.
-    A flat fixed-effect prior contributes no curvature, which lets a
+    A normal fixed-effect prior must be zero-mean (``ModelSpec`` checks
+    it).  A flat fixed-effect prior contributes no curvature, which lets a
     model be genuinely improper when the likelihood leaves a direction
     unidentified.
     """
@@ -198,7 +200,8 @@ class IidTerm:
 
 @dataclass(frozen=True)
 class IcarTerm:
-    """Intrinsic CAR block on the dataset's graph."""
+    """Intrinsic CAR block on the dataset's graph.  Both engines read
+    ``constraint``, and nothing else sets it (see ``gmrf.Constraint``)."""
 
     constraint: Constraint = Constraint.NONE
     half_exponent: bool = False
@@ -229,6 +232,9 @@ class ModelSpec:
             prior = self.priors.log_precision_priors.get(term.kind)
             if prior is None:
                 raise ValueError(f"missing log-precision prior for {term.kind!r} block")
+        prior = self.priors.fixed_effect
+        if isinstance(prior, NormalPrior) and prior.mean != 0.0:
+            raise ValueError("the fixed-effect prior must be zero-mean, NormalPrior(0, sd), or flat")
         icar = self.icar_term
         if (
             icar is not None
@@ -464,6 +470,13 @@ def hyper_names(spec: ModelSpec) -> list[str]:
         names += ["logit_p_zero", "log_dispersion"]
     names += [f"log_precision_{kind}" for kind in _free_precision_blocks(spec)]
     return names
+
+
+def hyper_priors(spec: ModelSpec) -> list:
+    """The prior of each hyperparameter, in ``hyper_names`` order."""
+    zi = spec.family is Family.ZERO_INFLATED_NEG_BINOMIAL
+    head = [spec.priors.logit_zero_prior, spec.priors.log_dispersion_prior] if zi else []
+    return head + [spec.priors.log_precision_priors[kind] for kind in _free_precision_blocks(spec)]
 
 
 _NATURAL_NAME = {
@@ -712,19 +725,10 @@ def _eta_derivatives(spec: ModelSpec, eta: np.ndarray, hyper: np.ndarray, data: 
 def log_prior_hyper(spec: ModelSpec, hyper: np.ndarray) -> float:
     """Sum of internal-scale log prior densities over the hyper vector."""
     hyper = np.asarray(hyper, dtype=np.float64)
-    names = hyper_names(spec)
-    if hyper.shape != (len(names),):
+    priors = hyper_priors(spec)
+    if hyper.shape != (len(priors),):
         raise ValueError("hyper vector has wrong length")
-    total = 0.0
-    idx = 0
-    if spec.family is Family.ZERO_INFLATED_NEG_BINOMIAL:
-        total += spec.priors.logit_zero_prior.logpdf(float(hyper[0]))
-        total += spec.priors.log_dispersion_prior.logpdf(float(hyper[1]))
-        idx = 2
-    for kind in _free_precision_blocks(spec):
-        total += spec.priors.log_precision_priors[kind].logpdf(float(hyper[idx]))
-        idx += 1
-    return float(total)
+    return float(sum(prior.logpdf(float(value)) for prior, value in zip(priors, hyper)))
 
 
 def latent_log_prior(spec: ModelSpec, latent: np.ndarray, hyper: np.ndarray, data: Dataset) -> float:
@@ -741,7 +745,7 @@ def latent_log_prior(spec: ModelSpec, latent: np.ndarray, hyper: np.ndarray, dat
     beta = latent[sl["beta"]]
     if beta.size and not isinstance(spec.priors.fixed_effect, FlatPrior):
         p = spec.priors.fixed_effect
-        z = (beta - p.mean) / p.sd
+        z = beta / p.sd
         total += float(-0.5 * z @ z - beta.size * (math.log(p.sd) + 0.5 * math.log(2.0 * math.pi)))
     if "iid" in sl:
         s = math.exp(prec["iid"])
@@ -792,13 +796,13 @@ def latent_prior_precision(spec: ModelSpec, hyper: np.ndarray, data: Dataset) ->
 
 
 def constraint_rows(spec: ModelSpec, data: Dataset) -> np.ndarray | None:
-    """Kriging constraint rows over the full latent vector, if any.
+    """Sum-to-zero constraint rows over the full latent vector, if any.
 
-    One all-ones row per connected component of the icar block when its
-    constraint is sum-to-zero by kriging; None otherwise.
+    One all-ones row per connected component of the icar block under
+    either sum-to-zero constraint (one posterior); None otherwise.
     """
     term = spec.icar_term
-    if term is None or term.constraint is not Constraint.SUM_TO_ZERO_KRIGING:
+    if term is None or term.constraint is Constraint.NONE:
         return None
     graph = _require_graph(data)
     labels = component_labels(graph)

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from lgmbench import models as mdl
-from lgmbench.gmrf import component_labels, icar_quadratic_form
+from lgmbench.gmrf import Constraint, component_labels, icar_quadratic_form
 from lgmbench.mcmc import (
     RIDGE,
     TARGET_JOINT,
@@ -26,7 +26,6 @@ from lgmbench.mcmc import (
     ChainAbort,
     ChainConfig,
     ChainOutput,
-    ConstraintMode,
     _Adapt,
     _loglik_vec,
     greedy_coloring,
@@ -131,6 +130,7 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
         adj[ia, ib] = 1.0
         adj[ib, ia] = 1.0
         class_adj = [adj[cls] for cls in classes]
+    constraint = spec.icar_term.constraint if has_icar else Constraint.NONE
     free_kinds = [h.replace("log_precision_", "") for h in hyper_list if h.startswith("log_precision_")]
 
     # --- state ----------------------------------------------------------
@@ -159,16 +159,13 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
             return math.exp(prior.log_value)
         return math.exp(hyper_value(f"log_precision_{kind}"))
 
-    fixed_prior = spec.priors.fixed_effect
-    if isinstance(fixed_prior, mdl.NormalPrior) and fixed_prior.mean != 0.0:
-        raise ValueError("the sampler only supports zero-mean fixed-effect priors")
     beta_prior_prec = np.full(p_beta, mdl.fixed_effect_precision(spec))
 
     # --- informed initial proposal scales -------------------------------
     w0 = np.maximum(mdl.eta_derivatives(spec, eta, hyper, data)[1], 1e-3)
     adapt = {}
     has_shift = bool(p_beta) and has_iid
-    has_swap = has_iid and has_icar and config.constraint_mode == ConstraintMode.NONE
+    has_swap = has_iid and has_icar and constraint is Constraint.NONE
     if p_beta:
         target_b = TARGET_JOINT if p_beta > 1 else TARGET_SCALAR
         adapt["beta"] = _Adapt(2.4 / math.sqrt(p_beta), target_b, config.adaptation_window)
@@ -321,7 +318,7 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                     ll[idx] = ll_new[idx]
                     icar_quad += float(np.add.reduce(d_quad[accept]))
                 acc_vec[cls] = accept.astype(float)
-                if config.constraint_mode == ConstraintMode.CENTER_ON_THE_FLY:
+                if constraint is Constraint.SUM_TO_ZERO_CENTERING:
                     shift = np.zeros(n)
                     for comp in comp_masks:
                         shift[comp] = np.add.reduce(mu[comp]) / comp.size
@@ -332,7 +329,7 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                         if ll_c is None:
                             raise ChainAbort(sweep, "recentering produced an invalid state")
                         ll = ll_c
-            if config.constraint_mode == ConstraintMode.KRIGING_PROJECT:
+            if constraint is Constraint.SUM_TO_ZERO_KRIGING:
                 shift = np.zeros(n)
                 for comp in comp_masks:
                     shift[comp] = np.add.reduce(mu[comp]) / comp.size

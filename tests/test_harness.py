@@ -80,6 +80,15 @@ def test_study_config_validation():
         config_from_json(json.dumps(payload))
     for int_strategy in laplace.INT_STRATEGIES:
         assert study_config("poisson", int_strategy=int_strategy).int_strategy == int_strategy
+    # The constraint takes a gmrf.Constraint value and nothing else.
+    for mode in ("sideways", "center_on_the_fly", "kriging_project"):
+        with pytest.raises(ValueError, match="Constraint"):
+            study_config("bym", constraint_mode=mode, strategy="gaussian")
+    # Full Laplace would fail every fit of a constrained model.
+    with pytest.raises(ValueError, match="full_laplace"):
+        study_config("bym", constraint_mode="sum_to_zero_kriging")
+    for c in Constraint:
+        assert study_config("bym", constraint_mode=c.value, strategy="gaussian").constraint_mode == c.value
 
 
 def test_config_json_round_trip(tmp_path):
@@ -101,6 +110,29 @@ def test_chain_and_laplace_config_derivation():
     assert (cc.iterations, cc.burn_in, cc.thin) == (1_500, 300, 3)
     assert cc.seed != config.chain_config(1).seed
     assert config.chain_config(0, "alt").seed != cc.seed
+
+
+@pytest.mark.parametrize("kind", harness.STUDY_KINDS)
+def test_only_a_selection_study_records_pointwise_likelihoods(kind):
+    # WAIC is the one reader of a chain's n_kept x n matrix.
+    assert tiny_config(kind=kind).chain_config(0).record_pointwise == (kind == "selection")
+
+
+@pytest.mark.parametrize("constraint", [Constraint.SUM_TO_ZERO_KRIGING, Constraint.SUM_TO_ZERO_CENTERING])
+def test_a_constrained_bym_study_fits_one_model_with_both_engines(constraint):
+    config = tiny_config(
+        kind="bym", n_datasets=1, n_areas=9, mcmc_iterations=600, mcmc_burn_in=100, mcmc_thin=2,
+        strategy="gaussian", constraint_mode=constraint.value,
+    )
+    data = harness.generate_datasets(config)[0]
+    spec = harness._analysis_spec(config, "bym", data)
+    assert spec.icar_term.constraint is constraint and spec.include_intercept
+    chain = mcmc.run_chain(spec, data, config.chain_config(0))
+    icar = chain.draws[:, mdl.latent_slices(spec, data.n)["icar"]]
+    assert np.max(np.abs(icar.sum(axis=1))) <= 1e-9
+    report = harness.run_study(config, workers=1)
+    assert report.table("failures").rows == []
+    assert len(report.table("results").rows) == len(harness._TRACKED["bym"])
 
 
 def test_default_lattice_shapes():
@@ -341,7 +373,7 @@ def test_mcmc_summary_of_a_tracked_parameter_is_the_posterior_summary_entry(kind
     # the bits the all-column summary gives it.
     config = tiny_config(kind=kind, n_datasets=1, n_areas=9, mcmc_iterations=600, mcmc_burn_in=100, mcmc_thin=2)
     data = harness.generate_datasets(config)[0]
-    chain = mcmc.run_chain(harness._analysis_spec(kind, data), data, config.chain_config(0))
+    chain = mcmc.run_chain(harness._analysis_spec(config, kind, data), data, config.chain_config(0))
     full = mcmc.posterior_summary(chain)
     for param in harness._TRACKED[kind]:
         mean, sd = harness._mcmc_summary(chain, param)

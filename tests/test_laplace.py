@@ -297,6 +297,18 @@ def test_simplified_laplace_supports_kriging_constraint():
     assert abs(sum(icar_means)) < 0.02
 
 
+def test_both_sum_to_zero_spellings_give_the_same_fit():
+    # Kriging and centring name one constrained posterior; they differ
+    # only in how the sampler imposes it, so the Laplace fit is the same.
+    _, data = small_spatial_dataset()
+    fits = [
+        laplace.fit(mdl.bym_spec(include_intercept=True, constraint=c), data, strategy=Strategy.GAUSSIAN).to_json()
+        for c in (Constraint.SUM_TO_ZERO_KRIGING, Constraint.SUM_TO_ZERO_CENTERING)
+    ]
+    assert fits[0] == fits[1]
+    assert json.loads(fits[1])["diagnostics"]["constrained_reduction"]
+
+
 def improper_level_model(seed=5):
     """Flat intercept prior + unconstrained intrinsic field.
 

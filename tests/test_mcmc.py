@@ -18,8 +18,8 @@ import scipy.special
 from lgmbench import mcmc
 from lgmbench import models as mdl
 from lgmbench import streams
-from lgmbench.gmrf import AdjacencyGraph, Constraint, lattice_graph
-from lgmbench.mcmc import ChainAbort, ChainConfig, ChainOutput, ConstraintMode
+from lgmbench.gmrf import AdjacencyGraph, Constraint, component_labels, lattice_graph
+from lgmbench.mcmc import ChainAbort, ChainConfig, ChainOutput
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +96,7 @@ def conjugate_field_oracle(spec, data):
     return mean, sd
 
 
-def spatial_model(seed=3, constraint_mode=ConstraintMode.NONE):
+def spatial_model(seed=3, constraint=Constraint.NONE):
     """Small spatial count model with both iid and intrinsic blocks."""
     g = np.random.default_rng(seed)
     graph = lattice_graph(3, 3)
@@ -107,7 +107,7 @@ def spatial_model(seed=3, constraint_mode=ConstraintMode.NONE):
         offset=np.full(9, 3.0),
         graph=graph,
     )
-    return mdl.bym_spec(), data
+    return mdl.bym_spec(constraint=constraint), data
 
 
 def improper_level_model(seed=5):
@@ -378,21 +378,18 @@ def test_chain_config_validation():
         ChainConfig(iterations=100, burn_in=100)
     with pytest.raises(ValueError):
         ChainConfig(iterations=100, burn_in=10, thin=0)
-    with pytest.raises(ValueError):
-        ChainConfig(iterations=100, burn_in=10, constraint_mode="sideways")
     assert ChainConfig(iterations=1_000, burn_in=100, thin=9).n_kept == 100
 
 
 def test_nonzero_mean_fixed_effect_prior_is_refused():
-    spec, data = normal_normal_model()
-    spec = mdl.ModelSpec(
-        family=spec.family,
-        include_intercept=True,
-        priors=mdl.PriorSet(fixed_effect=mdl.NormalPrior(0.5, 1.0)),
-        gaussian_obs_precision=spec.gaussian_obs_precision,
-    )
+    # Neither engine reads a prior mean, so the spec refuses one.
     with pytest.raises(ValueError, match="zero-mean"):
-        mcmc.run_chain(spec, data, ChainConfig(iterations=100, burn_in=10, thin=1))
+        mdl.ModelSpec(
+            family=mdl.Family.GAUSSIAN,
+            include_intercept=True,
+            priors=mdl.PriorSet(fixed_effect=mdl.NormalPrior(0.5, 1.0)),
+            gaussian_obs_precision=2.0,
+        )
 
 
 def test_greedy_coloring_is_proper(lattice_5x4, two_component_graph):
@@ -475,19 +472,31 @@ def test_adaptation_keeps_its_scales_equal_to_the_exp_of_the_log_scales():
 
 
 def test_constraint_modes_agree_on_identified_effect():
-    spec, data = spatial_model()
     outs = {}
-    for mode in (ConstraintMode.CENTER_ON_THE_FLY, ConstraintMode.KRIGING_PROJECT):
-        cfg = ChainConfig(iterations=20_000, burn_in=4_000, thin=2, seed=19, constraint_mode=mode)
-        outs[mode] = mcmc.run_chain(spec, data, cfg)
+    cfg = ChainConfig(iterations=20_000, burn_in=4_000, thin=2, seed=19)
+    for constraint in (Constraint.SUM_TO_ZERO_CENTERING, Constraint.SUM_TO_ZERO_KRIGING):
+        spec, data = spatial_model(constraint=constraint)
+        outs[constraint] = mcmc.run_chain(spec, data, cfg)
     icar_cols = [f"icar_{i}" for i in range(9)]
-    for mode, out in outs.items():
+    for constraint, out in outs.items():
         sums = sum(out.column(c) for c in icar_cols)
-        assert np.max(np.abs(sums)) < 1e-9, mode
-    a = outs[ConstraintMode.CENTER_ON_THE_FLY].column("beta_x")
-    b = outs[ConstraintMode.KRIGING_PROJECT].column("beta_x")
+        assert np.max(np.abs(sums)) < 1e-9, constraint
+    a = outs[Constraint.SUM_TO_ZERO_CENTERING].column("beta_x")
+    b = outs[Constraint.SUM_TO_ZERO_KRIGING].column("beta_x")
     combined = math.hypot(mcse_of(a), mcse_of(b))
     assert abs(a.mean() - b.mean()) < 4.0 * combined
+
+
+def test_a_constrained_spec_constrains_the_chain_without_any_chain_setting():
+    # The spec is the one place the constraint is set: a default
+    # ChainConfig must not let the constrained field's level drift.
+    spec, data = _two_component_bym(83, True, Constraint.SUM_TO_ZERO_KRIGING)
+    out = mcmc.run_chain(spec, data, ChainConfig(iterations=1_100, burn_in=400, thin=3, seed=97))
+    labels = component_labels(data.graph)
+    icar = out.draws[:, mdl.latent_slices(spec, data.n)["icar"]]
+    for c in range(int(labels.max()) + 1):
+        assert np.max(np.abs(icar[:, labels == c].sum(axis=1))) <= 1e-9
+    assert "swap" not in out.acceptance
 
 
 def test_unconstrained_mode_lets_the_level_float():
@@ -578,22 +587,15 @@ def _oracle_zinb():
 
 
 ORACLE_CASES = {
-    "poisson": (_oracle_poisson, ConstraintMode.NONE, True),
-    "poisson-fixed-iid": (_oracle_poisson_fixed_iid, ConstraintMode.NONE, True),
-    "poisson-no-pointwise": (_oracle_poisson, ConstraintMode.NONE, False),
-    "bym-none": (lambda: _two_component_bym(81), ConstraintMode.NONE, True),
-    "bym-center": (
-        lambda: _two_component_bym(82, True, Constraint.SUM_TO_ZERO_CENTERING),
-        ConstraintMode.CENTER_ON_THE_FLY,
-        True,
-    ),
-    "bym-kriging": (
-        lambda: _two_component_bym(83, True, Constraint.SUM_TO_ZERO_KRIGING),
-        ConstraintMode.KRIGING_PROJECT,
-        True,
-    ),
-    "bym-no-pointwise": (lambda: _two_component_bym(84), ConstraintMode.NONE, False),
-    "zinb": (_oracle_zinb, ConstraintMode.NONE, True),
+    # case: (build, record_pointwise); the spec carries the constraint.
+    "poisson": (_oracle_poisson, True),
+    "poisson-fixed-iid": (_oracle_poisson_fixed_iid, True),
+    "poisson-no-pointwise": (_oracle_poisson, False),
+    "bym-none": (lambda: _two_component_bym(81), True),
+    "bym-center": (lambda: _two_component_bym(82, True, Constraint.SUM_TO_ZERO_CENTERING), True),
+    "bym-kriging": (lambda: _two_component_bym(83, True, Constraint.SUM_TO_ZERO_KRIGING), True),
+    "bym-no-pointwise": (lambda: _two_component_bym(84), False),
+    "zinb": (_oracle_zinb, True),
 }
 
 
@@ -603,11 +605,9 @@ def test_run_chain_bit_identical_to_oracle(case):
     # icar quadratic-form refresh at sweep 1,000.
     from oracle_mcmc import run_chain as oracle_run_chain
 
-    build, mode, record = ORACLE_CASES[case]
+    build, record = ORACLE_CASES[case]
     spec, data = build()
-    cfg = ChainConfig(
-        iterations=1_100, burn_in=400, thin=3, seed=97, constraint_mode=mode, record_pointwise=record
-    )
+    cfg = ChainConfig(iterations=1_100, burn_in=400, thin=3, seed=97, record_pointwise=record)
     new = mcmc.run_chain(spec, data, cfg)
     ref = oracle_run_chain(spec, data, cfg)
     assert new.columns == ref.columns

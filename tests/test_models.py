@@ -134,6 +134,14 @@ def test_log_prior_hyper_sums_components():
         mdl.log_prior_hyper(spec, np.zeros(3))
 
 
+def test_hyper_priors_follow_hyper_names():
+    spec = mdl.bym_spec(iid_prior=mdl.FixedPrior(0.0), icar_prior=mdl.LogGammaPrior(2.0, 1.0))
+    assert mdl.hyper_priors(spec) == [mdl.LogGammaPrior(2.0, 1.0)]
+    zinb = mdl.zinb_spec(covariates=("a",))
+    assert mdl.hyper_priors(zinb) == [zinb.priors.logit_zero_prior, zinb.priors.log_dispersion_prior]
+    assert len(mdl.hyper_priors(zinb)) == len(mdl.hyper_names(zinb))
+
+
 # ---------------------------------------------------------------------------
 # Pointwise likelihoods against scipy oracles
 
@@ -658,6 +666,9 @@ def test_constraint_rows_cover_icar_block_only():
     np.testing.assert_array_equal(rows[0, :5], np.zeros(5))
     np.testing.assert_array_equal(rows[0, 5:], np.ones(4))
     assert mdl.constraint_rows(mdl.bym_spec(), data) is None
+    # Centring is the same constraint, imposed another way by the sampler.
+    centring = mdl.bym_spec(constraint=Constraint.SUM_TO_ZERO_CENTERING)
+    np.testing.assert_array_equal(mdl.constraint_rows(centring, data), rows)
 
 
 # ---------------------------------------------------------------------------
