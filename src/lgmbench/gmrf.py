@@ -1,5 +1,7 @@
 """Gaussian Markov random field structure: graphs, precision matrices,
-the intrinsic CAR prior, constrained sampling, and propriety checking.
+the intrinsic CAR prior, constrained sampling, propriety checking, and
+the dense Cholesky factorisation and back-substitution that the Laplace
+engine and the sampler share.
 
 The intrinsic conditional autoregressive (ICAR) density implemented here
 is, up to an additive constant,
@@ -24,6 +26,8 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
+from scipy.linalg import lapack
 
 __all__ = [
     "Constraint",
@@ -39,6 +43,8 @@ __all__ = [
     "sample_icar_kriging",
     "null_space_basis",
     "propriety_check",
+    "try_cholesky",
+    "upper_triangular_solve",
     "lattice_graph",
     "path_graph",
     "cycle_graph",
@@ -234,6 +240,42 @@ def icar_log_density(mu: np.ndarray, spec: IcarSpec) -> float:
     return coef * np.log(spec.tau) - 0.5 * spec.tau * icar_quadratic_form(mu, spec.graph)
 
 
+def try_cholesky(h: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of the float64 matrix ``h``, or None where
+    ``np.linalg.cholesky`` would raise LinAlgError.
+
+    Calls the kernel behind ``np.linalg.cholesky`` under the same error
+    state: the kernel flags a non-positive-definite input as an invalid
+    operation, which raises here instead of calling numpy's error
+    handler.  Same factor bits, without the wrapper's argument checks.
+    """
+    try:
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            return _umath_linalg.cholesky_lo(h, signature="d->d")
+    except FloatingPointError:
+        return None
+
+
+def upper_triangular_solve(u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``u x = b`` for an upper-triangular ``u``, such as the
+    transpose of a Cholesky factor, by back-substitution.
+
+    Partial-pivoting LU of an upper-triangular matrix with a nonzero
+    diagonal swaps no rows, its multipliers are 0 and its U is ``u``
+    itself, so ``np.linalg.solve(u, b)`` reduces to this same LAPACK
+    back-substitution: the result has its bits, at O(d^2) rather than
+    O(d^3).  ``b`` is a vector or a matrix of columns; the result is in
+    C order like numpy's, because a later product's bits can depend on
+    its operands' layout.  Raises LinAlgError on a zero diagonal entry.
+    """
+    if not u.shape[0]:
+        return np.zeros(b.shape)
+    x, info = lapack.dtrtrs(u, b, lower=0, trans=0)
+    if info:
+        raise np.linalg.LinAlgError(f"dtrtrs failed (info={info})")
+    return np.ascontiguousarray(x)
+
+
 def _regularized_precision(spec: IcarSpec) -> tuple[np.ndarray, np.ndarray]:
     """Dense tau*Q plus null-space jitter, and the constraint rows A.
 
@@ -278,7 +320,7 @@ def sample_icar_kriging(
     m = size if size is not None else 1
     z = rng.standard_normal((m, n))
     # x' L = z  =>  x = z L^{-1}, giving cov (L L')^{-1} = Q_reg^{-1}
-    x = np.linalg.solve(chol.T, z.T).T
+    x = upper_triangular_solve(chol.T, z.T).T
 
     sigma_at = np.linalg.solve(q_reg, a_rows.T)  # Sigma A', shape (n, k)
     gram = a_rows @ sigma_at  # A Sigma A'

@@ -45,11 +45,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy import interpolate, optimize
 from scipy.special import ndtr
 
 from . import models as mdl
-from .gmrf import null_space_basis, propriety_check
+from .gmrf import null_space_basis, propriety_check, try_cholesky, upper_triangular_solve
 from .posterior import PosteriorMarginal
 
 __all__ = [
@@ -349,13 +350,6 @@ class _Approx:
         self.clipped = clipped
 
 
-def _try_cholesky(h: np.ndarray):
-    try:
-        return np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        return None
-
-
 def _curvature(ctx: _Context, theta: np.ndarray, eta: np.ndarray, j: np.ndarray, p_free: np.ndarray):
     """Curvature of the conditional log posterior at the predictor ``eta``.
 
@@ -370,11 +364,11 @@ def _curvature(ctx: _Context, theta: np.ndarray, eta: np.ndarray, j: np.ndarray,
     """
     g1, w = mdl.eta_derivatives(ctx.spec, eta, theta, ctx.data)
     hess = j.T @ (w[:, None] * j) + p_free
-    chol = _try_cholesky(hess)
+    chol = try_cholesky(hess)
     clipped = chol is None
     if clipped:
         hess = j.T @ (np.maximum(w, 0.0)[:, None] * j) + p_free
-        chol = _try_cholesky(hess)
+        chol = try_cholesky(hess)
         if chol is None:
             raise FitFailure("hessian_not_pd", "negative curvature at Newton iterate")
     return g1, hess, chol, clipped
@@ -423,14 +417,17 @@ def _ascend(ctx: _Context, theta: np.ndarray, p_mat: np.ndarray, u: np.ndarray, 
         g1, _, chol, clipped_here = _curvature(ctx, theta, eta, j, p_free)
         clipped = clipped or clipped_here
         grad = j.T @ g1 - (p_mat @ u)[sel]
-        gnorm = float(np.linalg.norm(grad))
+        gnorm = math.sqrt(float(grad @ grad))
         if ref_grad is None:
             ref_grad = max(1.0, gnorm)
         if gnorm <= NEWTON_TOL * ref_grad:
             return u, eta, f_cur, chol, iters, "converged", clipped
         if iters == NEWTON_MAX_ITER:
             return u, eta, f_cur, chol, iters, "max_iter", clipped
-        step = np.linalg.solve(chol.T, np.linalg.solve(chol, grad))
+        # L y = grad through np.linalg.solve's own kernel (the factor of
+        # a successful Cholesky is never singular), then L' step = y by
+        # back-substitution, which has the bits of an LU solve.
+        step = upper_triangular_solve(chol.T, _umath_linalg.solve1(chol, grad, signature="dd->d"))
         if float(grad @ step) <= NEWTON_TOL**2 * max(1.0, abs(f_cur)):
             return u, eta, f_cur, chol, iters, "converged", clipped
         j_step = j @ step
@@ -861,11 +858,6 @@ def _mix_marginals(ctx: _Context, grid: ThetaGrid, approxes, strategy: Strategy,
     covariance columns of the requested components.  So memory grows
     as O(G d) over G grid points, not O(G d^2).
     """
-    if strategy is Strategy.FULL_LAPLACE and ctx.basis is not None:
-        raise FitFailure(
-            "strategy_unsupported",
-            "full Laplace is not available with sum-to-zero constraints",
-        )
     weights = grid.weights
     fl_scan = weights >= FL_MIN_WEIGHT * weights.max()
     scanned = int(fl_scan.sum()) if strategy is Strategy.FULL_LAPLACE else 0
@@ -1004,6 +996,8 @@ def fit(
     Raises FitFailure (rank_deficient) when the joint posterior
     precision is singular on the constraint-feasible subspace, which is
     what happens for an unconstrained intrinsic block plus an intercept.
+    Raises FitFailure (strategy_unsupported) for ``FULL_LAPLACE`` with a
+    sum-to-zero constraint, before any theta point is evaluated.
     """
     from . import __version__
 
@@ -1030,6 +1024,11 @@ def fit(
             "rank_deficient",
             f"joint precision is rank deficient by {prop.deficiency} on the feasible subspace",
             deficiency=prop.deficiency,
+        )
+    if strategy is Strategy.FULL_LAPLACE and ctx.basis is not None:
+        raise FitFailure(
+            "strategy_unsupported",
+            "full Laplace is not available with sum-to-zero constraints",
         )
 
     grid, approxes, explore_diag = _explore(ctx)

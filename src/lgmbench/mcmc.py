@@ -47,10 +47,16 @@ import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from . import models as mdl
-from .gmrf import Constraint, component_labels, graph_laplacian, icar_quadratic_form
+from .gmrf import (
+    Constraint,
+    component_labels,
+    graph_laplacian,
+    icar_quadratic_form,
+    try_cholesky,
+    upper_triangular_solve,
+)
 from .streams import CounterStream
 
 __all__ = [
@@ -423,11 +429,9 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                     welford.update(beta)
                     if sweep % config.adaptation_window == 0:
                         cov = welford.cov()
-                        if cov is not None:
-                            try:
-                                prop_chol = np.linalg.cholesky(cov + RIDGE * np.eye(p_beta))
-                            except np.linalg.LinAlgError:
-                                pass
+                        chol = None if cov is None else try_cholesky(cov + RIDGE * np.eye(p_beta))
+                        if chol is not None:  # a failed refactor keeps the old factor
+                            prop_chol = chol
 
             # ----- predictor-preserving shift beta <-> sites ---------------
             if has_shift:
@@ -437,12 +441,11 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                 # The log ratio is quadratic in delta with curvature
                 # sigma X'X + prior, so propose with its inverse as metric.
                 if sigma != metric_sigma:
-                    metric_chol = np.linalg.cholesky(sigma * design_gram + prior_diag)
+                    metric_chol = try_cholesky(sigma * design_gram + prior_diag)
+                    if metric_chol is None:
+                        raise np.linalg.LinAlgError("Matrix is not positive definite")
                     metric_sigma = sigma
-                # np.linalg.solve's own kernel, without its ~7 us of
-                # argument checks; the factor of a successful Cholesky is
-                # never singular.
-                delta = adapt["shift"].scale * _umath_linalg.solve1(metric_chol.T, z, signature="dd->d")
+                delta = adapt["shift"].scale * upper_triangular_solve(metric_chol.T, z)
                 beta_new = beta + delta
                 eps_new = eps - design @ delta
                 d = -0.5 * float(beta_prior_prec @ (beta_new**2 - beta**2))

@@ -6,6 +6,8 @@ pseudo-inverses, and hand-computed frozen values.
 """
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -26,6 +28,8 @@ from lgmbench.gmrf import (
     propriety_check,
     read_edge_list,
     sample_icar_kriging,
+    try_cholesky,
+    upper_triangular_solve,
     write_edge_list,
 )
 
@@ -301,6 +305,80 @@ def test_propriety_identity_and_negative():
 def test_propriety_fully_constrained_space_is_vacuously_proper():
     res = propriety_check(np.zeros((2, 2)), constraints=np.eye(2))
     assert res.proper
+
+
+# ---------------------------------------------------------------------------
+# Dense Cholesky helpers against numpy's wrappers
+
+
+def badly_scaled_spd(d: int, seed: int) -> np.ndarray:
+    """A random SPD matrix whose rows and columns span 1e-7..1e7 in scale."""
+    g = np.random.default_rng(seed)
+    a = g.standard_normal((d + 3, d))
+    s = np.exp(g.uniform(-8.0, 8.0, d))
+    return (a.T @ a + 1e-3 * np.eye(d)) * s[:, None] * s[None, :]
+
+
+def wrapper_cholesky(h: np.ndarray):
+    try:
+        return np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return None
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 5, 52, 129, 298])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_upper_triangular_solve_is_bit_equal_to_the_lu_solve(d, seed):
+    chol = np.linalg.cholesky(badly_scaled_spd(d, seed))
+    g = np.random.default_rng(100 + seed)
+    rhs = [
+        g.standard_normal(d),
+        g.standard_normal((d, 4)),
+        g.standard_normal((d, 3)) * np.array([1e-9, 1.0, 1e9]),  # badly scaled columns
+    ]
+    for b in rhs:
+        x = upper_triangular_solve(chol.T, b)
+        ref = np.linalg.solve(chol.T, b)
+        assert x.shape == ref.shape and x.flags.c_contiguous
+        assert x.tobytes() == ref.tobytes()
+
+
+def test_upper_triangular_solve_raises_on_a_zero_diagonal():
+    u = np.triu(np.ones((3, 3)))
+    u[1, 1] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(u, np.ones(3))
+    with pytest.raises(np.linalg.LinAlgError):
+        upper_triangular_solve(u, np.ones(3))
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        badly_scaled_spd(6, 0),
+        badly_scaled_spd(52, 1),
+        np.array([[1.0, 2.0], [2.0, 1.0]]),  # indefinite
+        -np.eye(3),
+        np.zeros((3, 3)),
+        np.array([[np.inf, 0.0], [0.0, 1.0]]),
+        np.array([[1.0, 0.0], [0.0, np.inf]]),
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),  # the wrapper factors this one
+        np.array([[1.0, np.nan], [np.nan, 1.0]]),
+        np.array([[4.0, 0.0, 0.0], [0.0, np.nan, 0.0], [0.0, 0.0, -1.0]]),
+        np.zeros((0, 0)),
+    ],
+    ids=["pd-6", "pd-52", "indefinite", "negative", "zero", "inf", "inf-last", "nan", "nan-off", "nan-then-neg", "empty"],
+)
+def test_try_cholesky_fails_exactly_where_numpy_cholesky_raises(h):
+    ref = wrapper_cholesky(h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chol = try_cholesky(h)
+    if ref is None:
+        assert chol is None
+    else:
+        assert chol is not None and chol.shape == ref.shape
+        assert chol.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -270,11 +270,25 @@ def small_spatial_dataset(seed=3, tau=1.0, constraint=Constraint.NONE):
     return spec, data
 
 
-def test_full_laplace_refuses_kriging_constraint():
+def test_full_laplace_refuses_kriging_constraint(monkeypatch):
+    # The refusal is known from the spec alone, so no theta point is
+    # evaluated before it.
     spec, data = small_spatial_dataset(constraint=Constraint.SUM_TO_ZERO_KRIGING)
+    calls = []
+    log_posterior_theta = laplace._log_posterior_theta
+
+    def counted(ctx, theta, cache, cold=False):
+        calls.append(theta)
+        return log_posterior_theta(ctx, theta, cache, cold)
+
+    monkeypatch.setattr(laplace, "_log_posterior_theta", counted)
     with pytest.raises(FitFailure) as err:
         laplace.fit(spec, data, strategy=Strategy.FULL_LAPLACE)
     assert err.value.cause == "strategy_unsupported"
+    assert err.value.detail == "full Laplace is not available with sum-to-zero constraints"
+    assert calls == []
+    laplace.fit(spec, data, strategy=Strategy.GAUSSIAN, latents=[])
+    assert len(calls) > 100  # the counter sees a fit that is not refused
 
 
 @pytest.mark.parametrize("latents", [[], ["beta_x"]])
