@@ -1,7 +1,7 @@
 """Gaussian Markov random field structure: graphs, precision matrices,
 the intrinsic CAR prior, constrained sampling, propriety checking, and
-the dense Cholesky factorisation and back-substitution that the Laplace
-engine and the sampler share.
+``Factor``, the Cholesky factor that owns every solve, log determinant
+and covariance the Laplace engine and the sampler take from a factor.
 
 The intrinsic conditional autoregressive (ICAR) density implemented here
 is, up to an additive constant,
@@ -34,6 +34,7 @@ __all__ = [
     "AdjacencyGraph",
     "IcarSpec",
     "ProprietyResult",
+    "Factor",
     "SingularConstraintError",
     "graph_laplacian",
     "connected_components",
@@ -43,8 +44,6 @@ __all__ = [
     "sample_icar_kriging",
     "null_space_basis",
     "propriety_check",
-    "try_cholesky",
-    "upper_triangular_solve",
     "lattice_graph",
     "path_graph",
     "cycle_graph",
@@ -240,40 +239,56 @@ def icar_log_density(mu: np.ndarray, spec: IcarSpec) -> float:
     return coef * np.log(spec.tau) - 0.5 * spec.tau * icar_quadratic_form(mu, spec.graph)
 
 
-def try_cholesky(h: np.ndarray) -> np.ndarray | None:
-    """Lower Cholesky factor of the float64 matrix ``h``, or None where
-    ``np.linalg.cholesky`` would raise LinAlgError.
+class Factor:
+    """Lower Cholesky factor ``lower`` = L of a symmetric positive-definite
+    H = L L', and the one owner of every operation taken from it.  Each
+    method runs the call sequence whose bits the oracle tests pin: solves
+    with L keep LU's rounding, solves with L' are back-substitutions."""
 
-    Calls the kernel behind ``np.linalg.cholesky`` under the same error
-    state: the kernel flags a non-positive-definite input as an invalid
-    operation, which raises here instead of calling numpy's error
-    handler.  Same factor bits, without the wrapper's argument checks.
-    """
-    try:
-        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
-            return _umath_linalg.cholesky_lo(h, signature="d->d")
-    except FloatingPointError:
-        return None
+    def __init__(self, lower: np.ndarray):
+        self.lower = lower
 
+    @classmethod
+    def of(cls, h: np.ndarray) -> Factor | None:
+        """The factor of the float64 matrix ``h``, or None where
+        ``np.linalg.cholesky`` would raise LinAlgError: its kernel, whose
+        flag for a non-positive-definite input raises here instead of
+        calling numpy's error handler.  Same bits, without the wrapper's
+        argument checks."""
+        try:
+            with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+                return cls(_umath_linalg.cholesky_lo(h, signature="d->d"))
+        except FloatingPointError:
+            return None
 
-def upper_triangular_solve(u: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``u x = b`` for an upper-triangular ``u``, such as the
-    transpose of a Cholesky factor, by back-substitution.
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """H^{-1} b for a vector ``b``: L y = b by ``np.linalg.solve``'s own
+        LU kernel (the factor is never singular), then L' x = y by ``sample``."""
+        return self.sample(_umath_linalg.solve1(self.lower, b, signature="dd->d"))
 
-    Partial-pivoting LU of an upper-triangular matrix with a nonzero
-    diagonal swaps no rows, its multipliers are 0 and its U is ``u``
-    itself, so ``np.linalg.solve(u, b)`` reduces to this same LAPACK
-    back-substitution: the result has its bits, at O(d^2) rather than
-    O(d^3).  ``b`` is a vector or a matrix of columns; the result is in
-    C order like numpy's, because a later product's bits can depend on
-    its operands' layout.  Raises LinAlgError on a zero diagonal entry.
-    """
-    if not u.shape[0]:
-        return np.zeros(b.shape)
-    x, info = lapack.dtrtrs(u, b, lower=0, trans=0)
-    if info:
-        raise np.linalg.LinAlgError(f"dtrtrs failed (info={info})")
-    return np.ascontiguousarray(x)
+    def sample(self, z: np.ndarray) -> np.ndarray:
+        """L'^{-1} z by LAPACK back-substitution (``dtrtrs``), at O(d^2); for
+        standard normal ``z``, a draw with covariance H^{-1}.  LU of the
+        upper-triangular L' swaps no rows and its U is L' itself, so
+        ``np.linalg.solve(L.T, z)`` runs this same back-substitution: same
+        bits.  ``z`` is a vector or a matrix of columns; the result is in C
+        order like numpy's, because a later product's bits can depend on
+        its operands' layout.  Raises LinAlgError on a zero diagonal entry."""
+        if not self.lower.shape[0]:
+            return np.zeros(z.shape)
+        x, info = lapack.dtrtrs(self.lower.T, z, lower=0, trans=0)
+        if info:
+            raise np.linalg.LinAlgError(f"dtrtrs failed (info={info})")
+        return np.ascontiguousarray(x)
+
+    def half_log_det(self) -> float:
+        """log det(H) / 2, summed over the log diagonal of L in index order."""
+        return float(np.add.reduce(np.log(np.diag(self.lower))))
+
+    def covariance(self) -> np.ndarray:
+        """H^{-1} as M' M, with M = L^{-1} by an LU solve against the identity."""
+        half = np.linalg.solve(self.lower, np.eye(self.lower.shape[0]))
+        return half.T @ half
 
 
 def _regularized_precision(spec: IcarSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -311,16 +326,15 @@ def sample_icar_kriging(
     if spec.constraint is not Constraint.SUM_TO_ZERO_KRIGING:
         raise ValueError("sampling requires the sum-to-zero kriging constraint")
     q_reg, a_rows = _regularized_precision(spec)
-    try:
-        chol = np.linalg.cholesky(q_reg)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - regularization prevents this
-        raise SingularConstraintError("regularized precision not positive definite") from exc
+    factor = Factor.of(q_reg)
+    if factor is None:  # pragma: no cover - regularization prevents this
+        raise SingularConstraintError("regularized precision not positive definite")
 
     n = spec.graph.n_nodes
     m = size if size is not None else 1
     z = rng.standard_normal((m, n))
     # x' L = z  =>  x = z L^{-1}, giving cov (L L')^{-1} = Q_reg^{-1}
-    x = upper_triangular_solve(chol.T, z.T).T
+    x = factor.sample(z.T).T
 
     sigma_at = np.linalg.solve(q_reg, a_rows.T)  # Sigma A', shape (n, k)
     gram = a_rows @ sigma_at  # A Sigma A'

@@ -45,12 +45,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 from scipy import interpolate, optimize
 from scipy.special import ndtr
 
 from . import models as mdl
-from .gmrf import null_space_basis, propriety_check, try_cholesky, upper_triangular_solve
+from .gmrf import Factor, null_space_basis, propriety_check
 from .posterior import PosteriorMarginal
 
 __all__ = [
@@ -353,8 +352,8 @@ class _Approx:
 def _curvature(ctx: _Context, theta: np.ndarray, eta: np.ndarray, j: np.ndarray, p_free: np.ndarray):
     """Curvature of the conditional log posterior at the predictor ``eta``.
 
-    Returns ``(g1, hess, chol, clipped)``: the likelihood gradient in eta,
-    ``hess = j' W j + p_free`` and its Cholesky factor, and whether W had
+    Returns ``(g1, hess, factor, clipped)``: the likelihood gradient in eta,
+    ``hess = j' W j + p_free`` and its ``Factor``, and whether W had
     to be clipped to non-negative weights for the factorization to
     succeed.  The same inputs give the same bits, so the curvature of a
     Newton solve's last iterate is rebuilt exactly from its final eta.
@@ -364,14 +363,14 @@ def _curvature(ctx: _Context, theta: np.ndarray, eta: np.ndarray, j: np.ndarray,
     """
     g1, w = mdl.eta_derivatives(ctx.spec, eta, theta, ctx.data)
     hess = j.T @ (w[:, None] * j) + p_free
-    chol = try_cholesky(hess)
-    clipped = chol is None
+    factor = Factor.of(hess)
+    clipped = factor is None
     if clipped:
         hess = j.T @ (np.maximum(w, 0.0)[:, None] * j) + p_free
-        chol = try_cholesky(hess)
-        if chol is None:
+        factor = Factor.of(hess)
+        if factor is None:
             raise FitFailure("hessian_not_pd", "negative curvature at Newton iterate")
-    return g1, hess, chol, clipped
+    return g1, hess, factor, clipped
 
 
 def _ascend(ctx: _Context, theta: np.ndarray, p_mat: np.ndarray, u: np.ndarray, free=None):
@@ -379,10 +378,10 @@ def _ascend(ctx: _Context, theta: np.ndarray, p_mat: np.ndarray, u: np.ndarray, 
 
     Maximizes log p(y | u, theta) - u' p_mat u / 2 over the coordinates
     ``free`` (an index array; None means all of them), holding the
-    others at their values in ``u``.  Returns ``(u, eta, f, chol, iters,
+    others at their values in ``u``.  Returns ``(u, eta, f, factor, iters,
     outcome, clipped)``: the point, its linear predictor (updated step
     by step, so not bit-equal to ``ctx.eta(u)``), its objective, the
-    Cholesky factor of the free-block curvature there, the Newton steps
+    ``Factor`` of the free-block curvature there, the Newton steps
     taken, ``"converged"``, ``"stalled"`` or ``"max_iter"``, and whether
     the curvature was ever clipped to non-negative likelihood weights.
 
@@ -414,22 +413,19 @@ def _ascend(ctx: _Context, theta: np.ndarray, p_mat: np.ndarray, u: np.ndarray, 
     clipped = False
     ref_grad = None
     for iters in range(NEWTON_MAX_ITER + 1):
-        g1, _, chol, clipped_here = _curvature(ctx, theta, eta, j, p_free)
+        g1, _, factor, clipped_here = _curvature(ctx, theta, eta, j, p_free)
         clipped = clipped or clipped_here
         grad = j.T @ g1 - (p_mat @ u)[sel]
         gnorm = math.sqrt(float(grad @ grad))
         if ref_grad is None:
             ref_grad = max(1.0, gnorm)
         if gnorm <= NEWTON_TOL * ref_grad:
-            return u, eta, f_cur, chol, iters, "converged", clipped
+            return u, eta, f_cur, factor, iters, "converged", clipped
         if iters == NEWTON_MAX_ITER:
-            return u, eta, f_cur, chol, iters, "max_iter", clipped
-        # L y = grad through np.linalg.solve's own kernel (the factor of
-        # a successful Cholesky is never singular), then L' step = y by
-        # back-substitution, which has the bits of an LU solve.
-        step = upper_triangular_solve(chol.T, _umath_linalg.solve1(chol, grad, signature="dd->d"))
+            return u, eta, f_cur, factor, iters, "max_iter", clipped
+        step = factor.solve(grad)
         if float(grad @ step) <= NEWTON_TOL**2 * max(1.0, abs(f_cur)):
-            return u, eta, f_cur, chol, iters, "converged", clipped
+            return u, eta, f_cur, factor, iters, "converged", clipped
         j_step = j @ step
         t = 1.0
         for _ in range(MAX_STEP_HALVINGS + 1):
@@ -446,7 +442,7 @@ def _ascend(ctx: _Context, theta: np.ndarray, p_mat: np.ndarray, u: np.ndarray, 
             t *= 0.5
         else:
             outcome = "converged" if gnorm <= 1e-6 * ref_grad else "stalled"
-            return u, eta, f_cur, chol, iters + 1, outcome, clipped
+            return u, eta, f_cur, factor, iters + 1, outcome, clipped
 
 
 def _newton(ctx: _Context, theta: np.ndarray, u0: np.ndarray | None = None) -> _Approx:
@@ -458,7 +454,7 @@ def _newton(ctx: _Context, theta: np.ndarray, u0: np.ndarray | None = None) -> _
     the ascent stalls or runs out of iterations.
     """
     u = np.zeros(ctx.dim_u) if u0 is None else u0.copy()
-    u, eta, _, chol, iters, outcome, clipped = _ascend(ctx, theta, ctx.prior_precision_u(theta), u)
+    u, eta, _, factor, iters, outcome, clipped = _ascend(ctx, theta, ctx.prior_precision_u(theta), u)
     if outcome == "stalled":
         raise FitFailure("newton_line_search", f"no ascent step at iteration {iters}")
     if outcome == "max_iter":
@@ -466,8 +462,7 @@ def _newton(ctx: _Context, theta: np.ndarray, u0: np.ndarray | None = None) -> _
             "newton_nonconvergence",
             f"no convergence in {NEWTON_MAX_ITER} iterations",
         )
-    log_det_half = float(np.add.reduce(np.log(np.diag(chol))))
-    return _Approx(u, eta, log_det_half, iters, True, clipped)
+    return _Approx(u, eta, factor.half_log_det(), iters, True, clipped)
 
 
 def gaussian_approx_latent(
@@ -780,9 +775,7 @@ def _skew_normal_pdf(x, xi, omega, alpha):
 def _covariance(ctx: _Context, theta: np.ndarray, approx: _Approx) -> np.ndarray:
     """Covariance of the Gaussian approximation at a grid point, from the
     curvature of its Newton solve rebuilt at the cached predictor."""
-    chol = _curvature(ctx, theta, approx.eta, ctx.j, ctx.prior_precision_u(theta))[2]
-    half = np.linalg.solve(chol, np.eye(chol.shape[0]))
-    return half.T @ half
+    return _curvature(ctx, theta, approx.eta, ctx.j, ctx.prior_precision_u(theta))[2].covariance()
 
 
 def _sla_coefficients(ctx: _Context, theta: np.ndarray, mode_u: np.ndarray, cov_u: np.ndarray):
@@ -834,11 +827,11 @@ def _fl_conditional_logdens(ctx: _Context, theta, mode_u, cov_col, index: int, v
         start = u + shift * (v - u[index])
         start[index] = v
         try:
-            u_hat, _, f, chol, _, outcome, _ = _ascend(ctx, theta, p_mat, start, keep)
+            u_hat, _, f, factor, _, outcome, _ = _ascend(ctx, theta, p_mat, start, keep)
         except (FitFailure, mdl.LikelihoodOverflowError):
             continue
         unconverged += outcome != "converged"
-        out[g_idx] = f - float(np.add.reduce(np.log(np.diag(chol))))
+        out[g_idx] = f - factor.half_log_det()
         u = u_hat
     return out, unconverged
 

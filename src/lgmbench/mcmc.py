@@ -49,14 +49,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import models as mdl
-from .gmrf import (
-    Constraint,
-    component_labels,
-    graph_laplacian,
-    icar_quadratic_form,
-    try_cholesky,
-    upper_triangular_solve,
-)
+from .gmrf import Constraint, Factor, component_labels, graph_laplacian, icar_quadratic_form
 from .streams import CounterStream
 
 __all__ = [
@@ -79,7 +72,8 @@ RIDGE = 1e-6
 
 
 class ChainAbort(RuntimeError):
-    """The current chain state became non-finite."""
+    """The chain cannot go on: its state became non-finite, or a proposal
+    could not be built."""
 
     def __init__(self, iteration: int, detail: str):
         self.iteration = iteration
@@ -353,8 +347,13 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
     if p_beta:
         target_b = TARGET_JOINT if p_beta > 1 else TARGET_SCALAR
         adapt["beta"] = _Adapt(2.4 / math.sqrt(p_beta), target_b, config.adaptation_window)
-        cov0 = np.linalg.inv(design.T @ (w0[:, None] * design) + np.diag(beta_prior_prec))
-        prop_chol = np.linalg.cholesky(cov0 + RIDGE * np.eye(p_beta))
+        try:
+            cov0 = np.linalg.inv(design.T @ (w0[:, None] * design) + np.diag(beta_prior_prec))
+        except np.linalg.LinAlgError as exc:
+            raise ChainAbort(0, "fixed-effect curvature is singular") from exc
+        proposal = Factor.of(cov0 + RIDGE * np.eye(p_beta))
+        if proposal is None:
+            raise ChainAbort(0, "fixed-effect proposal covariance is not positive definite")
         welford = _Welford(p_beta)
     if has_shift:
         adapt["shift"] = _Adapt(
@@ -393,7 +392,7 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
     prior_cur = [prior.logpdf(h) for prior, h in zip(hyper_priors, hyper)]
     # Cholesky factor of the shift metric and the iid precision it was
     # built for; refactored only when that precision changes.
-    metric_chol = None
+    metric = None
     metric_sigma = None
 
     # The site blocks take np.log of uniform draws, which can be 0: -inf, no warning.
@@ -412,7 +411,7 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                 g = sb.at(sweep)
                 z = g.standard_normal(p_beta)
                 u_acc = g.random()
-                step = adapt["beta"].scale * (prop_chol @ z)
+                step = adapt["beta"].scale * (proposal.lower @ z)
                 beta_new = beta + step
                 eta_new = eta + design @ step
                 ll_new = _loglik_vec(spec, eta_new, hyper, data)
@@ -429,9 +428,9 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                     welford.update(beta)
                     if sweep % config.adaptation_window == 0:
                         cov = welford.cov()
-                        chol = None if cov is None else try_cholesky(cov + RIDGE * np.eye(p_beta))
-                        if chol is not None:  # a failed refactor keeps the old factor
-                            prop_chol = chol
+                        factor = None if cov is None else Factor.of(cov + RIDGE * np.eye(p_beta))
+                        if factor is not None:  # a failed refactor keeps the old factor
+                            proposal = factor
 
             # ----- predictor-preserving shift beta <-> sites ---------------
             if has_shift:
@@ -441,11 +440,11 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                 # The log ratio is quadratic in delta with curvature
                 # sigma X'X + prior, so propose with its inverse as metric.
                 if sigma != metric_sigma:
-                    metric_chol = try_cholesky(sigma * design_gram + prior_diag)
-                    if metric_chol is None:
-                        raise np.linalg.LinAlgError("Matrix is not positive definite")
+                    metric = Factor.of(sigma * design_gram + prior_diag)
+                    if metric is None:
+                        raise ChainAbort(sweep, "shift metric is not positive definite")
                     metric_sigma = sigma
-                delta = adapt["shift"].scale * upper_triangular_solve(metric_chol.T, z)
+                delta = adapt["shift"].scale * metric.sample(z)
                 beta_new = beta + delta
                 eps_new = eps - design @ delta
                 d = -0.5 * float(beta_prior_prec @ (beta_new**2 - beta**2))

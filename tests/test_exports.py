@@ -1,6 +1,6 @@
 """Every name a module exports in ``__all__`` exists in that module, and
 every name it imports is used; the test modules import nothing unused
-either."""
+either.  Only ``gmrf`` works on a Cholesky factor."""
 from __future__ import annotations
 
 import ast
@@ -15,6 +15,7 @@ import lgmbench
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(lgmbench.__path__, "lgmbench."))
 TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
+SOURCE_FILES = sorted(Path(lgmbench.__file__).parent.glob("*.py"))
 
 
 def test_the_package_has_its_modules():
@@ -61,3 +62,24 @@ def test_every_import_is_used(name):
 @pytest.mark.parametrize("path", TEST_FILES, ids=lambda path: path.name)
 def test_every_test_module_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Factorising a matrix, solving against a factor and taking a factor's
+# log determinant belong to ``gmrf.Factor``, so that one method owns each
+# rounding path.  ``np.linalg.inv`` (an LU of a matrix, not of a factor)
+# and ``np.linalg.LinAlgError`` stay allowed.
+FACTOR_WORDS = (
+    "_umath_linalg",
+    "lapack",
+    "np.linalg.solve",
+    "np.linalg.cholesky",
+    "try_cholesky",
+    "upper_triangular_solve",
+    "np.diag(chol",
+)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCE_FILES if p.name != "gmrf.py"], ids=lambda path: path.name)
+def test_only_gmrf_works_on_a_cholesky_factor(path):
+    source = path.read_text(encoding="utf-8")
+    assert [word for word in FACTOR_WORDS if word in source] == []

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from lgmbench.gmrf import (
     AdjacencyGraph,
     Constraint,
+    Factor,
     IcarSpec,
     component_labels,
     connected_components,
@@ -28,8 +29,6 @@ from lgmbench.gmrf import (
     propriety_check,
     read_edge_list,
     sample_icar_kriging,
-    try_cholesky,
-    upper_triangular_solve,
     write_edge_list,
 )
 
@@ -308,7 +307,7 @@ def test_propriety_fully_constrained_space_is_vacuously_proper():
 
 
 # ---------------------------------------------------------------------------
-# Dense Cholesky helpers against numpy's wrappers
+# Factor against numpy's wrappers
 
 
 def badly_scaled_spd(d: int, seed: int) -> np.ndarray:
@@ -329,7 +328,8 @@ def wrapper_cholesky(h: np.ndarray):
 @pytest.mark.parametrize("d", [0, 1, 2, 5, 52, 129, 298])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_upper_triangular_solve_is_bit_equal_to_the_lu_solve(d, seed):
-    chol = np.linalg.cholesky(badly_scaled_spd(d, seed))
+    # Factor.sample, the solve with L'.
+    factor = Factor(np.linalg.cholesky(badly_scaled_spd(d, seed)))
     g = np.random.default_rng(100 + seed)
     rhs = [
         g.standard_normal(d),
@@ -337,8 +337,8 @@ def test_upper_triangular_solve_is_bit_equal_to_the_lu_solve(d, seed):
         g.standard_normal((d, 3)) * np.array([1e-9, 1.0, 1e9]),  # badly scaled columns
     ]
     for b in rhs:
-        x = upper_triangular_solve(chol.T, b)
-        ref = np.linalg.solve(chol.T, b)
+        x = factor.sample(b)
+        ref = np.linalg.solve(factor.lower.T, b)
         assert x.shape == ref.shape and x.flags.c_contiguous
         assert x.tobytes() == ref.tobytes()
 
@@ -349,7 +349,26 @@ def test_upper_triangular_solve_raises_on_a_zero_diagonal():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(u, np.ones(3))
     with pytest.raises(np.linalg.LinAlgError):
-        upper_triangular_solve(u, np.ones(3))
+        Factor(u.T).sample(np.ones(3))
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 5, 52, 129, 298])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_factor_solve_log_det_and_covariance_are_bit_equal_to_numpy(d, seed):
+    factor = Factor.of(badly_scaled_spd(d, seed))
+    lower = factor.lower
+    g = np.random.default_rng(200 + seed)
+    for b in (g.standard_normal(d), g.standard_normal(d) * np.exp(g.uniform(-20.0, 20.0, d))):
+        x = factor.solve(b)
+        ref = np.linalg.solve(lower.T, np.linalg.solve(lower, b))  # as tests/oracle_laplace.py solves
+        assert x.shape == ref.shape and x.tobytes() == ref.tobytes()
+    log_det = factor.half_log_det()
+    assert type(log_det) is float
+    assert np.float64(log_det).tobytes() == np.add.reduce(np.log(np.diag(lower))).tobytes()
+    half = np.linalg.solve(lower, np.eye(d))
+    ref = half.T @ half
+    cov = factor.covariance()
+    assert cov.shape == ref.shape and cov.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -370,15 +389,16 @@ def test_upper_triangular_solve_raises_on_a_zero_diagonal():
     ids=["pd-6", "pd-52", "indefinite", "negative", "zero", "inf", "inf-last", "nan", "nan-off", "nan-then-neg", "empty"],
 )
 def test_try_cholesky_fails_exactly_where_numpy_cholesky_raises(h):
+    # Factor.of, the one constructor.
     ref = wrapper_cholesky(h)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        chol = try_cholesky(h)
+        factor = Factor.of(h)
     if ref is None:
-        assert chol is None
+        assert factor is None
     else:
-        assert chol is not None and chol.shape == ref.shape
-        assert chol.tobytes() == ref.tobytes()
+        assert factor is not None and factor.lower.shape == ref.shape
+        assert factor.lower.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------

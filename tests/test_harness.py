@@ -456,6 +456,32 @@ def test_engine_failures_become_failure_rows(monkeypatch, kind, engines):
     assert chain_seeds == [config.chain_config(i, *e.split("/")[1:]).seed for i in range(2) for e in mcmc_engines]
 
 
+def test_a_singular_fixed_effect_curvature_becomes_a_failure_row():
+    # Two identical covariates under a flat prior: Laplace refuses the
+    # model, and the chain cannot build its start-up proposal.
+    g = np.random.default_rng(0)
+    x = g.uniform(0, 1, 8)
+    data = mdl.Dataset(y=g.poisson(3.0, 8), covariates={"x": x, "x_copy": x.copy()}, offset=np.full(8, 2.0))
+    spec = mdl.ModelSpec(
+        family=mdl.Family.POISSON,
+        fixed_effects=("x", "x_copy"),
+        offset="total",
+        priors=mdl.PriorSet(fixed_effect=mdl.FlatPrior()),
+    )
+    with pytest.raises(laplace.FitFailure, match="rank_deficient"):
+        laplace.fit(spec, data)
+    failures = []
+    assert harness._chain(tiny_config(), 0, spec, data, failures) is None
+    assert failures == [
+        {
+            "dataset": 0,
+            "engine": "mcmc",
+            "cause": "ChainAbort",
+            "detail": "chain aborted at iteration 0: fixed-effect curvature is singular",
+        }
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Selection study bookkeeping
 
