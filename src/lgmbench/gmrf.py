@@ -241,12 +241,15 @@ def icar_log_density(mu: np.ndarray, spec: IcarSpec) -> float:
 
 class Factor:
     """Lower Cholesky factor ``lower`` = L of a symmetric positive-definite
-    H = L L', and the one owner of every operation taken from it.  Each
-    method runs the call sequence whose bits the oracle tests pin: solves
-    with L keep LU's rounding, solves with L' are back-substitutions."""
+    H = L L', or a (k, d, d) stack of independent ones, and the one owner
+    of every operation taken from it.  Each method runs the call sequence
+    whose bits the oracle tests pin: solves with L keep LU's rounding,
+    solves with L' are back-substitutions.  On a stack every member gets
+    the bits of its own single-matrix call, whatever the other members."""
 
-    def __init__(self, lower: np.ndarray):
+    def __init__(self, lower: np.ndarray, ok: np.ndarray | None = None):
         self.lower = lower
+        self.ok = ok
 
     @classmethod
     def of(cls, h: np.ndarray) -> Factor | None:
@@ -254,16 +257,34 @@ class Factor:
         ``np.linalg.cholesky`` would raise LinAlgError: its kernel, whose
         flag for a non-positive-definite input raises here instead of
         calling numpy's error handler.  Same bits, without the wrapper's
-        argument checks."""
-        try:
-            with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
-                return cls(_umath_linalg.cholesky_lo(h, signature="d->d"))
-        except FloatingPointError:
-            return None
+        argument checks.
+
+        For a (k, d, d) stack, one kernel call factors every member: the
+        result is the factor of the stack, and ``ok[r]`` is False for
+        exactly the members where the single-matrix call gives None.  The
+        kernel fills such a member with NaN, upper triangle included,
+        where it zeroes the upper triangle of a factored one."""
+        if h.ndim == 2:
+            try:
+                with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+                    return cls(_umath_linalg.cholesky_lo(h, signature="d->d"))
+            except FloatingPointError:
+                return None
+        if h.shape[-1] == 1:
+            # A 1 x 1 factor has no upper triangle to tell a NaN fill from
+            # the NaN factor the kernel returns for a NaN entry.
+            members = [cls.of(m) for m in h]
+            ok = np.array([m is not None for m in members])
+            return cls(np.array([m.lower if m else np.full((1, 1), np.nan) for m in members]), ok)
+        with np.errstate(all="ignore"):
+            lower = _umath_linalg.cholesky_lo(h, signature="d->d")
+        ok = ~np.isnan(lower[:, 0, -1]) if h.shape[-1] else np.ones(len(h), dtype=bool)
+        return cls(lower, ok)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """H^{-1} b for a vector ``b``: L y = b by ``np.linalg.solve``'s own
-        LU kernel (the factor is never singular), then L' x = y by ``sample``."""
+        """H^{-1} b for a vector ``b`` (one row of a (k, d) ``b`` per member of
+        a stack): L y = b by ``np.linalg.solve``'s own LU kernel (the factor
+        is never singular), then L' x = y by ``sample``."""
         return self.sample(_umath_linalg.solve1(self.lower, b, signature="dd->d"))
 
     def sample(self, z: np.ndarray) -> np.ndarray:
@@ -271,24 +292,37 @@ class Factor:
         standard normal ``z``, a draw with covariance H^{-1}.  LU of the
         upper-triangular L' swaps no rows and its U is L' itself, so
         ``np.linalg.solve(L.T, z)`` runs this same back-substitution: same
-        bits.  ``z`` is a vector or a matrix of columns; the result is in C
-        order like numpy's, because a later product's bits can depend on
-        its operands' layout.  Raises LinAlgError on a zero diagonal entry."""
-        if not self.lower.shape[0]:
+        bits.  ``z`` is a vector or a matrix of columns, or for a stack one
+        row of a (k, d) ``z`` per member; the result is in C order like
+        numpy's, because a later product's bits can depend on its operands'
+        layout.  Raises LinAlgError on a zero diagonal entry."""
+        if not self.lower.shape[-1]:
             return np.zeros(z.shape)
-        x, info = lapack.dtrtrs(self.lower.T, z, lower=0, trans=0)
-        if info:
-            raise np.linalg.LinAlgError(f"dtrtrs failed (info={info})")
-        return np.ascontiguousarray(x)
+        if self.lower.ndim == 2:
+            return np.ascontiguousarray(_back_substitute(self.lower, z))
+        out = np.empty(z.shape)
+        for r, member in enumerate(self.lower):
+            out[r] = _back_substitute(member, z[r])
+        return out
 
-    def half_log_det(self) -> float:
-        """log det(H) / 2, summed over the log diagonal of L in index order."""
-        return float(np.add.reduce(np.log(np.diag(self.lower))))
+    def half_log_det(self):
+        """log det(H) / 2, summed over the log diagonal of L in index order:
+        a float, or for a stack an array of one per member."""
+        out = np.add.reduce(np.log(np.diagonal(self.lower, axis1=-2, axis2=-1)), axis=-1)
+        return out if self.lower.ndim == 3 else float(out)
 
     def covariance(self) -> np.ndarray:
         """H^{-1} as M' M, with M = L^{-1} by an LU solve against the identity."""
         half = np.linalg.solve(self.lower, np.eye(self.lower.shape[0]))
         return half.T @ half
+
+
+def _back_substitute(lower: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """L'^{-1} z by LAPACK ``dtrtrs``; raises LinAlgError on a zero diagonal entry."""
+    x, info = lapack.dtrtrs(lower.T, z, lower=0, trans=0)
+    if info:
+        raise np.linalg.LinAlgError(f"dtrtrs failed (info={info})")
+    return x
 
 
 def _regularized_precision(spec: IcarSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -29,11 +29,20 @@ strategies applied to the Gaussian (Newton) approximation at theta:
       log p~(v) = f(x_hat(v)) - (1/2) log det H_{-i,-i}(x_hat(v))
 
   evaluated on ``FL_GRID_POINTS`` points over +-``FL_GRID_SDS``
-  conditional standard deviations and spline-interpolated.
+  conditional standard deviations and spline-interpolated.  Every
+  profile scan of a fit (each scanned grid point times each requested
+  component) runs in one lockstep run: the scans advance value by
+  value together, one stacked Newton problem per scan.
 
 Everything here is deterministic: no random numbers are drawn, grids
 are traversed in fixed order, and reductions are ordered, so repeated
-fits are bit-identical.
+fits are bit-identical.  ``_ascend``, the one Newton routine, solves a
+stack of independent problems in lockstep (the theta-point solve is
+one problem, run without the stack axis); each member runs the
+one-problem arithmetic, with
+kernels, products and factorizations that give each row the bits of
+its own call, so a member's bits never depend on the stack or chunk it
+ran in.
 """
 
 from __future__ import annotations
@@ -331,7 +340,8 @@ class _Context:
         return p
 
     def eta(self, u: np.ndarray) -> np.ndarray:
-        return self.j @ u + self.log_off
+        """The linear predictor of ``u``, a (dim_u,) vector or a (k, dim_u) stack."""
+        return (self.j @ u if u.ndim == 1 else _mv(self.j, u)) + self.log_off
 
 
 class _Approx:
@@ -349,41 +359,116 @@ class _Approx:
         self.clipped = clipped
 
 
-def _curvature(ctx: _Context, theta: np.ndarray, eta: np.ndarray, j: np.ndarray, p_free: np.ndarray):
-    """Curvature of the conditional log posterior at the predictor ``eta``.
+def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a @ x`` for one vector ``x``; for a (k, q) ``x``, ``a[r] @ x[r]`` per
+    row, with ``a`` one (p, q) matrix or a (k, p, q) stack: one
+    matrix-vector product per member, with the bits of the one-vector call."""
+    return a @ x if x.ndim == 1 else np.matmul(a, x[..., None])[..., 0]
 
-    Returns ``(g1, hess, factor, clipped)``: the likelihood gradient in eta,
-    ``hess = j' W j + p_free`` and its ``Factor``, and whether W had
-    to be clipped to non-negative weights for the factorization to
-    succeed.  The same inputs give the same bits, so the curvature of a
-    Newton solve's last iterate is rebuilt exactly from its final eta.
 
-    Raises FitFailure (hessian_not_pd) when even the clipped curvature
-    is not positive definite.
+def _dot(a: np.ndarray, b: np.ndarray):
+    """``a @ b`` for two vectors; for (k, q) ``a`` and ``b``, each row's dot
+    product, by the kernel of the one-vector call."""
+    return a @ b if a.ndim == 1 else np.vecdot(a, b)
+
+
+def _each(x) -> list:
+    """The per-member values of ``x`` as Python floats: a list of one for
+    one problem (a scalar ``x``)."""
+    return x.tolist() if x.ndim else [x.tolist()]
+
+
+def _at(free: np.ndarray):
+    """Index of the coordinates ``free`` along the last axis: of one
+    problem's array, or of each member's row of a stack's (``free`` k x df)."""
+    return free if free.ndim == 1 else (np.arange(len(free))[:, None], free)
+
+
+_NO_MEMBERS = np.zeros(0, dtype=int)
+_ONE_MEMBER = np.zeros(1, dtype=int)
+
+
+def _curvature(ctx: _Context, thetas: np.ndarray, eta: np.ndarray, jt: np.ndarray, p_free: np.ndarray):
+    """Curvature of the conditional log posterior at the predictor ``eta``,
+    of one problem or of a stack of k (``eta`` k x n).
+
+    ``jt`` is the transposed design of the free coordinates, one (df x n)
+    matrix, shared by every member of a stack, or a (k x df x n) stack,
+    and ``p_free`` their prior precision (k x df x df for a stack).
+    Returns ``(g1, hess, factor, clipped, failed)``: the likelihood
+    gradient in eta, ``hess = j' W j + p_free``, its ``Factor``, the
+    indices of the members whose W had to be clipped to non-negative
+    weights for the factorization to succeed, and of those whose clipped
+    curvature is not positive definite either (``factor`` is None for
+    one problem that failed, and a stack's ``factor.ok`` is False for
+    its failed members).  One problem is member 0.  The same inputs give
+    the same bits, so the curvature of a Newton solve's last iterate is
+    rebuilt exactly from its final eta.
     """
-    g1, w = mdl.eta_derivatives(ctx.spec, eta, theta, ctx.data)
-    hess = j.T @ (w[:, None] * j) + p_free
+    g1, w = mdl.eta_derivatives(ctx.spec, eta, thetas, ctx.data)
+    hess = jt @ (w[..., None] * jt.swapaxes(-1, -2)) + p_free
     factor = Factor.of(hess)
-    clipped = factor is None
-    if clipped:
-        hess = j.T @ (np.maximum(w, 0.0)[:, None] * j) + p_free
+    if hess.ndim == 2:
+        if factor is not None:
+            return g1, hess, factor, _NO_MEMBERS, _NO_MEMBERS
+        hess = jt @ (np.maximum(w, 0.0)[:, None] * jt.T) + p_free
         factor = Factor.of(hess)
-        if factor is None:
-            raise FitFailure("hessian_not_pd", "negative curvature at Newton iterate")
-    return g1, hess, factor, clipped
+        return g1, hess, factor, _ONE_MEMBER, _NO_MEMBERS if factor is not None else _ONE_MEMBER
+    if factor.ok.all():
+        return g1, hess, factor, _NO_MEMBERS, _NO_MEMBERS
+    clipped = np.flatnonzero(~factor.ok)
+    jt_c = jt if jt.ndim == 2 else jt[clipped]
+    hess[clipped] = jt_c @ (np.maximum(w[clipped], 0.0)[..., None] * jt_c.swapaxes(-1, -2)) + p_free[clipped]
+    again = Factor.of(hess[clipped])
+    factor.lower[clipped] = again.lower
+    factor.ok[clipped] = again.ok
+    return g1, hess, factor, clipped, clipped[~again.ok]
 
 
-def _ascend(ctx: _Context, theta: np.ndarray, p_mat: np.ndarray, u: np.ndarray, free=None):
-    """Damped Newton ascent of the conditional log posterior of the latent field.
+def _objective(ctx: _Context, thetas, p_mats, eta, u):
+    """log p(y | u, theta) - u' P u / 2, per member of a stack, -inf where
+    the predictor is out of range, and P u."""
+    spec, data = ctx.spec, ctx.data
+    try:
+        ll = np.add.reduce(mdl.pointwise_loglik_from_eta(spec, eta, thetas, data), axis=-1)
+    except mdl.LikelihoodOverflowError:
+        if eta.ndim == 1:
+            ll = -np.inf
+        else:
+            ok = mdl.eta_in_range(eta)
+            ll = np.full(len(eta), -np.inf)
+            if ok.any():
+                ll[ok] = np.add.reduce(mdl.pointwise_loglik_from_eta(spec, eta[ok], thetas[ok], data), axis=-1)
+    pu = _mv(p_mats, u)
+    return ll - 0.5 * _dot(u, pu), pu
 
-    Maximizes log p(y | u, theta) - u' p_mat u / 2 over the coordinates
-    ``free`` (an index array; None means all of them), holding the
-    others at their values in ``u``.  Returns ``(u, eta, f, factor, iters,
-    outcome, clipped)``: the point, its linear predictor (updated step
-    by step, so not bit-equal to ``ctx.eta(u)``), its objective, the
-    ``Factor`` of the free-block curvature there, the Newton steps
-    taken, ``"converged"``, ``"stalled"`` or ``"max_iter"``, and whether
-    the curvature was ever clipped to non-negative likelihood weights.
+
+def _ascend(ctx: _Context, thetas: np.ndarray, p_mats: np.ndarray, u: np.ndarray, free=None):
+    """Damped Newton ascent of the conditional log posterior of the latent
+    field: of one problem, or in lockstep of a stack of k independent ones.
+
+    One problem maximizes log p(y | u, thetas) - u' p_mats u / 2 over the
+    coordinates ``free`` (an index array; None means all of them), holding
+    the others at their values in ``u``.  A stack adds a leading axis of
+    k to ``thetas``, ``p_mats``, ``u`` and ``free``, and member r solves
+    the problem of its rows.  One problem is the k = 1 case of the same
+    code, run without the leading axis.  The members of a stack advance
+    together, one stacked kernel call per Newton iteration and per
+    line-search halving, and leave the stack as they stop, but every
+    member runs the one-problem arithmetic: its bits do not depend on
+    which other members share the stack.
+
+    Returns ``(u, eta, f, log_det_half, iters, outcome, clipped)``, per
+    member for a stack (the last three as lists): the point, its linear
+    predictor (updated step by step, so not bit-equal to ``ctx.eta(u)``),
+    its objective, half the log determinant of the free-block curvature
+    there, the Newton steps taken, the outcome, and whether the curvature
+    was ever clipped to non-negative likelihood weights.  An outcome is
+    ``"converged"``, ``"stalled"`` or ``"max_iter"``, or the failure that
+    ended the member: LikelihoodOverflowError when the start's predictor
+    is out of range, FitFailure (hessian_not_pd) when even the clipped
+    curvature is not positive definite.  A failed member's other values
+    are not read.
 
     The stop rule: the gradient norm falls to ``NEWTON_TOL`` times the
     first one, or the Newton decrement to ``NEWTON_TOL**2 * max(1, |f|)``.
@@ -395,66 +480,189 @@ def _ascend(ctx: _Context, theta: np.ndarray, p_mat: np.ndarray, u: np.ndarray, 
     objective's own rounding.  A line search that cannot ascend counts as
     converged only at a gradient within 1e-6 of the first one.  After
     ``NEWTON_MAX_ITER`` steps the gradient test is applied once more.
-
-    Raises FitFailure (hessian_not_pd) when even the clipped curvature
-    is not positive definite.
     """
-    spec, data = ctx.spec, ctx.data
-    sel = slice(None) if free is None else free
-    j = ctx.j[:, sel]
-    p_free = p_mat[sel][:, sel]
-
-    def objective(eta_vec, u_vec):
-        ll = float(np.add.reduce(mdl.pointwise_loglik_from_eta(spec, eta_vec, theta, data)))
-        return ll - 0.5 * float(u_vec @ (p_mat @ u_vec))
-
+    u = np.array(u, dtype=float)
+    one = u.ndim == 1
+    k = 1 if one else len(u)
     eta = ctx.eta(u)
-    f_cur = objective(eta, u)
-    clipped = False
-    ref_grad = None
-    for iters in range(NEWTON_MAX_ITER + 1):
-        g1, _, factor, clipped_here = _curvature(ctx, theta, eta, j, p_free)
-        clipped = clipped or clipped_here
-        grad = j.T @ g1 - (p_mat @ u)[sel]
-        gnorm = math.sqrt(float(grad @ grad))
-        if ref_grad is None:
-            ref_grad = max(1.0, gnorm)
-        if gnorm <= NEWTON_TOL * ref_grad:
-            return u, eta, f_cur, factor, iters, "converged", clipped
-        if iters == NEWTON_MAX_ITER:
-            return u, eta, f_cur, factor, iters, "max_iter", clipped
+    f, pu = _objective(ctx, thetas, p_mats, eta, u)
+    log_det_half = np.zeros(k)
+    iters, outcome, clipped = [0] * k, [None] * k, [False] * k
+    if free is None:
+        jt, pf = ctx.j.T, p_mats
+    else:
+        # Member r's design is ctx.j[:, free[r]], an F-ordered copy, so
+        # its transpose is C-ordered: the layout BLAS saw one at a time.
+        jt = ctx.j.T[free]
+        # p[free][:, free] per member: rows, then rows of the transpose.
+        at = _at(free)
+        pf = np.ascontiguousarray(p_mats[at].swapaxes(-1, -2)[at].swapaxes(-1, -2))
+
+    # The running members: ``act`` holds their indices, the arrays below
+    # their rows and ``ref_grad`` their first gradient norms, compacted
+    # whenever some members of a stack stop and others run on.  A stack's
+    # last running member, or the member of a stack of one, runs on as
+    # one problem.  Each member's scalar tests run on Python floats, as
+    # in a one-problem loop.
+    act, th, p, fr = np.arange(k), thetas, p_mats, free
+    cu, ceta, cf, ref_grad = u, eta, f, []
+
+    def rows_of(keep):
+        """Index of the running members at the mask ``keep``: the mask, or
+        the position of a last one, which drops the stack axis."""
+        return keep if np.count_nonzero(keep) > 1 else int(np.flatnonzero(keep)[0])
+
+    def running(keep, *arrays):
+        """The running members' arrays at the mask ``keep``, ``act`` first."""
+        at = rows_of(keep)
+        out = [act[keep]] + [a[at] for a in (th, p, cu, ceta, cf, pu) + arrays]
+        return out + [jt if free is None else jt[at], pf[at], None if free is None else fr[at]]
+
+    def stop(at, steps, label, factor):
+        """Record the running members at the mask ``at`` (None: all) as
+        stopped with ``label``, one string or one per member."""
+        nonlocal u, eta, f, log_det_half
+        if at is None and (one or len(act) == k > 1):
+            # Every member stops at once, none before: the running arrays
+            # are the results.
+            u, eta, f, log_det_half = cu, ceta, cf, factor.half_log_det()
+        elif at is None:
+            u[act], eta[act], f[act] = cu, ceta, cf
+            log_det_half[act] = factor.half_log_det()
+        else:
+            rows = act[at]
+            u[rows], eta[rows], f[rows] = cu[at], ceta[at], cf[at]
+            log_det_half[rows] = Factor(factor.lower[at]).half_log_det()
+        for i, r in enumerate(act.tolist() if at is None else act[at].tolist()):
+            iters[r] = steps
+            outcome[r] = label if isinstance(label, str) else label[i]
+
+    if k == 1 and not one:
+        act, th, p, cu, ceta, cf, pu, jt, pf, fr = running(np.ones(1, dtype=bool))
+    start_ok = [math.isfinite(v) for v in _each(f)]
+    if not all(start_ok):
+        for r in np.flatnonzero(~np.array(start_ok)):
+            try:
+                mdl.pointwise_loglik_from_eta(ctx.spec, np.atleast_2d(eta)[r], np.atleast_2d(thetas)[r], ctx.data)
+            except mdl.LikelihoodOverflowError as exc:
+                outcome[r] = exc
+        live = np.array([o is None for o in outcome])
+        if not live.any():
+            act = _NO_MEMBERS
+        elif not live.all():
+            act, th, p, cu, ceta, cf, pu, jt, pf, fr = running(live)
+    for it in range(NEWTON_MAX_ITER + 1):
+        if not act.size:
+            break
+        g1, _, factor, clipped_here, failed = _curvature(ctx, th, ceta, jt, pf)
+        if clipped_here.size:
+            for r in act[clipped_here].tolist():
+                clipped[r] = True
+            if failed.size:
+                for r in act[failed]:
+                    outcome[r] = FitFailure("hessian_not_pd", "negative curvature at Newton iterate")
+                if failed.size == len(act):
+                    break
+                live = factor.ok
+                factor = Factor(factor.lower[rows_of(live)])
+                ref_grad = [r for r, keep in zip(ref_grad, live) if keep]
+                act, th, p, cu, ceta, cf, pu, g1, jt, pf, fr = running(live, g1)
+        # P u at the current point, from the objective that accepted it.
+        grad = _mv(jt, g1) - (pu if free is None else pu[_at(fr)])
+        gnorm = [math.sqrt(g) for g in _each(_dot(grad, grad))]
+        if it == 0:
+            ref_grad = [max(1.0, g) for g in gnorm]
+        done = [g <= NEWTON_TOL * r for g, r in zip(gnorm, ref_grad)]
+        if it == NEWTON_MAX_ITER:
+            stop(None, it, ["converged" if d else "max_iter" for d in done], factor)
+            break
+        if all(done):
+            stop(None, it, "converged", factor)
+            break
+        # A member that has converged takes this step too, unread.
         step = factor.solve(grad)
-        if float(grad @ step) <= NEWTON_TOL**2 * max(1.0, abs(f_cur)):
-            return u, eta, f_cur, factor, iters, "converged", clipped
-        j_step = j @ step
+        f_cur = _each(cf)
+        decrement = _each(_dot(grad, step))
+        done = [d or c <= NEWTON_TOL**2 * max(1.0, abs(v)) for d, c, v in zip(done, decrement, f_cur)]
+        if all(done):
+            stop(None, it, "converged", factor)
+            break
+        if any(done):
+            stop(np.array(done), it, "converged", factor)
+            go = np.array([not d for d in done])
+            factor = Factor(factor.lower[rows_of(go)])
+            gnorm, ref_grad, f_cur = ([x for x, d in zip(a, done) if not d] for a in (gnorm, ref_grad, f_cur))
+            act, th, p, cu, ceta, cf, pu, step, jt, pf, fr = running(go, step)
+        # Line search over the running members, halving t together.  The
+        # ``s`` arrays hold the members still searching, at rows ``srow``.
+        j_step = _mv(ctx.j if free is None else np.swapaxes(jt, -1, -2), step)
+        floor = [v - 1e-12 * max(1.0, abs(v)) for v in f_cur]
+        srow, su, seta, sth, sp, sstep, sj, sfr = None, cu, ceta, th, p, step, j_step, fr
         t = 1.0
         for _ in range(MAX_STEP_HALVINGS + 1):
-            u_new = u.copy()
-            u_new[sel] = u[sel] + t * step
-            eta_new = eta + t * j_step
-            try:
-                f_new = objective(eta_new, u_new)
-            except mdl.LikelihoodOverflowError:
-                f_new = -np.inf
-            if np.isfinite(f_new) and f_new >= f_cur - 1e-12 * max(1.0, abs(f_cur)):
-                u, eta, f_cur = u_new, eta_new, f_new
+            if free is None:
+                u_new = su + t * sstep
+            else:
+                u_new = su.copy()
+                u_new[_at(sfr)] = su[_at(sfr)] + t * sstep
+            eta_new = seta + t * sj
+            f_new, pu_new = _objective(ctx, sth, sp, eta_new, u_new)
+            ok = [math.isfinite(v) and v >= lo for v, lo in zip(_each(f_new), floor)]
+            if srow is None and all(ok):
+                cu, ceta, cf, pu = u_new, eta_new, f_new, pu_new
                 break
+            if any(ok):
+                if srow is None:
+                    srow = np.arange(len(act))
+                ok = np.array(ok)
+                no = ~ok
+                took = srow[ok]
+                cu[took], ceta[took], cf[took], pu[took] = u_new[ok], eta_new[ok], f_new[ok], pu_new[ok]
+                srow, su, seta, sth, sp, sstep, sj = (a[no] for a in (srow, su, seta, sth, sp, sstep, sj))
+                sfr = None if free is None else sfr[no]
+                floor = [lo for lo, a in zip(floor, no) if a]
+                if not srow.size:
+                    break
             t *= 0.5
         else:
-            outcome = "converged" if gnorm <= 1e-6 * ref_grad else "stalled"
-            return u, eta, f_cur, factor, iters + 1, outcome, clipped
+            near = [g <= 1e-6 * r for g, r in zip(gnorm, ref_grad)]
+            if srow is None:
+                stop(None, it + 1, ["converged" if c else "stalled" for c in near], factor)
+                break
+            stuck = np.zeros(len(act), dtype=bool)
+            stuck[srow] = True
+            stop(stuck, it + 1, ["converged" if c else "stalled" for c, s in zip(near, stuck) if s], factor)
+            ref_grad = [r for r, s in zip(ref_grad, stuck) if not s]
+            act, th, p, cu, ceta, cf, pu, jt, pf, fr = running(~stuck)
+    if one:
+        return u, eta, f, log_det_half, iters[0], outcome[0], clipped[0]
+    return u, eta, f, log_det_half, iters, outcome, clipped
+
+
+def _point_curvature(ctx: _Context, theta: np.ndarray, eta: np.ndarray):
+    """``(hess, factor)`` of the curvature over every coordinate at one
+    theta and predictor: the last ``_curvature`` of a Newton solve that
+    ended at ``eta``, so factored there before."""
+    _, hess, factor, _, failed = _curvature(ctx, theta, eta, ctx.j.T, ctx.prior_precision_u(theta))
+    if failed.size:
+        raise FitFailure("hessian_not_pd", "negative curvature at Newton iterate")
+    return hess, factor
 
 
 def _newton(ctx: _Context, theta: np.ndarray, u0: np.ndarray | None = None) -> _Approx:
     """Gaussian approximation of the latent field at ``theta``: the mode
     of its conditional log posterior, the predictor there and the log
-    determinant of the curvature.
+    determinant of the curvature.  The one-problem call of ``_ascend``.
 
     Raises FitFailure (newton_line_search, newton_nonconvergence) when
-    the ascent stalls or runs out of iterations.
+    the ascent stalls or runs out of iterations, and the ascent's failure
+    (FitFailure hessian_not_pd, LikelihoodOverflowError) when it fails.
     """
-    u = np.zeros(ctx.dim_u) if u0 is None else u0.copy()
-    u, eta, _, factor, iters, outcome, clipped = _ascend(ctx, theta, ctx.prior_precision_u(theta), u)
+    u = np.zeros(ctx.dim_u) if u0 is None else u0
+    theta = np.asarray(theta, dtype=float)
+    u, eta, _, log_det_half, iters, outcome, clipped = _ascend(ctx, theta, ctx.prior_precision_u(theta), u)
+    if isinstance(outcome, Exception):
+        raise outcome
     if outcome == "stalled":
         raise FitFailure("newton_line_search", f"no ascent step at iteration {iters}")
     if outcome == "max_iter":
@@ -462,7 +670,7 @@ def _newton(ctx: _Context, theta: np.ndarray, u0: np.ndarray | None = None) -> _
             "newton_nonconvergence",
             f"no convergence in {NEWTON_MAX_ITER} iterations",
         )
-    return _Approx(u, eta, factor.half_log_det(), iters, True, clipped)
+    return _Approx(u, eta, log_det_half, iters, True, clipped)
 
 
 def gaussian_approx_latent(
@@ -483,7 +691,7 @@ def gaussian_approx_latent(
     if x0 is not None:
         u0 = ctx.basis.T @ x0 if ctx.basis is not None else np.asarray(x0, dtype=float)
     approx = _newton(ctx, theta, u0)
-    hess = _curvature(ctx, theta, approx.eta, ctx.j, ctx.prior_precision_u(theta))[1]
+    hess = _point_curvature(ctx, theta, approx.eta)[0]
     mode = ctx.to_x(approx.mode_u)
     if ctx.basis is not None:
         dense = ctx.basis @ hess @ ctx.basis.T
@@ -775,7 +983,7 @@ def _skew_normal_pdf(x, xi, omega, alpha):
 def _covariance(ctx: _Context, theta: np.ndarray, approx: _Approx) -> np.ndarray:
     """Covariance of the Gaussian approximation at a grid point, from the
     curvature of its Newton solve rebuilt at the cached predictor."""
-    return _curvature(ctx, theta, approx.eta, ctx.j, ctx.prior_precision_u(theta))[2].covariance()
+    return _point_curvature(ctx, theta, approx.eta)[1].covariance()
 
 
 def _sla_coefficients(ctx: _Context, theta: np.ndarray, mode_u: np.ndarray, cov_u: np.ndarray):
@@ -797,43 +1005,77 @@ def _sla_coefficients(ctx: _Context, theta: np.ndarray, mode_u: np.ndarray, cov_
     return gamma1, gamma3
 
 
-def _fl_conditional_logdens(ctx: _Context, theta, mode_u, cov_col, index: int, v_grid: np.ndarray):
-    """Full-Laplace log density of component ``index`` on ``v_grid``.
+# Members of one lockstep run of profile scans are taken in chunks whose
+# stacked arrays (about 4 d^2 + 3 n d floats per member) stay under this
+# many bytes; chunking changes no bit.  Lockstep pays at small d, where
+# a chunk of this size holds every scan of a fit (70 members at d = 6,
+# n = 200).  At large d a member's arrays are large and its Newton steps
+# dominate: a default BYM fit at d = 129 (52 scans, two per chunk here)
+# peaks about 1.3 MB above the scan-at-a-time fit, and 45 MB above it with
+# every scan in one chunk.
+FL_CHUNK_BYTES = 2 * 2**20
 
-    ``mode_u`` is the Gaussian approximation's mode and ``cov_col`` the
-    column ``index`` of its covariance.  For each fixed value ``v`` the
-    remaining components are re-maximized by ``_ascend``, warm-started
-    from the previous grid point, and the profile value is corrected by
-    minus half the log determinant of the remaining-block curvature.
-    With a single latent component the correction is zero and the
-    profile equals the exact unnormalized log posterior of that
-    component.  A point whose ascent fails (non-positive-definite
-    curvature, predictor overflow) is dropped as ``-inf``.
 
-    Also returns the number of grid points where the ascent stalled or
-    ran out of iterations; their values are kept.
+def _fl_profiles(ctx: _Context, scans) -> list:
+    """Full-Laplace log densities of every profile scan of a fit, run in lockstep.
+
+    ``scans`` holds one ``(theta, mode_u, cov_col, index, v_grid)`` per
+    scan: a grid point, its Gaussian approximation's mode and column
+    ``index`` of its covariance, the component and the values to scan.
+    For each fixed value ``v`` the remaining components are re-maximized
+    by ``_ascend``, warm-started from the previous value's solution (the
+    first from the mode), and the profile value is corrected by minus
+    half the log determinant of the remaining-block curvature.  With a
+    single latent component the correction is zero and the profile
+    equals the exact unnormalized log posterior of that component.  A
+    point whose ascent fails (non-positive-definite curvature, predictor
+    overflow) is dropped as ``-inf``.
+
+    Every scan advances value by value together with the others of its
+    chunk, each its own member of one ``_ascend`` call per value, so a
+    scan's bits depend neither on the chunk nor on the scans beside it.
+    Returns per scan the log densities and the number of values where
+    the ascent stalled or ran out of iterations; their values are kept.
     """
-    p_mat = ctx.prior_precision_u(theta)
-    keep = np.array([k for k in range(ctx.dim_u) if k != index], dtype=int)
-    shift = cov_col / cov_col[index]
-    out = np.full(v_grid.size, -np.inf)
-    unconverged = 0
-    u = mode_u
-    for g_idx, v in enumerate(v_grid):
+    d, n = ctx.dim_u, ctx.n
+    size = max(1, FL_CHUNK_BYTES // (8 * (4 * d * d + 3 * n * d)))
+    out = []
+    for start in range(0, len(scans), size):
+        out += _fl_chunk(ctx, scans[start : start + size])
+    return out
+
+
+def _fl_chunk(ctx: _Context, scans) -> list:
+    """``_fl_profiles`` of one chunk of scans."""
+    k = len(scans)
+    thetas = np.array([s[0] for s in scans], dtype=float)
+    priors = {}
+    for th in thetas:
+        if th.tobytes() not in priors:
+            priors[th.tobytes()] = ctx.prior_precision_u(th)
+    p_mats = np.array([priors[th.tobytes()] for th in thetas])
+    index = np.array([s[3] for s in scans])
+    free = np.array([[c for c in range(ctx.dim_u) if c != i] for i in index], dtype=int)
+    u = np.array([s[1] for s in scans])
+    shift = np.array([cov_col / cov_col[i] for _, _, cov_col, i, _ in scans])
+    v_grid = np.array([s[4] for s in scans])
+    rows = np.arange(k)
+    logd = np.full(v_grid.shape, -np.inf)
+    unconverged = np.zeros(k, dtype=int)
+    for g_idx in range(v_grid.shape[1]):
+        v = v_grid[:, g_idx]
         # Warm start: the last solution moved along the Gaussian
         # conditional mean to the new value.  Without the move the first
         # gradient carries the whole step in v, and the stop rule's
         # gradient test, relative to that first gradient, stops early.
-        start = u + shift * (v - u[index])
-        start[index] = v
-        try:
-            u_hat, _, f, factor, _, outcome, _ = _ascend(ctx, theta, p_mat, start, keep)
-        except (FitFailure, mdl.LikelihoodOverflowError):
-            continue
-        unconverged += outcome != "converged"
-        out[g_idx] = f - factor.half_log_det()
-        u = u_hat
-    return out, unconverged
+        start = u + shift * (v - u[rows, index])[:, None]
+        start[rows, index] = v
+        u_hat, _, f, log_det_half, _, outcome, _ = _ascend(ctx, thetas, p_mats, start, free)
+        ok = np.array([isinstance(o, str) for o in outcome])
+        unconverged += [o in ("stalled", "max_iter") for o in outcome]
+        logd[ok, g_idx] = f[ok] - log_det_half[ok]
+        u[ok] = u_hat[ok]
+    return list(zip(logd, unconverged.tolist()))
 
 
 def _mix_marginals(ctx: _Context, grid: ThetaGrid, approxes, strategy: Strategy, indices):
@@ -849,7 +1091,9 @@ def _mix_marginals(ctx: _Context, grid: ThetaGrid, approxes, strategy: Strategy,
     mixture reads, then dropped: the sds, the skew-normal coefficients
     where they are read, and at points that get a profile scan the
     covariance columns of the requested components.  So memory grows
-    as O(G d) over G grid points, not O(G d^2).
+    as O(G d) over G grid points, not O(G d^2).  Under FULL_LAPLACE
+    every profile scan, one per requested component and scanned point,
+    runs in one lockstep ``_fl_profiles`` call before the mixture.
     """
     weights = grid.weights
     fl_scan = weights >= FL_MIN_WEIGHT * weights.max()
@@ -877,13 +1121,26 @@ def _mix_marginals(ctx: _Context, grid: ThetaGrid, approxes, strategy: Strategy,
     hi = (means + MARGINAL_GRID_SDS * sds).max(axis=0)
     vgrids = np.linspace(lo, hi, MARGINAL_GRID_POINTS, axis=1)  # d_x x P
 
+    # Every profile scan of the fit, in one lockstep run: (g, i) maps to
+    # the scanned values and the profile there.
+    profiles = {}
+    if strategy is Strategy.FULL_LAPLACE:
+        scans = {}
+        for k, i in enumerate(indices):
+            for g in np.flatnonzero(fl_scan):
+                mu_ig, sd_ig = means[g, i], sds[g, i]
+                v_fl = np.linspace(mu_ig - FL_GRID_SDS * sd_ig, mu_ig + FL_GRID_SDS * sd_ig, FL_GRID_POINTS)
+                scans[g, i] = (grid.points[g].theta, approxes[g].mode_u, cov_cols[g][:, k], i, v_fl)
+        results = _fl_profiles(ctx, list(scans.values()))
+        profiles = {key: (scan[4], result) for (key, scan), result in zip(scans.items(), results)}
+
     unreliable = set()
     fl_unconverged = 0
     marginals = []
-    for k, i in enumerate(indices):
+    for i in indices:
         vg = vgrids[i]
         dens = np.zeros(MARGINAL_GRID_POINTS)
-        for g, (point, approx) in enumerate(zip(grid.points, approxes)):
+        for g, point in enumerate(grid.points):
             mu_ig = means[g, i]
             sd_ig = sds[g, i]
             if strategy is Strategy.GAUSSIAN:
@@ -895,14 +1152,7 @@ def _mix_marginals(ctx: _Context, grid: ThetaGrid, approxes, strategy: Strategy,
                 s = (vg - mu_ig) / sd_ig
                 cond = _skew_normal_pdf(s, xi, omega, alpha) / sd_ig
             else:
-                v_fl = np.linspace(
-                    mu_ig - FL_GRID_SDS * sd_ig,
-                    mu_ig + FL_GRID_SDS * sd_ig,
-                    FL_GRID_POINTS,
-                )
-                logd, unconverged = _fl_conditional_logdens(
-                    ctx, point.theta, approx.mode_u, cov_cols[g][:, k], i, v_fl
-                )
+                v_fl, (logd, unconverged) = profiles[g, i]
                 if unconverged:
                     unreliable.add(i)
                     fl_unconverged += unconverged

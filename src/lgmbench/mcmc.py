@@ -481,13 +481,21 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                 step = adapt["icar"].scales * g.standard_normal(n)
                 log_u = np.log(g.random(n))
                 acc_vec = np.zeros(n)
+                # Classes share no sites and a class moves eta only at its
+                # own sites, so without recentring one likelihood call at
+                # every site's proposal serves all classes: the kernels
+                # are elementwise, so each site keeps its bits.
+                if constraint is not Constraint.SUM_TO_ZERO_CENTERING:
+                    eta_new = eta + step
+                    ll_new = _site_loglik(spec, eta_new, hyper, data)
                 for cls, a_rows, deg in zip(classes, class_adj, class_deg):
                     delta = step[cls]
                     mu_c = mu[cls]
                     mu_new_c = mu_c + delta
-                    eta_new = eta.copy()
-                    eta_new[cls] += delta
-                    ll_new = _site_loglik(spec, eta_new, hyper, data)
+                    if constraint is Constraint.SUM_TO_ZERO_CENTERING:
+                        eta_new = eta.copy()
+                        eta_new[cls] += delta
+                        ll_new = _site_loglik(spec, eta_new, hyper, data)
                     s_neigh = a_rows @ mu
                     d_quad = deg * (mu_new_c**2 - mu_c**2) - 2.0 * delta * s_neigh
                     d_site = (ll_new[cls] - ll[cls]) - 0.5 * tau * d_quad

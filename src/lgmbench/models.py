@@ -64,6 +64,7 @@ __all__ = [
     "log_likelihood",
     "pointwise_loglik",
     "pointwise_loglik_from_eta",
+    "eta_in_range",
     "eta_derivatives",
     "eta_third_derivative",
     "log_prior_hyper",
@@ -394,7 +395,7 @@ class Dataset:
         object.__setattr__(self, "_log_y_factorial", log_y_factorial)
         object.__setattr__(self, "_zero", zero)
         object.__setattr__(self, "_any_zero", bool(zero.size))
-        # Two-entry caches of the ZINB constants; see _zinb_constants.
+        # Caches of the ZINB constants; see _zinb_constants.
         object.__setattr__(self, "_zinb_pz_cache", ())
         object.__setattr__(self, "_zinb_size_cache", ())
 
@@ -549,21 +550,30 @@ def linear_predictor(spec: ModelSpec, latent: np.ndarray, data: Dataset) -> np.n
 def _check_eta(eta: np.ndarray) -> None:
     # Fast path for the common in-range case, in one reduction; the
     # maximum propagates NaN and the comparison is false for it, so
-    # non-finite values always reach the indexed checks.
-    if np.maximum.reduce(np.abs(eta)) <= ETA_OVERFLOW:
+    # non-finite values always reach the indexed checks.  On a (k, n)
+    # stack the index is the site's within its row.
+    if np.maximum.reduce(np.abs(eta), axis=None) <= ETA_OVERFLOW:
         return
     bad = ~np.isfinite(eta)
     if np.any(bad):
         i = int(np.flatnonzero(bad)[0])
-        raise LikelihoodOverflowError(i, eta[i])
+        raise LikelihoodOverflowError(i % eta.shape[-1], eta.flat[i])
     big = np.abs(eta) > ETA_OVERFLOW
     if np.any(big):
         i = int(np.flatnonzero(big)[0])
-        raise LikelihoodOverflowError(i, eta[i])
+        raise LikelihoodOverflowError(i % eta.shape[-1], eta.flat[i])
 
 
-def _zinb_params(spec: ModelSpec, hyper: np.ndarray) -> tuple[float, float]:
-    """(logit p_zero, dispersion n) from the hyper vector."""
+def eta_in_range(eta: np.ndarray) -> np.ndarray:
+    """Per row of a (k, n) predictor, whether the kernels accept it: False
+    exactly on the rows where ``_check_eta`` raises, those with a
+    non-finite entry or one beyond ``ETA_OVERFLOW`` in absolute value."""
+    # The same reduction as _check_eta's fast path, row by row.
+    return np.maximum.reduce(np.abs(eta), axis=-1) <= ETA_OVERFLOW
+
+
+def _zinb_params(hyper) -> tuple[float, float]:
+    """(logit p_zero, dispersion n) from one row of hyperparameters."""
     theta1 = float(hyper[0])
     size = float(np.exp(hyper[1]))
     if not (size > 0.0 and np.isfinite(size)):
@@ -571,23 +581,31 @@ def _zinb_params(spec: ModelSpec, hyper: np.ndarray) -> tuple[float, float]:
     return theta1, size
 
 
-def _two_recent(data: Dataset, attr: str, key: float, build):
-    """The value for ``key`` in the two-entry cache ``attr`` of ``data``.
+def _recent(data: Dataset, attr: str, keys: tuple, build) -> list:
+    """The values for ``keys`` in the cache ``attr`` of ``data``, one per key.
 
-    Entries are ``(key, value)`` pairs, most recently used first; a miss
-    calls ``build()`` and drops the older entry.  The cache is replaced
-    as one tuple, so a reader never sees a half-updated cache.
+    The cache is a tuple of ``(key, value)`` pairs, most recently read
+    first; a miss calls ``build(data, key)``.  The keys a call reads move to
+    the front.  A call that builds an entry then keeps, of the entries
+    it did not read, only as many as bring the cache to two: so one-key
+    calls keep the two most recent entries, and a stacked call keeps
+    every entry it read until a later call builds one.  The cache is
+    replaced as one tuple, so a reader never sees a half-updated cache.
     """
     entries = getattr(data, attr)
-    if entries:
-        if entries[0][0] == key:
-            return entries[0][1]
-        if len(entries) == 2 and entries[1][0] == key:
-            object.__setattr__(data, attr, (entries[1], entries[0]))
-            return entries[1][1]
-    value = build()
-    object.__setattr__(data, attr, ((key, value),) + entries[:1])
-    return value
+    if entries and entries[0][0] == keys[0] and len(keys) == 1:
+        return (entries[0][1],)
+    older = dict(entries)
+    read, built = {}, False
+    for key in keys:
+        if key not in read:
+            if key in older:
+                read[key] = older.pop(key)
+            else:
+                read[key], built = build(data, key), True
+    rest = tuple(older.items())
+    object.__setattr__(data, attr, tuple(read.items()) + (rest[: max(0, 2 - len(read))] if built else rest))
+    return [read[key] for key in keys]
 
 
 def _dispersion_constants(data: Dataset, size: float) -> dict:
@@ -605,21 +623,43 @@ def _dispersion_constants(data: Dataset, size: float) -> dict:
     return consts
 
 
-def _zinb_constants(data: Dataset, theta1: float, size: float) -> tuple:
-    """The parts of the ZINB kernels that depend only on y and (theta1, size).
+_ZINB_STACKED = ("log_nb_const", "size_plus_y", "a")
 
-    Returns ``((log p_zero, log(1 - p_zero)), dispersion constants)``;
-    the index of the y = 0 sites depends on y alone and lives on the
-    dataset.  Each part is computed with the same operations, in the
-    same order, as the full expression it was taken from, so the
-    kernels keep every bit.  The dataset keeps the two most recent
-    entries of each part, keyed by the exact float it depends on: every
-    Newton iteration at one hyperparameter point reuses them, and a
-    sampler proposal that moves one hyperparameter keeps the other's
-    entry and the current point's.  Cached arrays are read-only.
+
+def _log_p(data: Dataset, theta1: float) -> tuple[float, float]:
+    return sps.log_expit(theta1), sps.log_expit(-theta1)
+
+
+def _zinb_constants(data: Dataset, hyper: np.ndarray) -> tuple:
+    """The parts of the ZINB kernels that depend only on y and the
+    hyperparameters: ``(log p_zero, log(1 - p_zero), size, size**2,
+    dispersion constants)`` for ``hyper``, one row (m,) or a (k, m) block.
+
+    Each part is computed with the same operations, in the same order,
+    as the full expression it was taken from, so the kernels keep every
+    bit; the index of the y = 0 sites depends on y alone and lives on
+    the dataset.  The dataset caches each part keyed by the exact float
+    it depends on (see ``_recent``): every Newton iteration at one
+    hyperparameter point reuses them, a sampler proposal that moves one
+    hyperparameter keeps the other's entry and the current point's, and
+    a lockstep run of profile scans at several grid points builds each
+    point's constants once.  When every row has the same
+    hyperparameters the parts are floats and arrays over the sites;
+    otherwise each is stacked per row, as (k, 1) columns and (k, n)
+    arrays.  Cached arrays are read-only.
     """
-    log_p = _two_recent(data, "_zinb_pz_cache", theta1, lambda: (sps.log_expit(theta1), sps.log_expit(-theta1)))
-    return log_p, _two_recent(data, "_zinb_size_cache", size, lambda: _dispersion_constants(data, size))
+    if hyper.ndim == 1 or bool((hyper[1:, :2] == hyper[0, :2]).all()):
+        theta1, size = _zinb_params(hyper if hyper.ndim == 1 else hyper[0])
+        log_pz, log_1mpz = _recent(data, "_zinb_pz_cache", (theta1,), _log_p)[0]
+        consts = _recent(data, "_zinb_size_cache", (size,), _dispersion_constants)[0]
+        return log_pz, log_1mpz, size, size**2, consts
+    theta1s, sizes = zip(*map(_zinb_params, hyper))
+    log_p = np.array(_recent(data, "_zinb_pz_cache", theta1s, _log_p))
+    parts = _recent(data, "_zinb_size_cache", sizes, _dispersion_constants)
+    consts = {name: np.stack([c[name] for c in parts]) for name in _ZINB_STACKED}
+    consts["log_size"] = np.array([c["log_size"] for c in parts])[:, None]
+    size_sq = np.array([s**2 for s in sizes])[:, None]
+    return log_p[:, :1], log_p[:, 1:], np.array(sizes)[:, None], size_sq, consts
 
 
 def _pointwise_loglik_eta(spec: ModelSpec, eta: np.ndarray, hyper: np.ndarray, data: Dataset) -> np.ndarray:
@@ -633,15 +673,19 @@ def _pointwise_loglik_eta(spec: ModelSpec, eta: np.ndarray, hyper: np.ndarray, d
     # Zero-inflated negative binomial:
     #   P(y) = p_z 1[y=0] + (1 - p_z) NB(y; mu, size), mu = exp(eta)
     # with NB(0) = (size / (size + mu))^size, evaluated in log space.
-    theta1, size = _zinb_params(spec, hyper)
-    (log_pz, log_1mpz), c = _zinb_constants(data, theta1, size)
+    log_pz, log_1mpz, size, _, c = _zinb_constants(data, hyper)
     log_denom = np.log(size + np.exp(eta))
     log_nb = c["log_nb_const"] + size * (c["log_size"] - log_denom) + y * (eta - log_denom)
     out = log_1mpz + log_nb
     if data._any_zero:
-        zero = data._zero
+        zero = _zero_sites(data, eta)
         out[zero] = np.logaddexp(log_pz, log_1mpz + log_nb[zero])
     return out
+
+
+def _zero_sites(data: Dataset, eta: np.ndarray):
+    """The index of the y = 0 sites in an array shaped like ``eta``."""
+    return data._zero if eta.ndim == 1 else (slice(None), data._zero)
 
 
 def pointwise_loglik(spec: ModelSpec, latent: np.ndarray, hyper: np.ndarray, data: Dataset) -> np.ndarray:
@@ -649,6 +693,14 @@ def pointwise_loglik(spec: ModelSpec, latent: np.ndarray, hyper: np.ndarray, dat
     eta = linear_predictor(spec, latent, data)
     _check_eta(eta)
     return _pointwise_loglik_eta(spec, eta, hyper, data)
+
+
+# The three kernels below take one predictor (n,) with its
+# hyperparameters (m,), or a (k, n) stack of predictors with one row of
+# a (k, m) block each.  Every expression is written once for both: each
+# row of a stacked call has the bits of the one-predictor call, and a
+# stacked call raises if any row is out of range (``eta_in_range``
+# finds which).
 
 
 def pointwise_loglik_from_eta(spec: ModelSpec, eta: np.ndarray, hyper: np.ndarray, data: Dataset) -> np.ndarray:
@@ -683,8 +735,7 @@ def _eta_derivatives(spec: ModelSpec, eta: np.ndarray, hyper: np.ndarray, data: 
     if spec.family is Family.GAUSSIAN:
         kappa = spec.gaussian_obs_precision
         return np.zeros(eta.shape) if third else (kappa * (y - eta), np.full(eta.shape, kappa))
-    theta1, size = _zinb_params(spec, hyper)
-    (log_pz, log_1mpz), c = _zinb_constants(data, theta1, size)
+    log_pz, log_1mpz, size, size_sq, c = _zinb_constants(data, hyper)
     mu = np.exp(eta)
     denom = size + mu
     # Negative binomial component derivatives in eta:
@@ -697,7 +748,7 @@ def _eta_derivatives(spec: ModelSpec, eta: np.ndarray, hyper: np.ndarray, data: 
         g1 = y - mu * c["size_plus_y"] / denom
         g2 = c["a"] * mu / denom**2
     if data._any_zero:
-        zero = data._zero
+        zero = _zero_sites(data, eta)
         # Mixture at y=0: l = log(p_z + (1-p_z) f), f = (size/(size+mu))^size.
         # With w = (1-p_z) f / (p_z + (1-p_z) f) and s = dlog f/deta = -size mu/(size+mu):
         #   l'   = w s
@@ -708,9 +759,9 @@ def _eta_derivatives(spec: ModelSpec, eta: np.ndarray, hyper: np.ndarray, data: 
         log_f1mpz = log_1mpz + size * (c["log_size"] - np.log(dz))
         w = np.exp(log_f1mpz - np.logaddexp(log_pz, log_f1mpz))
         s = -size * mz / dz
-        s1 = -(size**2) * mz / dz**2
+        s1 = -size_sq * mz / dz**2
         if third:
-            s2 = -(size**2) * mz * (size - mz) / dz**3
+            s2 = -size_sq * mz * (size - mz) / dz**3
             g3[zero] = w * (1.0 - w) * (1.0 - 2.0 * w) * s**3 + 3.0 * w * (1.0 - w) * s * s1 + w * s2
         else:
             g1[zero] = w * s

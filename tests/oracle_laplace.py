@@ -12,15 +12,27 @@ is the one off.  The helpers they share with the engine are imported,
 not copied, except ``_try_cholesky``: the engine now calls numpy's
 Cholesky kernel directly, so the oracle keeps its own copy of the
 wrapper-based version.
+
+``_sequential_ascend`` and ``_sequential_fl_conditional_logdens`` (with
+``_sequential_curvature``) are the engine's one-problem Newton routine
+and the profile scan that ran one scan at a time on it.  The engine now
+runs every scan of a fit in lockstep; each profile value and
+unconverged count must match these copies bit for bit.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import interpolate
 
 from lgmbench import laplace
 from lgmbench import models as mdl
+from lgmbench.gmrf import Factor
 from lgmbench.laplace import (
+    MAX_STEP_HALVINGS,
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
     FitFailure,
     Strategy,
     ThetaGrid,
@@ -254,6 +266,145 @@ def _fl_conditional_logdens(ctx: _Context, theta, approx: _Approx, index: int, v
 
 
 # ---------------------------------------------------------------------------
+# The one-scan-at-a-time profile scan and its Newton routine
+
+
+def _sequential_curvature(ctx: _Context, theta: np.ndarray, eta: np.ndarray, j: np.ndarray, p_free: np.ndarray):
+    """Curvature of the conditional log posterior at the predictor ``eta``.
+
+    Returns ``(g1, hess, factor, clipped)``: the likelihood gradient in eta,
+    ``hess = j' W j + p_free`` and its ``Factor``, and whether W had
+    to be clipped to non-negative weights for the factorization to
+    succeed.  The same inputs give the same bits, so the curvature of a
+    Newton solve's last iterate is rebuilt exactly from its final eta.
+
+    Raises FitFailure (hessian_not_pd) when even the clipped curvature
+    is not positive definite.
+    """
+    g1, w = mdl.eta_derivatives(ctx.spec, eta, theta, ctx.data)
+    hess = j.T @ (w[:, None] * j) + p_free
+    factor = Factor.of(hess)
+    clipped = factor is None
+    if clipped:
+        hess = j.T @ (np.maximum(w, 0.0)[:, None] * j) + p_free
+        factor = Factor.of(hess)
+        if factor is None:
+            raise FitFailure("hessian_not_pd", "negative curvature at Newton iterate")
+    return g1, hess, factor, clipped
+
+
+def _sequential_ascend(ctx: _Context, theta: np.ndarray, p_mat: np.ndarray, u: np.ndarray, free=None):
+    """Damped Newton ascent of the conditional log posterior of the latent field.
+
+    Maximizes log p(y | u, theta) - u' p_mat u / 2 over the coordinates
+    ``free`` (an index array; None means all of them), holding the
+    others at their values in ``u``.  Returns ``(u, eta, f, factor, iters,
+    outcome, clipped)``: the point, its linear predictor (updated step
+    by step, so not bit-equal to ``ctx.eta(u)``), its objective, the
+    ``Factor`` of the free-block curvature there, the Newton steps
+    taken, ``"converged"``, ``"stalled"`` or ``"max_iter"``, and whether
+    the curvature was ever clipped to non-negative likelihood weights.
+
+    The stop rule: the gradient norm falls to ``NEWTON_TOL`` times the
+    first one, or the Newton decrement to ``NEWTON_TOL**2 * max(1, |f|)``.
+    On large-count data the gradient has a floating-point noise floor
+    that can exceed any relative gradient tolerance (especially under
+    warm starts, where the first gradient is small), while the step
+    already locates the mode to machine precision; the decrement bounds
+    the attainable objective gain and stops once it is below the
+    objective's own rounding.  A line search that cannot ascend counts as
+    converged only at a gradient within 1e-6 of the first one.  After
+    ``NEWTON_MAX_ITER`` steps the gradient test is applied once more.
+
+    Raises FitFailure (hessian_not_pd) when even the clipped curvature
+    is not positive definite.
+    """
+    spec, data = ctx.spec, ctx.data
+    sel = slice(None) if free is None else free
+    j = ctx.j[:, sel]
+    p_free = p_mat[sel][:, sel]
+
+    def objective(eta_vec, u_vec):
+        ll = float(np.add.reduce(mdl.pointwise_loglik_from_eta(spec, eta_vec, theta, data)))
+        return ll - 0.5 * float(u_vec @ (p_mat @ u_vec))
+
+    eta = ctx.eta(u)
+    f_cur = objective(eta, u)
+    clipped = False
+    ref_grad = None
+    for iters in range(NEWTON_MAX_ITER + 1):
+        g1, _, factor, clipped_here = _sequential_curvature(ctx, theta, eta, j, p_free)
+        clipped = clipped or clipped_here
+        grad = j.T @ g1 - (p_mat @ u)[sel]
+        gnorm = math.sqrt(float(grad @ grad))
+        if ref_grad is None:
+            ref_grad = max(1.0, gnorm)
+        if gnorm <= NEWTON_TOL * ref_grad:
+            return u, eta, f_cur, factor, iters, "converged", clipped
+        if iters == NEWTON_MAX_ITER:
+            return u, eta, f_cur, factor, iters, "max_iter", clipped
+        step = factor.solve(grad)
+        if float(grad @ step) <= NEWTON_TOL**2 * max(1.0, abs(f_cur)):
+            return u, eta, f_cur, factor, iters, "converged", clipped
+        j_step = j @ step
+        t = 1.0
+        for _ in range(MAX_STEP_HALVINGS + 1):
+            u_new = u.copy()
+            u_new[sel] = u[sel] + t * step
+            eta_new = eta + t * j_step
+            try:
+                f_new = objective(eta_new, u_new)
+            except mdl.LikelihoodOverflowError:
+                f_new = -np.inf
+            if np.isfinite(f_new) and f_new >= f_cur - 1e-12 * max(1.0, abs(f_cur)):
+                u, eta, f_cur = u_new, eta_new, f_new
+                break
+            t *= 0.5
+        else:
+            outcome = "converged" if gnorm <= 1e-6 * ref_grad else "stalled"
+            return u, eta, f_cur, factor, iters + 1, outcome, clipped
+
+
+def _sequential_fl_conditional_logdens(ctx: _Context, theta, mode_u, cov_col, index: int, v_grid: np.ndarray):
+    """Full-Laplace log density of component ``index`` on ``v_grid``.
+
+    ``mode_u`` is the Gaussian approximation's mode and ``cov_col`` the
+    column ``index`` of its covariance.  For each fixed value ``v`` the
+    remaining components are re-maximized by ``_ascend``, warm-started
+    from the previous grid point, and the profile value is corrected by
+    minus half the log determinant of the remaining-block curvature.
+    With a single latent component the correction is zero and the
+    profile equals the exact unnormalized log posterior of that
+    component.  A point whose ascent fails (non-positive-definite
+    curvature, predictor overflow) is dropped as ``-inf``.
+
+    Also returns the number of grid points where the ascent stalled or
+    ran out of iterations; their values are kept.
+    """
+    p_mat = ctx.prior_precision_u(theta)
+    keep = np.array([k for k in range(ctx.dim_u) if k != index], dtype=int)
+    shift = cov_col / cov_col[index]
+    out = np.full(v_grid.size, -np.inf)
+    unconverged = 0
+    u = mode_u
+    for g_idx, v in enumerate(v_grid):
+        # Warm start: the last solution moved along the Gaussian
+        # conditional mean to the new value.  Without the move the first
+        # gradient carries the whole step in v, and the stop rule's
+        # gradient test, relative to that first gradient, stops early.
+        start = u + shift * (v - u[index])
+        start[index] = v
+        try:
+            u_hat, _, f, factor, _, outcome, _ = _sequential_ascend(ctx, theta, p_mat, start, keep)
+        except (FitFailure, mdl.LikelihoodOverflowError):
+            continue
+        unconverged += outcome != "converged"
+        out[g_idx] = f - factor.half_log_det()
+        u = u_hat
+    return out, unconverged
+
+
+# ---------------------------------------------------------------------------
 # The theta cache that kept every evaluation's curvature
 #
 # ``_log_posterior_theta`` cached, for every theta it evaluated, the
@@ -261,9 +412,9 @@ def _fl_conditional_logdens(ctx: _Context, theta, approx: _Approx, index: int, v
 # and ``_mix_marginals`` read each grid point's ``cov`` from them.  The
 # engine now caches the mode and predictor only and rebuilds a grid
 # point's curvature once; fits must match these copies bit for bit.
-# ``_mix_marginals`` is the engine's copy but for the name of the
-# profile scan it calls: ``_profile_scan`` passes the engine's
-# single-loop scan the mode and covariance column it reads.
+# ``_mix_marginals`` is the engine's copy but for the profile scans:
+# ``_profile_scan`` passes the sequential scan above the mode and
+# covariance column it reads, one scan at a time.
 
 
 def _log_posterior_theta(
@@ -305,7 +456,7 @@ def _sla_coefficients(ctx: _Context, theta: np.ndarray, approx: _Approx):
 
 
 def _profile_scan(ctx: _Context, theta, approx: _Approx, index: int, v_grid: np.ndarray):
-    return laplace._fl_conditional_logdens(ctx, theta, approx.mode_u, approx.cov[:, index], index, v_grid)
+    return _sequential_fl_conditional_logdens(ctx, theta, approx.mode_u, approx.cov[:, index], index, v_grid)
 
 
 def _mix_marginals(ctx: _Context, grid: ThetaGrid, approxes, strategy: Strategy, indices):

@@ -401,6 +401,55 @@ def test_try_cholesky_fails_exactly_where_numpy_cholesky_raises(h):
         assert factor.lower.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("d", [0, 1, 5, 129, 298])
+def test_each_member_of_a_factor_stack_has_the_bits_of_its_single_matrix_factor(d):
+    hs = np.stack([badly_scaled_spd(d, seed) for seed in range(3)])
+    g = np.random.default_rng(300 + d)
+    b = g.standard_normal((3, d)) * np.exp(g.uniform(-20.0, 20.0, (3, d)))
+    for k in (3, 1):
+        stack = Factor.of(hs[:k])
+        assert stack.ok.tolist() == [True] * k
+        x, z, log_det = stack.solve(b[:k]), stack.sample(b[:k]), stack.half_log_det()
+        assert x.shape == z.shape == (k, d) and log_det.shape == (k,)
+        for r in range(k):
+            single = Factor.of(hs[r])
+            assert stack.lower[r].tobytes() == single.lower.tobytes()
+            assert x[r].tobytes() == single.solve(b[r]).tobytes()
+            assert z[r].tobytes() == single.sample(b[r]).tobytes()
+            assert log_det[r].tobytes() == np.float64(single.half_log_det()).tobytes()
+
+
+FACTOR_STACKS = {
+    1: [np.array([[2.0]]), np.array([[-1.0]]), np.array([[np.nan]]), np.array([[0.0]]), np.array([[np.inf]])],
+    2: [
+        badly_scaled_spd(2, 0),
+        np.array([[1.0, 2.0], [2.0, 1.0]]),
+        np.array([[np.inf, 0.0], [0.0, 1.0]]),
+        np.array([[1.0, 0.0], [0.0, np.inf]]),
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        np.array([[1.0, np.nan], [np.nan, 1.0]]),
+    ],
+    6: [badly_scaled_spd(6, 0), -np.eye(6), badly_scaled_spd(6, 1), np.diag([4.0, np.nan, 1.0, 1.0, 1.0, -1.0])],
+}
+
+
+@pytest.mark.parametrize("d", sorted(FACTOR_STACKS))
+def test_a_factor_stack_fails_exactly_the_members_numpy_cholesky_raises_on(d):
+    hs = np.stack(FACTOR_STACKS[d])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stack = Factor.of(hs)
+    refs = [wrapper_cholesky(h) for h in hs]
+    assert stack.ok.tolist() == [ref is not None for ref in refs]
+    assert 0 < stack.ok.sum() < len(hs)
+    for r, ref in enumerate(refs):
+        if ref is not None:
+            assert stack.lower[r].tobytes() == ref.tobytes()
+    # One member that does not factor, alone.
+    one = Factor.of(hs[~stack.ok][:1])
+    assert one.ok.tolist() == [False]
+
+
 # ---------------------------------------------------------------------------
 # Edge-list files
 

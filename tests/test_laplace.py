@@ -803,29 +803,59 @@ def exact_profile_point(ctx, theta, mode_u, cov_col, index, v):
     return f - 0.5 * np.linalg.slogdet(j.T @ (w[:, None] * j) + p_keep)[1]
 
 
-def test_full_laplace_profiles_match_the_two_loop_oracle(monkeypatch):
-    fl = laplace._fl_conditional_logdens
+# Fits whose profile scans the oracle tests below compare: all latents
+# of two pool datasets and of the ZINB model (on its dense grid, and on
+# a CCD design), and of the small BYM model the ones whose profiles
+# disagree with the two-loop scan.  Each fit runs its scans at several
+# grid points in one lockstep run.
+ORACLE_FL_FITS = [
+    (lambda: _pool_dataset(seed=0, index=5), None, "auto"),
+    (lambda: _pool_dataset(seed=258543359, index=10), None, "auto"),
+    (small_spatial_dataset, ["beta_x", "icar_0", "icar_3", "icar_6"], "auto"),
+    (small_zinb_model, None, "auto"),
+    (small_zinb_model, None, "ccd"),
+]
+
+
+@pytest.fixture(scope="module")
+def recorded_fl_scans():
+    """Every profile scan of ``ORACLE_FL_FITS`` as ``(args, (logd,
+    unconverged))``, with ``args`` the one-scan call ``(ctx, theta, mode_u,
+    cov_col, index, v_grid)``."""
+    fl = laplace._fl_profiles
     scans = []
 
-    def recorded(*args):
-        out = fl(*args)
-        scans.append((args, out))
+    def recorded(ctx, batch):
+        out = fl(ctx, batch)
+        scans.extend(((ctx, *scan), result) for scan, result in zip(batch, out))
         return out
 
-    monkeypatch.setattr(laplace, "_fl_conditional_logdens", recorded)
-    # All latents of two pool datasets and of the ZINB model; of the
-    # small BYM model, the ones whose profiles disagree somewhere.
-    fits = [
-        (functools.partial(_pool_dataset, seed=0, index=5), None),
-        (functools.partial(_pool_dataset, seed=258543359, index=10), None),
-        (small_spatial_dataset, ["beta_x", "icar_0", "icar_3", "icar_6"]),
-        (small_zinb_model, None),
-    ]
-    for model, latents in fits:
-        spec, data = model()
-        laplace.fit(spec, data, strategy=Strategy.FULL_LAPLACE, latents=latents)
+    laplace._fl_profiles = recorded
+    try:
+        for model, latents, int_strategy in ORACLE_FL_FITS:
+            spec, data = model()
+            laplace.fit(spec, data, strategy=Strategy.FULL_LAPLACE, latents=latents, int_strategy=int_strategy)
+    finally:
+        laplace._fl_profiles = fl
+    return scans
+
+
+def test_lockstep_profiles_are_bit_identical_to_the_sequential_scans(recorded_fl_scans):
+    # Every profile value and unconverged count of the lockstep run is the
+    # scan-at-a-time oracle's, bit for bit.
+    for args, (logd, unconverged) in recorded_fl_scans:
+        ref, ref_unconverged = oracle_laplace._sequential_fl_conditional_logdens(*args)
+        assert logd.tobytes() == ref.tobytes()
+        assert unconverged == ref_unconverged
+    zinb = mdl.Family.ZERO_INFLATED_NEG_BINOMIAL
+    thetas = {args[1].tobytes() for args, _ in recorded_fl_scans if args[0].spec.family is zinb}
+    assert len(thetas) > 1
+    assert sum(unconverged for _, (_, unconverged) in recorded_fl_scans) > 0
+
+
+def test_full_laplace_profiles_match_the_two_loop_oracle(recorded_fl_scans):
     flagged = flagged_oracle = compared = 0
-    for args, (logd, unconverged) in scans:
+    for args, (logd, unconverged) in recorded_fl_scans:
         ref, ref_unconverged = oracle_laplace._fl_conditional_logdens(*as_two_loop_args(*args))
         flagged += unconverged
         flagged_oracle += ref_unconverged
@@ -843,9 +873,81 @@ def test_full_laplace_profiles_match_the_two_loop_oracle(monkeypatch):
             assert args[0].spec.family is not mdl.Family.ZERO_INFLATED_NEG_BINOMIAL
             exact = np.array([exact_profile_point(*args[:5], args[5][g]) for g in off])
             np.testing.assert_allclose(logd[off], exact, rtol=1e-8, atol=1e-8)
-    assert compared > 0.8 * len(scans)
+    assert compared > 0.8 * len(recorded_fl_scans)
     # The oracle's scan stops short on both pool datasets.
     assert 0 < flagged <= flagged_oracle
+
+
+@pytest.mark.parametrize(
+    "model, int_strategy", [(small_zinb_model, "ccd"), (lambda: _pool_dataset(seed=0, index=5), "auto")]
+)
+def test_full_laplace_fit_does_not_depend_on_the_chunk_size(monkeypatch, model, int_strategy):
+    spec, data = model()
+    chunks = []
+    fl_chunk = laplace._fl_chunk
+
+    def recorded(ctx, scans):
+        chunks.append(len(scans))
+        return fl_chunk(ctx, scans)
+
+    monkeypatch.setattr(laplace, "_fl_chunk", recorded)
+    fits = []
+    for budget in (1, 2**60):
+        monkeypatch.setattr(laplace, "FL_CHUNK_BYTES", budget)
+        fits.append(laplace.fit(spec, data, strategy=Strategy.FULL_LAPLACE, int_strategy=int_strategy).to_json())
+    assert fits[0] == fits[1]
+    # One member per chunk, then every scan in one chunk.
+    assert len(chunks) == chunks[-1] + 1 and set(chunks[:-1]) == {1} and chunks[-1] > 1
+
+
+def test_a_lockstep_run_builds_the_zinb_constants_once_per_grid_point(monkeypatch):
+    spec, data = small_zinb_model()
+    built, in_run = [], [False]
+    fl, dispersion_constants = laplace._fl_profiles, mdl._dispersion_constants
+    thetas = set()
+
+    def recorded(ctx, scans):
+        thetas.update(scan[0].tobytes() for scan in scans)
+        in_run[0] = True
+        try:
+            return fl(ctx, scans)
+        finally:
+            in_run[0] = False
+
+    def counted(data, size):
+        if in_run[0]:
+            built.append(size)
+        return dispersion_constants(data, size)
+
+    monkeypatch.setattr(laplace, "_fl_profiles", recorded)
+    monkeypatch.setattr(mdl, "_dispersion_constants", counted)
+    laplace.fit(spec, data, strategy=Strategy.FULL_LAPLACE, int_strategy="ccd")
+    assert len(thetas) > 1
+    assert len(built) == len(set(built)) <= len(thetas)
+
+
+def test_a_one_latent_model_scans_with_nothing_free():
+    # The profile of the only latent is its exact unnormalized log
+    # posterior: no component is re-maximized and no log determinant
+    # enters.
+    g = np.random.default_rng(5)
+    data = mdl.Dataset(y=g.poisson(3.0, 12), covariates={}, offset=np.full(12, 2.0))
+    prior = mdl.PriorSet(fixed_effect=mdl.NormalPrior(0.0, 2.0))
+    spec = mdl.ModelSpec(family=mdl.Family.POISSON, offset="offset", priors=prior)
+    ctx = laplace._Context(spec, data)
+    theta = np.zeros(0)
+    approx = laplace._newton(ctx, theta)
+    cov_col = laplace._covariance(ctx, theta, approx)[:, 0]
+    v_grid = approx.mode_u[0] + np.linspace(-1.0, 1.0, 5)
+    [(logd, unconverged)] = laplace._fl_profiles(ctx, [(theta, approx.mode_u, cov_col, 0, v_grid)])
+    ref, ref_unconverged = oracle_laplace._sequential_fl_conditional_logdens(
+        ctx, theta, approx.mode_u, cov_col, 0, v_grid
+    )
+    assert (logd.tobytes(), unconverged) == (ref.tobytes(), ref_unconverged) and unconverged == 0
+    exact = [mdl.log_likelihood(spec, np.array([v]), theta, data) - 0.5 * v * v / 4.0 for v in v_grid]
+    np.testing.assert_allclose(logd, exact, rtol=1e-12)
+    res = laplace.fit(spec, data, strategy=Strategy.FULL_LAPLACE)
+    assert res.diagnostics.fl_scanned_points == 1 and res.diagnostics.unreliable_latents == []
 
 
 # ---------------------------------------------------------------------------
@@ -876,43 +978,72 @@ def test_unconverged_profile_points_flag_their_latent():
 def test_profile_point_with_non_pd_clipped_curvature_is_dropped(monkeypatch):
     # Under a flat fixed-effect prior the clipped curvature has nothing
     # on the intercept once every likelihood weight is clipped to zero.
+    # Four scans run in one lockstep run; the last, of beta_x at its own
+    # theta so that a patched kernel can find its rows, fails at its
+    # fourth value, and a fifth, a copy of the first, overflows at its
+    # first.
     spec, data = FLAT_FIXED_EFFECT_SPEC, small_poisson_model()[1]
     ctx = laplace._Context(spec, data)
-    theta = np.zeros(mdl.hyper_dim(spec))
-    approx = laplace._newton(ctx, theta)
-    index = mdl.latent_names(spec, data.n).index("beta_x")
-    cov_col = laplace._covariance(ctx, theta, approx)[:, index]
-    sd = math.sqrt(cov_col[index])
-    v_grid = approx.mode_u[index] + sd * np.linspace(-3.0, 3.0, 7)
-    clean, _ = laplace._fl_conditional_logdens(ctx, theta, approx.mode_u, cov_col, index, v_grid)
-    assert np.all(np.isfinite(clean))
+    names = mdl.latent_names(spec, data.n)
+    scans = []
+    for name, value in [("beta_x", 0.0), ("iid_2", 0.0), ("intercept", 0.0), ("beta_x", 0.25)]:
+        theta = np.array([value])
+        approx = laplace._newton(ctx, theta)
+        index = names.index(name)
+        cov_col = laplace._covariance(ctx, theta, approx)[:, index]
+        v_grid = approx.mode_u[index] + math.sqrt(cov_col[index]) * np.linspace(-3.0, 3.0, 7)
+        scans.append((theta, approx.mode_u, cov_col, index, v_grid))
+    theta, mode_u, cov_col, index, v_grid = scans[0]
+    v_grid = v_grid.copy()
+    v_grid[0] = 1e4
+    start = mode_u + cov_col / cov_col[index] * (v_grid[0] - mode_u[index])
+    start[index] = v_grid[0]
+    assert not mdl.eta_in_range(ctx.eta(start[None]))[0]
+    scans.append((theta, mode_u, cov_col, index, v_grid))
+    clean = laplace._fl_profiles(ctx, scans[:4])
+    assert all(np.isfinite(logd).all() and unconverged == 0 for logd, unconverged in clean)
 
-    # At the fourth scan point the likelihood curvature turns negative.
-    ascend, eta_derivatives = laplace._ascend, mdl.eta_derivatives
+    bad_theta, bad_index, bad_v = scans[3][0], scans[3][3], scans[3][4][3]
     at_bad_point, causes = [False], []
+    ascend, sequential_ascend = laplace._ascend, oracle_laplace._sequential_ascend
+    eta_derivatives = mdl.eta_derivatives
 
-    def traced_ascend(ctx, theta, p_mat, u, free=None):
-        at_bad_point[0] = u[index] == v_grid[3]
-        try:
-            return ascend(ctx, theta, p_mat, u, free)
-        except FitFailure as err:
-            causes.append(err.cause)
-            raise
+    def traced_ascend(ctx, thetas, p_mats, u, free=None):
+        rows = (thetas == bad_theta).all(axis=1) & (u[:, bad_index] == bad_v)
+        at_bad_point[0] = rows.any()
+        out = ascend(ctx, thetas, p_mats, u, free)
+        causes.extend(getattr(o, "cause", type(o).__name__) for o in out[5] if not isinstance(o, str))
+        return out
+
+    def traced_sequential_ascend(ctx, theta, p_mat, u, free=None):
+        at_bad_point[0] = (theta == bad_theta).all() and u[bad_index] == bad_v
+        return sequential_ascend(ctx, theta, p_mat, u, free)
 
     def negative_curvature(spec, eta, hyper, data):
         g1, w = eta_derivatives(spec, eta, hyper, data)
-        return (g1, -w) if at_bad_point[0] else (g1, w)
+        if at_bad_point[0]:
+            w = np.where((hyper == bad_theta).all(axis=-1)[..., None], -w, w)
+        return g1, w
 
     monkeypatch.setattr(laplace, "_ascend", traced_ascend)
+    monkeypatch.setattr(oracle_laplace, "_sequential_ascend", traced_sequential_ascend)
     monkeypatch.setattr(mdl, "eta_derivatives", negative_curvature)
-    logd, unconverged = laplace._fl_conditional_logdens(ctx, theta, approx.mode_u, cov_col, index, v_grid)
-    assert causes == ["hessian_not_pd"]
-    assert unconverged == 0
-    assert logd[3] == -np.inf
-    assert logd[:3].tobytes() == clean[:3].tobytes()
+    got = laplace._fl_profiles(ctx, scans)
+    assert sorted(causes) == ["LikelihoodOverflowError", "hessian_not_pd"]
+    # Each scan, the two failing ones included, is the sequential scan's.
+    for (logd, unconverged), scan in zip(got, scans):
+        ref, ref_unconverged = oracle_laplace._sequential_fl_conditional_logdens(ctx, *scan)
+        assert (logd.tobytes(), unconverged) == (ref.tobytes(), ref_unconverged)
+    # Only the failing (scan, value) pairs are lost; the other scans keep
+    # every bit.
+    assert [logd.tobytes() for logd, _ in got[:3]] == [logd.tobytes() for logd, _ in clean[:3]]
+    logd, unconverged = got[3]
+    assert unconverged == 0 and logd[3] == -np.inf
+    assert logd[:3].tobytes() == clean[3][0][:3].tobytes()
     # The later points start from the third point's mode instead of the
     # fourth's, which moves where the ascent stops within its tolerance.
-    np.testing.assert_allclose(logd[4:], clean[4:], rtol=1e-6)
+    np.testing.assert_allclose(logd[4:], clean[3][0][4:], rtol=1e-6)
+    assert np.flatnonzero(~np.isfinite(got[4][0])).tolist() == [0]
 
 
 def _failing_newton(bad_theta: bytes, cold_too: bool):

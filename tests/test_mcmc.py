@@ -622,14 +622,19 @@ def test_run_chain_bit_identical_to_oracle(case):
 
 # Per-sweep work: the counts a benchmark reads as draws per sweep and
 # likelihood calls per sweep.  Blocks: beta (fixed effects), shift (with
-# an iid block), iid, icar (one likelihood call per colour class), swap
+# an iid block), iid, icar (one likelihood call for every colour class,
+# or one per class where recentring moves eta between classes), swap
 # (with both site blocks) and hyper (one likelihood call per
-# hyperparameter that is not a log precision).
+# hyperparameter that is not a log precision).  A recentring's own call
+# is made only when the field moved, so it depends on the draws and is
+# not counted here.
 CALL_CASES = {
     # case: (build, streams drawn per sweep, likelihood calls per sweep)
     "poisson": (_oracle_poisson, 4, 2),  # beta shift iid hyper; beta iid
     "poisson-fixed-iid": (_oracle_poisson_fixed_iid, 3, 2),  # no hyper block
-    "bym": (lambda: _two_component_bym(81), 6, None),  # beta shift iid icar swap hyper
+    "bym": (lambda: _two_component_bym(81), 6, 3),  # beta shift iid icar swap hyper; beta iid icar
+    # beta shift iid icar hyper (no swap); beta iid and one icar call per class
+    "bym-center": (lambda: _two_component_bym(82, True, Constraint.SUM_TO_ZERO_CENTERING), 5, None),
     "zinb": (_oracle_zinb, 2, 3),  # beta hyper; beta, logit_p_zero, log_dispersion
 }
 
@@ -651,8 +656,17 @@ def test_each_block_draws_once_and_calls_the_likelihood_as_its_structure_says(ca
         counts["loglik"] += 1
         return loglik(*args)
 
+    recentre = mcmc._recentre
+
+    def uncounted_recentre(*args):
+        before = counts["loglik"]
+        out = recentre(*args)
+        counts["loglik"] = before
+        return out
+
     monkeypatch.setattr(streams.CounterStream, "at", counted_at)
     monkeypatch.setattr(mdl, "pointwise_loglik_from_eta", counted_loglik)
+    monkeypatch.setattr(mcmc, "_recentre", uncounted_recentre)
     sweeps = 60
     mcmc.run_chain(spec, data, ChainConfig(iterations=sweeps, burn_in=20, thin=2, seed=3))
     assert counts["at"] == draws_per_sweep * sweeps

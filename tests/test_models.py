@@ -525,6 +525,113 @@ def test_zinb_proposals_keep_the_current_constants_cached():
 
 
 # ---------------------------------------------------------------------------
+# Stacked kernels: a (k, n) predictor with a (k, m) hyperparameter block
+
+
+def _stacked_case(case, n=30, k=7):
+    """(spec, data, etas, hypers) with per-row hyperparameters, some rows
+    sharing theirs, and predictors wide enough that mu runs from tiny to
+    far above the dispersion."""
+    g = np.random.default_rng(41)
+    y = g.poisson(5.0, n)
+    if case == "zinb_some_zeros":
+        y[::3] = 0
+    elif case == "zinb_all_zeros":
+        y[:] = 0
+    elif case == "zinb_no_zeros":
+        y += 1
+    if case == "poisson":
+        spec = mdl.poisson_spec(covariates=(), offset=None)
+        hypers = g.normal(0.0, 1.0, (k, 1))
+    elif case == "gaussian":
+        spec = mdl.ModelSpec(family=mdl.Family.GAUSSIAN, gaussian_obs_precision=1.5)
+        y, hypers = g.normal(0, 1, n), np.zeros((k, 0))
+    else:
+        spec = mdl.zinb_spec(covariates=(), offset=None)
+        hypers = np.column_stack([g.normal(-1.0, 1.0, k), g.normal(0.5, 1.0, k)])
+        hypers[3] = hypers[1]
+    return spec, mdl.Dataset(y=y, covariates={}), g.uniform(-6.0, 9.0, (k, n)), hypers
+
+
+STACKED_CASES = ["poisson", "gaussian", "zinb_some_zeros", "zinb_all_zeros", "zinb_no_zeros"]
+
+
+@pytest.mark.parametrize("case", STACKED_CASES)
+def test_each_row_of_a_stacked_kernel_call_has_the_bits_of_the_one_row_call(case):
+    spec, data, etas, hypers = _stacked_case(case)
+    one_row = mdl.Dataset(y=data.y, covariates={})
+    stacked = [
+        mdl.pointwise_loglik_from_eta(spec, etas, hypers, data),
+        *mdl.eta_derivatives(spec, etas, hypers, data),
+        mdl.eta_third_derivative(spec, etas, hypers, data),
+    ]
+    for r in range(len(etas)):
+        want = [
+            mdl.pointwise_loglik_from_eta(spec, etas[r], hypers[r], one_row),
+            *mdl.eta_derivatives(spec, etas[r], hypers[r], one_row),
+            mdl.eta_third_derivative(spec, etas[r], hypers[r], one_row),
+        ]
+        assert [a[r].tobytes() for a in stacked] == [b.tobytes() for b in want]
+    # A stack of one row, and a stack whose rows share their
+    # hyperparameters, are the same code too.
+    assert mdl.eta_derivatives(spec, etas[:1], hypers[:1], data)[1][0].tobytes() == stacked[2][0].tobytes()
+    shared = np.repeat(hypers[:1], len(etas), axis=0)
+    rows = mdl.pointwise_loglik_from_eta(spec, etas, shared, data)
+    for r in range(len(etas)):
+        assert rows[r].tobytes() == mdl.pointwise_loglik_from_eta(spec, etas[r], hypers[0], one_row).tobytes()
+
+
+def test_a_stacked_zinb_call_builds_each_distinct_rows_constants_once(monkeypatch):
+    spec, data, etas, hypers = _stacked_case("zinb_some_zeros")
+    built = []
+    dispersion_constants = mdl._dispersion_constants
+
+    def counted(data, size):
+        built.append(size)
+        return dispersion_constants(data, size)
+
+    monkeypatch.setattr(mdl, "_dispersion_constants", counted)
+    for _ in range(3):
+        mdl.eta_derivatives(spec, etas, hypers, data)
+        mdl.pointwise_loglik_from_eta(spec, etas[2:], hypers[2:], data)
+    assert sorted(built) == sorted({float(np.exp(h)) for h in hypers[:, 1]})
+    assert len(data._zinb_size_cache) == len(built)
+    # A one-row call that builds an entry brings the cache back to two.
+    mdl.eta_derivatives(spec, etas[0], hypers[0] + 1.0, data)
+    assert [len(c) for c in (data._zinb_pz_cache, data._zinb_size_cache)] == [2, 2]
+    assert data._zinb_size_cache[0][0] == float(np.exp(hypers[0, 1] + 1.0))
+
+
+def test_a_stacked_call_raises_if_any_row_is_out_of_range():
+    spec, data, etas, hypers = _stacked_case("zinb_some_zeros")
+    etas[4, 7] = 701.0
+    for kernel in (mdl.pointwise_loglik_from_eta, mdl.eta_derivatives, mdl.eta_third_derivative):
+        with pytest.raises(mdl.LikelihoodOverflowError) as info:
+            kernel(spec, etas, hypers, data)
+        assert (info.value.index, info.value.value) == (7, 701.0)
+    assert mdl.eta_in_range(etas).tolist() == [r != 4 for r in range(len(etas))]
+
+
+@given(
+    st.lists(st.lists(st.floats(-720.0, 720.0), min_size=6, max_size=6), min_size=1, max_size=8),
+    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 5), st.sampled_from(_SPECIAL_ETA)), max_size=6),
+)
+def test_eta_in_range_flags_exactly_the_rows_check_eta_raises_on(rows, specials):
+    eta = np.array(rows)
+    for r, c, value in specials:
+        eta[r % len(eta), c] = value
+
+    def raises(row):
+        try:
+            mdl._check_eta(row)
+        except mdl.LikelihoodOverflowError:
+            return True
+        return False
+
+    assert mdl.eta_in_range(eta).tolist() == [not raises(row) for row in eta]
+
+
+# ---------------------------------------------------------------------------
 # Derivatives against finite differences
 
 
