@@ -139,6 +139,15 @@ class StudyConfig:
             raise ValueError(f"int_strategy must be one of {lap.INT_STRATEGIES}, not {self.int_strategy!r}")
         if Constraint(self.constraint_mode) is not Constraint.NONE and strategy is lap.Strategy.FULL_LAPLACE:
             raise ValueError("full_laplace is not available with a sum-to-zero constraint")
+        # Refused here, not after the Laplace fits have run: a chain needs
+        # burn-in short of its length and a positive thin, and the
+        # summaries (rate ratio, percent error, WAIC) need two kept draws.
+        if self.mcmc_thin < 1:
+            raise ValueError("mcmc_thin must be >= 1")
+        if self.mcmc_burn_in >= self.mcmc_iterations:
+            raise ValueError("mcmc_burn_in must be smaller than mcmc_iterations")
+        if (self.mcmc_iterations - self.mcmc_burn_in) // self.mcmc_thin < 2:
+            raise ValueError("the chain settings keep fewer than 2 draws")
 
     def chain_config(self, dataset_index: int, *stream_path) -> mc.ChainConfig:
         return mc.ChainConfig(

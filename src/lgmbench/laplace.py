@@ -456,7 +456,9 @@ def _ascend(ctx: _Context, thetas: np.ndarray, p_mats: np.ndarray, u: np.ndarray
     together, one stacked kernel call per Newton iteration and per
     line-search halving, and leave the stack as they stop, but every
     member runs the one-problem arithmetic: its bits do not depend on
-    which other members share the stack.
+    which other members share the stack.  ``thetas`` is bound once
+    (``models.bind``; a caller may pass the binding) and its rows are
+    selected as members stop; a last member runs on the one-row form.
 
     Returns ``(u, eta, f, log_det_half, iters, outcome, clipped)``, per
     member for a stack (the last three as lists): the point, its linear
@@ -484,6 +486,7 @@ def _ascend(ctx: _Context, thetas: np.ndarray, p_mats: np.ndarray, u: np.ndarray
     u = np.array(u, dtype=float)
     one = u.ndim == 1
     k = 1 if one else len(u)
+    thetas = mdl.bind(ctx.spec, thetas, ctx.data)
     eta = ctx.eta(u)
     f, pu = _objective(ctx, thetas, p_mats, eta, u)
     log_det_half = np.zeros(k)
@@ -543,7 +546,7 @@ def _ascend(ctx: _Context, thetas: np.ndarray, p_mats: np.ndarray, u: np.ndarray
     if not all(start_ok):
         for r in np.flatnonzero(~np.array(start_ok)):
             try:
-                mdl.pointwise_loglik_from_eta(ctx.spec, np.atleast_2d(eta)[r], np.atleast_2d(thetas)[r], ctx.data)
+                mdl.pointwise_loglik_from_eta(ctx.spec, np.atleast_2d(eta)[r], thetas if one else thetas[r], ctx.data)
             except mdl.LikelihoodOverflowError as exc:
                 outcome[r] = exc
         live = np.array([o is None for o in outcome])
@@ -649,10 +652,12 @@ def _point_curvature(ctx: _Context, theta: np.ndarray, eta: np.ndarray):
     return hess, factor
 
 
-def _newton(ctx: _Context, theta: np.ndarray, u0: np.ndarray | None = None) -> _Approx:
+def _newton(ctx: _Context, theta: np.ndarray, u0: np.ndarray | None = None, bound=None) -> _Approx:
     """Gaussian approximation of the latent field at ``theta``: the mode
     of its conditional log posterior, the predictor there and the log
-    determinant of the curvature.  The one-problem call of ``_ascend``.
+    determinant of the curvature.  The one-problem call of ``_ascend``,
+    given ``bound``, theta's ``models.bind`` result, when the caller
+    has it.
 
     Raises FitFailure (newton_line_search, newton_nonconvergence) when
     the ascent stalls or runs out of iterations, and the ascent's failure
@@ -660,7 +665,8 @@ def _newton(ctx: _Context, theta: np.ndarray, u0: np.ndarray | None = None) -> _
     """
     u = np.zeros(ctx.dim_u) if u0 is None else u0
     theta = np.asarray(theta, dtype=float)
-    u, eta, _, log_det_half, iters, outcome, clipped = _ascend(ctx, theta, ctx.prior_precision_u(theta), u)
+    p_mat = ctx.prior_precision_u(theta)
+    u, eta, _, log_det_half, iters, outcome, clipped = _ascend(ctx, theta if bound is None else bound, p_mat, u)
     if isinstance(outcome, Exception):
         raise outcome
     if outcome == "stalled":
@@ -727,10 +733,11 @@ def _log_posterior_theta(
     key = np.asarray(theta, dtype=float).tobytes()
     if key in cache:
         return cache[key]
-    approx = _newton(ctx, theta, None if cold else cache.get("_warm"))
+    bound = mdl.bind(ctx.spec, theta, ctx.data)
+    approx = _newton(ctx, theta, None if cold else cache.get("_warm"), bound)
     cache["_warm"] = approx.mode_u
     x = ctx.to_x(approx.mode_u)
-    ll = mdl.log_likelihood(ctx.spec, x, theta, ctx.data)
+    ll = mdl.log_likelihood(ctx.spec, x, bound, ctx.data)
     lp_latent = mdl.latent_log_prior(ctx.spec, x, theta, ctx.data)
     lp_hyper = mdl.log_prior_hyper(ctx.spec, theta)
     lp = ll + lp_latent + lp_hyper - approx.log_det_half
@@ -1054,6 +1061,8 @@ def _fl_chunk(ctx: _Context, scans) -> list:
         if th.tobytes() not in priors:
             priors[th.tobytes()] = ctx.prior_precision_u(th)
     p_mats = np.array([priors[th.tobytes()] for th in thetas])
+    # One binding of the chunk's grid points serves every scanned value.
+    bound = mdl.bind(ctx.spec, thetas, ctx.data)
     index = np.array([s[3] for s in scans])
     free = np.array([[c for c in range(ctx.dim_u) if c != i] for i in index], dtype=int)
     u = np.array([s[1] for s in scans])
@@ -1070,7 +1079,7 @@ def _fl_chunk(ctx: _Context, scans) -> list:
         # gradient test, relative to that first gradient, stops early.
         start = u + shift * (v - u[rows, index])[:, None]
         start[rows, index] = v
-        u_hat, _, f, log_det_half, _, outcome, _ = _ascend(ctx, thetas, p_mats, start, free)
+        u_hat, _, f, log_det_half, _, outcome, _ = _ascend(ctx, bound, p_mats, start, free)
         ok = np.array([isinstance(o, str) for o in outcome])
         unconverged += [o in ("stalled", "max_iter") for o in outcome]
         logd[ok, g_idx] = f[ok] - log_det_half[ok]

@@ -324,7 +324,9 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
         eta = eta + eps
     if has_icar:
         eta = eta + mu
-    ll = _loglik_vec(spec, eta, hyper, data)
+    # The likelihood constants of the current hyperparameters (models.bind).
+    bound = mdl.bind(spec, hyper, data)
+    ll = _loglik_vec(spec, eta, bound, data)
     if ll is None:
         raise ChainAbort(0, "initial state has non-finite likelihood")
     sum_eps2 = 0.0
@@ -340,7 +342,7 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
     beta_prior_prec = np.full(p_beta, mdl.fixed_effect_precision(spec))
 
     # --- informed initial proposal scales -------------------------------
-    w0 = np.maximum(mdl.eta_derivatives(spec, eta, hyper, data)[1], 1e-3)
+    w0 = np.maximum(mdl.eta_derivatives(spec, eta, bound, data)[1], 1e-3)
     adapt = {}
     has_shift = bool(p_beta) and has_iid
     has_swap = has_iid and has_icar and constraint is Constraint.NONE
@@ -414,7 +416,7 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                 step = adapt["beta"].scale * (proposal.lower @ z)
                 beta_new = beta + step
                 eta_new = eta + design @ step
-                ll_new = _loglik_vec(spec, eta_new, hyper, data)
+                ll_new = _loglik_vec(spec, eta_new, bound, data)
                 if ll_new is None:
                     accept = False
                 else:
@@ -462,7 +464,7 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                 u_acc = g.random(n)
                 delta = adapt["iid"].scales * z
                 eta_new = eta + delta
-                ll_new = _site_loglik(spec, eta_new, hyper, data)
+                ll_new = _site_loglik(spec, eta_new, bound, data)
                 eps_new = eps + delta
                 d_site = (ll_new - ll) - 0.5 * sigma * (eps_new**2 - eps**2)
                 accept = np.log(u_acc) < d_site
@@ -487,7 +489,7 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                 # are elementwise, so each site keeps its bits.
                 if constraint is not Constraint.SUM_TO_ZERO_CENTERING:
                     eta_new = eta + step
-                    ll_new = _site_loglik(spec, eta_new, hyper, data)
+                    ll_new = _site_loglik(spec, eta_new, bound, data)
                 for cls, a_rows, deg in zip(classes, class_adj, class_deg):
                     delta = step[cls]
                     mu_c = mu[cls]
@@ -495,7 +497,7 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                     if constraint is Constraint.SUM_TO_ZERO_CENTERING:
                         eta_new = eta.copy()
                         eta_new[cls] += delta
-                        ll_new = _site_loglik(spec, eta_new, hyper, data)
+                        ll_new = _site_loglik(spec, eta_new, bound, data)
                     s_neigh = a_rows @ mu
                     d_quad = deg * (mu_new_c**2 - mu_c**2) - 2.0 * delta * s_neigh
                     d_site = (ll_new[cls] - ll[cls]) - 0.5 * tau * d_quad
@@ -508,9 +510,9 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                     icar_quad += float(np.add.reduce(d_quad[accept]))
                     acc_vec[cls] = accept
                     if constraint is Constraint.SUM_TO_ZERO_CENTERING:
-                        mu, eta, ll = _recentre(spec, hyper, data, mu, eta, ll, comp_masks, sweep, "recentering")
+                        mu, eta, ll = _recentre(spec, bound, data, mu, eta, ll, comp_masks, sweep, "recentering")
                 if constraint is Constraint.SUM_TO_ZERO_KRIGING:
-                    mu, eta, ll = _recentre(spec, hyper, data, mu, eta, ll, comp_masks, sweep, "constraint projection")
+                    mu, eta, ll = _recentre(spec, bound, data, mu, eta, ll, comp_masks, sweep, "constraint projection")
                 adapt["icar"].record(acc_vec)
 
             # ----- predictor-preserving level swap mu <-> eps --------------
@@ -550,7 +552,13 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                     else:
                         hyper_try = hyper.copy()
                         hyper_try[idx] = new
-                        ll_new = _loglik_vec(spec, eta, hyper_try, data)
+                        # Only the moved hyperparameter's part is rebuilt.
+                        try:
+                            bound_try = mdl.bind(spec, hyper_try, data, like=bound)
+                        except mdl.LikelihoodOverflowError:
+                            pass
+                        else:
+                            ll_new = _loglik_vec(spec, eta, bound_try, data)
                         if ll_new is None:
                             d = -np.inf
                         else:
@@ -560,7 +568,7 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                         hyper[idx] = new
                         prior_cur[idx] = prior_new
                         if ll_new is not None:
-                            ll = ll_new
+                            ll, bound = ll_new, bound_try
                     adapt[name].record(1.0 if accept else 0.0)
 
             if sweep == config.burn_in:
@@ -607,73 +615,111 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
 # Diagnostics
 
 
-def _autocov(x: np.ndarray, max_lag: int) -> np.ndarray:
-    n = x.size
-    xc = x - x.mean()
+# Each statistic runs over the rows of a (k, n) array of k series at
+# once, reducing along the last axis: for a C-contiguous array each row
+# gets the bits of the same statistic of that series alone, which is
+# what the one-series functions compute (as a stack of one).  ``diagnose``
+# takes a chain's columns in chunks of about this many bytes of draws,
+# so its working arrays stay within a small multiple of it: a
+# paper-scale chain (19,000 kept draws, ~600 columns) would otherwise
+# hold about 1 GB of spectra.  Rows are independent, so chunking
+# changes no bit.
+DIAGNOSE_CHUNK_BYTES = 2**20
+
+
+def _ess_rows(x: np.ndarray) -> np.ndarray:
+    """``ess_ips`` of each row."""
+    k, n = x.shape
+    if n < 4:
+        return np.full(k, float(n))
     size = 1
     while size < 2 * n:
         size *= 2
-    f = np.fft.rfft(xc, size)
-    acov = np.fft.irfft(f * np.conjugate(f), size)[: max_lag + 1].real / n
-    return acov
+    f = np.fft.rfft(x - x.mean(axis=-1, keepdims=True), size)
+    # The power spectrum row by row: numpy's vectorised complex product
+    # rounds an element by where it falls in the pass, so one product over
+    # the whole block would not give each row the one-series bits.
+    power = np.array([row * np.conjugate(row) for row in f])
+    acov = np.fft.irfft(power, size)[:, :n] / n
+    g0 = acov[:, 0]
+    # Initial positive sequence: the sum of the autocovariance pairs
+    # (2m, 2m + 1), 2m + 1 < n, in order, up to the first non-positive one.
+    pairs = acov[:, 0 : n - 1 : 2] + acov[:, 1:n:2]
+    sums = np.cumsum(pairs, axis=-1)
+    stop = pairs <= 0.0
+    m = np.where(stop.any(axis=-1), stop.argmax(axis=-1), pairs.shape[1])
+    s = np.where(m > 0, sums[np.arange(k), m - 1], 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var_mean = (2.0 * s - g0) / n
+        ratio = g0 / var_mean
+    return np.where((g0 <= 0.0) | (var_mean <= 0.0) | ~(ratio < n), float(n), ratio)
+
+
+def _geweke_rows(x: np.ndarray, first: float = 0.1, last: float = 0.5) -> np.ndarray:
+    """``geweke_z`` of each row."""
+    n = x.shape[1]
+    a = x[:, : max(2, int(first * n))]
+    b = x[:, n - max(2, int(last * n)) :]
+    va = a.var(axis=-1, ddof=1)
+    vb = b.var(axis=-1, ddof=1)
+    ma = a.mean(axis=-1)
+    mb = b.mean(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = np.sqrt(va / _ess_rows(a) + vb / _ess_rows(b))
+        z = (ma - mb) / denom
+    z = np.where(denom == 0.0, np.where(ma != mb, math.inf, 0.0), z)
+    return np.where((va == 0.0) & (vb == 0.0), 0.0, z)
+
+
+def _split_rhat_rows(x: np.ndarray) -> np.ndarray:
+    """``split_rhat`` of each row."""
+    k, n = x.shape
+    length = n // 2
+    halves = x[:, : 2 * length].reshape(k, 2, length)
+    means = halves.mean(axis=-1)
+    w = halves.var(axis=-1, ddof=1).mean(axis=-1)
+    b = length * means.var(axis=-1, ddof=1)
+    v = (length - 1.0) / length * w + b / length
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rhat = np.sqrt(v / w)
+    return np.where(w == 0.0, np.where(b == 0.0, 1.0, math.inf), rhat)
+
+
+def _trace_slope_rows(x: np.ndarray, ess: np.ndarray) -> np.ndarray:
+    """``trace_slope_z`` of each row, given each row's ``ess_ips``."""
+    k, n = x.shape
+    t = np.arange(n, dtype=float)
+    t -= t.mean()
+    denom = float(t @ t)
+    if denom == 0.0:
+        return np.zeros(k)
+    xc = x - x.mean(axis=-1, keepdims=True)
+    slope = np.vecdot(xc, t) / denom
+    resid = xc - slope[:, None] * t
+    s2 = np.vecdot(resid, resid) / max(n - 2, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = slope / (np.sqrt(s2 / denom) * np.sqrt(n / ess))
+    return np.where(s2 == 0.0, 0.0, z)
+
+
+def _one(rows, x: np.ndarray, *args) -> float:
+    """``rows`` of the single series ``x``."""
+    return float(rows(np.asarray(x, dtype=float)[None], *args)[0])
 
 
 def ess_ips(x: np.ndarray) -> float:
     """Effective sample size via the initial-positive-sequence rule."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    if n < 4:
-        return float(n)
-    acov = _autocov(x, n - 1)
-    g0 = acov[0]
-    if g0 <= 0.0:
-        return float(n)
-    m = 0
-    s = 0.0
-    while 2 * m + 1 < n:
-        pair = acov[2 * m] + acov[2 * m + 1] if 2 * m + 1 < acov.size else acov[2 * m]
-        if pair <= 0.0:
-            break
-        s += pair
-        m += 1
-    var_mean = (2.0 * s - g0) / n
-    if var_mean <= 0.0:
-        return float(n)
-    return float(min(n, g0 / var_mean))
+    return _one(_ess_rows, x)
 
 
 def geweke_z(x: np.ndarray, first: float = 0.1, last: float = 0.5) -> float:
     """Z score comparing the means of the early and late chain segments."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    a = x[: max(2, int(first * n))]
-    b = x[n - max(2, int(last * n)) :]
-    va = a.var(ddof=1)
-    vb = b.var(ddof=1)
-    if va == 0.0 and vb == 0.0:
-        return 0.0
-    sa = va / ess_ips(a)
-    sb = vb / ess_ips(b)
-    denom = math.sqrt(sa + sb)
-    if denom == 0.0:
-        return math.inf if a.mean() != b.mean() else 0.0
-    return float((a.mean() - b.mean()) / denom)
+    return _one(_geweke_rows, x, first, last)
 
 
 def split_rhat(x: np.ndarray) -> float:
     """Potential scale reduction of the two halves of one chain."""
-    x = np.asarray(x, dtype=float)
-    n = (x.size // 2) * 2
-    halves = x[:n].reshape(2, n // 2)
-    length = n // 2
-    means = halves.mean(axis=1)
-    variances = halves.var(axis=1, ddof=1)
-    w = variances.mean()
-    b = length * means.var(ddof=1)
-    if w == 0.0:
-        return 1.0 if b == 0.0 else math.inf
-    v = (length - 1.0) / length * w + b / length
-    return float(math.sqrt(v / w))
+    return _one(_split_rhat_rows, x)
 
 
 def trace_slope_z(x: np.ndarray, ess: float | None = None) -> float:
@@ -681,22 +727,7 @@ def trace_slope_z(x: np.ndarray, ess: float | None = None) -> float:
 
     ``ess`` is ``ess_ips(x)`` when the caller has it already.
     """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    t = np.arange(n, dtype=float)
-    t -= t.mean()
-    denom = float(t @ t)
-    if denom == 0.0:
-        return 0.0
-    slope = float(t @ (x - x.mean())) / denom
-    resid = x - x.mean() - slope * t
-    s2 = float(resid @ resid) / max(n - 2, 1)
-    if s2 == 0.0:
-        return 0.0
-    if ess is None:
-        ess = ess_ips(x)
-    se = math.sqrt(s2 / denom) * math.sqrt(n / ess)
-    return float(slope / se)
+    return _one(_trace_slope_rows, x, np.array([ess_ips(x) if ess is None else ess]))
 
 
 @dataclass
@@ -726,32 +757,40 @@ def diagnose(output: ChainOutput, z_threshold: float = 4.0, rhat_threshold: floa
     if n < 1000:
         warn = True
         reasons.append(f"only {n} kept draws; diagnostics are low-powered")
+    # "All draws identical" must be detected exactly; a variance test
+    # can miss it when the repeated value has a non-exact mean.
+    degenerate = np.ptp(output.draws, axis=0) == 0.0
+    k = len(output.columns)
+    ess = np.full(k, float(n))
+    z, rhat, slope = np.zeros(k), np.ones(k), np.zeros(k)
+    # The other columns in chunks, one contiguous series per row, each
+    # statistic over a chunk at once.
+    live = np.flatnonzero(~degenerate)
+    step = max(1, DIAGNOSE_CHUNK_BYTES // (8 * n))
+    for cols in (live[r : r + step] for r in range(0, live.size, step)):
+        x = np.ascontiguousarray(output.draws[:, cols].T, dtype=float)
+        ess[cols] = _ess_rows(x)
+        z[cols] = _geweke_rows(x)
+        rhat[cols] = _split_rhat_rows(x)
+        slope[cols] = _trace_slope_rows(x, ess[cols])
     for j, name in enumerate(output.columns):
-        x = output.draws[:, j]
-        # "All draws identical" must be detected exactly; a variance test
-        # can miss it when the repeated value has a non-exact mean.
-        degenerate = bool(np.ptp(x) == 0.0)
-        ess = float(n) if degenerate else ess_ips(x)
-        z = 0.0 if degenerate else geweke_z(x)
-        rhat = 1.0 if degenerate else split_rhat(x)
-        slope = 0.0 if degenerate else trace_slope_z(x, ess)
         per_column[name] = {
-            "ess": ess,
-            "geweke_z": z,
-            "split_rhat": rhat,
-            "trace_slope_z": slope,
-            "degenerate": degenerate,
+            "ess": float(ess[j]),
+            "geweke_z": float(z[j]),
+            "split_rhat": float(rhat[j]),
+            "trace_slope_z": float(slope[j]),
+            "degenerate": bool(degenerate[j]),
         }
-        if degenerate:
+        if degenerate[j]:
             warn = True
             reasons.append(f"{name}: zero variance across kept draws")
             continue
-        if abs(z) > z_threshold:
+        if abs(z[j]) > z_threshold:
             worst_fail = True
-            reasons.append(f"{name}: |geweke z| = {abs(z):.2f} > {z_threshold}")
-        if rhat > rhat_threshold:
+            reasons.append(f"{name}: |geweke z| = {abs(float(z[j])):.2f} > {z_threshold}")
+        if rhat[j] > rhat_threshold:
             worst_fail = True
-            reasons.append(f"{name}: split Rhat = {rhat:.3f} > {rhat_threshold}")
+            reasons.append(f"{name}: split Rhat = {float(rhat[j]):.3f} > {rhat_threshold}")
     verdict = "Fail" if worst_fail else ("Warn" if warn else "Pass")
     return ChainDiagnostics(verdict=verdict, reasons=reasons, per_column=per_column)
 

@@ -48,6 +48,8 @@ __all__ = [
     "ModelSpec",
     "Dataset",
     "LikelihoodOverflowError",
+    "ZinbConstants",
+    "bind",
     "poisson_spec",
     "bym_spec",
     "zinb_spec",
@@ -395,9 +397,6 @@ class Dataset:
         object.__setattr__(self, "_log_y_factorial", log_y_factorial)
         object.__setattr__(self, "_zero", zero)
         object.__setattr__(self, "_any_zero", bool(zero.size))
-        # Caches of the ZINB constants; see _zinb_constants.
-        object.__setattr__(self, "_zinb_pz_cache", ())
-        object.__setattr__(self, "_zinb_size_cache", ())
 
     @property
     def n(self) -> int:
@@ -576,36 +575,9 @@ def _zinb_params(hyper) -> tuple[float, float]:
     """(logit p_zero, dispersion n) from one row of hyperparameters."""
     theta1 = float(hyper[0])
     size = float(np.exp(hyper[1]))
-    if not (size > 0.0 and np.isfinite(size)):
+    if not (size > 0.0 and math.isfinite(size)):
         raise LikelihoodOverflowError(-1, size)
     return theta1, size
-
-
-def _recent(data: Dataset, attr: str, keys: tuple, build) -> list:
-    """The values for ``keys`` in the cache ``attr`` of ``data``, one per key.
-
-    The cache is a tuple of ``(key, value)`` pairs, most recently read
-    first; a miss calls ``build(data, key)``.  The keys a call reads move to
-    the front.  A call that builds an entry then keeps, of the entries
-    it did not read, only as many as bring the cache to two: so one-key
-    calls keep the two most recent entries, and a stacked call keeps
-    every entry it read until a later call builds one.  The cache is
-    replaced as one tuple, so a reader never sees a half-updated cache.
-    """
-    entries = getattr(data, attr)
-    if entries and entries[0][0] == keys[0] and len(keys) == 1:
-        return (entries[0][1],)
-    older = dict(entries)
-    read, built = {}, False
-    for key in keys:
-        if key not in read:
-            if key in older:
-                read[key] = older.pop(key)
-            else:
-                read[key], built = build(data, key), True
-    rest = tuple(older.items())
-    object.__setattr__(data, attr, tuple(read.items()) + (rest[: max(0, 2 - len(read))] if built else rest))
-    return [read[key] for key in keys]
 
 
 def _dispersion_constants(data: Dataset, size: float) -> dict:
@@ -626,40 +598,93 @@ def _dispersion_constants(data: Dataset, size: float) -> dict:
 _ZINB_STACKED = ("log_nb_const", "size_plus_y", "a")
 
 
-def _log_p(data: Dataset, theta1: float) -> tuple[float, float]:
-    return sps.log_expit(theta1), sps.log_expit(-theta1)
-
-
-def _zinb_constants(data: Dataset, hyper: np.ndarray) -> tuple:
+class ZinbConstants:
     """The parts of the ZINB kernels that depend only on y and the
-    hyperparameters: ``(log p_zero, log(1 - p_zero), size, size**2,
-    dispersion constants)`` for ``hyper``, one row (m,) or a (k, m) block.
+    hyperparameters, bound to one row of hyperparameters or to a block of
+    rows by ``bind``.
 
-    Each part is computed with the same operations, in the same order,
-    as the full expression it was taken from, so the kernels keep every
-    bit; the index of the y = 0 sites depends on y alone and lives on
-    the dataset.  The dataset caches each part keyed by the exact float
-    it depends on (see ``_recent``): every Newton iteration at one
-    hyperparameter point reuses them, a sampler proposal that moves one
-    hyperparameter keeps the other's entry and the current point's, and
-    a lockstep run of profile scans at several grid points builds each
-    point's constants once.  When every row has the same
-    hyperparameters the parts are floats and arrays over the sites;
-    otherwise each is stacked per row, as (k, 1) columns and (k, n)
-    arrays.  Cached arrays are read-only.
+    ``parts`` is ``(log p_zero, log(1 - p_zero), size, size**2,
+    dispersion constants)``, each computed with the same operations, in
+    the same order, as the full expression it was taken from, so the
+    kernels keep every bit.  The one-row form holds floats and read-only
+    arrays over the sites, and serves a (k, n) stack of predictors that
+    all share the row; a block of differing rows holds each part stacked
+    per row, as (k, 1) columns and (k, n) arrays, and the one-row binding
+    of each row in ``rows``.  Indexing selects rows of a block: one row,
+    or rows that all share one binding, give its one-row form.
     """
-    if hyper.ndim == 1 or bool((hyper[1:, :2] == hyper[0, :2]).all()):
-        theta1, size = _zinb_params(hyper if hyper.ndim == 1 else hyper[0])
-        log_pz, log_1mpz = _recent(data, "_zinb_pz_cache", (theta1,), _log_p)[0]
-        consts = _recent(data, "_zinb_size_cache", (size,), _dispersion_constants)[0]
-        return log_pz, log_1mpz, size, size**2, consts
-    theta1s, sizes = zip(*map(_zinb_params, hyper))
-    log_p = np.array(_recent(data, "_zinb_pz_cache", theta1s, _log_p))
-    parts = _recent(data, "_zinb_size_cache", sizes, _dispersion_constants)
-    consts = {name: np.stack([c[name] for c in parts]) for name in _ZINB_STACKED}
-    consts["log_size"] = np.array([c["log_size"] for c in parts])[:, None]
-    size_sq = np.array([s**2 for s in sizes])[:, None]
-    return log_p[:, :1], log_p[:, 1:], np.array(sizes)[:, None], size_sq, consts
+
+    __slots__ = ("theta1", "size", "parts", "rows")
+
+    def __init__(self, theta1, size, parts, rows=None):
+        self.theta1 = theta1
+        self.size = size
+        self.parts = parts
+        self.rows = rows
+
+    def __getitem__(self, at):
+        if self.rows is None:
+            return self
+        picked = np.arange(len(self.rows))[at]
+        if picked.ndim == 0:
+            return self.rows[int(picked)]
+        rows = [self.rows[r] for r in picked.tolist()]
+        if rows and all(r is rows[0] for r in rows):
+            return rows[0]
+        *scalars, consts = self.parts
+        parts = (*(p[picked] for p in scalars), {name: v[picked] for name, v in consts.items()})
+        return ZinbConstants(None, None, parts, rows)
+
+
+def _stack(rows: list) -> ZinbConstants:
+    """The binding of a block whose rows have the one-row bindings ``rows``."""
+    first = rows[0]
+    if all(r is first for r in rows):
+        return first
+    log_pz, log_1mpz, size, size_sq = (np.array(part)[:, None] for part in zip(*(r.parts[:4] for r in rows)))
+    consts = {name: np.stack([r.parts[4][name] for r in rows]) for name in _ZINB_STACKED}
+    consts["log_size"] = np.array([r.parts[4]["log_size"] for r in rows])[:, None]
+    return ZinbConstants(None, None, (log_pz, log_1mpz, size, size_sq, consts), rows)
+
+
+def bind(spec: ModelSpec, hyper, data: Dataset, like: ZinbConstants | None = None):
+    """The likelihood constants of ``hyper``, one row (m,) or a (k, m)
+    block, for the kernels to take in place of ``hyper``.
+
+    A ZINB model gets a ``ZinbConstants``; each distinct row's parts are
+    built once, and a part whose hyperparameter equals that of the
+    one-row binding ``like`` is taken from it (a sampler proposal that
+    moves one hyperparameter rebuilds only that one's part).  The
+    Poisson and Gaussian kernels read no hyperparameter, and their
+    binding is ``hyper`` itself.  A binding is passed through unchanged.
+    A dispersion that overflows raises LikelihoodOverflowError.
+    """
+    if spec.family is not Family.ZERO_INFLATED_NEG_BINOMIAL or isinstance(hyper, ZinbConstants):
+        return hyper
+    if np.ndim(hyper) == 1:
+        return _bind_row(data, *_zinb_params(hyper), like, like)
+    keys = [_zinb_params(h) for h in hyper]
+    rows, by_theta1, by_size = {}, {}, {}
+    for theta1, size in keys:
+        if (theta1, size) not in rows:
+            row = _bind_row(data, theta1, size, by_theta1.get(theta1, like), by_size.get(size, like))
+            rows[theta1, size] = by_theta1[theta1] = by_size[size] = row
+    return _stack([rows[key] for key in keys])
+
+
+def _bind_row(data: Dataset, theta1: float, size: float, p_from, size_from) -> ZinbConstants:
+    """The one-row binding of ``(theta1, size)``, taking the ``logit p_zero``
+    part from the binding ``p_from`` and the dispersion part from
+    ``size_from`` where their values are the same."""
+    if p_from is not None and p_from.theta1 == theta1:
+        log_pz, log_1mpz = p_from.parts[:2]
+    else:
+        log_pz, log_1mpz = sps.log_expit(theta1), sps.log_expit(-theta1)
+    if size_from is not None and size_from.size == size:
+        consts = size_from.parts[4]
+    else:
+        consts = _dispersion_constants(data, size)
+    return ZinbConstants(theta1, size, (log_pz, log_1mpz, size, size**2, consts))
 
 
 def _pointwise_loglik_eta(spec: ModelSpec, eta: np.ndarray, hyper: np.ndarray, data: Dataset) -> np.ndarray:
@@ -673,7 +698,7 @@ def _pointwise_loglik_eta(spec: ModelSpec, eta: np.ndarray, hyper: np.ndarray, d
     # Zero-inflated negative binomial:
     #   P(y) = p_z 1[y=0] + (1 - p_z) NB(y; mu, size), mu = exp(eta)
     # with NB(0) = (size / (size + mu))^size, evaluated in log space.
-    log_pz, log_1mpz, size, _, c = _zinb_constants(data, hyper)
+    log_pz, log_1mpz, size, _, c = bind(spec, hyper, data).parts
     log_denom = np.log(size + np.exp(eta))
     log_nb = c["log_nb_const"] + size * (c["log_size"] - log_denom) + y * (eta - log_denom)
     out = log_1mpz + log_nb
@@ -700,7 +725,10 @@ def pointwise_loglik(spec: ModelSpec, latent: np.ndarray, hyper: np.ndarray, dat
 # a (k, m) block each.  Every expression is written once for both: each
 # row of a stacked call has the bits of the one-predictor call, and a
 # stacked call raises if any row is out of range (``eta_in_range``
-# finds which).
+# finds which).  ``hyper`` is the raw row or block, whose constants are
+# then built on the spot, or its ``bind`` result, which a caller
+# evaluating many predictors at one point builds once; the result is
+# the same bits.  The kernels are pure functions of their arguments.
 
 
 def pointwise_loglik_from_eta(spec: ModelSpec, eta: np.ndarray, hyper: np.ndarray, data: Dataset) -> np.ndarray:
@@ -735,7 +763,7 @@ def _eta_derivatives(spec: ModelSpec, eta: np.ndarray, hyper: np.ndarray, data: 
     if spec.family is Family.GAUSSIAN:
         kappa = spec.gaussian_obs_precision
         return np.zeros(eta.shape) if third else (kappa * (y - eta), np.full(eta.shape, kappa))
-    log_pz, log_1mpz, size, size_sq, c = _zinb_constants(data, hyper)
+    log_pz, log_1mpz, size, size_sq, c = bind(spec, hyper, data).parts
     mu = np.exp(eta)
     denom = size + mu
     # Negative binomial component derivatives in eta:

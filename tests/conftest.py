@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from lgmbench import gmrf
+from lgmbench import models as mdl
 
 settings.register_profile(
     "suite",
@@ -31,3 +32,17 @@ def two_component_graph() -> gmrf.AdjacencyGraph:
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def dispersion_builds(monkeypatch) -> list:
+    """The dispersion of every build of the ZINB constants during the
+    test: one entry per ``models._dispersion_constants`` call."""
+    built, build = [], mdl._dispersion_constants
+
+    def counted(data, size):
+        built.append(size)
+        return build(data, size)
+
+    monkeypatch.setattr(mdl, "_dispersion_constants", counted)
+    return built

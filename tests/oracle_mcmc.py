@@ -6,7 +6,13 @@ the shift metric every sweep and looked each precision up per block.
 ``_VectorAdapt`` is the version that added every acceptance vector to
 both of its counters, and ``_Welford`` the one that called ``np.outer``.
 The sampler in ``lgmbench.mcmc`` must reproduce their draws, acceptance
-rates and scales bit for bit.  The helpers they share with the sampler
+rates and scales bit for bit.
+
+``ess_ips``, ``geweke_z``, ``split_rhat``, ``trace_slope_z`` and
+``diagnose`` at the end are the versions that looped over the columns
+of a chain one at a time in Python; ``lgmbench.mcmc.diagnose`` runs
+them over all columns at once and must give the same ``per_column``
+values bit for bit.  The helpers they share with the sampler
 (scalar adaptation, colouring, the likelihood wrapper) are imported,
 not copied.
 """
@@ -25,6 +31,7 @@ from lgmbench.mcmc import (
     TARGET_SCALAR,
     ChainAbort,
     ChainConfig,
+    ChainDiagnostics,
     ChainOutput,
     _Adapt,
     _loglik_vec,
@@ -429,3 +436,147 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
         config=config,
         runtime_s=time.perf_counter() - t_start,
     )
+
+
+# ---------------------------------------------------------------------------
+# Diagnostics, one column at a time
+
+
+def _autocov(x: np.ndarray, max_lag: int) -> np.ndarray:
+    n = x.size
+    xc = x - x.mean()
+    size = 1
+    while size < 2 * n:
+        size *= 2
+    f = np.fft.rfft(xc, size)
+    acov = np.fft.irfft(f * np.conjugate(f), size)[: max_lag + 1].real / n
+    return acov
+
+
+def ess_ips(x: np.ndarray) -> float:
+    """Effective sample size via the initial-positive-sequence rule."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    if n < 4:
+        return float(n)
+    acov = _autocov(x, n - 1)
+    g0 = acov[0]
+    if g0 <= 0.0:
+        return float(n)
+    m = 0
+    s = 0.0
+    while 2 * m + 1 < n:
+        pair = acov[2 * m] + acov[2 * m + 1] if 2 * m + 1 < acov.size else acov[2 * m]
+        if pair <= 0.0:
+            break
+        s += pair
+        m += 1
+    var_mean = (2.0 * s - g0) / n
+    if var_mean <= 0.0:
+        return float(n)
+    return float(min(n, g0 / var_mean))
+
+
+def geweke_z(x: np.ndarray, first: float = 0.1, last: float = 0.5) -> float:
+    """Z score comparing the means of the early and late chain segments."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    a = x[: max(2, int(first * n))]
+    b = x[n - max(2, int(last * n)) :]
+    va = a.var(ddof=1)
+    vb = b.var(ddof=1)
+    if va == 0.0 and vb == 0.0:
+        return 0.0
+    sa = va / ess_ips(a)
+    sb = vb / ess_ips(b)
+    denom = math.sqrt(sa + sb)
+    if denom == 0.0:
+        return math.inf if a.mean() != b.mean() else 0.0
+    return float((a.mean() - b.mean()) / denom)
+
+
+def split_rhat(x: np.ndarray) -> float:
+    """Potential scale reduction of the two halves of one chain."""
+    x = np.asarray(x, dtype=float)
+    n = (x.size // 2) * 2
+    halves = x[:n].reshape(2, n // 2)
+    length = n // 2
+    means = halves.mean(axis=1)
+    variances = halves.var(axis=1, ddof=1)
+    w = variances.mean()
+    b = length * means.var(ddof=1)
+    if w == 0.0:
+        return 1.0 if b == 0.0 else math.inf
+    v = (length - 1.0) / length * w + b / length
+    return float(math.sqrt(v / w))
+
+
+def trace_slope_z(x: np.ndarray, ess: float | None = None) -> float:
+    """Standardized linear drift of the trace, autocorrelation adjusted.
+
+    ``ess`` is ``ess_ips(x)`` when the caller has it already.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    t = np.arange(n, dtype=float)
+    t -= t.mean()
+    denom = float(t @ t)
+    if denom == 0.0:
+        return 0.0
+    slope = float(t @ (x - x.mean())) / denom
+    resid = x - x.mean() - slope * t
+    s2 = float(resid @ resid) / max(n - 2, 1)
+    if s2 == 0.0:
+        return 0.0
+    if ess is None:
+        ess = ess_ips(x)
+    se = math.sqrt(s2 / denom) * math.sqrt(n / ess)
+    return float(slope / se)
+
+
+def diagnose(output: ChainOutput, z_threshold: float = 4.0, rhat_threshold: float = 1.1) -> ChainDiagnostics:
+    """Stationarity screen over every recorded column.
+
+    Fail when any column shows a Geweke z beyond ``z_threshold`` or a
+    split-chain scale reduction beyond ``rhat_threshold``; a column
+    with zero variance counts its full length as effective and is
+    flagged as a warning, as is a chain with too few kept draws for
+    the screen to mean much.
+    """
+    reasons = []
+    per_column = {}
+    n = output.n_kept
+    worst_fail = False
+    warn = False
+    if n < 1000:
+        warn = True
+        reasons.append(f"only {n} kept draws; diagnostics are low-powered")
+    for j, name in enumerate(output.columns):
+        x = output.draws[:, j]
+        # "All draws identical" must be detected exactly; a variance test
+        # can miss it when the repeated value has a non-exact mean.
+        degenerate = bool(np.ptp(x) == 0.0)
+        ess = float(n) if degenerate else ess_ips(x)
+        z = 0.0 if degenerate else geweke_z(x)
+        rhat = 1.0 if degenerate else split_rhat(x)
+        slope = 0.0 if degenerate else trace_slope_z(x, ess)
+        per_column[name] = {
+            "ess": ess,
+            "geweke_z": z,
+            "split_rhat": rhat,
+            "trace_slope_z": slope,
+            "degenerate": degenerate,
+        }
+        if degenerate:
+            warn = True
+            reasons.append(f"{name}: zero variance across kept draws")
+            continue
+        if abs(z) > z_threshold:
+            worst_fail = True
+            reasons.append(f"{name}: |geweke z| = {abs(z):.2f} > {z_threshold}")
+        if rhat > rhat_threshold:
+            worst_fail = True
+            reasons.append(f"{name}: split Rhat = {rhat:.3f} > {rhat_threshold}")
+    verdict = "Fail" if worst_fail else ("Warn" if warn else "Pass")
+    return ChainDiagnostics(verdict=verdict, reasons=reasons, per_column=per_column)
+

@@ -4,9 +4,9 @@
 the versions that returned all three eta derivatives from every call and
 kept one entry of ZINB constants, keyed by ``(logit p_zero, size)``.
 ``lgmbench.models`` now returns the first two from ``eta_derivatives``
-and the third from ``eta_third_derivative``, and keeps the constants in
-parts split by what they depend on.  Both must match these copies bit
-for bit.  ``eta_derivatives`` here is the public entry point of that
+and the third from ``eta_third_derivative``, and builds the constants
+in parts split by what they depend on (``models.bind``), with no cache
+on the dataset.  Both must match these copies bit for bit.  ``eta_derivatives`` here is the public entry point of that
 version; it gives a dataset the single-entry cache the copies read.
 
 ``_check_eta`` is the predictor check whose fast path took the maximum

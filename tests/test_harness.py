@@ -91,6 +91,25 @@ def test_study_config_validation():
         assert study_config("bym", constraint_mode=c.value, strategy="gaussian").constraint_mode == c.value
 
 
+@pytest.mark.parametrize("kind", harness.STUDY_KINDS)
+def test_study_config_refuses_chain_settings_a_study_cannot_summarise(kind):
+    # Each of these passed the config and ran every Laplace fit before
+    # the chain or the study's summary raised.
+    for settings, match in (
+        ({"mcmc_iterations": 100, "mcmc_burn_in": 100}, "mcmc_burn_in"),
+        ({"mcmc_iterations": 100, "mcmc_burn_in": 150}, "mcmc_burn_in"),
+        ({"mcmc_thin": 0}, "mcmc_thin"),
+        ({"mcmc_thin": -3}, "mcmc_thin"),
+        ({"mcmc_iterations": 110, "mcmc_burn_in": 100, "mcmc_thin": 10}, "fewer than 2"),
+        ({"mcmc_iterations": 119, "mcmc_burn_in": 100, "mcmc_thin": 10}, "fewer than 2"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            tiny_config(kind, **settings)
+    # Two kept draws are enough.
+    config = tiny_config(kind, mcmc_iterations=120, mcmc_burn_in=100, mcmc_thin=10)
+    assert config.chain_config(0).n_kept == 2
+
+
 def test_config_json_round_trip(tmp_path):
     config = study_config(
         "zinb", seed=11, n_datasets=3, generating=GeneratingValues(p_zero=0.4, zinb_betas=(0.2, 0.0, -0.1, 0.0, 0.05))

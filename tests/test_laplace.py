@@ -900,30 +900,58 @@ def test_full_laplace_fit_does_not_depend_on_the_chunk_size(monkeypatch, model, 
     assert len(chunks) == chunks[-1] + 1 and set(chunks[:-1]) == {1} and chunks[-1] > 1
 
 
-def test_a_lockstep_run_builds_the_zinb_constants_once_per_grid_point(monkeypatch):
-    spec, data = small_zinb_model()
-    built, in_run = [], [False]
-    fl, dispersion_constants = laplace._fl_profiles, mdl._dispersion_constants
-    thetas = set()
+def _calls_with_builds(monkeypatch, built, module, name) -> list:
+    """Wrap ``module.name``: one record per call, with the call's first
+    argument after the context, the entries added to ``built`` during
+    the call, and whether it returned."""
+    calls, inner = [], getattr(module, name)
 
-    def recorded(ctx, scans):
-        thetas.update(scan[0].tobytes() for scan in scans)
-        in_run[0] = True
+    def wrapped(ctx, first, *args, **kwargs):
+        record, start = {"arg": first, "returned": False}, len(built)
+        calls.append(record)
         try:
-            return fl(ctx, scans)
+            out = inner(ctx, first, *args, **kwargs)
+            record["returned"] = True
+            return out
         finally:
-            in_run[0] = False
+            record["built"] = built[start:]
 
-    def counted(data, size):
-        if in_run[0]:
-            built.append(size)
-        return dispersion_constants(data, size)
+    monkeypatch.setattr(module, name, wrapped)
+    return calls
 
-    monkeypatch.setattr(laplace, "_fl_profiles", recorded)
-    monkeypatch.setattr(mdl, "_dispersion_constants", counted)
-    laplace.fit(spec, data, strategy=Strategy.FULL_LAPLACE, int_strategy="ccd")
-    assert len(thetas) > 1
-    assert len(built) == len(set(built)) <= len(thetas)
+
+def test_a_lockstep_run_builds_the_zinb_constants_once_per_grid_point(monkeypatch, dispersion_builds):
+    # Each chunk of profile scans binds its grid points once for all its
+    # scanned values: one build per distinct theta of the chunk, with one
+    # scan per chunk and with every scan in one chunk.
+    spec, data = small_zinb_model()
+    chunks = _calls_with_builds(monkeypatch, dispersion_builds, laplace, "_fl_chunk")
+    for budget in (1, 2**60):
+        monkeypatch.setattr(laplace, "FL_CHUNK_BYTES", budget)
+        chunks.clear()
+        laplace.fit(spec, data, strategy=Strategy.FULL_LAPLACE, int_strategy="ccd")
+        assert len(chunks) > 1 if budget == 1 else len(chunks) == 1
+        thetas = set()
+        for chunk in chunks:
+            assert sorted(chunk["built"]) == sorted({float(np.exp(scan[0][1])) for scan in chunk["arg"]})
+            thetas.update(scan[0].tobytes() for scan in chunk["arg"])
+        assert len(thetas) > 1
+
+
+def test_each_theta_evaluation_builds_the_zinb_constants_once(monkeypatch, dispersion_builds):
+    # A theta evaluation binds once for its Newton solve and its
+    # likelihood, also one that fails; one read from the cache builds
+    # nothing.
+    spec, data = small_zinb_model()
+    evaluations = _calls_with_builds(monkeypatch, dispersion_builds, laplace, "_log_posterior_theta")
+    laplace.explore_theta(spec, data, int_strategy="ccd")
+    cached = set()
+    assert len(evaluations) > 10 and not all(e["returned"] for e in evaluations)
+    for e in evaluations:
+        key = np.asarray(e["arg"], dtype=float).tobytes()
+        assert e["built"] == ([] if key in cached else [float(np.exp(e["arg"][1]))])
+        if e["returned"]:
+            cached.add(key)
 
 
 def test_a_one_latent_model_scans_with_nothing_free():
@@ -1050,10 +1078,10 @@ def _failing_newton(bad_theta: bytes, cold_too: bool):
     """``_newton`` that fails at one theta: from a warm start, or always."""
     newton = laplace._newton
 
-    def patched(ctx, theta, u0=None):
+    def patched(ctx, theta, u0=None, bound=None):
         if theta.tobytes() == bad_theta and (cold_too or u0 is not None):
             raise FitFailure("newton_nonconvergence", "forced")
-        return newton(ctx, theta, u0)
+        return newton(ctx, theta, u0, bound)
 
     return patched
 
@@ -1126,9 +1154,9 @@ def test_failed_theta_mode_evaluations_are_counted(monkeypatch):
     spec, data = _pool_dataset(seed=0, index=0)
     newton, visited = laplace._newton, []
 
-    def recorded(ctx, theta, u0=None):
+    def recorded(ctx, theta, u0=None, bound=None):
         visited.append(theta.tobytes())
-        return newton(ctx, theta, u0)
+        return newton(ctx, theta, u0, bound)
 
     monkeypatch.setattr(laplace, "_newton", recorded)
     clean = laplace.fit(spec, data, latents=[])
@@ -1162,7 +1190,7 @@ def test_theta_mode_evals_equal_the_objective_calls_bfgs_makes(monkeypatch):
 def test_theta_mode_search_fails_when_every_evaluation_fails(monkeypatch):
     spec, data = _pool_dataset(seed=0, index=0)
 
-    def failing(ctx, theta, u0=None):
+    def failing(ctx, theta, u0=None, bound=None):
         raise FitFailure("newton_nonconvergence", "forced")
 
     monkeypatch.setattr(laplace, "_newton", failing)

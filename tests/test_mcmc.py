@@ -332,28 +332,65 @@ def test_diagnose_round_trips_to_dict():
     assert json.loads(json.dumps(d)) == d
 
 
-def test_diagnose_computes_each_full_series_ess_once(monkeypatch):
+def _float_bits(per_column: dict) -> dict:
+    """``per_column`` with every float as its exact hex form (NaN included)."""
+    return {name: {k: v.hex() if isinstance(v, float) else v for k, v in entry.items()} for name, entry in per_column.items()}
+
+
+def _assert_diagnose_matches_the_column_loop(out):
+    import oracle_mcmc
+
+    want, got = oracle_mcmc.diagnose(out), mcmc.diagnose(out)
+    assert _float_bits(got.per_column) == _float_bits(want.per_column)
+    assert (got.verdict, got.reasons) == (want.verdict, want.reasons)
+    # The one-series functions are the same code, as a stack of one, on
+    # a column of the draws as it is (strided) or copied.
+    for j, name in enumerate(out.columns):
+        if want.per_column[name]["degenerate"]:
+            continue
+        for x in (out.draws[:, j], out.draws[:, j].copy()):
+            ess = oracle_mcmc.ess_ips(x)
+            pairs = [
+                (mcmc.ess_ips(x), ess),
+                (mcmc.geweke_z(x), oracle_mcmc.geweke_z(x)),
+                (mcmc.split_rhat(x), oracle_mcmc.split_rhat(x)),
+                (mcmc.trace_slope_z(x), oracle_mcmc.trace_slope_z(x)),
+                (mcmc.trace_slope_z(x, ess), oracle_mcmc.trace_slope_z(x, ess)),
+            ]
+            assert [a.hex() for a, _ in pairs] == [b.hex() for _, b in pairs]
+
+
+@pytest.mark.filterwarnings("ignore:Degrees of freedom:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("n", [3, 4, 5, 200, 1001, 9000])
+def test_diagnose_per_column_is_bit_identical_to_the_column_loop(n, monkeypatch):
+    g = np.random.default_rng(n)
+    slow = np.empty(n)
+    slow[0] = 0.0
+    for i in range(1, n):
+        slow[i] = 0.995 * slow[i - 1] + g.standard_normal()
+    columns = {
+        "white": g.standard_normal(n),
+        "stuck": np.full(n, 3.14),
+        "slow": slow,
+        "drift": np.linspace(0.0, 5.0, n) + g.standard_normal(n),
+        "step": np.where(np.arange(n) < n // 2, 0.0, 1.0),
+        "wide": 1e6 + g.standard_normal(n) * 1e-3,
+    }
+    # Enough columns that a chunk's vectorised passes cross rows.
+    for c in range(40):
+        columns[f"walk{c}"] = np.cumsum(g.standard_normal(n)) * 0.01 + g.standard_normal(n)
+    out = _fake_output(list(columns), list(columns.values()))
+    _assert_diagnose_matches_the_column_loop(out)
+    # One column per chunk, as on a long chain.
+    monkeypatch.setattr(mcmc, "DIAGNOSE_CHUNK_BYTES", 1)
+    _assert_diagnose_matches_the_column_loop(out)
+
+
+def test_diagnose_of_a_chain_is_bit_identical_to_the_column_loop():
     spec, data = _two_component_bym(81)
     out = mcmc.run_chain(spec, data, ChainConfig(iterations=1_100, burn_in=400, thin=3, seed=97))
-    # Each column's entry as computed when trace_slope_z took its own ESS.
-    want = {}
-    for j, name in enumerate(out.columns):
-        x = out.draws[:, j]
-        want[name] = {
-            "ess": mcmc.ess_ips(x),
-            "geweke_z": mcmc.geweke_z(x),
-            "split_rhat": mcmc.split_rhat(x),
-            "trace_slope_z": mcmc.trace_slope_z(x),
-            "degenerate": False,
-        }
-    calls = []
-    ess_ips = mcmc.ess_ips
-    monkeypatch.setattr(mcmc, "ess_ips", lambda x: calls.append(x.size) or ess_ips(x))
-    diag = mcmc.diagnose(out)
-    assert diag.per_column == want
-    # One full-series ESS and Geweke's two segment ESS per column.
-    assert calls.count(out.n_kept) == len(out.columns)
-    assert len(calls) == 3 * len(out.columns)
+    assert out.draws.shape[1] > 20
+    _assert_diagnose_matches_the_column_loop(out)
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +623,11 @@ def _oracle_zinb():
     return mdl.zinb_spec(covariates=("x", "z")), data
 
 
+def _oracle_zinb_no_zeros():
+    spec, data = _oracle_zinb()
+    return spec, mdl.Dataset(y=data.y + 1, covariates=data.covariates, offset=data.offset)
+
+
 ORACLE_CASES = {
     # case: (build, record_pointwise); the spec carries the constraint.
     "poisson": (_oracle_poisson, True),
@@ -596,6 +638,7 @@ ORACLE_CASES = {
     "bym-kriging": (lambda: _two_component_bym(83, True, Constraint.SUM_TO_ZERO_KRIGING), True),
     "bym-no-pointwise": (lambda: _two_component_bym(84), False),
     "zinb": (_oracle_zinb, True),
+    "zinb-no-zeros": (_oracle_zinb_no_zeros, True),
 }
 
 
@@ -618,6 +661,20 @@ def test_run_chain_bit_identical_to_oracle(case):
         assert new.pointwise_loglik is None and ref.pointwise_loglik is None
     assert new.acceptance == ref.acceptance
     assert new.final_scales == ref.final_scales
+
+
+def test_a_zinb_chain_builds_the_dispersion_constants_once_per_size_proposal(dispersion_builds):
+    # The sampler holds the binding of its current state: one build at
+    # the start, then one per log-dispersion proposal, which is made
+    # every sweep; a logit p_zero proposal takes the current dispersion
+    # part, and no other block binds anything.
+    spec, data = _oracle_zinb()
+    built = dispersion_builds
+    sweeps = 150
+    out = mcmc.run_chain(spec, data, ChainConfig(iterations=sweeps, burn_in=50, thin=1, seed=5))
+    assert len(built) == 1 + sweeps and built[0] == 1.0
+    # Every kept draw's dispersion was built when it was proposed.
+    assert set(np.exp(out.column("log_dispersion")).tolist()) <= set(built)
 
 
 # Per-sweep work: the counts a benchmark reads as draws per sweep and

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import oracle_models
@@ -411,9 +412,9 @@ def zinb_derivatives_oracle(eta, hyper, y):
 
 @pytest.mark.parametrize("zeros", ["some", "all", "none"])
 def test_zinb_kernels_match_the_uncached_expressions(zeros):
-    # The dataset keeps the two latest entries of each part of the ZINB
-    # constants; the kernels must give the oracle's bits whether an entry
-    # is fresh, reused, or replaced by alternating hyperparameters.
+    # The kernels must give the oracle's bits whether they bind the
+    # hyperparameters on the spot or are handed a binding, also one that
+    # alternating hyperparameters reuse parts of.
     g = np.random.default_rng(21)
     n = 40
     y = g.poisson(4.0, n) + (zeros == "none")
@@ -425,22 +426,64 @@ def test_zinb_kernels_match_the_uncached_expressions(zeros):
     data = mdl.Dataset(y=y, covariates={})
     spec = mdl.zinb_spec(covariates=(), offset=None)
     hypers = [np.array([sps.logit(0.3), np.log(1.5)]), np.array([-2.0, 3.0]), np.array([0.0, -1.25])]
+    bound = None
     for step in range(7):
         hyper = hypers[[0, 1, 0, 0, 2, 1, 2][step]]
+        bound = mdl.bind(spec, hyper, data, like=bound)
         eta = g.uniform(-3.0, 4.0, n)
-        got = mdl.pointwise_loglik_from_eta(spec, eta, hyper, data)
-        assert got.tobytes() == zinb_loglik_oracle(eta, hyper, y).tobytes()
-        want_d = zinb_derivatives_oracle(eta, hyper, y)
-        got_d = (*mdl.eta_derivatives(spec, eta, hyper, data), mdl.eta_third_derivative(spec, eta, hyper, data))
-        assert [a.tobytes() for a in got_d] == [b.tobytes() for b in want_d]
-        # The cached constants are read-only, and writing into a returned
+        for h in (hyper, bound):
+            got = mdl.pointwise_loglik_from_eta(spec, eta, h, data)
+            assert got.tobytes() == zinb_loglik_oracle(eta, hyper, y).tobytes()
+            want_d = zinb_derivatives_oracle(eta, hyper, y)
+            got_d = (*mdl.eta_derivatives(spec, eta, h, data), mdl.eta_third_derivative(spec, eta, h, data))
+            assert [a.tobytes() for a in got_d] == [b.tobytes() for b in want_d]
+        # The bound constants are read-only, and writing into a returned
         # array must not reach them.
-        arrays = [data._zero] + [v for _, c in data._zinb_size_cache for v in c.values() if isinstance(v, np.ndarray)]
+        arrays = [data._zero] + [v for v in bound.parts[4].values() if isinstance(v, np.ndarray)]
         assert len(arrays) > 1 and not any(a.flags.writeable for a in arrays)
-        assert all(isinstance(v, float) for _, log_p in data._zinb_pz_cache for v in log_p)
+        assert all(isinstance(v, float) for v in bound.parts[:4])
         got[:] = np.nan
-        again = mdl.pointwise_loglik_from_eta(spec, eta, hyper, data)
+        again = mdl.pointwise_loglik_from_eta(spec, eta, bound, data)
         assert again.tobytes() == zinb_loglik_oracle(eta, hyper, y).tobytes()
+
+
+@pytest.mark.parametrize("case", ["poisson", "gaussian", "zinb"])
+def test_kernel_calls_leave_the_dataset_as_it_was(case):
+    # A dataset holds no cache: its attributes and its pickle are the
+    # same before and after any number of kernel calls, bound or not.
+    g = np.random.default_rng(22)
+    y = g.poisson(3.0, 12)
+    y[::4] = 0
+    spec, hypers = {
+        "poisson": (mdl.poisson_spec(covariates=(), offset=None), [np.zeros(0)]),
+        "gaussian": (mdl.ModelSpec(family=mdl.Family.GAUSSIAN, gaussian_obs_precision=2.0), [np.zeros(0)]),
+        "zinb": (mdl.zinb_spec(covariates=(), offset=None), [np.array([-1.0, 0.5]), np.array([0.2, -0.3])]),
+    }[case]
+    data = mdl.Dataset(y=y, covariates={})
+    names, before = sorted(vars(data)), pickle.dumps(data)
+    fields = ["y", "covariates", "offset", "graph", "generating_values"]
+    assert names == sorted(fields + ["_y_float", "_log_y_factorial", "_zero", "_any_zero"])
+    for hyper in hypers + [np.array(hypers * 2)]:
+        eta = g.uniform(-2.0, 2.0, (4, 12) if hyper.ndim == 2 else 12)
+        for h in (hyper, mdl.bind(spec, hyper, data)):
+            mdl.pointwise_loglik_from_eta(spec, eta, h, data)
+            mdl.eta_derivatives(spec, eta, h, data)
+            mdl.eta_third_derivative(spec, eta, h, data)
+        if hyper.ndim == 1:
+            latent = np.full(mdl.latent_dim(spec, data.n), 0.3)
+            mdl.log_likelihood(spec, latent, mdl.bind(spec, hyper, data), data)
+    assert sorted(vars(data)) == names and pickle.dumps(data) == before
+
+
+def test_poisson_and_gaussian_bindings_are_the_hyperparameters_themselves():
+    data = mdl.Dataset(y=np.array([0, 2, 5]), covariates={})
+    gaussian = mdl.ModelSpec(family=mdl.Family.GAUSSIAN, gaussian_obs_precision=1.0)
+    for spec in (mdl.poisson_spec(covariates=(), offset=None), gaussian):
+        for hyper in (np.zeros(1), np.zeros((3, 1))):
+            assert mdl.bind(spec, hyper, data) is hyper
+    spec = mdl.zinb_spec(covariates=(), offset=None)
+    bound = mdl.bind(spec, np.array([0.1, 0.2]), data)
+    assert isinstance(bound, mdl.ZinbConstants) and mdl.bind(spec, bound, data) is bound
 
 
 def test_zinb_kernels_raise_at_the_same_index():
@@ -459,9 +502,9 @@ def test_zinb_kernels_raise_at_the_same_index():
 
 
 # Hyperparameter indices (logit p_zero, log dispersion) that change one
-# coordinate at a time and return to earlier values, so each two-entry
-# cache is hit at its first and second entry, fills, and evicts.
-CACHE_WALK = [(0, 0), (1, 0), (0, 0), (0, 1), (0, 0), (2, 0), (2, 1), (2, 0), (1, 0), (1, 2), (1, 1), (0, 1), (0, 2), (0, 0), (2, 0)]
+# coordinate at a time and return to earlier values, so a binding made
+# like the previous one reuses either part, both or neither.
+BIND_WALK = [(0, 0), (1, 0), (0, 0), (0, 1), (0, 0), (2, 0), (2, 1), (2, 0), (1, 0), (1, 2), (1, 1), (0, 1), (0, 2), (0, 0), (2, 0)]
 
 
 @pytest.mark.parametrize("case", ["poisson", "gaussian", "zinb_zeros", "zinb_no_zeros", "zinb_all_zeros"])
@@ -486,7 +529,8 @@ def test_split_derivative_kernels_match_the_three_derivative_oracle(case):
         hypers = [np.array([a, b]) for a, b in zip((sps.logit(0.3), -2.0, 0.75), (np.log(1.5), 3.0, -1.25))]
     data = mdl.Dataset(y=y, covariates={})
     oracle_data = mdl.Dataset(y=y, covariates={})
-    for i, j in CACHE_WALK:
+    bound = None
+    for i, j in BIND_WALK:
         hyper = np.array([hypers[i][0], hypers[j][1]]) if case.startswith("zinb") else hypers[i]
         # Wide enough that mu runs from tiny to far above the dispersion.
         eta = g.uniform(-6.0, 9.0, n)
@@ -495,33 +539,37 @@ def test_split_derivative_kernels_match_the_three_derivative_oracle(case):
         assert len(got) == 2
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want[:2]]
         assert mdl.eta_third_derivative(spec, eta, hyper, data).tobytes() == want[2].tobytes()
-        if case.startswith("zinb"):
-            # The current point's entries are the most recent ones.
-            assert data._zinb_pz_cache[0][0] == hyper[0]
-            assert data._zinb_size_cache[0][0] == float(np.exp(hyper[1]))
-            for cache in (data._zinb_pz_cache, data._zinb_size_cache):
-                assert 1 <= len(cache) <= 2 and len({key for key, _ in cache}) == len(cache)
+        # The binding made like the previous point's gives the same bits.
+        bound = mdl.bind(spec, hyper, data, like=bound if case.startswith("zinb") else None)
+        assert [a.tobytes() for a in mdl.eta_derivatives(spec, eta, bound, data)] == [b.tobytes() for b in want[:2]]
+        assert mdl.eta_third_derivative(spec, eta, bound, data).tobytes() == want[2].tobytes()
 
 
-def test_zinb_proposals_keep_the_current_constants_cached():
-    # Each sweep the sampler tries a proposal that moves one
-    # hyperparameter and returns to the current point: neither the
-    # current point's constants nor the part a proposal leaves alone is
-    # rebuilt, also after a proposal at a third value of the same part.
+def test_a_proposal_bound_like_the_current_point_rebuilds_only_the_part_it_moves(dispersion_builds):
+    # Each sweep the sampler tries proposals that move one hyperparameter
+    # each: a proposal's binding takes the part it leaves alone from the
+    # current point's binding, and builds only the moved one.
     data = mdl.Dataset(y=np.array([0, 3, 1, 0, 5, 2]), covariates={})
     spec = mdl.zinb_spec(covariates=(), offset=None)
-    eta = np.linspace(-1.0, 2.0, 6)
+    built = dispersion_builds
     current = np.array([-1.0, 0.5])
-    mdl.eta_derivatives(spec, eta, current, data)
-    log_p, dispersion = data._zinb_pz_cache[0][1], data._zinb_size_cache[0][1]
+    bound = mdl.bind(spec, current, data)
+    assert built == [float(np.exp(0.5))]
     for i, value in [(0, -0.4), (1, 0.9), (0, 0.3), (1, -0.2)]:
         proposal = current.copy()
         proposal[i] = value
-        mdl.pointwise_loglik_from_eta(spec, eta, proposal, data)
-        other_cache, other_part = (data._zinb_size_cache, dispersion) if i == 0 else (data._zinb_pz_cache, log_p)
-        assert other_cache[0][1] is other_part
-        mdl.eta_derivatives(spec, eta, current, data)
-        assert data._zinb_pz_cache[0][1] is log_p and data._zinb_size_cache[0][1] is dispersion
+        before = len(built)
+        moved = mdl.bind(spec, proposal, data, like=bound)
+        assert built[before:] == ([] if i == 0 else [float(np.exp(value))])
+        if i == 0:
+            assert moved.parts[4] is bound.parts[4] and moved.parts[:2] != bound.parts[:2]
+        else:
+            assert moved.parts[:2] == bound.parts[:2] and moved.parts[4] is not bound.parts[4]
+        fresh = mdl.bind(spec, proposal, data)
+        eta = np.linspace(-1.0, 2.0, 6)
+        assert [a.tobytes() for a in mdl.eta_derivatives(spec, eta, moved, data)] == [
+            a.tobytes() for a in mdl.eta_derivatives(spec, eta, fresh, data)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -581,25 +629,66 @@ def test_each_row_of_a_stacked_kernel_call_has_the_bits_of_the_one_row_call(case
         assert rows[r].tobytes() == mdl.pointwise_loglik_from_eta(spec, etas[r], hypers[0], one_row).tobytes()
 
 
-def test_a_stacked_zinb_call_builds_each_distinct_rows_constants_once(monkeypatch):
+def test_a_stacked_zinb_call_builds_each_distinct_rows_constants_once(dispersion_builds):
     spec, data, etas, hypers = _stacked_case("zinb_some_zeros")
-    built = []
-    dispersion_constants = mdl._dispersion_constants
-
-    def counted(data, size):
-        built.append(size)
-        return dispersion_constants(data, size)
-
-    monkeypatch.setattr(mdl, "_dispersion_constants", counted)
-    for _ in range(3):
+    distinct = sorted({float(np.exp(h)) for h in hypers[:, 1]})
+    assert len(distinct) == len(hypers) - 1  # rows 1 and 3 share theirs
+    built = dispersion_builds
+    # An unbound call binds on the spot, once per call.
+    for _ in range(2):
         mdl.eta_derivatives(spec, etas, hypers, data)
-        mdl.pointwise_loglik_from_eta(spec, etas[2:], hypers[2:], data)
-    assert sorted(built) == sorted({float(np.exp(h)) for h in hypers[:, 1]})
-    assert len(data._zinb_size_cache) == len(built)
-    # A one-row call that builds an entry brings the cache back to two.
-    mdl.eta_derivatives(spec, etas[0], hypers[0] + 1.0, data)
-    assert [len(c) for c in (data._zinb_pz_cache, data._zinb_size_cache)] == [2, 2]
-    assert data._zinb_size_cache[0][0] == float(np.exp(hypers[0, 1] + 1.0))
+    assert sorted(built) == sorted(distinct * 2)
+    built.clear()
+    bound = mdl.bind(spec, hypers, data)
+    assert sorted(built) == distinct
+    # A bound call, and any selection of its rows, builds nothing.
+    for at in (np.arange(7) != 2, 4, np.array([1, 3]), slice(2, None)):
+        part = bound[at]
+        mdl.pointwise_loglik_from_eta(spec, etas[at], part, data)
+        mdl.eta_derivatives(spec, etas[at], part, data)
+    assert sorted(built) == distinct
+    # One row, or rows that share one, select the one-row form.
+    assert bound[4] is bound.rows[4] and bound[4].rows is None
+    assert bound[np.array([1, 3])] is bound[1] is bound[3]
+    assert bound[0].parts[2] == float(np.exp(hypers[0, 1]))
+    # A line search selects the rows still searching, also none of them.
+    assert bound[np.zeros(7, dtype=bool)].parts[4]["a"].shape == (0, data.n)
+
+
+def _all_kernels(spec, eta, hyper, data) -> list:
+    return [
+        mdl.pointwise_loglik_from_eta(spec, eta, hyper, data),
+        *mdl.eta_derivatives(spec, eta, hyper, data),
+        mdl.eta_third_derivative(spec, eta, hyper, data),
+    ]
+
+
+@given(
+    st.sampled_from(["zinb_some_zeros", "zinb_all_zeros", "zinb_no_zeros"]),
+    st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=2),
+    st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+    st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=7),
+    st.lists(st.booleans(), min_size=7, max_size=7),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_bound_call_has_the_bits_of_the_unbound_call(case, logits, log_sizes, picks, keep):
+    # Blocks whose rows repeat, share one hyperparameter or none, on data
+    # with some, all and no zero counts: bound and unbound calls, and any
+    # selection of a binding's rows, give the same bits.
+    spec, data, etas, _ = _stacked_case(case)
+    hypers = np.array([[logits[i], log_sizes[j]] for i, j in picks])
+    etas = etas[: len(hypers)]
+    bound = mdl.bind(spec, hypers, data)
+    want = _all_kernels(spec, etas, hypers, data)
+    assert [a.tobytes() for a in _all_kernels(spec, etas, bound, data)] == [b.tobytes() for b in want]
+    for r in range(len(hypers)):
+        one = _all_kernels(spec, etas[r], bound[r], data)
+        assert [a.tobytes() for a in one] == [b[r].tobytes() for b in want]
+        assert [a.tobytes() for a in one] == [b.tobytes() for b in _all_kernels(spec, etas[r], hypers[r], data)]
+    mask = np.array(keep[: len(hypers)])
+    if mask.any():
+        got = _all_kernels(spec, etas[mask], bound[mask], data)
+        assert [a.tobytes() for a in got] == [b[mask].tobytes() for b in want]
 
 
 def test_a_stacked_call_raises_if_any_row_is_out_of_range():
