@@ -1,7 +1,7 @@
 """Gaussian Markov random field structure: graphs, precision matrices,
 the intrinsic CAR prior, constrained sampling, propriety checking, and
-``Factor``, the Cholesky factor that owns every solve, log determinant
-and covariance the Laplace engine and the sampler take from a factor.
+``Factor``, the Cholesky factor that owns every solve and log determinant
+the Laplace engine and the sampler take from a factor.
 
 The intrinsic conditional autoregressive (ICAR) density implemented here
 is, up to an additive constant,
@@ -242,10 +242,11 @@ def icar_log_density(mu: np.ndarray, spec: IcarSpec) -> float:
 class Factor:
     """Lower Cholesky factor ``lower`` = L of a symmetric positive-definite
     H = L L', or a (k, d, d) stack of independent ones, and the one owner
-    of every operation taken from it.  Each method runs the call sequence
-    whose bits the oracle tests pin: solves with L keep LU's rounding,
-    solves with L' are back-substitutions.  On a stack every member gets
-    the bits of its own single-matrix call, whatever the other members."""
+    of every operation taken from it.  The Newton step's solve with L
+    keeps LU's rounding, which the oracle tests pin; ``forward``, the
+    latent marginals' solve with L, is a forward substitution, and solves
+    with L' are back-substitutions.  On a stack every member gets the bits
+    of its own single-matrix call, whatever the other members."""
 
     def __init__(self, lower: np.ndarray, ok: np.ndarray | None = None):
         self.lower = lower
@@ -299,11 +300,24 @@ class Factor:
         if not self.lower.shape[-1]:
             return np.zeros(z.shape)
         if self.lower.ndim == 2:
-            return np.ascontiguousarray(_back_substitute(self.lower, z))
+            return np.ascontiguousarray(_triangular_solve(self.lower.T, z, trans=0))
         out = np.empty(z.shape)
         for r, member in enumerate(self.lower):
-            out[r] = _back_substitute(member, z[r])
+            out[r] = _triangular_solve(member.T, z[r], trans=0)
         return out
+
+    def forward(self, b: np.ndarray) -> np.ndarray:
+        """L^{-1} b by LAPACK forward substitution (``dtrtrs``), at O(d^2)
+        per column, for one factor and a vector or a matrix of columns ``b``;
+        in C order.  H^{-1} = L'^{-1} L^{-1}, so the column norms of L^{-1} B
+        are the variances b' H^{-1} b of B's columns, and ``sample`` of the
+        result is H^{-1} B.  A column's bits can depend on the other columns
+        of the call.  Raises LinAlgError on a zero diagonal entry."""
+        if not self.lower.shape[-1]:
+            return np.zeros(b.shape)
+        # L is C order, so L' is the Fortran-order array LAPACK reads in
+        # place; solving (L')' x = b spares a d x d copy per call.
+        return np.ascontiguousarray(_triangular_solve(self.lower.T, b, trans=1))
 
     def half_log_det(self):
         """log det(H) / 2, summed over the log diagonal of L in index order:
@@ -311,15 +325,12 @@ class Factor:
         out = np.add.reduce(np.log(np.diagonal(self.lower, axis1=-2, axis2=-1)), axis=-1)
         return out if self.lower.ndim == 3 else float(out)
 
-    def covariance(self) -> np.ndarray:
-        """H^{-1} as M' M, with M = L^{-1} by an LU solve against the identity."""
-        half = np.linalg.solve(self.lower, np.eye(self.lower.shape[0]))
-        return half.T @ half
 
-
-def _back_substitute(lower: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """L'^{-1} z by LAPACK ``dtrtrs``; raises LinAlgError on a zero diagonal entry."""
-    x, info = lapack.dtrtrs(lower.T, z, lower=0, trans=0)
+def _triangular_solve(upper: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
+    """upper^{-1} b (``trans`` 0) or upper'^{-1} b (``trans`` 1) for an
+    upper-triangular ``upper`` by LAPACK ``dtrtrs``; raises LinAlgError on
+    a zero diagonal entry."""
+    x, info = lapack.dtrtrs(upper, b, lower=0, trans=trans)
     if info:
         raise np.linalg.LinAlgError(f"dtrtrs failed (info={info})")
     return x

@@ -471,6 +471,13 @@ def _paired_rows(config, index, data, failures) -> dict:
     for param, key in tracked.items():
         lm, ls = _laplace_summary(result, param)
         mm, ms = _mcmc_summary(chain, param)
+        try:
+            pe = percent_error(lm, mm, ms)
+        except ValueError as exc:
+            # The chain kept one value of the parameter: no spread to
+            # measure the error against.
+            failures.append(_failure_row(index, "mcmc", None, type(exc).__name__, exc))
+            return {}
         gv = data.generating_values.get(key) if data.generating_values else None
         rows.append(
             {
@@ -480,7 +487,7 @@ def _paired_rows(config, index, data, failures) -> dict:
                 "laplace_sd": ls,
                 "mcmc_mean": mm,
                 "mcmc_sd": ms,
-                "pe": percent_error(lm, mm, ms),
+                "pe": pe,
                 "pc_laplace": percent_change(lm, gv) if gv else None,
                 "pc_mcmc": percent_change(mm, gv) if gv else None,
                 "mcmc_verdict": verdict,
@@ -539,14 +546,24 @@ def _zinb_rows(config, index, data, failures) -> dict:
         iqr[name] = float(q3 - q1)
     per_engine = {}
     pzero_rows = []
+
+    def ratios(engine, beta) -> bool:
+        """Each covariate's rate ratio from ``beta(name)``, or False after a
+        failure row when one cannot be formed (a zero IQR, or a marginal
+        whose exp(b * iqr) is not strictly monotone on its grid)."""
+        try:
+            per_engine[engine] = {name: rate_ratio(beta(name), iqr[name]) for name in cov_names}
+        except ValueError as exc:
+            failures.append(_failure_row(index, engine, None, type(exc).__name__, exc))
+            return False
+        return True
+
     result = _laplace_fit(config, index, spec, data, failures, [f"beta_{name}" for name in cov_names])
-    if result is not None:
-        per_engine["laplace"] = {name: rate_ratio(result.latent_marginal(f"beta_{name}"), iqr[name]) for name in cov_names}
+    if result is not None and ratios("laplace", lambda name: result.latent_marginal(f"beta_{name}")):
         pz = result.hyper_marginal("p_zero")
         pzero_rows.append({"dataset": index, "engine": "laplace", "p_zero_mean": pz.natural.mean, "p_zero_sd": pz.natural.sd})
     chain = _chain(config, index, spec, data, failures)
-    if chain is not None:
-        per_engine["mcmc"] = {name: rate_ratio(chain.column(f"beta_{name}"), iqr[name]) for name in cov_names}
+    if chain is not None and ratios("mcmc", lambda name: chain.column(f"beta_{name}")):
         pz_draws = mdl.to_natural_hyper("logit_p_zero", chain.column("logit_p_zero"))
         pzero_rows.append({"dataset": index, "engine": "mcmc", "p_zero_mean": float(np.mean(pz_draws)), "p_zero_sd": float(np.std(pz_draws, ddof=1))})
     rate_rows = []

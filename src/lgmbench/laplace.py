@@ -34,6 +34,11 @@ strategies applied to the Gaussian (Newton) approximation at theta:
   component) runs in one lockstep run: the scans advance value by
   value together, one stacked Newton problem per scan.
 
+The moments these read at a grid point (sds, eta covariances, the
+covariance columns that warm-start the profile scans) come from
+triangular solves with the Cholesky factor of its curvature, for the
+requested components only; no covariance matrix is formed.
+
 Everything here is deterministic: no random numbers are drawn, grids
 are traversed in fixed order, and reductions are ordered, so repeated
 fits are bit-identical.  ``_ascend``, the one Newton routine, solves a
@@ -122,6 +127,9 @@ FL_MIN_WEIGHT = 1e-2
 # relative accuracy from the grid.
 MARGINAL_GRID_POINTS = 161
 MARGINAL_GRID_SDS = 6.0
+# Each grid point's latent moments come from L^{-1} B, solved in fixed
+# blocks of this many consecutive latents (see ``_mix_marginals``).
+MARGINAL_BLOCK = 16
 FD_STEP = 1e-3
 
 
@@ -987,29 +995,58 @@ def _skew_normal_pdf(x, xi, omega, alpha):
     return 2.0 / omega * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) * ndtr(alpha * z)
 
 
-def _covariance(ctx: _Context, theta: np.ndarray, approx: _Approx) -> np.ndarray:
-    """Covariance of the Gaussian approximation at a grid point, from the
-    curvature of its Newton solve rebuilt at the cached predictor."""
-    return _point_curvature(ctx, theta, approx.eta)[1].covariance()
-
-
-def _sla_coefficients(ctx: _Context, theta: np.ndarray, mode_u: np.ndarray, cov_u: np.ndarray):
-    """(gamma1, gamma3) per latent component for the skew correction."""
-    c_u = ctx.j @ cov_u  # cov(eta_m, u_d), n x dim_u
-    var_eta = np.einsum("md,md->m", c_u, ctx.j)
+def _block_rows(ctx: _Context, block: int) -> np.ndarray:
+    """B of latent block ``block``: one column per latent of the block, its
+    row of the constraint basis, or without a constraint its unit vector."""
+    lo = block * MARGINAL_BLOCK
+    hi = min(lo + MARGINAL_BLOCK, ctx.dim_x)
     if ctx.basis is not None:
-        c = c_u @ ctx.basis.T  # cov(eta_m, x_i), n x dim_x
-        sigma = np.sqrt(np.einsum("ij,jk,ik->i", ctx.basis, cov_u, ctx.basis))
-    else:
-        c = c_u
-        sigma = np.sqrt(np.diag(cov_u))
-    eta = ctx.eta(mode_u)
-    g3 = mdl.eta_third_derivative(ctx.spec, eta, theta, ctx.data)
-    a1 = c.T @ (g3 * var_eta)
-    a3 = (c**3).T @ g3
-    gamma1 = 0.5 * (a1 / sigma - a3 / sigma**3)
-    gamma3 = a3 / sigma**3
-    return gamma1, gamma3
+        return ctx.basis[lo:hi].T
+    rows = np.zeros((ctx.dim_u, hi - lo))
+    rows[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
+    return rows
+
+
+def _sla_coefficients(ctx: _Context, theta: np.ndarray, mode_u: np.ndarray, factor: Factor, halves: dict, norms: dict) -> dict:
+    """(gamma1, gamma3), one row per latent, of each block of ``halves``,
+    which maps a block to its L^{-1} B, with ``norms`` its column norms
+    (the latents' sds).  With M = L^{-1} J', var(eta_m) is the squared
+    norm of column m of M, and cov(eta_m, x_i) = M_m' L^{-1} b_i."""
+    lj = factor.forward(ctx.j.T)  # dim_u x n
+    var_eta = np.einsum("dm,dm->m", lj, lj)
+    g3 = mdl.eta_third_derivative(ctx.spec, ctx.eta(mode_u), theta, ctx.data)
+    g3_var = g3 * var_eta
+    out = {}
+    for block, half in halves.items():
+        c = lj.T @ half  # cov(eta_m, x_i), n x block width
+        sigma = norms[block]
+        a1 = c.T @ g3_var
+        a3 = (c**3).T @ g3
+        out[block] = np.stack([0.5 * (a1 / sigma - a3 / sigma**3), a3 / sigma**3], axis=1)
+    return out
+
+
+def _point_moments(ctx: _Context, theta: np.ndarray, approx: _Approx, at: list, skew: bool, columns: bool):
+    """What the mixture reads of the Gaussian approximation at one grid
+    point, for the latents at ``at`` (block and column in the block of
+    each): their conditional sds (K,), and where asked their skew-normal
+    coefficients (K x 2, gamma1 and gamma3) and covariance columns
+    H^{-1} b_i (K x dim_u); None where not asked.
+
+    The curvature H = L L' is rebuilt from the cached predictor, and each
+    block that holds a requested latent is solved once, as L^{-1} B."""
+    factor = _point_curvature(ctx, theta, approx.eta)[1]
+    halves = {b: factor.forward(_block_rows(ctx, b)) for b in sorted({b for b, _ in at})}
+    norms = {b: np.sqrt(np.einsum("ij,ij->j", half, half)) for b, half in halves.items()}
+    sds = np.array([norms[b][c] for b, c in at])
+    sla = cols = None
+    if skew:
+        coeffs = _sla_coefficients(ctx, theta, approx.mode_u, factor, halves, norms)
+        sla = np.array([coeffs[b][c] for b, c in at])
+    if columns:
+        full = {b: factor.sample(half) for b, half in halves.items()}  # H^{-1} B
+        cols = np.array([full[b][:, c] for b, c in at])
+    return sds, sla, cols
 
 
 # Members of one lockstep run of profile scans are taken in chunks whose
@@ -1091,44 +1128,42 @@ def _mix_marginals(ctx: _Context, grid: ThetaGrid, approxes, strategy: Strategy,
     """Mixture over the theta grid of per-theta conditional marginals.
 
     Builds the marginals of the latent components at ``indices`` (model
-    order) and returns them with their ``FitDiagnostics`` fields.  The
-    per-theta moments and value grids are computed for every component,
-    so a marginal does not depend on which others were requested; with
-    none requested, none of them is computed.
+    order) and returns them with their ``FitDiagnostics`` fields; with
+    none requested, no per-theta moment is computed.
 
-    Each grid point's covariance is rebuilt once and reduced to what the
-    mixture reads, then dropped: the sds, the skew-normal coefficients
-    where they are read, and at points that get a profile scan the
-    covariance columns of the requested components.  So memory grows
-    as O(G d) over G grid points, not O(G d^2).  Under FULL_LAPLACE
-    every profile scan, one per requested component and scanned point,
-    runs in one lockstep ``_fl_profiles`` call before the mixture.
+    The moments of each grid point come from triangular solves with the
+    factor of its curvature, never from its inverse (``_point_moments``):
+    L^{-1} B for B the requested latents' rows of the constraint basis
+    (unit vectors without a constraint).  B is solved in the fixed blocks
+    of ``MARGINAL_BLOCK`` consecutive latents that hold the requested
+    ones: a solve can round a column differently with other columns
+    beside it, and a fixed block keeps each marginal identical to the
+    same marginal of a fit of every latent.  A grid point costs O(d^2)
+    per block, and O(n d^2) more where skew coefficients are read; memory
+    grows as O(G d) over G grid points.  Under FULL_LAPLACE every profile
+    scan, one per requested component and scanned point, runs in one
+    lockstep ``_fl_profiles`` call before the mixture.
     """
     weights = grid.weights
     fl_scan = weights >= FL_MIN_WEIGHT * weights.max()
     scanned = int(fl_scan.sum()) if strategy is Strategy.FULL_LAPLACE else 0
     if not indices:
         return [], {"unreliable_latents": [], "fl_scanned_points": scanned, "fl_unconverged_points": 0}
-    means = np.array([ctx.to_x(a.mode_u) for a in approxes])  # G x d_x
-    # Skew-normal coefficients per theta point, computed only where they
-    # are read: at every point under SIMPLIFIED_LAPLACE, and under
-    # FULL_LAPLACE at the points too light for a profile scan.
-    sds, sla, cov_cols = [], {}, {}
+    means = np.array([ctx.to_x(a.mode_u) for a in approxes])[:, indices]  # G x K requested
+    at = [divmod(i, MARGINAL_BLOCK) for i in indices]
+    moments = []
     for g, (point, approx) in enumerate(zip(grid.points, approxes)):
-        cov = _covariance(ctx, point.theta, approx)
-        if ctx.basis is not None:
-            sds.append(np.sqrt(np.einsum("ij,jk,ik->i", ctx.basis, cov, ctx.basis)))
-        else:
-            sds.append(np.sqrt(np.diag(cov)))
-        if strategy is Strategy.SIMPLIFIED_LAPLACE or (strategy is Strategy.FULL_LAPLACE and not fl_scan[g]):
-            sla[g] = _sla_coefficients(ctx, point.theta, approx.mode_u, cov)
-        elif strategy is Strategy.FULL_LAPLACE:
-            cov_cols[g] = cov[:, indices]  # d x len(indices)
-        del cov
-    sds = np.array(sds)
+        # Skew-normal coefficients are computed only where they are read:
+        # at every point under SIMPLIFIED_LAPLACE, and under FULL_LAPLACE
+        # at the points too light for a profile scan.
+        skew = strategy is Strategy.SIMPLIFIED_LAPLACE or (strategy is Strategy.FULL_LAPLACE and not fl_scan[g])
+        columns = strategy is Strategy.FULL_LAPLACE and bool(fl_scan[g])
+        moments.append(_point_moments(ctx, point.theta, approx, at, skew, columns))
+    sds, sla, cov_cols = zip(*moments)
+    sds = np.array(sds)  # G x K
     lo = (means - MARGINAL_GRID_SDS * sds).min(axis=0)
     hi = (means + MARGINAL_GRID_SDS * sds).max(axis=0)
-    vgrids = np.linspace(lo, hi, MARGINAL_GRID_POINTS, axis=1)  # d_x x P
+    vgrids = np.linspace(lo, hi, MARGINAL_GRID_POINTS, axis=1)  # K x P
 
     # Every profile scan of the fit, in one lockstep run: (g, i) maps to
     # the scanned values and the profile there.
@@ -1137,27 +1172,27 @@ def _mix_marginals(ctx: _Context, grid: ThetaGrid, approxes, strategy: Strategy,
         scans = {}
         for k, i in enumerate(indices):
             for g in np.flatnonzero(fl_scan):
-                mu_ig, sd_ig = means[g, i], sds[g, i]
+                mu_ig, sd_ig = means[g, k], sds[g, k]
                 v_fl = np.linspace(mu_ig - FL_GRID_SDS * sd_ig, mu_ig + FL_GRID_SDS * sd_ig, FL_GRID_POINTS)
-                scans[g, i] = (grid.points[g].theta, approxes[g].mode_u, cov_cols[g][:, k], i, v_fl)
+                scans[g, i] = (grid.points[g].theta, approxes[g].mode_u, cov_cols[g][k], i, v_fl)
         results = _fl_profiles(ctx, list(scans.values()))
         profiles = {key: (scan[4], result) for (key, scan), result in zip(scans.items(), results)}
 
     unreliable = set()
     fl_unconverged = 0
     marginals = []
-    for i in indices:
-        vg = vgrids[i]
+    for k, i in enumerate(indices):
+        vg = vgrids[k]
         dens = np.zeros(MARGINAL_GRID_POINTS)
         for g, point in enumerate(grid.points):
-            mu_ig = means[g, i]
-            sd_ig = sds[g, i]
+            mu_ig = means[g, k]
+            sd_ig = sds[g, k]
             if strategy is Strategy.GAUSSIAN:
                 cond = _normal_pdf(vg, mu_ig, sd_ig)
             elif strategy is Strategy.SIMPLIFIED_LAPLACE or not fl_scan[g]:
-                gamma1, gamma3 = sla[g]
-                m_std = gamma1[i] + 0.5 * gamma3[i]
-                xi, omega, alpha = _skew_normal_std_params(m_std, gamma3[i])
+                gamma1, gamma3 = sla[g][k]
+                m_std = gamma1 + 0.5 * gamma3
+                xi, omega, alpha = _skew_normal_std_params(m_std, gamma3)
                 s = (vg - mu_ig) / sd_ig
                 cond = _skew_normal_pdf(s, xi, omega, alpha) / sd_ig
             else:

@@ -5,8 +5,9 @@ ran a damped Newton loop each: the theta-point solver with its gradient,
 decrement and final-gradient stop rule, and the full-Laplace profile
 scan with its own stop rule ``gnorm <= 1e-9 * max(1, |f|)`` and no
 decrement test.  The engine in ``lgmbench.laplace`` now runs one routine
-for both.  Gaussian and simplified-Laplace fits must match these copies
-bit for bit; full-Laplace profiles must agree to 1e-8 relative where the
+for both.  Gaussian and simplified-Laplace fits must match the theta
+exploration of these copies bit for bit, and their latent marginals to
+rounding; full-Laplace profiles must agree to 1e-8 relative where the
 old scan converged, unless the new scan flags the point or the old value
 is the one off.  The helpers they share with the engine are imported,
 not copied, except ``_try_cholesky``: the engine now calls numpy's
@@ -409,11 +410,13 @@ def _sequential_fl_conditional_logdens(ctx: _Context, theta, mode_u, cov_col, in
 #
 # ``_log_posterior_theta`` cached, for every theta it evaluated, the
 # Hessian and Cholesky factor of the Newton solve (``_Approx`` above),
-# and ``_mix_marginals`` read each grid point's ``cov`` from them.  The
-# engine now caches the mode and predictor only and rebuilds a grid
-# point's curvature once; fits must match these copies bit for bit.
-# ``_mix_marginals`` is the engine's copy but for the profile scans:
-# ``_profile_scan`` passes the sequential scan above the mode and
+# and ``_mix_marginals`` read each grid point's ``cov``, the LU inverse
+# of its factor, from them.  The engine now caches the mode and predictor
+# only, rebuilds a grid point's curvature once and reads its moments from
+# triangular solves with the factor; fits must match these copies bit for
+# bit up to the latent marginals, and those to rounding.
+# ``_mix_marginals`` is the engine's former copy but for the profile
+# scans: ``_profile_scan`` passes the sequential scan above the mode and
 # covariance column it reads, one scan at a time.
 
 

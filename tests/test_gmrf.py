@@ -365,10 +365,44 @@ def test_factor_solve_log_det_and_covariance_are_bit_equal_to_numpy(d, seed):
     log_det = factor.half_log_det()
     assert type(log_det) is float
     assert np.float64(log_det).tobytes() == np.add.reduce(np.log(np.diag(lower))).tobytes()
+    # Covariance columns H^{-1} B are ``sample`` of ``forward``, two
+    # triangular solves; they agree with the LU inverse M' M (M = L^{-1})
+    # to rounding, not bit for bit.
     half = np.linalg.solve(lower, np.eye(d))
     ref = half.T @ half
-    cov = factor.covariance()
-    assert cov.shape == ref.shape and cov.tobytes() == ref.tobytes()
+    cov = factor.sample(factor.forward(np.eye(d)))
+    assert cov.shape == ref.shape
+    assert (np.abs(cov - ref) <= 1e-11 * np.abs(ref).max(axis=0, initial=0.0)).all()
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 5, 52, 129, 298])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_forward_substitution_matches_the_lu_solve(d, seed):
+    # Factor.forward, the solve with L, against np.linalg.solve(L, b):
+    # LU pivots on L, so the two agree to rounding, column by column.
+    factor = Factor.of(badly_scaled_spd(d, seed))
+    g = np.random.default_rng(300 + seed)
+    rhs = [
+        g.standard_normal(d),
+        g.standard_normal((d, 4)),
+        g.standard_normal((d, 3)) * np.array([1e-9, 1.0, 1e9]),  # badly scaled columns
+    ]
+    for b in rhs:
+        x = factor.forward(b)
+        ref = np.linalg.solve(factor.lower, b) if d else np.zeros(b.shape)
+        assert x.shape == ref.shape and x.flags.c_contiguous
+        assert (np.abs(x - ref) <= 1e-12 * np.abs(ref).max(axis=0, initial=0.0)).all()
+
+
+def test_forward_substitution_raises_on_a_zero_diagonal():
+    lower = np.tril(np.ones((3, 3)))
+    lower[1, 1] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(lower, np.ones(3))
+    with pytest.raises(np.linalg.LinAlgError):
+        Factor(lower).forward(np.ones(3))
+    with pytest.raises(np.linalg.LinAlgError):
+        Factor(lower).forward(np.ones((3, 2)))
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ import pytest
 from lgmbench import harness, laplace, mcmc
 from lgmbench import models as mdl
 from lgmbench.gmrf import Constraint, IcarSpec, sample_icar_kriging
+from lgmbench.posterior import PosteriorMarginal
 from lgmbench.harness import (
     ComparisonReport,
     GeneratingValues,
@@ -499,6 +500,82 @@ def test_a_singular_fixed_effect_curvature_becomes_a_failure_row():
             "detail": "chain aborted at iteration 0: fixed-effect curvature is singular",
         }
     ]
+
+
+def three_sweep_poisson_config(seed, n_datasets=1):
+    """Chains of three sweeps with one burn-in sweep, each kept: short
+    enough that some keep one value of a tracked parameter."""
+    return study_config(
+        "poisson",
+        seed=seed,
+        workers=1,
+        n_areas=8,
+        n_datasets=n_datasets,
+        mcmc_iterations=3,
+        mcmc_burn_in=1,
+        mcmc_thin=1,
+        strategy="gaussian",
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # diagnose() of two draws
+@pytest.mark.parametrize("seed, failing", [(0, [0]), (3, [0]), (0, None)])
+def test_a_chain_that_keeps_one_value_of_a_tracked_parameter_becomes_a_failure_row(seed, failing):
+    # With no spread in the chain's draws the percent error has no
+    # reference scale.  Over four datasets of seed 0, datasets 0 and 2
+    # fail that way and 1 and 3 keep their rows.
+    config = three_sweep_poisson_config(seed, n_datasets=1 if failing else 4)
+    failing = failing or [0, 2]
+    report = harness.run_study(config)
+    assert report.table("failures").rows == [
+        {"dataset": i, "engine": "mcmc", "cause": "ValueError", "detail": "reference standard deviation must be finite and positive"}
+        for i in failing
+    ]
+    kept = [i for i in range(config.n_datasets) if i not in failing]
+    assert [r["dataset"] for r in report.table("results").rows] == [i for i in kept for _ in harness._TRACKED["poisson"]]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_study_where_no_percent_error_fails_keeps_its_bytes(monkeypatch, seed):
+    # The failure handling adds nothing to a study where every chain has
+    # spread: its bytes are those of percent errors formed unguarded.
+    config = three_sweep_poisson_config(seed)
+    report = harness.run_study(config).canonical_files()
+    monkeypatch.setattr(harness, "percent_error", lambda approx, ref, sd: float(100.0 * (approx - ref) / sd))
+    assert harness.run_study(config).canonical_files() == report
+    assert report["failures.csv"] == b"dataset,engine,cause,detail\n"
+
+
+@pytest.mark.parametrize(
+    "engine, beta_type, message",
+    [
+        ("laplace", PosteriorMarginal, "transform must be strictly monotone on the grid"),
+        ("mcmc", np.ndarray, "iqr must be finite and positive"),
+    ],
+)
+def test_a_rate_ratio_that_cannot_be_formed_becomes_a_failure_row(monkeypatch, engine, beta_type, message):
+    # The engine's ratios of dataset 1 fail; dataset 0 and the other
+    # engine keep their rows.
+    config = tiny_config(kind="zinb", **_BYTE_AUDIT_OVERRIDES["zinb"])
+    clean = harness.run_study(config, workers=1)
+    calls, rate_ratio = [], harness.rate_ratio
+
+    def failing(beta, iqr):
+        if isinstance(beta, beta_type):
+            calls.append(iqr)
+            # Five covariates per dataset: the sixth call is dataset 1's.
+            if len(calls) > 5:
+                raise ValueError(message)
+        return rate_ratio(beta, iqr)
+
+    monkeypatch.setattr(harness, "rate_ratio", failing)
+    report = harness.run_study(config, workers=1)
+    assert report.table("failures").rows == [{"dataset": 1, "engine": engine, "cause": "ValueError", "detail": message}]
+    for table in ("rate_ratios", "p_zero"):
+        kept = [r for r in clean.table(table).rows if (r["dataset"], r["engine"]) != (1, engine)]
+        assert report.table(table).rows == kept and len(kept) < len(clean.table(table).rows)
+    assert report.table("agreement").rows == [r for r in clean.table("agreement").rows if r["dataset"] == 0]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import scipy.optimize
 
 from lgmbench import harness, laplace
 from lgmbench import models as mdl
-from lgmbench.gmrf import AdjacencyGraph, Constraint, lattice_graph
+from lgmbench.gmrf import AdjacencyGraph, Constraint, Factor, lattice_graph
 from lgmbench.laplace import FitFailure, Strategy
 
 
@@ -522,6 +522,9 @@ def small_poisson_model(n=6, seed=4):
             ["icar_0", "iid_8"],
         ),
         (Strategy.GAUSSIAN, small_spatial_dataset, ["iid_0"]),
+        # Indices 15 and 16: the last latent of one solve block and the
+        # first of the next.
+        (Strategy.SIMPLIFIED_LAPLACE, small_spatial_dataset, ["icar_5", "icar_6"]),
     ],
 )
 def test_requested_latents_are_bit_identical_to_the_all_latents_fit(strategy, model, subset):
@@ -535,6 +538,8 @@ def test_requested_latents_are_bit_identical_to_the_all_latents_fit(strategy, mo
         assert np.array_equal(a.values, b.values) and np.array_equal(a.density, b.density)
         assert a.to_dict() == b.to_dict()
     requested = [full.latent_names.index(name) for name in subset]
+    if subset == ["icar_5", "icar_6"]:
+        assert [i // laplace.MARGINAL_BLOCK for i in requested] == [0, 1]
     assert part.diagnostics.unreliable_latents == [i for i in full.diagnostics.unreliable_latents if i in requested]
     assert part.diagnostics.fl_scanned_points == full.diagnostics.fl_scanned_points
     assert part.diagnostics.newton_iters == full.diagnostics.newton_iters
@@ -547,8 +552,8 @@ def test_empty_latent_request_keeps_grid_hypers_and_pointwise_loglik(monkeypatch
     def unused(*args):
         raise AssertionError("computed for a fit that requests no latent marginal")
 
-    # Nothing rebuilds the per-theta covariances or skewness coefficients.
-    monkeypatch.setattr(laplace, "_covariance", unused)
+    # Nothing rebuilds a grid point's curvature or skewness coefficients.
+    monkeypatch.setattr(laplace, "_point_curvature", unused)
     monkeypatch.setattr(laplace, "_sla_coefficients", unused)
     bare = laplace.fit(spec, data, strategy=Strategy.FULL_LAPLACE, latents=[])
     assert bare.latent_names == [] and bare.latent_marginals == []
@@ -723,14 +728,143 @@ def test_full_laplace_fits_are_bit_identical_to_the_cache_everything_oracle(monk
 
 
 def assert_bit_identical_to_the_cache_everything_oracle(monkeypatch, model, int_strategy, strategy):
-    """The fit matches, byte for byte, the theta cache that kept every
-    evaluation's curvature, fed by the two-loop Newton solver."""
+    """The fit against the theta cache that kept every evaluation's
+    curvature, fed by the two-loop Newton solver, whose marginals read the
+    LU inverse of each grid point's factor.  What theta exploration yields
+    (grid, weights, log densities, latent modes, Newton iterations),
+    ``pointwise_loglik``, the hyperparameter marginals and the diagnostics
+    keep every byte; the latent marginals, from triangular solves with
+    each factor, agree to rounding: 1e-12 relative, and 1e-9 under
+    FULL_LAPLACE, whose profile scans start from covariance columns that
+    differ by rounding."""
     spec, data = model()
-    new = laplace.fit(spec, data, strategy=strategy, int_strategy=int_strategy).to_json()
+
+    def fit_and_modes():
+        modes, mix = [], laplace._mix_marginals
+
+        def recorded(ctx, grid, approxes, *rest):
+            modes.extend(a.mode_u.tobytes() for a in approxes)
+            return mix(ctx, grid, approxes, *rest)
+
+        monkeypatch.setattr(laplace, "_mix_marginals", recorded)
+        res = laplace.fit(spec, data, strategy=strategy, int_strategy=int_strategy)
+        monkeypatch.setattr(laplace, "_mix_marginals", mix)
+        return res.to_dict(), modes
+
+    new, new_modes = fit_and_modes()
     monkeypatch.setattr(laplace, "_newton", oracle_laplace._newton)
     monkeypatch.setattr(laplace, "_log_posterior_theta", oracle_laplace._log_posterior_theta)
     monkeypatch.setattr(laplace, "_mix_marginals", oracle_laplace._mix_marginals)
-    assert laplace.fit(spec, data, strategy=strategy, int_strategy=int_strategy).to_json() == new
+    old, old_modes = fit_and_modes()
+    assert new_modes == old_modes
+    new_latents, old_latents = new.pop("latent_marginals"), old.pop("latent_marginals")
+    assert json.dumps(new, sort_keys=True) == json.dumps(old, sort_keys=True)
+    rtol = 1e-9 if strategy is Strategy.FULL_LAPLACE else 1e-12
+    assert len(new_latents) == len(old_latents) == len(new["latent_names"])
+    for a, b in zip(new_latents, old_latents):
+        assert a["quantiles"].keys() == b["quantiles"].keys()
+        # Relative to each quantity's scale: a location (the value grid,
+        # the mean, the quantiles) to the grid's magnitude, a density to
+        # its peak, so that a value near zero is not held to its own size.
+        span = np.abs(b["values"]).max()
+        for key, scale in [("values", span), ("mean", span), ("sd", 0.0), ("density", max(b["density"]))]:
+            np.testing.assert_allclose(a[key], b[key], rtol=rtol, atol=rtol * scale, err_msg=key)
+        np.testing.assert_allclose(
+            list(a["quantiles"].values()), list(b["quantiles"].values()), rtol=rtol, atol=rtol * span
+        )
+
+
+@pytest.mark.parametrize(
+    "model, strategies, int_strategy",
+    [
+        (small_poisson_model, [Strategy.SIMPLIFIED_LAPLACE, Strategy.FULL_LAPLACE], "auto"),
+        (small_spatial_dataset, [Strategy.SIMPLIFIED_LAPLACE, Strategy.FULL_LAPLACE], "auto"),
+        (
+            functools.partial(small_spatial_dataset, constraint=Constraint.SUM_TO_ZERO_CENTERING),
+            [Strategy.SIMPLIFIED_LAPLACE],
+            "auto",
+        ),
+        (
+            functools.partial(small_spatial_dataset, constraint=Constraint.SUM_TO_ZERO_KRIGING),
+            [Strategy.SIMPLIFIED_LAPLACE],
+            "auto",
+        ),
+        (small_zinb_model, [Strategy.SIMPLIFIED_LAPLACE, Strategy.FULL_LAPLACE], "ccd"),
+    ],
+)
+def test_grid_point_moments_match_the_lu_inverse_oracle(monkeypatch, model, strategies, int_strategy):
+    # Each grid point's sds, skew coefficients and covariance columns, from
+    # triangular solves, against the same moments read from the LU inverse
+    # of the same factor (the oracle's ``_Approx.cov``).  The moments are
+    # compared on every latent, so on both solve blocks of the BYM model.
+    # No solve has more right-hand sides than a block, but J'; nothing
+    # solves against an identity or inverts a matrix.
+    spec, data = model()
+    moments, forward_rhs, point_moments, forward = [], [], laplace._point_moments, Factor.forward
+
+    def refused(*args, **kwargs):
+        pytest.fail("a fit called np.linalg.solve or np.linalg.inv")
+
+    monkeypatch.setattr(np.linalg, "solve", refused)
+    monkeypatch.setattr(np.linalg, "inv", refused)
+
+    def recorded(ctx, theta, approx, at, skew, columns):
+        start = len(forward_rhs)
+        out = point_moments(ctx, theta, approx, at, skew, columns)
+        moments.append((ctx, theta, approx, at, skew, columns, out, forward_rhs[start:]))
+        return out
+
+    def recorded_forward(self, b):
+        forward_rhs.append(b)
+        return forward(self, b)
+
+    monkeypatch.setattr(laplace, "_point_moments", recorded)
+    monkeypatch.setattr(Factor, "forward", recorded_forward)
+    for strategy in strategies:
+        laplace.fit(spec, data, strategy=strategy, int_strategy=int_strategy)
+    monkeypatch.undo()
+    assert {skew for *_, skew, _, _, _ in moments} == {True, False} or strategies == [Strategy.SIMPLIFIED_LAPLACE]
+    read = {"sds": 0, "skew": 0, "columns": 0}
+    for ctx, theta, approx, at, skew, columns, (sds, sla, cols), rhs in moments:
+        indices = [b * laplace.MARGINAL_BLOCK + c for b, c in at]
+        assert indices == list(range(ctx.dim_x))
+        blocks = sorted({b for b, _ in at})
+        # One solve per block of at most MARGINAL_BLOCK latents, and one
+        # with J' where skew coefficients are read.  Up to d = 16 latents
+        # the one block is the identity; above, no solve takes d columns.
+        width = laplace.MARGINAL_BLOCK
+        assert len(rhs) == len(blocks) + skew
+        assert [b.shape[1] for b in rhs[: len(blocks)]] == [len(indices[b * width : (b + 1) * width]) for b in blocks]
+        if skew:
+            assert rhs[-1].tobytes() == ctx.j.T.tobytes()
+        if ctx.dim_u > width:
+            assert not any(b.shape == (ctx.dim_u, ctx.dim_u) for b in rhs)
+        hess, factor = laplace._point_curvature(ctx, theta, approx.eta)
+        lu = oracle_laplace._Approx(approx.mode_u, hess, factor.lower, approx.log_det_half, approx.iters, True, False)
+        cov = lu.cov
+        ref_sds = np.sqrt(np.einsum("ij,jk,ik->i", ctx.basis, cov, ctx.basis)) if ctx.basis is not None else np.sqrt(np.diag(cov))
+        np.testing.assert_allclose(sds, ref_sds, rtol=1e-12, atol=0.0)
+        read["sds"] += 1
+        assert (sla is not None) == skew and (cols is not None) == columns
+        if skew:
+            gamma1, gamma3 = oracle_laplace._sla_coefficients(ctx, theta, lu)
+            # Relative to the largest coefficient of the grid point, so
+            # that one near zero is not held to its own size.  On the
+            # constrained BYM model the grid reaches icar precisions near
+            # exp(10.2), where both ways of forming gamma1 carry ~2e-9
+            # relative error against a 40-digit computation, and the two
+            # differ by up to 3e-12 of the largest coefficient.
+            atol = 1e-12 if ctx.basis is None else 1e-11
+            for got, ref in ((sla[:, 0], gamma1), (sla[:, 1], gamma3)):
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=atol * np.abs(ref).max())
+            read["skew"] += 1
+        if columns:
+            # Column by column, relative to the column's largest entry.
+            ref_cols = cov.T
+            assert (np.abs(cols - ref_cols) <= 1e-12 * np.abs(ref_cols).max(axis=1, keepdims=True)).all()
+            read["columns"] += 1
+    assert read["sds"] == len(moments) and read["skew"] > 0
+    assert read["columns"] > 0 or Strategy.FULL_LAPLACE not in strategies
 
 
 def test_theta_cache_keeps_no_array_longer_than_the_latent_mode_or_predictor(monkeypatch):
@@ -954,6 +1088,13 @@ def test_each_theta_evaluation_builds_the_zinb_constants_once(monkeypatch, dispe
             cached.add(key)
 
 
+def covariance_column(ctx, theta, approx, index):
+    """Column ``index`` of the covariance of the Gaussian approximation at
+    ``theta``: H^{-1} e_index from its factor, as the engine takes it."""
+    factor = laplace._point_curvature(ctx, theta, approx.eta)[1]
+    return factor.sample(factor.forward(np.eye(ctx.dim_u)[:, index]))
+
+
 def test_a_one_latent_model_scans_with_nothing_free():
     # The profile of the only latent is its exact unnormalized log
     # posterior: no component is re-maximized and no log determinant
@@ -965,7 +1106,7 @@ def test_a_one_latent_model_scans_with_nothing_free():
     ctx = laplace._Context(spec, data)
     theta = np.zeros(0)
     approx = laplace._newton(ctx, theta)
-    cov_col = laplace._covariance(ctx, theta, approx)[:, 0]
+    cov_col = covariance_column(ctx, theta, approx, 0)
     v_grid = approx.mode_u[0] + np.linspace(-1.0, 1.0, 5)
     [(logd, unconverged)] = laplace._fl_profiles(ctx, [(theta, approx.mode_u, cov_col, 0, v_grid)])
     ref, ref_unconverged = oracle_laplace._sequential_fl_conditional_logdens(
@@ -1018,7 +1159,7 @@ def test_profile_point_with_non_pd_clipped_curvature_is_dropped(monkeypatch):
         theta = np.array([value])
         approx = laplace._newton(ctx, theta)
         index = names.index(name)
-        cov_col = laplace._covariance(ctx, theta, approx)[:, index]
+        cov_col = covariance_column(ctx, theta, approx, index)
         v_grid = approx.mode_u[index] + math.sqrt(cov_col[index]) * np.linspace(-3.0, 3.0, 7)
         scans.append((theta, approx.mode_u, cov_col, index, v_grid))
     theta, mode_u, cov_col, index, v_grid = scans[0]
