@@ -154,6 +154,7 @@ class StudyConfig:
             iterations=self.mcmc_iterations,
             burn_in=self.mcmc_burn_in,
             thin=self.mcmc_thin,
+            rng_chunk=mc.STUDY_RNG_CHUNK,
             seed=substream_seed(self.master_seed, "chain", dataset_index, *stream_path),
             adaptation_window=self.adaptation_window,
             # Only WAIC, in a selection study, reads the pointwise matrix.

@@ -35,9 +35,16 @@ All proposal scales follow a windowed Robbins-Monro recursion
 the inverse square root of the window index; adaptation is frozen at
 the end of burn-in so the recorded draws come from a fixed kernel.
 
-Randomness is counter-based: every (block, sweep) pair derives its own
-generator from the seed, so results are independent of execution
-details and reproducible bit-for-bit.
+Randomness is counter-based: each block has its own stream, and every
+(block, chunk) pair derives its own generator from the seed, where a
+chunk is ``ChainConfig.rng_chunk`` = K consecutive sweeps.  One rewind
+of the block's stream to the chunk's first sweep s0 draws the chunk's
+normals as one (K, m) array and then its uniforms as one (K, m_u)
+array, and sweep s reads row ``(s - 1) mod K`` of each.  The draws of a
+sweep depend only on the seed, the block, the sweep and K, so results
+are independent of execution details and reproducible bit-for-bit, and
+a shorter chain's draws are a prefix of a longer one's.  K = 1 gives
+every (block, sweep) pair its own generator.
 """
 
 from __future__ import annotations
@@ -80,6 +87,10 @@ class ChainAbort(RuntimeError):
         super().__init__(f"chain aborted at iteration {iteration}: {detail}")
 
 
+# The draw chunk of every study chain (ChainConfig.rng_chunk).
+STUDY_RNG_CHUNK = 64
+
+
 @dataclass(frozen=True)
 class ChainConfig:
     iterations: int = 100_000
@@ -88,12 +99,17 @@ class ChainConfig:
     seed: int = 0
     adaptation_window: int = 50
     record_pointwise: bool = True
+    # Sweeps per draw of each block's stream (see the module docstring):
+    # part of what fixes the draws, not a tuning knob.
+    rng_chunk: int = 1
 
     def __post_init__(self):
         if self.burn_in >= self.iterations:
             raise ValueError("burn_in must be smaller than iterations")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
+        if self.rng_chunk < 1:
+            raise ValueError("rng_chunk must be >= 1")
 
     @property
     def n_kept(self) -> int:
@@ -264,6 +280,13 @@ def _site_loglik(spec, eta, hyper, data):
         return np.where(ok, ll, -np.inf)
 
 
+def _draw_chunk(stream: CounterStream, sweep: int, k: int, m: int, m_u: int):
+    """The (k, m) normals and then the (k, m_u) uniforms of the chunk of k
+    sweeps that starts at ``sweep``, from one rewind of ``stream``."""
+    g = stream.at(sweep)
+    return g.standard_normal((k, m)), g.random((k, m_u))
+
+
 def _recentre(spec, hyper, data, mu, eta, ll, comp_masks, sweep, what):
     """Subtract each connected component's mean from the intrinsic field
     and the predictor; returns the new (mu, eta, ll)."""
@@ -311,7 +334,6 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
         # sums in a single matrix-vector product.
         adj = np.diag(degrees) - graph_laplacian(graph)
         class_adj = [adj[cls] for cls in classes]
-        class_deg = [degrees[cls] for cls in classes]
 
     # --- state ----------------------------------------------------------
     x = np.zeros(dim_x)
@@ -396,11 +418,17 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
     # built for; refactored only when that precision changes.
     metric = None
     metric_sigma = None
+    beta2 = beta**2
+    chunk = config.rng_chunk
+    centering = constraint is Constraint.SUM_TO_ZERO_CENTERING
 
     # The site blocks take np.log of uniform draws, which can be 0: -inf, no warning.
     with np.errstate(divide="ignore"):
         for sweep in range(1, config.iterations + 1):
             in_burn = sweep <= config.burn_in
+            # This sweep's row in each block's chunk of draws; row 0 starts
+            # a chunk, whose draws each block makes before reading them.
+            r = (sweep - 1) % chunk
             # Precisions change only in the hyperparameter block at the end
             # of the sweep, so every block before it reads the same values.
             if has_iid:
@@ -410,21 +438,23 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
 
             # ----- fixed effects -------------------------------------------
             if p_beta:
-                g = sb.at(sweep)
-                z = g.standard_normal(p_beta)
-                u_acc = g.random()
-                step = adapt["beta"].scale * (proposal.lower @ z)
+                if r == 0:
+                    zb, ub = _draw_chunk(sb, sweep, chunk, p_beta, 1)
+                    ub = ub.ravel().tolist()
+                u_acc = ub[r]
+                step = adapt["beta"].scale * (proposal.lower @ zb[r])
                 beta_new = beta + step
                 eta_new = eta + design @ step
                 ll_new = _loglik_vec(spec, eta_new, bound, data)
                 if ll_new is None:
                     accept = False
                 else:
-                    d_prior = -0.5 * float(beta_prior_prec @ (beta_new**2 - beta**2))
+                    beta2_new = beta_new**2
+                    d_prior = -0.5 * float(beta_prior_prec @ (beta2_new - beta2))
                     d = float(np.add.reduce(ll_new - ll)) + d_prior
                     accept = math.log(u_acc) < d if u_acc > 0.0 else True
                 if accept:
-                    beta, eta, ll = beta_new, eta_new, ll_new
+                    beta, beta2, eta, ll = beta_new, beta2_new, eta_new, ll_new
                 adapt["beta"].record(1.0 if accept else 0.0)
                 if in_burn:
                     welford.update(beta)
@@ -436,9 +466,10 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
 
             # ----- predictor-preserving shift beta <-> sites ---------------
             if has_shift:
-                g = ss.at(sweep)
-                z = g.standard_normal(p_beta)
-                u_acc = g.random()
+                if r == 0:
+                    zs, us = _draw_chunk(ss, sweep, chunk, p_beta, 1)
+                    us = us.ravel().tolist()
+                u_acc = us[r]
                 # The log ratio is quadratic in delta with curvature
                 # sigma X'X + prior, so propose with its inverse as metric.
                 if sigma != metric_sigma:
@@ -446,84 +477,91 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                     if metric is None:
                         raise ChainAbort(sweep, "shift metric is not positive definite")
                     metric_sigma = sigma
-                delta = adapt["shift"].scale * metric.sample(z)
+                delta = adapt["shift"].scale * metric.sample(zs[r])
                 beta_new = beta + delta
+                beta2_new = beta_new**2
                 eps_new = eps - design @ delta
-                d = -0.5 * float(beta_prior_prec @ (beta_new**2 - beta**2))
-                d += -0.5 * sigma * float(eps_new @ eps_new - eps @ eps)
+                eps2_new = float(eps_new @ eps_new)
+                # sum_eps2 is eps @ eps: every block that moves eps resets it.
+                d = -0.5 * float(beta_prior_prec @ (beta2_new - beta2))
+                d += -0.5 * sigma * (eps2_new - sum_eps2)
                 accept = math.log(u_acc) < d if u_acc > 0.0 else True
                 if accept:
-                    beta, eps = beta_new, eps_new
-                    sum_eps2 = float(eps @ eps)
+                    beta, beta2, eps, sum_eps2 = beta_new, beta2_new, eps_new, eps2_new
                 adapt["shift"].record(1.0 if accept else 0.0)
 
             # ----- exchangeable sites --------------------------------------
             if has_iid:
-                g = si.at(sweep)
-                z = g.standard_normal(n)
-                u_acc = g.random(n)
-                delta = adapt["iid"].scales * z
+                if r == 0:
+                    zi, ui = _draw_chunk(si, sweep, chunk, n, n)
+                    log_ui = np.log(ui)
+                delta = adapt["iid"].scales * zi[r]
                 eta_new = eta + delta
                 ll_new = _site_loglik(spec, eta_new, bound, data)
                 eps_new = eps + delta
                 d_site = (ll_new - ll) - 0.5 * sigma * (eps_new**2 - eps**2)
-                accept = np.log(u_acc) < d_site
+                accept = log_ui[r] < d_site
                 # With nothing accepted these keep every value.
-                eps = np.where(accept, eps_new, eps)
-                eta = np.where(accept, eta_new, eta)
-                ll = np.where(accept, ll_new, ll)
+                np.copyto(eps, eps_new, where=accept)
+                np.copyto(eta, eta_new, where=accept)
+                np.copyto(ll, ll_new, where=accept)
                 adapt["iid"].record(accept)
                 sum_eps2 = float(eps @ eps)
 
             # ----- intrinsic CAR sites -------------------------------------
             if has_icar:
-                g = sc.at(sweep)
-                # Each site's step, for every class at once: the product
-                # is elementwise, so the bits match a per-class one.
-                step = adapt["icar"].scales * g.standard_normal(n)
-                log_u = np.log(g.random(n))
-                acc_vec = np.zeros(n)
-                # Classes share no sites and a class moves eta only at its
-                # own sites, so without recentring one likelihood call at
-                # every site's proposal serves all classes: the kernels
-                # are elementwise, so each site keeps its bits.
-                if constraint is not Constraint.SUM_TO_ZERO_CENTERING:
-                    eta_new = eta + step
-                    ll_new = _site_loglik(spec, eta_new, bound, data)
-                for cls, a_rows, deg in zip(classes, class_adj, class_deg):
-                    delta = step[cls]
-                    mu_c = mu[cls]
-                    mu_new_c = mu_c + delta
-                    if constraint is Constraint.SUM_TO_ZERO_CENTERING:
-                        eta_new = eta.copy()
-                        eta_new[cls] += delta
+                if r == 0:
+                    zc, uc = _draw_chunk(sc, sweep, chunk, n, n)
+                    log_uc = np.log(uc)
+                log_u = log_uc[r]
+                # Each site's step, for every class at once: the products
+                # are elementwise, so the bits match a per-class one.
+                step = adapt["icar"].scales * zc[r]
+                two_step = 2.0 * step
+                accepted = np.zeros(n, dtype=bool)
+                for c, (cls, a_rows) in enumerate(zip(classes, class_adj)):
+                    # Classes share no sites, and a class moves mu, eta and ll
+                    # only at its own sites, so one pass over every site's
+                    # proposal (one likelihood call: the kernels are
+                    # elementwise) serves all classes.  Recentring moves
+                    # every site, so it takes a pass per class.
+                    if c == 0 or centering:
+                        mu_new = mu + step
+                        d_deg = degrees * (mu_new**2 - mu**2)
+                        eta_new = eta + step
                         ll_new = _site_loglik(spec, eta_new, bound, data)
+                        d_ll = ll_new - ll
                     s_neigh = a_rows @ mu
-                    d_quad = deg * (mu_new_c**2 - mu_c**2) - 2.0 * delta * s_neigh
-                    d_site = (ll_new[cls] - ll[cls]) - 0.5 * tau * d_quad
+                    d_quad = d_deg[cls] - two_step[cls] * s_neigh
+                    d_site = d_ll[cls] - 0.5 * tau * d_quad
                     accept = log_u[cls] < d_site
                     # With nothing accepted these change nothing and add 0.0.
                     idx = cls[accept]
-                    mu[idx] = mu_new_c[accept]
-                    eta[idx] = eta_new[idx]
-                    ll[idx] = ll_new[idx]
+                    mu[idx] = mu_new[idx]
                     icar_quad += float(np.add.reduce(d_quad[accept]))
-                    acc_vec[cls] = accept
-                    if constraint is Constraint.SUM_TO_ZERO_CENTERING:
+                    accepted[idx] = True
+                    if centering:
+                        eta[idx] = eta_new[idx]
+                        ll[idx] = ll_new[idx]
                         mu, eta, ll = _recentre(spec, bound, data, mu, eta, ll, comp_masks, sweep, "recentering")
+                if not centering:
+                    np.copyto(eta, eta_new, where=accepted)
+                    np.copyto(ll, ll_new, where=accepted)
                 if constraint is Constraint.SUM_TO_ZERO_KRIGING:
                     mu, eta, ll = _recentre(spec, bound, data, mu, eta, ll, comp_masks, sweep, "constraint projection")
-                adapt["icar"].record(acc_vec)
+                adapt["icar"].record(accepted)
 
             # ----- predictor-preserving level swap mu <-> eps --------------
             if has_swap:
-                g = sw.at(sweep)
-                z = g.standard_normal(n_comp)
-                u_acc = g.random(n_comp)
+                if r == 0:
+                    zw, uw = _draw_chunk(sw, sweep, chunk, n_comp, n_comp)
+                    zw, uw = zw.tolist(), uw.tolist()
+                z, u_acc = zw[r], uw[r]
+                scales = adapt["swap"].scales.tolist()
                 acc_swap = np.zeros(n_comp)
                 for c, comp in enumerate(comp_masks):
                     base_sd = 1.0 / math.sqrt(sigma * comp.size)
-                    gamma = adapt["swap"].scales[c] * base_sd * z[c]
+                    gamma = scales[c] * base_sd * z[c]
                     s_c = float(np.add.reduce(eps[comp]))
                     d = -0.5 * sigma * (comp.size * gamma * gamma - 2.0 * gamma * s_c)
                     accept = math.log(u_acc[c]) < d if u_acc[c] > 0.0 else True
@@ -536,11 +574,11 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
 
             # ----- hyperparameters -----------------------------------------
             if n_hyper:
-                g = sh.at(sweep)
-                z = g.standard_normal(n_hyper)
-                u_acc = g.random(n_hyper)
-                for idx, name in enumerate(hyper_list):
-                    cur = hyper[idx]
+                if r == 0:
+                    zh, uh = _draw_chunk(sh, sweep, chunk, n_hyper, n_hyper)
+                    zh, uh = zh.tolist(), uh.tolist()
+                z, u_acc = zh[r], uh[r]
+                for idx, (name, cur) in enumerate(zip(hyper_list, hyper.tolist())):
                     new = cur + adapt[name].scale * z[idx]
                     prior_new = hyper_priors[idx].logpdf(new)
                     d = prior_new - prior_cur[idx]
@@ -560,7 +598,7 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                         else:
                             ll_new = _loglik_vec(spec, eta, bound_try, data)
                         if ll_new is None:
-                            d = -np.inf
+                            d = -math.inf
                         else:
                             d += float(np.add.reduce(ll_new - ll))
                     accept = math.isfinite(d) and math.log(u_acc[idx]) < d
@@ -672,9 +710,12 @@ def _geweke_rows(x: np.ndarray, first: float = 0.1, last: float = 0.5) -> np.nda
 
 
 def _split_rhat_rows(x: np.ndarray) -> np.ndarray:
-    """``split_rhat`` of each row."""
+    """``split_rhat`` of each row; NaN for rows of fewer than four values,
+    whose halves are too short to have a variance."""
     k, n = x.shape
     length = n // 2
+    if length < 2:
+        return np.full(k, math.nan)
     halves = x[:, : 2 * length].reshape(k, 2, length)
     means = halves.mean(axis=-1)
     w = halves.var(axis=-1, ddof=1).mean(axis=-1)
@@ -718,7 +759,8 @@ def geweke_z(x: np.ndarray, first: float = 0.1, last: float = 0.5) -> float:
 
 
 def split_rhat(x: np.ndarray) -> float:
-    """Potential scale reduction of the two halves of one chain."""
+    """Potential scale reduction of the two halves of one chain; NaN for a
+    chain of fewer than four draws."""
     return _one(_split_rhat_rows, x)
 
 

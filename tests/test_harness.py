@@ -109,6 +109,8 @@ def test_study_config_refuses_chain_settings_a_study_cannot_summarise(kind):
     # Two kept draws are enough.
     config = tiny_config(kind, mcmc_iterations=120, mcmc_burn_in=100, mcmc_thin=10)
     assert config.chain_config(0).n_kept == 2
+    # Every study chain draws in chunks of 64 sweeps.
+    assert config.chain_config(0).rng_chunk == mcmc.STUDY_RNG_CHUNK == 64
 
 
 def test_config_json_round_trip(tmp_path):
@@ -504,7 +506,9 @@ def test_a_singular_fixed_effect_curvature_becomes_a_failure_row():
 
 def three_sweep_poisson_config(seed, n_datasets=1):
     """Chains of three sweeps with one burn-in sweep, each kept: short
-    enough that some keep one value of a tracked parameter."""
+    enough that some keep one value of a tracked parameter.  Which ones
+    do depends on the draws; the seeds below were found with study
+    chains drawn in chunks of mcmc.STUDY_RNG_CHUNK = 64 sweeps."""
     return study_config(
         "poisson",
         seed=seed,
@@ -518,14 +522,13 @@ def three_sweep_poisson_config(seed, n_datasets=1):
     )
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # diagnose() of two draws
-@pytest.mark.parametrize("seed, failing", [(0, [0]), (3, [0]), (0, None)])
+@pytest.mark.parametrize("seed, failing", [(3, [0]), (1, [0]), (0, None)])
 def test_a_chain_that_keeps_one_value_of_a_tracked_parameter_becomes_a_failure_row(seed, failing):
     # With no spread in the chain's draws the percent error has no
-    # reference scale.  Over four datasets of seed 0, datasets 0 and 2
-    # fail that way and 1 and 3 keep their rows.
+    # reference scale.  Over four datasets of seed 0, datasets 1, 2 and
+    # 3 fail that way and 0 keeps its rows.
     config = three_sweep_poisson_config(seed, n_datasets=1 if failing else 4)
-    failing = failing or [0, 2]
+    failing = failing or [1, 2, 3]
     report = harness.run_study(config)
     assert report.table("failures").rows == [
         {"dataset": i, "engine": "mcmc", "cause": "ValueError", "detail": "reference standard deviation must be finite and positive"}
@@ -535,12 +538,11 @@ def test_a_chain_that_keeps_one_value_of_a_tracked_parameter_becomes_a_failure_r
     assert [r["dataset"] for r in report.table("results").rows] == [i for i in kept for _ in harness._TRACKED["poisson"]]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("seed", [1, 2])
-def test_a_study_where_no_percent_error_fails_keeps_its_bytes(monkeypatch, seed):
+@pytest.mark.parametrize("n_datasets", [1, 2])
+def test_a_study_where_no_percent_error_fails_keeps_its_bytes(monkeypatch, n_datasets):
     # The failure handling adds nothing to a study where every chain has
     # spread: its bytes are those of percent errors formed unguarded.
-    config = three_sweep_poisson_config(seed)
+    config = three_sweep_poisson_config(4, n_datasets=n_datasets)
     report = harness.run_study(config).canonical_files()
     monkeypatch.setattr(harness, "percent_error", lambda approx, ref, sd: float(100.0 * (approx - ref) / sd))
     assert harness.run_study(config).canonical_files() == report

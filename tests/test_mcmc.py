@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -338,29 +340,34 @@ def _float_bits(per_column: dict) -> dict:
 
 
 def _assert_diagnose_matches_the_column_loop(out):
+    # The column loop warns on series too short for a statistic (split
+    # R-hat below four draws); the diagnostics under test must not warn.
     import oracle_mcmc
 
-    want, got = oracle_mcmc.diagnose(out), mcmc.diagnose(out)
-    assert _float_bits(got.per_column) == _float_bits(want.per_column)
-    assert (got.verdict, got.reasons) == (want.verdict, want.reasons)
-    # The one-series functions are the same code, as a stack of one, on
-    # a column of the draws as it is (strided) or copied.
-    for j, name in enumerate(out.columns):
-        if want.per_column[name]["degenerate"]:
-            continue
-        for x in (out.draws[:, j], out.draws[:, j].copy()):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = oracle_mcmc.diagnose(out)
+        ref = {}
+        for j, name in enumerate(out.columns):
+            x = out.draws[:, j]
             ess = oracle_mcmc.ess_ips(x)
-            pairs = [
-                (mcmc.ess_ips(x), ess),
-                (mcmc.geweke_z(x), oracle_mcmc.geweke_z(x)),
-                (mcmc.split_rhat(x), oracle_mcmc.split_rhat(x)),
-                (mcmc.trace_slope_z(x), oracle_mcmc.trace_slope_z(x)),
-                (mcmc.trace_slope_z(x, ess), oracle_mcmc.trace_slope_z(x, ess)),
-            ]
-            assert [a.hex() for a, _ in pairs] == [b.hex() for _, b in pairs]
+            ref[name] = (ess, oracle_mcmc.geweke_z(x), oracle_mcmc.split_rhat(x), oracle_mcmc.trace_slope_z(x), oracle_mcmc.trace_slope_z(x, ess))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mcmc.diagnose(out)
+        assert _float_bits(got.per_column) == _float_bits(want.per_column)
+        assert (got.verdict, got.reasons) == (want.verdict, want.reasons)
+        # The one-series functions are the same code, as a stack of one, on
+        # a column of the draws as it is (strided) or copied.
+        for j, name in enumerate(out.columns):
+            if want.per_column[name]["degenerate"]:
+                continue
+            ess = ref[name][0]
+            for x in (out.draws[:, j], out.draws[:, j].copy()):
+                mine = (mcmc.ess_ips(x), mcmc.geweke_z(x), mcmc.split_rhat(x), mcmc.trace_slope_z(x), mcmc.trace_slope_z(x, ess))
+                assert [a.hex() for a in mine] == [b.hex() for b in ref[name]]
 
 
-@pytest.mark.filterwarnings("ignore:Degrees of freedom:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("n", [3, 4, 5, 200, 1001, 9000])
 def test_diagnose_per_column_is_bit_identical_to_the_column_loop(n, monkeypatch):
     g = np.random.default_rng(n)
@@ -387,10 +394,14 @@ def test_diagnose_per_column_is_bit_identical_to_the_column_loop(n, monkeypatch)
 
 
 def test_diagnose_of_a_chain_is_bit_identical_to_the_column_loop():
+    # The second chain keeps three draws: too few for split R-hat, NaN.
     spec, data = _two_component_bym(81)
-    out = mcmc.run_chain(spec, data, ChainConfig(iterations=1_100, burn_in=400, thin=3, seed=97))
-    assert out.draws.shape[1] > 20
-    _assert_diagnose_matches_the_column_loop(out)
+    for iterations, burn_in, thin in ((1_100, 400, 3), (130, 100, 10)):
+        out = mcmc.run_chain(spec, data, ChainConfig(iterations=iterations, burn_in=burn_in, thin=thin, seed=97))
+        assert out.draws.shape[1] > 20
+        _assert_diagnose_matches_the_column_loop(out)
+    assert out.n_kept == 3
+    assert all(math.isnan(c["split_rhat"]) for c in mcmc.diagnose(out).per_column.values() if not c["degenerate"])
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +426,9 @@ def test_chain_config_validation():
         ChainConfig(iterations=100, burn_in=100)
     with pytest.raises(ValueError):
         ChainConfig(iterations=100, burn_in=10, thin=0)
+    for chunk in (0, -1):
+        with pytest.raises(ValueError, match="rng_chunk"):
+            ChainConfig(iterations=100, burn_in=10, rng_chunk=chunk)
     assert ChainConfig(iterations=1_000, burn_in=100, thin=9).n_kept == 100
 
 
@@ -663,6 +677,73 @@ def test_run_chain_bit_identical_to_oracle(case):
     assert new.final_scales == ref.final_scales
 
 
+def _chunk_addressed_stream(k):
+    """A stand-in for the oracle's ``CounterStream`` whose ``at(s)`` hands
+    out row ``(s - 1) mod k`` of a chunk of k sweeps: the normals, then the
+    uniforms, of a freshly built Philox at the chunk's first sweep."""
+
+    class Stream:
+        def __init__(self, seed, *path):
+            self.key = streams.derive_key(seed, *path)
+            self.start = None
+
+        def at(self, sweep):
+            self.row = (sweep - 1) % k
+            if sweep - self.row != self.start:
+                self.start = sweep - self.row
+                self.g = np.random.Generator(np.random.Philox(counter=[0, 0, 0, self.start], key=self.key))
+                self.normals = self.uniforms = None
+            return self
+
+        def standard_normal(self, m):
+            if self.normals is None:
+                self.normals = self.g.standard_normal((k, m))
+            return self.normals[self.row]
+
+        def random(self, m=None):
+            if self.uniforms is None:
+                self.uniforms = self.g.random((k, 1 if m is None else m))
+            row = self.uniforms[self.row]
+            return float(row[0]) if m is None else row
+
+    return Stream
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_chunked_run_chain_is_the_oracle_on_chunk_addressed_draws(case, monkeypatch):
+    # 1,100 sweeps end part-way into a chunk of 64, and burn-in ends
+    # part-way into another.
+    import oracle_mcmc
+
+    chunk = 64
+    build, record = ORACLE_CASES[case]
+    spec, data = build()
+    cfg = ChainConfig(iterations=1_100, burn_in=400, thin=3, seed=97, record_pointwise=record, rng_chunk=chunk)
+    new = mcmc.run_chain(spec, data, cfg)
+    monkeypatch.setattr(oracle_mcmc, "CounterStream", _chunk_addressed_stream(chunk))
+    ref = oracle_mcmc.run_chain(spec, data, cfg)
+    assert new.draws.tobytes() == ref.draws.tobytes()
+    if record:
+        assert new.pointwise_loglik.tobytes() == ref.pointwise_loglik.tobytes()
+    assert new.acceptance == ref.acceptance
+    assert new.final_scales == ref.final_scales
+    # Another layout is another chain.
+    assert new.draws.tobytes() != mcmc.run_chain(spec, data, replace(cfg, rng_chunk=1)).draws.tobytes()
+
+
+def test_a_chunked_chain_is_a_prefix_of_a_longer_one():
+    # Adaptation freezes at burn-in and sweep s reads its draws from its
+    # chunk's counter alone, so running on changes no earlier draw.
+    spec, data = _two_component_bym(81)
+    short, long = (
+        mcmc.run_chain(spec, data, ChainConfig(iterations=sweeps, burn_in=400, thin=3, seed=97, rng_chunk=64))
+        for sweeps in (1_100, 1_500)
+    )
+    assert short.n_kept < long.n_kept
+    assert short.draws.tobytes() == long.draws[: short.n_kept].tobytes()
+    assert short.pointwise_loglik.tobytes() == long.pointwise_loglik[: short.n_kept].tobytes()
+
+
 def test_a_zinb_chain_builds_the_dispersion_constants_once_per_size_proposal(dispersion_builds):
     # The sampler holds the binding of its current state: one build at
     # the start, then one per log-dispersion proposal, which is made
@@ -678,15 +759,16 @@ def test_a_zinb_chain_builds_the_dispersion_constants_once_per_size_proposal(dis
 
 
 # Per-sweep work: the counts a benchmark reads as draws per sweep and
-# likelihood calls per sweep.  Blocks: beta (fixed effects), shift (with
-# an iid block), iid, icar (one likelihood call for every colour class,
+# likelihood calls per sweep.  Each block draws once per chunk of
+# sweeps, so the draws per sweep are those of one-sweep chunks.  Blocks:
+# beta (fixed effects), shift (with an iid block), iid, icar (one likelihood call for every colour class,
 # or one per class where recentring moves eta between classes), swap
 # (with both site blocks) and hyper (one likelihood call per
 # hyperparameter that is not a log precision).  A recentring's own call
 # is made only when the field moved, so it depends on the draws and is
 # not counted here.
 CALL_CASES = {
-    # case: (build, streams drawn per sweep, likelihood calls per sweep)
+    # case: (build, streams drawn per chunk, likelihood calls per sweep)
     "poisson": (_oracle_poisson, 4, 2),  # beta shift iid hyper; beta iid
     "poisson-fixed-iid": (_oracle_poisson_fixed_iid, 3, 2),  # no hyper block
     "bym": (lambda: _two_component_bym(81), 6, 3),  # beta shift iid icar swap hyper; beta iid icar
@@ -725,7 +807,10 @@ def test_each_block_draws_once_and_calls_the_likelihood_as_its_structure_says(ca
     monkeypatch.setattr(mdl, "pointwise_loglik_from_eta", counted_loglik)
     monkeypatch.setattr(mcmc, "_recentre", uncounted_recentre)
     sweeps = 60
-    mcmc.run_chain(spec, data, ChainConfig(iterations=sweeps, burn_in=20, thin=2, seed=3))
-    assert counts["at"] == draws_per_sweep * sweeps
-    # One more call builds the initial state.
-    assert counts["loglik"] == calls_per_sweep * sweeps + 1
+    # 60 sweeps are 9 chunks of 7, the last drawn whole and read in part.
+    for chunk, chunks in ((1, 60), (7, 9)):
+        counts.update(at=0, loglik=0)
+        mcmc.run_chain(spec, data, ChainConfig(iterations=sweeps, burn_in=20, thin=2, seed=3, rng_chunk=chunk))
+        assert counts["at"] == draws_per_sweep * chunks
+        # One more call builds the initial state.
+        assert counts["loglik"] == calls_per_sweep * sweeps + 1
