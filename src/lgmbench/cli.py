@@ -28,11 +28,22 @@ from dataclasses import replace
 from . import harness
 
 
+def _worker_count(text: str) -> int:
+    """A ``--workers`` value: a count of at least 1, as ``StudyConfig`` requires."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, not {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON study config file")
     parser.add_argument("--scale", choices=harness.SCALES, default=None, help="preset sizes")
     parser.add_argument("--seed", type=int, default=None, help="master seed")
-    parser.add_argument("--workers", type=int, default=None, help="process pool size")
+    parser.add_argument("--workers", type=_worker_count, default=None, help="process pool size (>= 1)")
     parser.add_argument("--out", default="lgmbench_out", help="output directory")
 
 

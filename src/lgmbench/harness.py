@@ -134,6 +134,8 @@ class StudyConfig:
             raise ValueError("n_datasets must be >= 1")
         if self.n_areas < 1:
             raise ValueError("n_areas must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         strategy = lap.Strategy(self.strategy)  # validates
         if self.int_strategy not in lap.INT_STRATEGIES:
             raise ValueError(f"int_strategy must be one of {lap.INT_STRATEGIES}, not {self.int_strategy!r}")
@@ -720,9 +722,11 @@ def run_study(config: StudyConfig, workers: int | None = None, datasets: list | 
     depend on the worker count.
     """
     workers = config.workers if workers is None else workers
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     data_list = generate_datasets(config) if datasets is None else datasets
     args = ([config] * len(data_list), range(len(data_list)), data_list)
-    if workers <= 1:
+    if workers == 1:
         outputs = list(map(_fit_one, *args))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

@@ -280,6 +280,16 @@ def _site_loglik(spec, eta, hyper, data):
         return np.where(ok, ll, -np.inf)
 
 
+def _zinb_loglik(spec, eta, bound, data):
+    """((exp(eta), NB term), pointwise log likelihood) of a ZINB model, or
+    (None, None) where the predictor overflows."""
+    try:
+        held = mdl.zinb_nb_term(spec, eta, bound, data)
+    except mdl.LikelihoodOverflowError:
+        return None, None
+    return held, mdl.zinb_mixture(spec, held[1], bound, data)
+
+
 def _draw_chunk(stream: CounterStream, sweep: int, k: int, m: int, m_u: int):
     """The (k, m) normals and then the (k, m_u) uniforms of the chunk of k
     sweeps that starts at ``sweep``, from one rewind of ``stream``."""
@@ -348,7 +358,12 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
         eta = eta + mu
     # The likelihood constants of the current hyperparameters (models.bind).
     bound = mdl.bind(spec, hyper, data)
-    ll = _loglik_vec(spec, eta, bound, data)
+    # A ZINB chain holds exp(eta) and the NB term of its current state, set
+    # where a fixed-effect or log-dispersion move is accepted, so the
+    # logit p_zero move only mixes and the log-dispersion move reuses
+    # exp(eta).  A site move drops them; the hyper block rebuilds them.
+    zinb = spec.family is mdl.Family.ZERO_INFLATED_NEG_BINOMIAL
+    held, ll = _zinb_loglik(spec, eta, bound, data) if zinb else (None, _loglik_vec(spec, eta, bound, data))
     if ll is None:
         raise ChainAbort(0, "initial state has non-finite likelihood")
     sum_eps2 = 0.0
@@ -445,7 +460,10 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                 step = adapt["beta"].scale * (proposal.lower @ zb[r])
                 beta_new = beta + step
                 eta_new = eta + design @ step
-                ll_new = _loglik_vec(spec, eta_new, bound, data)
+                if zinb:
+                    held_new, ll_new = _zinb_loglik(spec, eta_new, bound, data)
+                else:
+                    held_new, ll_new = None, _loglik_vec(spec, eta_new, bound, data)
                 if ll_new is None:
                     accept = False
                 else:
@@ -454,7 +472,7 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                     d = float(np.add.reduce(ll_new - ll)) + d_prior
                     accept = math.log(u_acc) < d if u_acc > 0.0 else True
                 if accept:
-                    beta, beta2, eta, ll = beta_new, beta2_new, eta_new, ll_new
+                    beta, beta2, eta, ll, held = beta_new, beta2_new, eta_new, ll_new, held_new
                 adapt["beta"].record(1.0 if accept else 0.0)
                 if in_burn:
                     welford.update(beta)
@@ -507,6 +525,7 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                 np.copyto(ll, ll_new, where=accept)
                 adapt["iid"].record(accept)
                 sum_eps2 = float(eps @ eps)
+                held = None
 
             # ----- intrinsic CAR sites -------------------------------------
             if has_icar:
@@ -550,6 +569,7 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                 if constraint is Constraint.SUM_TO_ZERO_KRIGING:
                     mu, eta, ll = _recentre(spec, bound, data, mu, eta, ll, comp_masks, sweep, "constraint projection")
                 adapt["icar"].record(accepted)
+                held = None
 
             # ----- predictor-preserving level swap mu <-> eps --------------
             if has_swap:
@@ -587,7 +607,7 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                         d += 0.5 * n * (new - cur) - 0.5 * (math.exp(new) - math.exp(cur)) * sum_eps2
                     elif name == "log_precision_icar":
                         d += icar_coef * (new - cur) - 0.5 * (math.exp(new) - math.exp(cur)) * icar_quad
-                    else:
+                    else:  # logit_p_zero or log_dispersion, of a ZINB model
                         hyper_try = hyper.copy()
                         hyper_try[idx] = new
                         # Only the moved hyperparameter's part is rebuilt.
@@ -596,7 +616,15 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                         except mdl.LikelihoodOverflowError:
                             pass
                         else:
-                            ll_new = _loglik_vec(spec, eta, bound_try, data)
+                            if held is None:
+                                held = mdl.zinb_nb_term(spec, eta, bound, data)
+                            # p_zero does not enter the NB term; the dispersion
+                            # does, but not exp(eta).
+                            if name == "logit_p_zero":
+                                held_try = held
+                            else:
+                                held_try = mdl.zinb_nb_term(spec, eta, bound_try, data, held[0])
+                            ll_new = mdl.zinb_mixture(spec, held_try[1], bound_try, data)
                         if ll_new is None:
                             d = -math.inf
                         else:
@@ -606,7 +634,7 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                         hyper[idx] = new
                         prior_cur[idx] = prior_new
                         if ll_new is not None:
-                            ll, bound = ll_new, bound_try
+                            ll, bound, held = ll_new, bound_try, held_try
                     adapt[name].record(1.0 if accept else 0.0)
 
             if sweep == config.burn_in:

@@ -66,6 +66,8 @@ __all__ = [
     "log_likelihood",
     "pointwise_loglik",
     "pointwise_loglik_from_eta",
+    "zinb_nb_term",
+    "zinb_mixture",
     "eta_in_range",
     "eta_derivatives",
     "eta_third_derivative",
@@ -391,12 +393,18 @@ class Dataset:
         # The y = 0 sites as an index: the ZINB kernels gather and
         # scatter them, which an index does in fewer steps than a mask.
         zero = np.flatnonzero(y == 0)
-        for arr in (y_float, log_y_factorial, zero):
+        # The sorted distinct counts and each site's place among them: the
+        # ZINB dispersion constants are built per distinct count and
+        # gathered to the sites.
+        y_distinct, y_site = np.unique(y_float, return_inverse=True)
+        for arr in (y_float, log_y_factorial, zero, y_distinct, y_site):
             arr.flags.writeable = False
         object.__setattr__(self, "_y_float", y_float)
         object.__setattr__(self, "_log_y_factorial", log_y_factorial)
         object.__setattr__(self, "_zero", zero)
         object.__setattr__(self, "_any_zero", bool(zero.size))
+        object.__setattr__(self, "_y_distinct", y_distinct)
+        object.__setattr__(self, "_y_site", y_site)
 
     @property
     def n(self) -> int:
@@ -581,14 +589,19 @@ def _zinb_params(hyper) -> tuple[float, float]:
 
 
 def _dispersion_constants(data: Dataset, size: float) -> dict:
-    y = data._y_float
+    # size + y and its gammaln are built once per distinct count and
+    # gathered to the sites: the operations are elementwise, so each site
+    # gets the bits of the per-site expression.
+    size_plus_y = size + data._y_distinct
+    site = data._y_site
     consts = {
         "log_size": np.log(size),
-        "log_nb_const": sps.gammaln(y + size) - sps.gammaln(size) - data._log_y_factorial,
-        "size_plus_y": size + y,
-        # -(size + y) * size, the leading factor of the second and third derivatives
-        "a": -(size + y) * size,
+        "log_nb_const": (sps.gammaln(size_plus_y) - sps.gammaln(size))[site] - data._log_y_factorial,
+        "size_plus_y": size_plus_y[site],
     }
+    # -(size + y) * size, the leading factor of the second and third
+    # derivatives; a product's sign is exact, so the bits are the same.
+    consts["a"] = consts["size_plus_y"] * -size
     for value in consts.values():
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
@@ -695,17 +708,9 @@ def _pointwise_loglik_eta(spec: ModelSpec, eta: np.ndarray, hyper: np.ndarray, d
         kappa = spec.gaussian_obs_precision
         r = y - eta
         return 0.5 * np.log(kappa / (2.0 * np.pi)) - 0.5 * kappa * r * r
-    # Zero-inflated negative binomial:
-    #   P(y) = p_z 1[y=0] + (1 - p_z) NB(y; mu, size), mu = exp(eta)
-    # with NB(0) = (size / (size + mu))^size, evaluated in log space.
-    log_pz, log_1mpz, size, _, c = bind(spec, hyper, data).parts
-    log_denom = np.log(size + np.exp(eta))
-    log_nb = c["log_nb_const"] + size * (c["log_size"] - log_denom) + y * (eta - log_denom)
-    out = log_1mpz + log_nb
-    if data._any_zero:
-        zero = _zero_sites(data, eta)
-        out[zero] = np.logaddexp(log_pz, log_1mpz + log_nb[zero])
-    return out
+    # The caller has checked eta, so the NB term takes exp(eta) as held.
+    bound = bind(spec, hyper, data)
+    return zinb_mixture(spec, zinb_nb_term(spec, eta, bound, data, np.exp(eta))[1], bound, data)
 
 
 def _zero_sites(data: Dataset, eta: np.ndarray):
@@ -720,21 +725,53 @@ def pointwise_loglik(spec: ModelSpec, latent: np.ndarray, hyper: np.ndarray, dat
     return _pointwise_loglik_eta(spec, eta, hyper, data)
 
 
-# The three kernels below take one predictor (n,) with its
-# hyperparameters (m,), or a (k, n) stack of predictors with one row of
-# a (k, m) block each.  Every expression is written once for both: each
-# row of a stacked call has the bits of the one-predictor call, and a
-# stacked call raises if any row is out of range (``eta_in_range``
-# finds which).  ``hyper`` is the raw row or block, whose constants are
-# then built on the spot, or its ``bind`` result, which a caller
-# evaluating many predictors at one point builds once; the result is
-# the same bits.  The kernels are pure functions of their arguments.
+# The kernels below take one predictor (n,) with its hyperparameters
+# (m,), or a (k, n) stack of predictors with one row of a (k, m) block
+# each (``zinb_mixture`` takes the NB term in place of the predictor).
+# Every expression is written once for both: each row of a stacked call
+# has the bits of the one-predictor call, and a stacked call raises if
+# any row is out of range (``eta_in_range`` finds which).  ``hyper`` is
+# the raw row or block, whose constants are then built on the spot, or
+# its ``bind`` result, which a caller evaluating many predictors at one
+# point builds once; the result is the same bits.  The kernels are pure
+# functions of their arguments.
 
 
 def pointwise_loglik_from_eta(spec: ModelSpec, eta: np.ndarray, hyper: np.ndarray, data: Dataset) -> np.ndarray:
     """Per-observation log density from a precomputed linear predictor."""
     _check_eta(eta)
     return _pointwise_loglik_eta(spec, eta, hyper, data)
+
+
+# Zero-inflated negative binomial:
+#   P(y) = p_z 1[y=0] + (1 - p_z) NB(y; mu, size), mu = exp(eta)
+# with NB(0) = (size / (size + mu))^size, evaluated in log space as the
+# NB term, which p_z does not enter, and the mixture that adds p_z.
+
+
+def zinb_nb_term(spec: ModelSpec, eta: np.ndarray, hyper, data: Dataset, mu: np.ndarray | None = None):
+    """(exp(eta), log NB(y; exp(eta), size)) per observation of a ZINB
+    model: the part of its log density that p_zero does not enter.  A
+    caller that holds exp(eta) from an earlier call on this eta passes it
+    as ``mu``, and the predictor check that call made is not repeated."""
+    if mu is None:
+        _check_eta(eta)
+        mu = np.exp(eta)
+    _, _, size, _, c = bind(spec, hyper, data).parts
+    log_denom = np.log(size + mu)
+    return mu, c["log_nb_const"] + size * (c["log_size"] - log_denom) + data._y_float * (eta - log_denom)
+
+
+def zinb_mixture(spec: ModelSpec, log_nb: np.ndarray, hyper, data: Dataset) -> np.ndarray:
+    """Per-observation ZINB log density from its NB term (``zinb_nb_term``),
+    which it leaves as it was: the bits of ``pointwise_loglik_from_eta``
+    on the same predictor."""
+    log_pz, log_1mpz = bind(spec, hyper, data).parts[:2]
+    out = log_1mpz + log_nb
+    if data._any_zero:
+        zero = _zero_sites(data, log_nb)
+        out[zero] = np.logaddexp(log_pz, out[zero])
+    return out
 
 
 def eta_derivatives(spec: ModelSpec, eta: np.ndarray, hyper: np.ndarray, data: Dataset):

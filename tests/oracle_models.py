@@ -9,6 +9,11 @@ in parts split by what they depend on (``models.bind``), with no cache
 on the dataset.  Both must match these copies bit for bit.  ``eta_derivatives`` here is the public entry point of that
 version; it gives a dataset the single-entry cache the copies read.
 
+``dispersion_constants`` is the dispersion part of a ``models.bind``
+binding as it was built before ``models._dispersion_constants`` took it
+per distinct count and gathered it to the sites: one expression over
+every site.  The gathered values must match it bit for bit.
+
 ``_check_eta`` is the predictor check whose fast path took the maximum
 and the minimum of eta; ``lgmbench.models._check_eta`` now takes one
 maximum of |eta|.  Both must pass or raise alike, with the same index
@@ -127,3 +132,14 @@ def _eta_derivatives(spec: ModelSpec, eta: np.ndarray, hyper: np.ndarray, data: 
         g2[zero] = w * (1.0 - w) * s * s + w * s1
         g3[zero] = w * (1.0 - w) * (1.0 - 2.0 * w) * s**3 + 3.0 * w * (1.0 - w) * s * s1 + w * s2
     return g1, -g2, g3
+
+
+def dispersion_constants(data: Dataset, size: float) -> dict:
+    """The dispersion constants of every site, each computed at the site."""
+    y = data._y_float
+    return {
+        "log_size": np.log(size),
+        "log_nb_const": sps.gammaln(y + size) - sps.gammaln(size) - data._log_y_factorial,
+        "size_plus_y": size + y,
+        "a": -(size + y) * size,
+    }

@@ -88,6 +88,20 @@ def test_seed_and_workers_flags_override_config(tmp_path):
     assert payload["config"]["workers"] == 2
 
 
+@pytest.mark.parametrize("command", ["run", "audit"])
+def test_fewer_than_one_worker_is_a_usage_error(tmp_path, capsys, command):
+    # An audit given --workers 0 used to compare worker counts (1, 4)
+    # while the config it recorded said 0.
+    cfg_path, _ = write_config(tmp_path)
+    for workers in ("0", "-1", "two"):
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, "--config", str(cfg_path), "--workers", workers, "--out", str(tmp_path / "x")])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--workers" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_run_rejects_non_paired_kind(tmp_path):
     cfg_path, _ = write_config(tmp_path, kind="zinb", n_areas=30)
     with pytest.raises(SystemExit):

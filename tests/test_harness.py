@@ -92,6 +92,16 @@ def test_study_config_validation():
         assert study_config("bym", constraint_mode=c.value, strategy="gaussian").constraint_mode == c.value
 
 
+def test_study_config_and_run_study_refuse_fewer_than_one_worker():
+    # Zero or a negative count used to run serially without a word.
+    for workers in (0, -2):
+        with pytest.raises(ValueError, match="workers"):
+            tiny_config(workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            harness.run_study(tiny_config(), workers=workers, datasets=[])
+    assert tiny_config(workers=1).workers == 1
+
+
 @pytest.mark.parametrize("kind", harness.STUDY_KINDS)
 def test_study_config_refuses_chain_settings_a_study_cannot_summarise(kind):
     # Each of these passed the config and ran every Laplace fit before

@@ -758,6 +758,27 @@ def test_a_zinb_chain_builds_the_dispersion_constants_once_per_size_proposal(dis
     assert set(np.exp(out.column("log_dispersion")).tolist()) <= set(built)
 
 
+def test_a_zinb_chain_with_a_site_block_is_the_oracle():
+    # The iid block moves eta at the sites, so the chain drops the exp(eta)
+    # and NB term it holds and the hyper block rebuilds them: the draws
+    # keep the bits of the oracle, which evaluates every kernel whole.
+    from oracle_mcmc import run_chain as oracle_run_chain
+
+    _, data = _oracle_zinb()
+    spec = mdl.ModelSpec(
+        family=mdl.Family.ZERO_INFLATED_NEG_BINOMIAL,
+        fixed_effects=("x",),
+        offset="population",
+        random_effects=(mdl.IidTerm(),),
+        priors=mdl.PriorSet(log_precision_priors={"iid": mdl.LogGammaPrior(1.0, 5e-4)}),
+    )
+    cfg = ChainConfig(iterations=600, burn_in=200, thin=3, seed=97)
+    new, ref = mcmc.run_chain(spec, data, cfg), oracle_run_chain(spec, data, cfg)
+    assert new.draws.tobytes() == ref.draws.tobytes()
+    assert new.pointwise_loglik.tobytes() == ref.pointwise_loglik.tobytes()
+    assert new.acceptance == ref.acceptance
+
+
 # Per-sweep work: the counts a benchmark reads as draws per sweep and
 # likelihood calls per sweep.  Each block draws once per chunk of
 # sweeps, so the draws per sweep are those of one-sweep chunks.  Blocks:
@@ -766,7 +787,11 @@ def test_a_zinb_chain_builds_the_dispersion_constants_once_per_size_proposal(dis
 # (with both site blocks) and hyper (one likelihood call per
 # hyperparameter that is not a log precision).  A recentring's own call
 # is made only when the field moved, so it depends on the draws and is
-# not counted here.
+# not counted here.  A ZINB chain calls the two halves of its kernel, the
+# NB term and the zero-inflation mixture, in place of the whole: each
+# sweep's calls are listed in order, "nb" building exp(eta) and
+# "nb(mu)" reusing the one it holds.
+ZINB_SWEEP = ("nb", "mixture", "mixture", "nb(mu)", "mixture")  # beta; logit_p_zero; log_dispersion
 CALL_CASES = {
     # case: (build, streams drawn per chunk, likelihood calls per sweep)
     "poisson": (_oracle_poisson, 4, 2),  # beta shift iid hyper; beta iid
@@ -774,7 +799,7 @@ CALL_CASES = {
     "bym": (lambda: _two_component_bym(81), 6, 3),  # beta shift iid icar swap hyper; beta iid icar
     # beta shift iid icar hyper (no swap); beta iid and one icar call per class
     "bym-center": (lambda: _two_component_bym(82, True, Constraint.SUM_TO_ZERO_CENTERING), 5, None),
-    "zinb": (_oracle_zinb, 2, 3),  # beta hyper; beta, logit_p_zero, log_dispersion
+    "zinb": (_oracle_zinb, 2, ZINB_SWEEP),  # beta hyper
 }
 
 
@@ -785,7 +810,9 @@ def test_each_block_draws_once_and_calls_the_likelihood_as_its_structure_says(ca
     if calls_per_sweep is None:
         calls_per_sweep = 2 + len(mcmc.greedy_coloring(data.graph))
     counts = {"at": 0, "loglik": 0}
+    calls = []
     at, loglik = streams.CounterStream.at, mdl.pointwise_loglik_from_eta
+    nb_term, mixture = mdl.zinb_nb_term, mdl.zinb_mixture
 
     def counted_at(self, counter):
         counts["at"] += 1
@@ -794,6 +821,14 @@ def test_each_block_draws_once_and_calls_the_likelihood_as_its_structure_says(ca
     def counted_loglik(*args):
         counts["loglik"] += 1
         return loglik(*args)
+
+    def logged_nb_term(spec, eta, hyper, data, mu=None):
+        calls.append("nb" if mu is None else "nb(mu)")
+        return nb_term(spec, eta, hyper, data, mu)
+
+    def logged_mixture(*args):
+        calls.append("mixture")
+        return mixture(*args)
 
     recentre = mcmc._recentre
 
@@ -805,12 +840,20 @@ def test_each_block_draws_once_and_calls_the_likelihood_as_its_structure_says(ca
 
     monkeypatch.setattr(streams.CounterStream, "at", counted_at)
     monkeypatch.setattr(mdl, "pointwise_loglik_from_eta", counted_loglik)
+    monkeypatch.setattr(mdl, "zinb_nb_term", logged_nb_term)
+    monkeypatch.setattr(mdl, "zinb_mixture", logged_mixture)
     monkeypatch.setattr(mcmc, "_recentre", uncounted_recentre)
     sweeps = 60
     # 60 sweeps are 9 chunks of 7, the last drawn whole and read in part.
     for chunk, chunks in ((1, 60), (7, 9)):
         counts.update(at=0, loglik=0)
+        calls.clear()
         mcmc.run_chain(spec, data, ChainConfig(iterations=sweeps, burn_in=20, thin=2, seed=3, rng_chunk=chunk))
         assert counts["at"] == draws_per_sweep * chunks
-        # One more call builds the initial state.
-        assert counts["loglik"] == calls_per_sweep * sweeps + 1
+        # One more call (or pair of calls) builds the initial state.
+        if isinstance(calls_per_sweep, tuple):
+            assert counts["loglik"] == 0
+            assert calls == ["nb", "mixture"] + list(calls_per_sweep) * sweeps
+        else:
+            assert calls == []
+            assert counts["loglik"] == calls_per_sweep * sweeps + 1

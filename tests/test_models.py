@@ -447,6 +447,72 @@ def test_zinb_kernels_match_the_uncached_expressions(zeros):
         assert again.tobytes() == zinb_loglik_oracle(eta, hyper, y).tobytes()
 
 
+@given(
+    st.lists(st.integers(0, 60), min_size=1, max_size=30),
+    st.sampled_from(["as_drawn", "no_zeros", "with_zero", "all_distinct", "one_repeated"]),
+    st.one_of(st.sampled_from([1e-8, 1e8]), st.floats(1e-8, 1e8)),
+)
+def test_dispersion_constants_per_distinct_count_have_the_per_site_bits(counts, shape, size):
+    y = np.array(counts)
+    if shape == "no_zeros":
+        y = y + 1
+    elif shape == "with_zero":
+        y[len(y) // 2] = 0
+    elif shape == "all_distinct":
+        # In decreasing order, so no site sits where its count does in
+        # the sorted distinct counts.
+        y = np.unique(y)[::-1]
+    elif shape == "one_repeated":
+        y = np.full(y.size, y[0])
+    data = mdl.Dataset(y=y, covariates={})
+    assert not np.any(data._y_distinct[1:] <= data._y_distinct[:-1])
+    assert data._y_distinct[data._y_site].tobytes() == data._y_float.tobytes()
+    got = mdl._dispersion_constants(data, size)
+    want = oracle_models.dispersion_constants(data, size)
+    assert sorted(got) == sorted(want)
+    for name, value in want.items():
+        assert np.asarray(got[name]).tobytes() == np.asarray(value).tobytes(), name
+        assert got[name].shape == np.shape(value)
+    assert not any(v.flags.writeable for v in got.values() if isinstance(v, np.ndarray))
+
+
+@pytest.mark.parametrize("zeros", ["some", "all", "none"])
+def test_the_mixture_of_the_nb_term_is_the_uncached_loglik(zeros):
+    # The two halves of the ZINB kernel compose to the whole, for one
+    # row and for a stack of differing rows, and the mixture leaves the
+    # NB term it is given as it was.
+    g = np.random.default_rng(41)
+    n, k = 30, 5
+    y = g.poisson(4.0, n) + (zeros == "none")
+    if zeros == "some":
+        y[::3] = 0
+    elif zeros == "all":
+        y[:] = 0
+    data = mdl.Dataset(y=y, covariates={})
+    spec = mdl.zinb_spec(covariates=(), offset=None)
+    hypers = np.column_stack([g.uniform(-3.0, 2.0, k), g.uniform(-2.0, 3.0, k)])
+    etas = g.uniform(-3.0, 4.0, (k, n))
+    for hyper, eta in zip(hypers, etas):
+        mu, nb = mdl.zinb_nb_term(spec, eta, hyper, data)
+        assert mu.tobytes() == np.exp(eta).tobytes()
+        # A held exp(eta) gives the same term.
+        assert mdl.zinb_nb_term(spec, eta, hyper, data, mu)[1].tobytes() == nb.tobytes()
+        held = nb.copy()
+        got = mdl.zinb_mixture(spec, nb, mdl.bind(spec, hyper, data), data)
+        assert got.tobytes() == zinb_loglik_oracle(eta, hyper, y).tobytes()
+        assert nb.tobytes() == held.tobytes()
+        # p_zero does not enter the NB term: mixed with another p_zero,
+        # it is that p_zero's log likelihood.
+        moved = np.array([hyper[0] + 0.7, hyper[1]])
+        got = mdl.zinb_mixture(spec, nb, moved, data)
+        assert got.tobytes() == zinb_loglik_oracle(eta, moved, y).tobytes()
+    _, nb = mdl.zinb_nb_term(spec, etas, hypers, data)
+    got = mdl.zinb_mixture(spec, nb, hypers, data)
+    assert got.shape == (k, n)
+    for r in range(k):
+        assert got[r].tobytes() == zinb_loglik_oracle(etas[r], hypers[r], y).tobytes()
+
+
 @pytest.mark.parametrize("case", ["poisson", "gaussian", "zinb"])
 def test_kernel_calls_leave_the_dataset_as_it_was(case):
     # A dataset holds no cache: its attributes and its pickle are the
@@ -462,13 +528,17 @@ def test_kernel_calls_leave_the_dataset_as_it_was(case):
     data = mdl.Dataset(y=y, covariates={})
     names, before = sorted(vars(data)), pickle.dumps(data)
     fields = ["y", "covariates", "offset", "graph", "generating_values"]
-    assert names == sorted(fields + ["_y_float", "_log_y_factorial", "_zero", "_any_zero"])
+    assert names == sorted(fields + ["_y_float", "_log_y_factorial", "_zero", "_any_zero", "_y_distinct", "_y_site"])
     for hyper in hypers + [np.array(hypers * 2)]:
         eta = g.uniform(-2.0, 2.0, (4, 12) if hyper.ndim == 2 else 12)
         for h in (hyper, mdl.bind(spec, hyper, data)):
             mdl.pointwise_loglik_from_eta(spec, eta, h, data)
             mdl.eta_derivatives(spec, eta, h, data)
             mdl.eta_third_derivative(spec, eta, h, data)
+            if case == "zinb":
+                mu, nb = mdl.zinb_nb_term(spec, eta, h, data)
+                mdl.zinb_nb_term(spec, eta, h, data, mu)
+                mdl.zinb_mixture(spec, nb, h, data)
         if hyper.ndim == 1:
             latent = np.full(mdl.latent_dim(spec, data.n), 0.3)
             mdl.log_likelihood(spec, latent, mdl.bind(spec, hyper, data), data)
