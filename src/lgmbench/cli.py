@@ -45,9 +45,19 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="master seed")
     parser.add_argument("--workers", type=_worker_count, default=None, help="process pool size (>= 1)")
     parser.add_argument("--out", default="lgmbench_out", help="output directory")
+    parser.set_defaults(usage_error=parser.error)
 
 
 def _resolve_config(args, default_kind: str | None) -> harness.StudyConfig:
+    """The study config of ``args``; one that ``StudyConfig`` refuses is a
+    usage error (exit code 2)."""
+    try:
+        return _config_of(args, default_kind)
+    except ValueError as exc:
+        args.usage_error(f"invalid study config: {exc}")
+
+
+def _config_of(args, default_kind: str | None) -> harness.StudyConfig:
     if args.config:
         config = harness.config_from_json(args.config)
         if getattr(args, "kind", None):

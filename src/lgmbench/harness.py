@@ -142,10 +142,15 @@ class StudyConfig:
         if Constraint(self.constraint_mode) is not Constraint.NONE and strategy is lap.Strategy.FULL_LAPLACE:
             raise ValueError("full_laplace is not available with a sum-to-zero constraint")
         # Refused here, not after the Laplace fits have run: a chain needs
-        # burn-in short of its length and a positive thin, and the
-        # summaries (rate ratio, percent error, WAIC) need two kept draws.
+        # a burn-in of 0 or more short of its length, a positive thin and
+        # a positive adaptation window, and the summaries (rate ratio,
+        # percent error, WAIC) need two kept draws.
         if self.mcmc_thin < 1:
             raise ValueError("mcmc_thin must be >= 1")
+        if self.mcmc_burn_in < 0:
+            raise ValueError("mcmc_burn_in must be >= 0")
+        if self.adaptation_window < 1:
+            raise ValueError("adaptation_window must be >= 1")
         if self.mcmc_burn_in >= self.mcmc_iterations:
             raise ValueError("mcmc_burn_in must be smaller than mcmc_iterations")
         if (self.mcmc_iterations - self.mcmc_burn_in) // self.mcmc_thin < 2:

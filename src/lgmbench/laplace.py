@@ -336,6 +336,11 @@ class _Context:
             self.basis = null_space_basis(self.constraints)
         self.dim_u = self.basis.shape[1] if self.basis is not None else self.dim_x
         self.j = self.j_full @ self.basis if self.basis is not None else self.j_full
+        # J's column blocks, or None where J is one dense block: J_full B
+        # under a constraint, or X alone.
+        self.blocks = None
+        if self.basis is None and self.dim_x > x_design.shape[1]:
+            self.blocks = _Blocks.of_design(x_design, [sl[b].start for b in ("iid", "icar") if b in sl], self.dim_x)
 
     def to_x(self, u: np.ndarray) -> np.ndarray:
         return self.basis @ u if self.basis is not None else u
@@ -350,6 +355,123 @@ class _Context:
     def eta(self, u: np.ndarray) -> np.ndarray:
         """The linear predictor of ``u``, a (dim_u,) vector or a (k, dim_u) stack."""
         return (self.j @ u if u.ndim == 1 else _mv(self.j, u)) + self.log_off
+
+
+class _Blocks:
+    """J'WJ of an unconstrained design J = [X | I | I] from its column
+    blocks, over the free coordinates of one problem or of each member
+    of a stack.
+
+    Each non-zero of J'WJ is one entry, placed by a single scatter-add.
+    X'WX is the top-left block of X0' W X0, with X0 the free columns of
+    X followed by zero columns up to p + 1, in C order, and its
+    transposed view the left operand: gemm then rounds each entry as it
+    does in the dense product J'WJ (a one-column X0 would go to numpy's
+    dot, and a C-ordered left operand rounds differently).  Every other
+    non-zero is one product w[site] * coef (coef 1, or an entry of X)
+    where a site's unit column meets itself, its other unit column or a
+    column of X; the dense product adds only zeros to it, so placing it
+    keeps its bits too.
+
+    ``x0`` is (n, p + 1) for one problem, (k, n, p + 1) for a stack, or
+    None without fixed effects.  A member's source row holds its weights
+    w and, after them, its X0'WX0 flattened; entry e adds source[src[e]]
+    * coef[e] (coef 1 for X'WX) at flat position ``loc[e]`` of member
+    ``member[e]``'s df x df curvature (member 0 for one problem).
+    """
+
+    def __init__(self, x0, n, df, member, loc, src, coef):
+        self.x0, self.n, self.df = x0, n, df
+        self.member, self.loc, self.src, self.coef = member, loc, src, coef
+        # The entries' positions in the flattened curvatures and sources.
+        self.flat = member * (df * df) + loc
+        self.sources = member * (n if x0 is None else n + x0.shape[-1] ** 2) + src
+        self._restricted = None  # (free.shape, free bytes, blocks) of the last restrict
+
+    @classmethod
+    def of_design(cls, x: np.ndarray, unit_starts: list, d: int) -> _Blocks:
+        """The blocks of one problem over every coordinate of J = [X | I | I],
+        whose unit blocks start at the coordinates ``unit_starts``."""
+        n, p = x.shape
+        site = np.arange(n)
+        units = [start + site for start in unit_starts]
+        entries = [(a, b, site, np.ones(n)) for a in units for b in units]
+        for col in range(p):
+            fixed = np.full(n, col)
+            for unit in units:
+                entries += [(fixed, unit, site, x[:, col]), (unit, fixed, site, x[:, col])]
+        x0 = None
+        if p:
+            x0 = np.zeros((n, p + 1))
+            x0[:, :p] = x
+            a, b = np.divmod(np.arange(p * p), p)
+            entries.append((a, b, n + a * (p + 1) + b, np.ones(p * p)))
+        rows, cols, src, coef = (np.concatenate(e) for e in zip(*entries))
+        return cls(x0, n, d, np.zeros(len(rows), dtype=int), rows * d + cols, src, coef)
+
+    def restrict(self, free: np.ndarray) -> _Blocks:
+        """These blocks of one problem over every coordinate, restricted to
+        the ascending coordinates ``free`` of one problem (df,) or of each
+        member of a stack (k x df).  The last restriction is kept: a
+        lockstep chunk of profile scans asks for the same free sets at
+        every scanned value."""
+        last = self._restricted
+        if last is not None and last[0] == free.shape and last[1] == free.tobytes():
+            return last[2]
+        stack = np.atleast_2d(free)
+        k, df = stack.shape
+        d, n = self.df, self.n
+        pos = np.full((k, d), -1)
+        pos[np.arange(k)[:, None], stack] = np.arange(df)
+        rows, cols = pos[:, self.loc // d], pos[:, self.loc % d]
+        member, e = np.nonzero((rows >= 0) & (cols >= 0))
+        rows, cols, src = rows[member, e], cols[member, e], self.src[e]
+        x0 = None
+        if self.x0 is not None:
+            # Each member's free columns of X, in order, then the zero
+            # column; its X'WX entries read its own X0'WX0.
+            p = self.x0.shape[1] - 1
+            first = stack[:, : p + 1]
+            at = np.full((k, p + 1), p)
+            at[:, : first.shape[1]] = np.where(first < p, first, p)
+            x0 = np.ascontiguousarray(self.x0.T[at].swapaxes(-1, -2))
+            src = np.where(src < n, src, n + rows * (p + 1) + cols)
+        out = _Blocks(x0, n, df, member, rows * df + cols, src, self.coef[e])
+        out = out if free.ndim == 2 else out[0]
+        self._restricted = (free.shape, free.tobytes(), out)
+        return out
+
+    def __getitem__(self, at) -> _Blocks:
+        """The members at ``at`` of a stack: one position, which drops the
+        stack axis, or a boolean mask."""
+        if isinstance(at, (int, np.integer)):
+            e = self.member == at
+            member = np.zeros(np.count_nonzero(e), dtype=int)
+        else:
+            e = at[self.member]
+            member = (np.cumsum(at) - 1)[self.member[e]]
+        x0 = None if self.x0 is None else self.x0[at]
+        return _Blocks(x0, self.n, self.df, member, self.loc[e], self.src[e], self.coef[e])
+
+    def plus(self, w: np.ndarray, p_free: np.ndarray) -> np.ndarray:
+        """``p_free`` + J'WJ at the likelihood weights ``w``: of one problem
+        (n,), or of a stack (k x n, with ``p_free`` k x df x df)."""
+        hess = p_free.copy()
+        source = w
+        if self.x0 is not None:
+            g = self.x0.swapaxes(-1, -2) @ (w[..., None] * self.x0)
+            source = np.concatenate((w, g.reshape(w.shape[:-1] + (-1,))), axis=-1)
+        hess.ravel()[self.flat] += source.ravel()[self.sources] * self.coef
+        return hess
+
+
+def _jwj_plus(jt: np.ndarray, blocks: _Blocks | None, w: np.ndarray, p_free: np.ndarray) -> np.ndarray:
+    """``p_free`` + J'WJ of the free coordinates at the likelihood weights
+    ``w``: from J's ``blocks``, or where J is one dense block (``blocks``
+    None) the product of its transpose ``jt``."""
+    if blocks is None:
+        return jt @ (w[..., None] * jt.swapaxes(-1, -2)) + p_free
+    return blocks.plus(w, p_free)
 
 
 class _Approx:
@@ -396,13 +518,15 @@ _NO_MEMBERS = np.zeros(0, dtype=int)
 _ONE_MEMBER = np.zeros(1, dtype=int)
 
 
-def _curvature(ctx: _Context, thetas: np.ndarray, eta: np.ndarray, jt: np.ndarray, p_free: np.ndarray):
+def _curvature(ctx: _Context, thetas: np.ndarray, eta: np.ndarray, jt: np.ndarray, p_free: np.ndarray, blocks):
     """Curvature of the conditional log posterior at the predictor ``eta``,
     of one problem or of a stack of k (``eta`` k x n).
 
     ``jt`` is the transposed design of the free coordinates, one (df x n)
     matrix, shared by every member of a stack, or a (k x df x n) stack,
-    and ``p_free`` their prior precision (k x df x df for a stack).
+    ``blocks`` their ``_Blocks`` (None where J is one dense block, whose
+    product with ``jt`` is then formed), and ``p_free`` their prior
+    precision (k x df x df for a stack).
     Returns ``(g1, hess, factor, clipped, failed)``: the likelihood
     gradient in eta, ``hess = j' W j + p_free``, its ``Factor``, the
     indices of the members whose W had to be clipped to non-negative
@@ -414,19 +538,21 @@ def _curvature(ctx: _Context, thetas: np.ndarray, eta: np.ndarray, jt: np.ndarra
     rebuilt exactly from its final eta.
     """
     g1, w = mdl.eta_derivatives(ctx.spec, eta, thetas, ctx.data)
-    hess = jt @ (w[..., None] * jt.swapaxes(-1, -2)) + p_free
+    hess = _jwj_plus(jt, blocks, w, p_free)
     factor = Factor.of(hess)
     if hess.ndim == 2:
         if factor is not None:
             return g1, hess, factor, _NO_MEMBERS, _NO_MEMBERS
-        hess = jt @ (np.maximum(w, 0.0)[:, None] * jt.T) + p_free
+        hess = _jwj_plus(jt, blocks, np.maximum(w, 0.0), p_free)
         factor = Factor.of(hess)
         return g1, hess, factor, _ONE_MEMBER, _NO_MEMBERS if factor is not None else _ONE_MEMBER
     if factor.ok.all():
         return g1, hess, factor, _NO_MEMBERS, _NO_MEMBERS
-    clipped = np.flatnonzero(~factor.ok)
+    bad = ~factor.ok
+    clipped = np.flatnonzero(bad)
     jt_c = jt if jt.ndim == 2 else jt[clipped]
-    hess[clipped] = jt_c @ (np.maximum(w[clipped], 0.0)[..., None] * jt_c.swapaxes(-1, -2)) + p_free[clipped]
+    blocks_c = None if blocks is None else blocks[bad]
+    hess[clipped] = _jwj_plus(jt_c, blocks_c, np.maximum(w[clipped], 0.0), p_free[clipped])
     again = Factor.of(hess[clipped])
     factor.lower[clipped] = again.lower
     factor.ok[clipped] = again.ok
@@ -456,7 +582,7 @@ def _ascend(ctx: _Context, thetas: np.ndarray, p_mats: np.ndarray, u: np.ndarray
     field: of one problem, or in lockstep of a stack of k independent ones.
 
     One problem maximizes log p(y | u, thetas) - u' p_mats u / 2 over the
-    coordinates ``free`` (an index array; None means all of them), holding
+    coordinates ``free`` (an ascending index array; None means all of them), holding
     the others at their values in ``u``.  A stack adds a leading axis of
     k to ``thetas``, ``p_mats``, ``u`` and ``free``, and member r solves
     the problem of its rows.  One problem is the k = 1 case of the same
@@ -499,8 +625,11 @@ def _ascend(ctx: _Context, thetas: np.ndarray, p_mats: np.ndarray, u: np.ndarray
     f, pu = _objective(ctx, thetas, p_mats, eta, u)
     log_det_half = np.zeros(k)
     iters, outcome, clipped = [0] * k, [None] * k, [False] * k
+    bl = ctx.blocks
     if free is None:
         jt, pf = ctx.j.T, p_mats
+        if bl is not None and not one:
+            bl = bl.restrict(np.broadcast_to(np.arange(ctx.dim_u), (k, ctx.dim_u)))
     else:
         # Member r's design is ctx.j[:, free[r]], an F-ordered copy, so
         # its transpose is C-ordered: the layout BLAS saw one at a time.
@@ -508,6 +637,7 @@ def _ascend(ctx: _Context, thetas: np.ndarray, p_mats: np.ndarray, u: np.ndarray
         # p[free][:, free] per member: rows, then rows of the transpose.
         at = _at(free)
         pf = np.ascontiguousarray(p_mats[at].swapaxes(-1, -2)[at].swapaxes(-1, -2))
+        bl = None if bl is None else bl.restrict(free)
 
     # The running members: ``act`` holds their indices, the arrays below
     # their rows and ``ref_grad`` their first gradient norms, compacted
@@ -527,7 +657,8 @@ def _ascend(ctx: _Context, thetas: np.ndarray, p_mats: np.ndarray, u: np.ndarray
         """The running members' arrays at the mask ``keep``, ``act`` first."""
         at = rows_of(keep)
         out = [act[keep]] + [a[at] for a in (th, p, cu, ceta, cf, pu) + arrays]
-        return out + [jt if free is None else jt[at], pf[at], None if free is None else fr[at]]
+        out += [jt if free is None else jt[at], pf[at], None if free is None else fr[at]]
+        return out + [None if bl is None else bl[at]]
 
     def stop(at, steps, label, factor):
         """Record the running members at the mask ``at`` (None: all) as
@@ -549,7 +680,7 @@ def _ascend(ctx: _Context, thetas: np.ndarray, p_mats: np.ndarray, u: np.ndarray
             outcome[r] = label if isinstance(label, str) else label[i]
 
     if k == 1 and not one:
-        act, th, p, cu, ceta, cf, pu, jt, pf, fr = running(np.ones(1, dtype=bool))
+        act, th, p, cu, ceta, cf, pu, jt, pf, fr, bl = running(np.ones(1, dtype=bool))
     start_ok = [math.isfinite(v) for v in _each(f)]
     if not all(start_ok):
         for r in np.flatnonzero(~np.array(start_ok)):
@@ -561,11 +692,11 @@ def _ascend(ctx: _Context, thetas: np.ndarray, p_mats: np.ndarray, u: np.ndarray
         if not live.any():
             act = _NO_MEMBERS
         elif not live.all():
-            act, th, p, cu, ceta, cf, pu, jt, pf, fr = running(live)
+            act, th, p, cu, ceta, cf, pu, jt, pf, fr, bl = running(live)
     for it in range(NEWTON_MAX_ITER + 1):
         if not act.size:
             break
-        g1, _, factor, clipped_here, failed = _curvature(ctx, th, ceta, jt, pf)
+        g1, _, factor, clipped_here, failed = _curvature(ctx, th, ceta, jt, pf, bl)
         if clipped_here.size:
             for r in act[clipped_here].tolist():
                 clipped[r] = True
@@ -577,7 +708,7 @@ def _ascend(ctx: _Context, thetas: np.ndarray, p_mats: np.ndarray, u: np.ndarray
                 live = factor.ok
                 factor = Factor(factor.lower[rows_of(live)])
                 ref_grad = [r for r, keep in zip(ref_grad, live) if keep]
-                act, th, p, cu, ceta, cf, pu, g1, jt, pf, fr = running(live, g1)
+                act, th, p, cu, ceta, cf, pu, g1, jt, pf, fr, bl = running(live, g1)
         # P u at the current point, from the objective that accepted it.
         grad = _mv(jt, g1) - (pu if free is None else pu[_at(fr)])
         gnorm = [math.sqrt(g) for g in _each(_dot(grad, grad))]
@@ -603,7 +734,7 @@ def _ascend(ctx: _Context, thetas: np.ndarray, p_mats: np.ndarray, u: np.ndarray
             go = np.array([not d for d in done])
             factor = Factor(factor.lower[rows_of(go)])
             gnorm, ref_grad, f_cur = ([x for x, d in zip(a, done) if not d] for a in (gnorm, ref_grad, f_cur))
-            act, th, p, cu, ceta, cf, pu, step, jt, pf, fr = running(go, step)
+            act, th, p, cu, ceta, cf, pu, step, jt, pf, fr, bl = running(go, step)
         # Line search over the running members, halving t together.  The
         # ``s`` arrays hold the members still searching, at rows ``srow``.
         j_step = _mv(ctx.j if free is None else np.swapaxes(jt, -1, -2), step)
@@ -644,7 +775,7 @@ def _ascend(ctx: _Context, thetas: np.ndarray, p_mats: np.ndarray, u: np.ndarray
             stuck[srow] = True
             stop(stuck, it + 1, ["converged" if c else "stalled" for c, s in zip(near, stuck) if s], factor)
             ref_grad = [r for r, s in zip(ref_grad, stuck) if not s]
-            act, th, p, cu, ceta, cf, pu, jt, pf, fr = running(~stuck)
+            act, th, p, cu, ceta, cf, pu, jt, pf, fr, bl = running(~stuck)
     if one:
         return u, eta, f, log_det_half, iters[0], outcome[0], clipped[0]
     return u, eta, f, log_det_half, iters, outcome, clipped
@@ -654,7 +785,7 @@ def _point_curvature(ctx: _Context, theta: np.ndarray, eta: np.ndarray):
     """``(hess, factor)`` of the curvature over every coordinate at one
     theta and predictor: the last ``_curvature`` of a Newton solve that
     ended at ``eta``, so factored there before."""
-    _, hess, factor, _, failed = _curvature(ctx, theta, eta, ctx.j.T, ctx.prior_precision_u(theta))
+    _, hess, factor, _, failed = _curvature(ctx, theta, eta, ctx.j.T, ctx.prior_precision_u(theta), ctx.blocks)
     if failed.size:
         raise FitFailure("hessian_not_pd", "negative curvature at Newton iterate")
     return hess, factor
@@ -1304,7 +1435,7 @@ def fit(
     # definite on the feasible subspace before any optimization runs.
     eta0 = ctx.eta(np.zeros(ctx.dim_u))
     w0 = np.maximum(mdl.eta_derivatives(spec, eta0, theta0, data)[1], 0.0)
-    h0 = ctx.j.T @ (w0[:, None] * ctx.j) + ctx.prior_precision_u(theta0)
+    h0 = _jwj_plus(ctx.j.T, ctx.blocks, w0, ctx.prior_precision_u(theta0))
     prop = propriety_check(h0, None)
     if not prop.proper:
         raise FitFailure(

@@ -104,8 +104,12 @@ class ChainConfig:
     rng_chunk: int = 1
 
     def __post_init__(self):
+        if self.burn_in < 0:
+            raise ValueError("burn_in must be >= 0")
         if self.burn_in >= self.iterations:
             raise ValueError("burn_in must be smaller than iterations")
+        if self.adaptation_window < 1:
+            raise ValueError("adaptation_window must be >= 1")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
         if self.rng_chunk < 1:
@@ -441,6 +445,11 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
     with np.errstate(divide="ignore"):
         for sweep in range(1, config.iterations + 1):
             in_burn = sweep <= config.burn_in
+            if sweep == config.burn_in + 1:
+                # Every kept sweep runs a frozen kernel, from the first
+                # sweep when there is no burn-in.
+                for a in adapt.values():
+                    a.frozen = True
             # This sweep's row in each block's chunk of draws; row 0 starts
             # a chunk, whose draws each block makes before reading them.
             r = (sweep - 1) % chunk
@@ -637,9 +646,6 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                             ll, bound, held = ll_new, bound_try, held_try
                     adapt[name].record(1.0 if accept else 0.0)
 
-            if sweep == config.burn_in:
-                for a in adapt.values():
-                    a.frozen = True
             if has_icar and sweep % 1000 == 0:
                 # Refresh the incrementally tracked quadratic form to keep
                 # accumulated rounding out of the hyper updates.

@@ -19,6 +19,12 @@ wrapper-based version.
 and the profile scan that ran one scan at a time on it.  The engine now
 runs every scan of a fit in lockstep; each profile value and
 unconverged count must match these copies bit for bit.
+
+``_dense_curvature`` is the engine's curvature step as it formed J'WJ
+for every design: one dense product of the free columns of J.  The
+engine now builds it from J's column blocks wherever J has unit blocks
+and no constraint; every curvature, factor and clipping outcome must
+match this copy bit for bit.
 """
 from __future__ import annotations
 
@@ -31,6 +37,8 @@ from lgmbench import laplace
 from lgmbench import models as mdl
 from lgmbench.gmrf import Factor
 from lgmbench.laplace import (
+    _NO_MEMBERS,
+    _ONE_MEMBER,
     MAX_STEP_HALVINGS,
     NEWTON_MAX_ITER,
     NEWTON_TOL,
@@ -264,6 +272,34 @@ def _fl_conditional_logdens(ctx: _Context, theta, approx: _Approx, index: int, v
         out[g_idx] = f_cur - logdet_half
         u_rest = u_full[keep]
     return out, unconverged
+
+
+# ---------------------------------------------------------------------------
+# The curvature as one dense product
+
+
+def _dense_curvature(ctx: _Context, thetas: np.ndarray, eta: np.ndarray, jt: np.ndarray, p_free: np.ndarray):
+    """``laplace._curvature`` with J'WJ formed as the dense product of the
+    transposed free design ``jt``, for one problem or a stack; returns
+    ``(g1, hess, factor, clipped, failed)`` as the engine does."""
+    g1, w = mdl.eta_derivatives(ctx.spec, eta, thetas, ctx.data)
+    hess = jt @ (w[..., None] * jt.swapaxes(-1, -2)) + p_free
+    factor = Factor.of(hess)
+    if hess.ndim == 2:
+        if factor is not None:
+            return g1, hess, factor, _NO_MEMBERS, _NO_MEMBERS
+        hess = jt @ (np.maximum(w, 0.0)[:, None] * jt.T) + p_free
+        factor = Factor.of(hess)
+        return g1, hess, factor, _ONE_MEMBER, _NO_MEMBERS if factor is not None else _ONE_MEMBER
+    if factor.ok.all():
+        return g1, hess, factor, _NO_MEMBERS, _NO_MEMBERS
+    clipped = np.flatnonzero(~factor.ok)
+    jt_c = jt if jt.ndim == 2 else jt[clipped]
+    hess[clipped] = jt_c @ (np.maximum(w[clipped], 0.0)[..., None] * jt_c.swapaxes(-1, -2)) + p_free[clipped]
+    again = Factor.of(hess[clipped])
+    factor.lower[clipped] = again.lower
+    factor.ok[clipped] = again.ok
+    return g1, hess, factor, clipped, clipped[~again.ok]
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,9 @@ def test_study_config_refuses_chain_settings_a_study_cannot_summarise(kind):
         ({"mcmc_iterations": 100, "mcmc_burn_in": 150}, "mcmc_burn_in"),
         ({"mcmc_thin": 0}, "mcmc_thin"),
         ({"mcmc_thin": -3}, "mcmc_thin"),
+        ({"mcmc_burn_in": -5}, "mcmc_burn_in"),
+        ({"adaptation_window": 0}, "adaptation_window"),
+        ({"adaptation_window": -50}, "adaptation_window"),
         ({"mcmc_iterations": 110, "mcmc_burn_in": 100, "mcmc_thin": 10}, "fewer than 2"),
         ({"mcmc_iterations": 119, "mcmc_burn_in": 100, "mcmc_thin": 10}, "fewer than 2"),
     ):

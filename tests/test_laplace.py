@@ -1338,3 +1338,120 @@ def test_theta_mode_search_fails_when_every_evaluation_fails(monkeypatch):
     with pytest.raises(FitFailure) as info:
         laplace.fit(spec, data, latents=[])
     assert info.value.cause == "theta_mode_search"
+
+
+# ---------------------------------------------------------------------------
+# Curvature from the design's blocks
+
+
+def block_model(p, effects, n, seed=11):
+    """A Poisson model of ``n`` lattice areas with ``p`` fixed effects (an
+    intercept from two on, then covariates) and the random-effect blocks
+    ``effects``."""
+    g = np.random.default_rng(seed)
+    data = mdl.Dataset(
+        y=g.poisson(4.0, n),
+        covariates={f"x{c}": g.normal(0.0, 1.0, n) for c in range(2)},
+        offset=g.uniform(1.0, 3.0, n),
+        graph=harness.default_lattice(n),
+    )
+    terms = {"iid": mdl.IidTerm(), "icar": mdl.IcarTerm()}
+    spec = mdl.ModelSpec(
+        family=mdl.Family.POISSON,
+        fixed_effects=tuple(f"x{c}" for c in range(p - (p >= 2))),
+        offset="offset",
+        include_intercept=p >= 2,
+        random_effects=tuple(terms[e] for e in effects),
+        priors=mdl.PriorSet(
+            fixed_effect=mdl.NormalPrior(0.0, 10.0),
+            log_precision_priors={e: mdl.LogGammaPrior(1.0, 5e-4) for e in effects},
+        ),
+        allow_improper=True,
+    )
+    return spec, data
+
+
+def assert_same_curvature(got, ref):
+    """Two ``_curvature`` results agree bit for bit."""
+    (g1, hess, factor, clipped, failed), (ref_g1, ref_hess, ref_factor, ref_clipped, ref_failed) = got, ref
+    assert g1.tobytes() == ref_g1.tobytes() and hess.tobytes() == ref_hess.tobytes()
+    assert (clipped.tolist(), failed.tolist()) == (ref_clipped.tolist(), ref_failed.tolist())
+    assert factor.lower.tobytes() == ref_factor.lower.tobytes()
+    if hess.ndim == 3:
+        assert factor.ok.tolist() == ref_factor.ok.tolist()
+
+
+@pytest.mark.parametrize("n", [9, 64, 296])
+@pytest.mark.parametrize("effects", [("iid",), ("icar",), ("iid", "icar")])
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_block_curvature_is_bit_identical_to_the_dense_product(monkeypatch, p, effects, n):
+    spec, data = block_model(p, effects, n)
+    ctx = laplace._Context(spec, data)
+    assert ctx.blocks is not None
+    g = np.random.default_rng(100 * n + p)
+    d = ctx.dim_u
+    # Free sets that each drop one coordinate: the last fixed effect
+    # (or, without one, the last latent), and an iid and an icar one.
+    sl = mdl.latent_slices(spec, n)
+    drops = [p - 1 if p else d - 1] + [sl[e].start + n // 2 for e in effects]
+    k = len(drops)
+    thetas = g.uniform(-1.0, 2.0, (k, mdl.hyper_dim(spec)))
+    eta = ctx.log_off + g.normal(0.0, 1.0, (k, n))
+    p_mats = np.array([ctx.prior_precision_u(th) for th in thetas])
+    free = np.array([[c for c in range(d) if c != i] for i in drops])
+    at = laplace._at(free)
+    # Each free set as the engine forms it: rows of J' and of P.
+    problems = [
+        (thetas[0], eta[0], ctx.j.T, p_mats[0], ctx.blocks),
+        (thetas, eta, ctx.j.T, p_mats, ctx.blocks.restrict(np.broadcast_to(np.arange(d), (k, d)))),
+        (thetas[0], eta[0], ctx.j.T[free[0]], p_mats[0][free[0]][:, free[0]], ctx.blocks.restrict(free[0])),
+        (
+            thetas,
+            eta,
+            ctx.j.T[free],
+            np.ascontiguousarray(p_mats[at].swapaxes(-1, -2)[at].swapaxes(-1, -2)),
+            ctx.blocks.restrict(free),
+        ),
+    ]
+    for th, et, jt, pf, blocks in problems:
+        got = laplace._curvature(ctx, th, et, jt, pf.copy(), blocks)
+        assert_same_curvature(got, oracle_laplace._dense_curvature(ctx, th, et, jt, pf.copy()))
+        assert not got[3].size
+
+    # Negative weights at a third of the sites of the first member make
+    # its curvature indefinite, so it is rebuilt from clipped weights.
+    eta_derivatives = mdl.eta_derivatives
+
+    def negative_first_member(spec, eta, hyper, data):
+        g1, w = eta_derivatives(spec, eta, hyper, data)
+        w = w.copy()
+        w[..., : n // 3] *= np.where(np.arange(w.size // n) == 0, -1e3, 1.0).reshape(w.shape[:-1] + (1,))
+        return g1, w
+
+    monkeypatch.setattr(mdl, "eta_derivatives", negative_first_member)
+    for th, et, jt, pf, blocks in problems:
+        got = laplace._curvature(ctx, th, et, jt, pf.copy(), blocks)
+        assert_same_curvature(got, oracle_laplace._dense_curvature(ctx, th, et, jt, pf.copy()))
+        assert got[3].tolist() == [0]
+
+
+def test_a_constrained_or_fixed_effect_only_design_takes_the_dense_product(monkeypatch):
+    # Under a sum-to-zero constraint J = J_full B is one dense block, and
+    # without random effects J is X alone: neither has blocks to build
+    # from.  An unconstrained spatial fit builds every curvature from them.
+    calls = []
+    plus = laplace._Blocks.plus
+
+    def counted(self, w, p_free):
+        calls.append(w.shape)
+        return plus(self, w, p_free)
+
+    monkeypatch.setattr(laplace._Blocks, "plus", counted)
+    for spec, data in (small_spatial_dataset(constraint=Constraint.SUM_TO_ZERO_KRIGING), small_zinb_model()):
+        assert laplace._Context(spec, data).blocks is None
+        laplace.fit(spec, data, strategy=Strategy.SIMPLIFIED_LAPLACE)
+    assert calls == []
+    spec, data = small_spatial_dataset()
+    assert laplace._Context(spec, data).blocks is not None
+    laplace.fit(spec, data, strategy=Strategy.FULL_LAPLACE, latents=["beta_x"])
+    assert {len(shape) for shape in calls} == {1, 2}

@@ -429,7 +429,28 @@ def test_chain_config_validation():
     for chunk in (0, -1):
         with pytest.raises(ValueError, match="rng_chunk"):
             ChainConfig(iterations=100, burn_in=10, rng_chunk=chunk)
+    # A window of 0 raised ZeroDivisionError in the first burn-in sweep;
+    # a negative window or burn-in ran.
+    for window in (0, -1):
+        with pytest.raises(ValueError, match="adaptation_window"):
+            ChainConfig(iterations=100, burn_in=10, adaptation_window=window)
+    with pytest.raises(ValueError, match="burn_in"):
+        ChainConfig(iterations=100, burn_in=-5)
     assert ChainConfig(iterations=1_000, burn_in=100, thin=9).n_kept == 100
+    assert ChainConfig(iterations=100, burn_in=0, adaptation_window=1).n_kept == 10
+
+
+@pytest.mark.parametrize("model", [spatial_model, gamma_poisson_model])
+def test_a_chain_without_burn_in_keeps_its_starting_scales(model):
+    # Adaptation used to freeze at the end of sweep burn_in, which a
+    # chain without burn-in never reaches, so its kept draws came from
+    # kernels that went on adapting.
+    spec, data = model()
+    start = mcmc.run_chain(spec, data, ChainConfig(iterations=2, burn_in=0, thin=1, seed=3))
+    out = mcmc.run_chain(spec, data, ChainConfig(iterations=300, burn_in=0, thin=1, seed=3, adaptation_window=10))
+    assert out.final_scales == start.final_scales
+    adapted = mcmc.run_chain(spec, data, ChainConfig(iterations=300, burn_in=100, thin=1, seed=3, adaptation_window=10))
+    assert adapted.final_scales != start.final_scales
 
 
 def test_nonzero_mean_fixed_effect_prior_is_refused():
