@@ -4,15 +4,16 @@ Subcommands:
 
 * ``generate`` — materialize a study's synthetic datasets as CSV files
   (plus the adjacency edge list and the resolved config).
-* ``run`` — paired engine study (poisson or bym kind) with report files.
-* ``select`` — model-selection study over the two candidate models.
-* ``zinb`` — zero-inflated negative binomial study with rate ratios.
+* ``run`` — a study of any kind (``--kind``: poisson, bym, selection or
+  zinb) with report files.
 * ``audit`` — reproducibility audit (two repeats x worker counts 1 and
   4, byte-compared); the process exits nonzero when the audit fails.
 * ``report`` — regenerate the CSV tables from a saved report.json.
 
 Studies are configured by a JSON file (see ``--config``); the
-``--seed``, ``--workers``, and ``--scale`` flags override the file.
+``--kind``, ``--seed``, ``--workers``, and ``--scale`` flags override the
+file.  ``--workers`` sets how a run is scheduled and never reaches the
+report, so its bytes are the same for any worker count.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ def _worker_count(text: str) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON study config file")
+    parser.add_argument("--kind", choices=harness.STUDY_KINDS, default=None, help="study kind")
     parser.add_argument("--scale", choices=harness.SCALES, default=None, help="preset sizes")
     parser.add_argument("--seed", type=int, default=None, help="master seed")
     parser.add_argument("--workers", type=_worker_count, default=None, help="process pool size (>= 1)")
@@ -49,10 +51,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_config(args, default_kind: str | None) -> harness.StudyConfig:
-    """The study config of ``args``; one that ``StudyConfig`` refuses is a
-    usage error (exit code 2)."""
+    """The study config of ``args``; a config file that cannot be read or
+    a config that ``StudyConfig`` refuses is a usage error (exit code 2)."""
     try:
         return _config_of(args, default_kind)
+    except OSError as exc:
+        args.usage_error(f"cannot read study config: {exc}")
     except ValueError as exc:
         args.usage_error(f"invalid study config: {exc}")
 
@@ -60,18 +64,17 @@ def _resolve_config(args, default_kind: str | None) -> harness.StudyConfig:
 def _config_of(args, default_kind: str | None) -> harness.StudyConfig:
     if args.config:
         config = harness.config_from_json(args.config)
-        if getattr(args, "kind", None):
+        if args.kind:
             config = replace(config, kind=args.kind)
     else:
-        kind = getattr(args, "kind", None) or default_kind
+        kind = args.kind or default_kind
         if kind is None:
-            raise SystemExit("either --config or --kind is required")
+            args.usage_error("either --config or --kind is required")
         config = harness.study_config(kind, scale=args.scale or "desk", seed=args.seed or 0)
     if args.scale is not None and args.config:
         preset = harness.study_config(config.kind, scale=args.scale, seed=config.master_seed)
         config = replace(
             config,
-            scale=args.scale,
             n_datasets=preset.n_datasets,
             n_areas=preset.n_areas,
             mcmc_iterations=preset.mcmc_iterations,
@@ -119,12 +122,8 @@ def _summary_lines(report: harness.ComparisonReport) -> list:
     return lines
 
 
-def _cmd_study(args) -> int:
-    """run, select and zinb: select and zinb pin the kind through their
-    parser defaults; run accepts the paired kinds only."""
+def _cmd_run(args) -> int:
     config = _resolve_config(args, default_kind="poisson")
-    if args.command == "run" and config.kind not in ("poisson", "bym"):
-        raise SystemExit("run covers the poisson and bym kinds; see select/zinb")
     report = harness.run_study(config)
     paths = harness.emit_report(report, args.out)
     failures = report.table("failures").rows
@@ -179,25 +178,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write synthetic datasets to CSV")
     _add_common(p)
-    p.add_argument("--kind", choices=harness.STUDY_KINDS, help="study kind")
     p.set_defaults(fn=_cmd_generate)
 
-    p = sub.add_parser("run", help="paired engine study (poisson/bym)")
+    p = sub.add_parser("run", help="study of any kind, with report files")
     _add_common(p)
-    p.add_argument("--kind", choices=("poisson", "bym"), default=None)
-    p.set_defaults(fn=_cmd_study)
-
-    p = sub.add_parser("select", help="model-selection study")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_study, kind="selection")
-
-    p = sub.add_parser("zinb", help="zero-inflated negative binomial study")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_study, kind="zinb")
+    p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("audit", help="byte-level reproducibility audit")
     _add_common(p)
-    p.add_argument("--kind", choices=harness.STUDY_KINDS, default=None)
     p.set_defaults(fn=_cmd_audit)
 
     p = sub.add_parser("report", help="re-emit tables from report.json")

@@ -25,12 +25,14 @@ table; the runner joins them in dataset order.  ``run_paired_study``,
 ``run_selection_study`` and ``run_zinb_study`` are the same runner
 behind a check of the kind.
 
-Every random quantity derives from the master seed through named
-streams, datasets are independent work units scheduled over a process
-pool, and results are assembled in dataset order — so reports are
-byte-identical for any worker count.  ``reproducibility_audit`` proves
-that by running a study four times (two repeats at one and at four
-workers) and comparing every serialized byte.
+A config records what defines the study.  ``workers`` says only how a
+run is scheduled, so the config's JSON, its hash and the report leave
+it out.  Every random quantity derives from the master seed through
+named streams, datasets are independent work units scheduled over a
+process pool, and results are assembled in dataset order — so reports
+are byte-identical for any worker count.  ``reproducibility_audit``
+proves that by running a study four times (two repeats at one and at
+four workers) and comparing every serialized byte.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import hashlib
 import io
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -111,7 +113,6 @@ class StudyConfig:
     n_datasets: int
     n_areas: int
     master_seed: int = 0
-    scale: str = "desk"
     mcmc_iterations: int = 100_000
     mcmc_burn_in: int = 10_000
     mcmc_thin: int = 10
@@ -123,9 +124,7 @@ class StudyConfig:
     selection_family: str = "poisson"
     covariate_csv: str | None = None
     graph_path: str | None = None
-    workers: int = 1
-    debug_zero_noise: bool = False
-    debug_shuffle_reduction: bool = False
+    workers: int = 1  # how the study runs, not what it is: left out of its JSON and hash
 
     def __post_init__(self):
         if self.kind not in STUDY_KINDS:
@@ -180,13 +179,16 @@ def study_config(kind: str, scale: str = "desk", seed: int = 0, **overrides) -> 
     base = dict(_DESK if scale == "desk" else _PAPER)
     if kind == "zinb":
         base["n_areas"] = 200 if scale == "desk" else 500
-    base.update(kind=kind, scale=scale, master_seed=seed)
+    base.update(kind=kind, master_seed=seed)
     base.update(overrides)
     return StudyConfig(**base)
 
 
 def config_to_json(config: StudyConfig, path=None) -> str:
+    """The study's JSON: every field but ``workers``, so the text, the
+    hash and the report are the same for any worker count."""
     payload = asdict(config)
+    del payload["workers"]
     text = json.dumps(payload, sort_keys=True, indent=2)
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -194,18 +196,23 @@ def config_to_json(config: StudyConfig, path=None) -> str:
     return text
 
 
-def config_from_json(source) -> StudyConfig:
-    """Build a config from a JSON file path or a JSON string."""
-    if isinstance(source, (str, os.PathLike)) and os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    else:
-        payload = json.loads(source)
+def config_from_json(path) -> StudyConfig:
+    """Build a config from a JSON file; a key that names no setting is a
+    ValueError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
     gen = payload.pop("generating", None)
-    config = StudyConfig(**payload)
+    config = StudyConfig(**_settings(StudyConfig, payload))
     if gen is not None:
-        config = replace(config, generating=GeneratingValues(**gen))
+        config = replace(config, generating=GeneratingValues(**_settings(GeneratingValues, gen)))
     return config
+
+
+def _settings(cls, payload: dict) -> dict:
+    unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown settings {unknown}")
+    return payload
 
 
 def config_hash(config: StudyConfig) -> str:
@@ -272,9 +279,7 @@ def generate_poisson_data(config: StudyConfig, attach_graph: bool = False) -> li
     """Counts from exp(intercept + slope * x + noise) scaled by exposure.
 
     Covariates are drawn once per study and shared by every dataset;
-    only the noise and the counts are redrawn per dataset.  With the
-    ``debug_zero_noise`` switch the noise is identically zero, which
-    makes E[y] available in closed form for tests.
+    only the noise and the counts are redrawn per dataset.
     """
     x, total = _count_covariates(config)
     gv = config.generating
@@ -282,7 +287,7 @@ def generate_poisson_data(config: StudyConfig, attach_graph: bool = False) -> li
     out = []
     for i in range(config.n_datasets):
         g = stream(config.master_seed, "dataset", i)
-        eps = np.zeros(config.n_areas) if config.debug_zero_noise else g.normal(0.0, gv.sigma, config.n_areas)
+        eps = g.normal(0.0, gv.sigma, config.n_areas)
         lam = total * np.exp(gv.intercept + gv.beta_x * x + eps)
         y = g.poisson(lam)
         out.append(
@@ -311,7 +316,7 @@ def generate_bym_data(config: StudyConfig, graph: AdjacencyGraph | None = None) 
     for i in range(config.n_datasets):
         g = stream(config.master_seed, "dataset", i)
         mu = sample_icar_kriging(icar, g)
-        eps = np.zeros(config.n_areas) if config.debug_zero_noise else g.normal(0.0, gv.sigma, config.n_areas)
+        eps = g.normal(0.0, gv.sigma, config.n_areas)
         lam = total * np.exp(gv.intercept + gv.beta_x * x + mu + eps)
         y = g.poisson(lam)
         out.append(
@@ -738,12 +743,7 @@ def run_study(config: StudyConfig, workers: int | None = None, datasets: list | 
             outputs = list(pool.map(_fit_one, *args, chunksize=1))
     columns = {**_TABLES[config.kind], "failures": _FAILURE_COLUMNS}
     rows = {name: [row for out in outputs for row in out.get(name, [])] for name in columns}
-    main = next(iter(columns))
-    if config.debug_shuffle_reduction and len(rows[main]) > 1:
-        # Deliberate nondeterminism for audit testing: fresh OS entropy.
-        order = np.random.default_rng().permutation(len(rows[main]))
-        rows[main] = [rows[main][i] for i in order]
-    if main == "results":
+    if "results" in rows:
         rows["pe_long"], rows["pc_long"] = _long_tables(rows["results"])
     return ComparisonReport(
         kind=config.kind,
@@ -839,12 +839,11 @@ def _first_diff(label_a, files_a, label_b, files_b) -> dict | None:
     return None
 
 
-def reproducibility_audit(
-    config: StudyConfig,
-    worker_counts: tuple = (1, 4),
-    repeats: int = 2,
-) -> AuditReport:
-    """Run the study ``repeats`` times per worker count and compare bytes.
+AUDIT_REPEATS = 2
+
+
+def reproducibility_audit(config: StudyConfig, worker_counts: tuple = (1, 4)) -> AuditReport:
+    """Run the study ``AUDIT_REPEATS`` times per worker count and compare bytes.
 
     The audit passes only when every serialized output file is
     byte-identical across all runs.  Mismatches are findings, not
@@ -852,7 +851,7 @@ def reproducibility_audit(
     """
     runs = []
     outputs = []
-    for repeat in range(repeats):
+    for repeat in range(AUDIT_REPEATS):
         for workers in worker_counts:
             report = run_study(config, workers=workers)
             files = report.canonical_files()
@@ -882,16 +881,12 @@ def reproducibility_audit(
     )
 
 
-def emit_report(report: ComparisonReport, out_dir, formats: tuple = ("csv", "json")) -> list:
+def emit_report(report: ComparisonReport, out_dir) -> list:
     """Write canonical files; returns the paths written."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
     files = report.canonical_files()
     for name in sorted(files):
-        if name.endswith(".csv") and "csv" not in formats:
-            continue
-        if name.endswith(".json") and "json" not in formats:
-            continue
         path = os.path.join(out_dir, name)
         with open(path, "wb") as fh:
             fh.write(files[name])

@@ -1,11 +1,13 @@
 """Shared fixtures and test configuration."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from lgmbench import gmrf
+from lgmbench import gmrf, harness
 from lgmbench import models as mdl
 
 settings.register_profile(
@@ -46,3 +48,19 @@ def dispersion_builds(monkeypatch) -> list:
 
     monkeypatch.setattr(mdl, "_dispersion_constants", counted)
     return built
+
+
+@pytest.fixture
+def inject_drift(monkeypatch):
+    """A call that makes every later in-process study run differ from
+    every other: each dataset's worker adds a failure row stamped with a
+    running call count.  The patched worker cannot be pickled to a
+    worker process, so a study that should drift runs with one worker."""
+    fit_one, calls = harness._fit_one, itertools.count()
+
+    def drifting(config, index, data):
+        rows = fit_one(config, index, data)
+        rows["failures"].append({"dataset": index, "engine": "injected", "cause": "drift", "detail": str(next(calls))})
+        return rows
+
+    return lambda: monkeypatch.setattr(harness, "_fit_one", drifting)

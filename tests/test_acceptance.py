@@ -367,13 +367,13 @@ def test_criterion_7_improper_posterior_is_caught():
 
 
 @pytest.mark.slow
-def test_criterion_8_reproducibility_audit():
+def test_criterion_8_reproducibility_audit(inject_drift):
     config = harness.study_config(
         "poisson", seed=2, n_datasets=6, n_areas=25,
         mcmc_iterations=4_000, mcmc_burn_in=800, mcmc_thin=4,
     )
     t0 = time.perf_counter()
-    audit = harness.reproducibility_audit(config, worker_counts=(1, 4), repeats=2)
+    audit = harness.reproducibility_audit(config, worker_counts=(1, 4))
     elapsed = time.perf_counter() - t0
     assert audit.passed, audit.first_diff
     assert audit.first_diff is None
@@ -381,12 +381,8 @@ def test_criterion_8_reproducibility_audit():
     digests = [run["sha256"] for run in audit.runs]
     assert all(d == digests[0] for d in digests[1:])
 
-    injected = harness.study_config(
-        "poisson", seed=2, n_datasets=6, n_areas=25,
-        mcmc_iterations=4_000, mcmc_burn_in=800, mcmc_thin=4,
-        debug_shuffle_reduction=True,
-    )
-    bad = harness.reproducibility_audit(injected, worker_counts=(1,), repeats=2)
+    inject_drift()
+    bad = harness.reproducibility_audit(config, worker_counts=(1,))
     assert not bad.passed
     assert bad.first_diff is not None
     assert bad.first_diff["file"] and bad.first_diff["line"] >= 1

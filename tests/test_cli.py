@@ -47,9 +47,11 @@ def test_generate_without_config_uses_presets(tmp_path):
     assert (config.kind, config.master_seed, config.n_areas) == ("poisson", 3, 50)
 
 
-def test_generate_requires_kind_or_config(tmp_path):
-    with pytest.raises(SystemExit):
+def test_generate_requires_kind_or_config(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
         cli.main(["generate", "--out", str(tmp_path / "x")])
+    assert info.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_scale_flag_overrides_config_sizes(tmp_path):
@@ -79,13 +81,41 @@ def test_run_emits_report_files(tmp_path, capsys):
     assert f"  MCMC verdicts: {rows[0]['mcmc_verdict']} 1\n" in text  # one chain
 
 
-def test_seed_and_workers_flags_override_config(tmp_path):
+def test_seed_and_workers_flags_override_config(tmp_path, monkeypatch):
     cfg_path, _ = write_config(tmp_path)
     out = tmp_path / "report"
+    run_study, seen = harness.run_study, []
+
+    def recording(config):
+        seen.append(config.workers)
+        return run_study(config)
+
+    monkeypatch.setattr(harness, "run_study", recording)
     assert cli.main(["run", "--config", str(cfg_path), "--seed", "99", "--workers", "2", "--out", str(out)]) == 0
+    assert seen == [2]
     payload = json.loads((out / "report.json").read_text())
     assert payload["config"]["master_seed"] == 99
-    assert payload["config"]["workers"] == 2
+    assert "workers" not in payload["config"]
+
+
+def test_report_bytes_do_not_depend_on_the_worker_count(tmp_path):
+    # The worker count schedules a run; it is not part of the study.
+    cfg_path, _ = write_config(tmp_path, kind="bym", n_areas=9, mcmc_iterations=300, strategy="gaussian")
+    for workers in ("1", "2"):
+        assert cli.main(["run", "--config", str(cfg_path), "--workers", workers, "--out", str(tmp_path / workers)]) == 0
+    for name in ("report.json", "results.csv", "failures.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+
+def test_a_missing_config_file_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "no-such.json"
+    for command in ("generate", "run", "audit"):
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, "--config", str(missing), "--out", str(tmp_path / "x")])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "cannot read study config" in err and str(missing) in err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "audit"])
@@ -119,16 +149,11 @@ def test_a_config_the_study_refuses_is_a_usage_error(tmp_path, capsys, setting):
     assert not (tmp_path / "x").exists()
 
 
-def test_run_rejects_non_paired_kind(tmp_path):
-    cfg_path, _ = write_config(tmp_path, kind="zinb", n_areas=30)
-    with pytest.raises(SystemExit):
-        cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
-
-
-def test_select_subcommand(tmp_path, capsys):
-    cfg_path, _ = write_config(tmp_path, kind="selection", n_areas=9)
+def test_run_selection_kind(tmp_path, capsys):
+    # --kind overrides the kind of the config file.
+    cfg_path, _ = write_config(tmp_path, n_areas=9)
     out = tmp_path / "sel"
-    assert cli.main(["select", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert cli.main(["run", "--config", str(cfg_path), "--kind", "selection", "--out", str(out)]) == 0
     assert (out / "selection.csv").exists()
     assert (out / "waic_diff.csv").exists()
     lines = (out / "selection.csv").read_text().splitlines()
@@ -140,10 +165,10 @@ def test_select_subcommand(tmp_path, capsys):
         assert f"  {engine} picked the generating family (poisson) in {correct}/1 datasets\n" in text
 
 
-def test_zinb_subcommand(tmp_path, capsys):
+def test_run_zinb_kind(tmp_path, capsys):
     cfg_path, _ = write_config(tmp_path, kind="zinb", n_areas=50, mcmc_iterations=600, mcmc_burn_in=150)
     out = tmp_path / "zinb"
-    assert cli.main(["zinb", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert (out / "rate_ratios.csv").exists()
     assert (out / "p_zero.csv").exists()
     text = capsys.readouterr().out
@@ -153,7 +178,7 @@ def test_zinb_subcommand(tmp_path, capsys):
         assert f"  {engine}: {significant}/5 rate ratios significant\n" in text
 
 
-def test_audit_exit_codes_and_artifacts(tmp_path, capsys):
+def test_audit_exit_codes_and_artifacts(tmp_path, capsys, inject_drift):
     cfg_path, _ = write_config(tmp_path, mcmc_iterations=300, mcmc_burn_in=100)
     out = tmp_path / "audit"
     rc = cli.main(["audit", "--config", str(cfg_path), "--workers", "2", "--out", str(out)])
@@ -162,10 +187,8 @@ def test_audit_exit_codes_and_artifacts(tmp_path, capsys):
     payload = json.loads((out / "audit.json").read_text())
     assert payload["passed"] is True
 
-    bad_path, _ = write_config(
-        tmp_path, name="bad.json", n_datasets=3, mcmc_iterations=300, mcmc_burn_in=100,
-        debug_shuffle_reduction=True,
-    )
+    inject_drift()
+    bad_path, _ = write_config(tmp_path, name="bad.json", n_datasets=3, mcmc_iterations=300, mcmc_burn_in=100)
     rc = cli.main(["audit", "--config", str(bad_path), "--workers", "1", "--out", str(out)])
     assert rc == 1
     text = capsys.readouterr().out
@@ -192,5 +215,4 @@ def test_console_script_is_installed():
         text=True,
     )
     assert proc.returncode == 0
-    for sub in ("generate", "run", "select", "zinb", "audit", "report"):
-        assert sub in proc.stdout
+    assert "{generate,run,audit,report}" in proc.stdout
