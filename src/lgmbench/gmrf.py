@@ -158,7 +158,7 @@ class IcarSpec:
 
 @dataclass(frozen=True)
 class ProprietyResult:
-    """Outcome of a positive-definiteness check on a feasible subspace."""
+    """Outcome of a positive-definiteness check of a dense precision."""
 
     proper: bool
     deficiency: int
@@ -398,33 +398,18 @@ def null_space_basis(a: np.ndarray) -> np.ndarray:
     return vt[rank:].T
 
 
-def propriety_check(
-    precision: np.ndarray,
-    constraints: np.ndarray | None = None,
-    tol: float = PROPRIETY_EIG_TOL,
-) -> ProprietyResult:
-    """Check positive definiteness on the constraint-feasible subspace.
+def propriety_check(precision: np.ndarray) -> ProprietyResult:
+    """Check positive definiteness of a dense precision.
 
-    ``constraints`` is a (c, n) matrix of linear restrictions Ax = 0;
-    the precision is projected onto null(A) via an orthonormal basis and
-    its eigenvalues are compared against ``tol`` times the largest.
-    Reports the number of non-positive directions as the deficiency.
+    Its eigenvalues are compared against ``PROPRIETY_EIG_TOL`` times the
+    largest; the number of non-positive directions is the deficiency.
+    A constrained model passes the precision of its reduced coordinates.
     """
-    dense = np.asarray(precision, dtype=np.float64)
-    n = dense.shape[0]
-    if constraints is not None and np.asarray(constraints).size:
-        a = np.atleast_2d(np.asarray(constraints, dtype=np.float64))
-        if a.shape[1] != n:
-            raise ValueError("constraint row length mismatch")
-        basis = null_space_basis(a)
-        if basis.shape[1] == 0:
-            return ProprietyResult(True, 0, np.inf, np.inf)
-        dense = basis.T @ dense @ basis
-    eig = np.linalg.eigvalsh(dense)
+    eig = np.linalg.eigvalsh(np.asarray(precision, dtype=np.float64))
     largest = float(eig[-1])
     if largest <= 0.0:
         return ProprietyResult(False, eig.size, float(eig[0]), largest)
-    deficiency = int(np.sum(eig <= tol * largest))
+    deficiency = int(np.sum(eig <= PROPRIETY_EIG_TOL * largest))
     return ProprietyResult(deficiency == 0, deficiency, float(eig[0]), largest)
 
 

@@ -160,7 +160,6 @@ class StudyConfig:
             iterations=self.mcmc_iterations,
             burn_in=self.mcmc_burn_in,
             thin=self.mcmc_thin,
-            rng_chunk=mc.STUDY_RNG_CHUNK,
             seed=substream_seed(self.master_seed, "chain", dataset_index, *stream_path),
             adaptation_window=self.adaptation_window,
             # Only WAIC, in a selection study, reads the pointwise matrix.
@@ -281,56 +280,35 @@ def generate_poisson_data(config: StudyConfig, attach_graph: bool = False) -> li
     Covariates are drawn once per study and shared by every dataset;
     only the noise and the counts are redrawn per dataset.
     """
-    x, total = _count_covariates(config)
-    gv = config.generating
-    graph = _study_graph(config) if attach_graph else None
-    out = []
-    for i in range(config.n_datasets):
-        g = stream(config.master_seed, "dataset", i)
-        eps = g.normal(0.0, gv.sigma, config.n_areas)
-        lam = total * np.exp(gv.intercept + gv.beta_x * x + eps)
-        y = g.poisson(lam)
-        out.append(
-            mdl.Dataset(
-                y=y,
-                covariates={"x": x},
-                offset=total,
-                graph=graph,
-                generating_values={
-                    "intercept": gv.intercept,
-                    "beta_x": gv.beta_x,
-                    "sd_iid": gv.sigma,
-                },
-            )
-        )
-    return out
+    return _count_data(config, _study_graph(config) if attach_graph else None, icar=False)
 
 
 def generate_bym_data(config: StudyConfig, graph: AdjacencyGraph | None = None) -> list:
     """Adds a constrained intrinsic CAR field to the count generator."""
+    return _count_data(config, graph if graph is not None else _study_graph(config), icar=True)
+
+
+def _count_data(config: StudyConfig, graph: AdjacencyGraph | None, icar: bool) -> list:
+    """The count datasets, each with ``graph``; with ``icar``, the
+    predictor adds a field on it, drawn from the dataset's stream before
+    the noise."""
     x, total = _count_covariates(config)
     gv = config.generating
-    graph = graph if graph is not None else _study_graph(config)
-    icar = IcarSpec(graph=graph, tau=gv.tau, constraint=Constraint.SUM_TO_ZERO_KRIGING)
+    generating = {"intercept": gv.intercept, "beta_x": gv.beta_x, "sd_iid": gv.sigma}
+    if icar:
+        field_spec = IcarSpec(graph=graph, tau=gv.tau, constraint=Constraint.SUM_TO_ZERO_KRIGING)
+        generating["tau_icar"] = gv.tau
     out = []
     for i in range(config.n_datasets):
         g = stream(config.master_seed, "dataset", i)
-        mu = sample_icar_kriging(icar, g)
-        eps = g.normal(0.0, gv.sigma, config.n_areas)
-        lam = total * np.exp(gv.intercept + gv.beta_x * x + mu + eps)
-        y = g.poisson(lam)
+        eta = gv.intercept + gv.beta_x * x
+        if icar:
+            eta = eta + sample_icar_kriging(field_spec, g)
+        eta = eta + g.normal(0.0, gv.sigma, config.n_areas)
+        y = g.poisson(total * np.exp(eta))
         out.append(
             mdl.Dataset(
-                y=y,
-                covariates={"x": x},
-                offset=total,
-                graph=graph,
-                generating_values={
-                    "intercept": gv.intercept,
-                    "beta_x": gv.beta_x,
-                    "sd_iid": gv.sigma,
-                    "tau_icar": gv.tau,
-                },
+                y=y, covariates={"x": x}, offset=total, graph=graph, generating_values=dict(generating)
             )
         )
     return out
@@ -435,7 +413,6 @@ def _laplace_fit(config, index, spec, data, failures, latents, model=None):
             data,
             strategy=lap.Strategy(config.strategy),
             int_strategy=config.int_strategy,
-            seed=config.master_seed,
             latents=latents,
         )
     except (lap.FitFailure, mdl.LikelihoodOverflowError) as exc:

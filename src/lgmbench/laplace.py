@@ -141,7 +141,6 @@ class GaussianApprox:
     precision: np.ndarray  # dense, symmetric
     log_det_half: float
     newton_iters: int
-    converged: bool
     curvature_clipped: bool = field(default=False, compare=False)
 
 
@@ -208,6 +207,9 @@ class FitDiagnostics:
     that fell back to the Gaussian or whose full-Laplace profile has
     points where the inner Newton loop stopped short of convergence;
     ``fl_unconverged_points`` counts those points.
+    ``newton_converged`` is always true: every Newton solve a fit keeps
+    converged, since ``_newton`` raises on any other outcome.  It stays
+    while ``perfbench/layers.py`` reads it.
     """
 
     strategy: str
@@ -253,7 +255,6 @@ class FitResult:
     grid_weights: np.ndarray
     diagnostics: FitDiagnostics
     int_strategy: str
-    seed: int | None = None
     version: str = ""
 
     def latent_marginal(self, name: str) -> PosteriorMarginal:
@@ -270,7 +271,6 @@ class FitResult:
         return {
             "engine": "laplace",
             "version": self.version,
-            "seed": self.seed,
             "int_strategy": self.int_strategy,
             "diagnostics": self.diagnostics.to_dict(),
             "theta_grid": self.theta_grid.to_dict(),
@@ -478,14 +478,14 @@ class _Approx:
     """What the theta cache keeps of one Gaussian approximation, in
     reduced coordinates: the latent mode, the linear predictor that the
     Newton ascent ended on, and scalars.  No d x d array is kept; a grid
-    point's curvature is rebuilt from ``eta`` by ``_curvature``."""
+    point's curvature is rebuilt from ``eta`` by ``_curvature``.  Only a
+    converged ascent makes one: ``_newton`` raises on any other outcome."""
 
-    def __init__(self, mode_u, eta, log_det_half, iters, converged, clipped):
+    def __init__(self, mode_u, eta, log_det_half, iters, clipped):
         self.mode_u = mode_u
         self.eta = eta
         self.log_det_half = log_det_half
         self.iters = iters
-        self.converged = converged
         self.clipped = clipped
 
 
@@ -815,7 +815,7 @@ def _newton(ctx: _Context, theta: np.ndarray, u0: np.ndarray | None = None, boun
             "newton_nonconvergence",
             f"no convergence in {NEWTON_MAX_ITER} iterations",
         )
-    return _Approx(u, eta, log_det_half, iters, True, clipped)
+    return _Approx(u, eta, log_det_half, iters, clipped)
 
 
 def gaussian_approx_latent(
@@ -847,7 +847,6 @@ def gaussian_approx_latent(
         precision=0.5 * (dense + dense.T),
         log_det_half=approx.log_det_half,
         newton_iters=approx.iters,
-        converged=approx.converged,
         curvature_clipped=approx.clipped,
     )
 
@@ -1398,7 +1397,6 @@ def fit(
     data: mdl.Dataset,
     strategy: Strategy = Strategy.GAUSSIAN,
     int_strategy: str = "auto",
-    seed: int | None = None,
     latents: list[str] | None = None,
 ) -> FitResult:
     """Deterministic end-to-end fit.
@@ -1436,7 +1434,7 @@ def fit(
     eta0 = ctx.eta(np.zeros(ctx.dim_u))
     w0 = np.maximum(mdl.eta_derivatives(spec, eta0, theta0, data)[1], 0.0)
     h0 = _jwj_plus(ctx.j.T, ctx.blocks, w0, ctx.prior_precision_u(theta0))
-    prop = propriety_check(h0, None)
+    prop = propriety_check(h0)
     if not prop.proper:
         raise FitFailure(
             "rank_deficient",
@@ -1461,7 +1459,7 @@ def fit(
         propriety=str(prop),
         grid_size=len(grid.points),
         newton_iters=[a.iters for a in approxes],
-        newton_converged=all(a.converged for a in approxes),
+        newton_converged=True,
         curvature_clipped=any(a.clipped for a in approxes),
         constrained_reduction=ctx.basis is not None,
         **explore_diag,
@@ -1476,6 +1474,5 @@ def fit(
         grid_weights=grid.weights,
         diagnostics=diag,
         int_strategy=int_strategy,
-        seed=seed,
         version=__version__,
     )

@@ -37,14 +37,15 @@ the end of burn-in so the recorded draws come from a fixed kernel.
 
 Randomness is counter-based: each block has its own stream, and every
 (block, chunk) pair derives its own generator from the seed, where a
-chunk is ``ChainConfig.rng_chunk`` = K consecutive sweeps.  One rewind
+chunk is ``RNG_CHUNK`` = K consecutive sweeps.  One rewind
 of the block's stream to the chunk's first sweep s0 draws the chunk's
 normals as one (K, m) array and then its uniforms as one (K, m_u)
 array, and sweep s reads row ``(s - 1) mod K`` of each.  The draws of a
 sweep depend only on the seed, the block, the sweep and K, so results
 are independent of execution details and reproducible bit-for-bit, and
 a shorter chain's draws are a prefix of a longer one's.  K = 1 gives
-every (block, sweep) pair its own generator.
+every (block, sweep) pair its own generator, the draws of the reference
+sampler that the tests compare against.
 """
 
 from __future__ import annotations
@@ -87,8 +88,16 @@ class ChainAbort(RuntimeError):
         super().__init__(f"chain aborted at iteration {iteration}: {detail}")
 
 
-# The draw chunk of every study chain (ChainConfig.rng_chunk).
-STUDY_RNG_CHUNK = 64
+# Sweeps per draw of each block's stream (see the module docstring): part
+# of what fixes every chain's draws, not a tuning knob.
+RNG_CHUNK = 64
+
+# The stationarity screen of ``diagnose``: a column fails beyond either
+# bound.  Geweke's test compares the first and last of these fractions.
+DIAGNOSE_Z = 4.0
+DIAGNOSE_RHAT = 1.1
+GEWEKE_FIRST = 0.1
+GEWEKE_LAST = 0.5
 
 
 @dataclass(frozen=True)
@@ -99,9 +108,6 @@ class ChainConfig:
     seed: int = 0
     adaptation_window: int = 50
     record_pointwise: bool = True
-    # Sweeps per draw of each block's stream (see the module docstring):
-    # part of what fixes the draws, not a tuning knob.
-    rng_chunk: int = 1
 
     def __post_init__(self):
         if self.burn_in < 0:
@@ -112,8 +118,6 @@ class ChainConfig:
             raise ValueError("adaptation_window must be >= 1")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
-        if self.rng_chunk < 1:
-            raise ValueError("rng_chunk must be >= 1")
 
     @property
     def n_kept(self) -> int:
@@ -438,7 +442,7 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
     metric = None
     metric_sigma = None
     beta2 = beta**2
-    chunk = config.rng_chunk
+    chunk = RNG_CHUNK
     centering = constraint is Constraint.SUM_TO_ZERO_CENTERING
 
     # The site blocks take np.log of uniform draws, which can be 0: -inf, no warning.
@@ -727,11 +731,11 @@ def _ess_rows(x: np.ndarray) -> np.ndarray:
     return np.where((g0 <= 0.0) | (var_mean <= 0.0) | ~(ratio < n), float(n), ratio)
 
 
-def _geweke_rows(x: np.ndarray, first: float = 0.1, last: float = 0.5) -> np.ndarray:
+def _geweke_rows(x: np.ndarray) -> np.ndarray:
     """``geweke_z`` of each row."""
     n = x.shape[1]
-    a = x[:, : max(2, int(first * n))]
-    b = x[:, n - max(2, int(last * n)) :]
+    a = x[:, : max(2, int(GEWEKE_FIRST * n))]
+    b = x[:, n - max(2, int(GEWEKE_LAST * n)) :]
     va = a.var(axis=-1, ddof=1)
     vb = b.var(axis=-1, ddof=1)
     ma = a.mean(axis=-1)
@@ -787,9 +791,10 @@ def ess_ips(x: np.ndarray) -> float:
     return _one(_ess_rows, x)
 
 
-def geweke_z(x: np.ndarray, first: float = 0.1, last: float = 0.5) -> float:
-    """Z score comparing the means of the early and late chain segments."""
-    return _one(_geweke_rows, x, first, last)
+def geweke_z(x: np.ndarray) -> float:
+    """Z score comparing the means of the early and late chain segments
+    (the first ``GEWEKE_FIRST`` and the last ``GEWEKE_LAST`` of it)."""
+    return _one(_geweke_rows, x)
 
 
 def split_rhat(x: np.ndarray) -> float:
@@ -798,12 +803,9 @@ def split_rhat(x: np.ndarray) -> float:
     return _one(_split_rhat_rows, x)
 
 
-def trace_slope_z(x: np.ndarray, ess: float | None = None) -> float:
-    """Standardized linear drift of the trace, autocorrelation adjusted.
-
-    ``ess`` is ``ess_ips(x)`` when the caller has it already.
-    """
-    return _one(_trace_slope_rows, x, np.array([ess_ips(x) if ess is None else ess]))
+def trace_slope_z(x: np.ndarray) -> float:
+    """Standardized linear drift of the trace, autocorrelation adjusted."""
+    return _one(_trace_slope_rows, x, np.array([ess_ips(x)]))
 
 
 @dataclass
@@ -816,11 +818,11 @@ class ChainDiagnostics:
         return {"verdict": self.verdict, "reasons": list(self.reasons), "per_column": self.per_column}
 
 
-def diagnose(output: ChainOutput, z_threshold: float = 4.0, rhat_threshold: float = 1.1) -> ChainDiagnostics:
+def diagnose(output: ChainOutput) -> ChainDiagnostics:
     """Stationarity screen over every recorded column.
 
-    Fail when any column shows a Geweke z beyond ``z_threshold`` or a
-    split-chain scale reduction beyond ``rhat_threshold``; a column
+    Fail when any column shows a Geweke z beyond ``DIAGNOSE_Z`` or a
+    split-chain scale reduction beyond ``DIAGNOSE_RHAT``; a column
     with zero variance counts its full length as effective and is
     flagged as a warning, as is a chain with too few kept draws for
     the screen to mean much.
@@ -861,22 +863,22 @@ def diagnose(output: ChainOutput, z_threshold: float = 4.0, rhat_threshold: floa
             warn = True
             reasons.append(f"{name}: zero variance across kept draws")
             continue
-        if abs(z[j]) > z_threshold:
+        if abs(z[j]) > DIAGNOSE_Z:
             worst_fail = True
-            reasons.append(f"{name}: |geweke z| = {abs(float(z[j])):.2f} > {z_threshold}")
-        if rhat[j] > rhat_threshold:
+            reasons.append(f"{name}: |geweke z| = {abs(float(z[j])):.2f} > {DIAGNOSE_Z}")
+        if rhat[j] > DIAGNOSE_RHAT:
             worst_fail = True
-            reasons.append(f"{name}: split Rhat = {float(rhat[j]):.3f} > {rhat_threshold}")
+            reasons.append(f"{name}: split Rhat = {float(rhat[j]):.3f} > {DIAGNOSE_RHAT}")
     verdict = "Fail" if worst_fail else ("Warn" if warn else "Pass")
     return ChainDiagnostics(verdict=verdict, reasons=reasons, per_column=per_column)
 
 
-def posterior_summary(output: ChainOutput, natural_hypers: bool = True) -> dict:
+def posterior_summary(output: ChainOutput) -> dict:
     """Per-column mean, sd, quantiles, effective size, and MC error.
 
-    When ``natural_hypers`` is set, hyperparameter columns named on the
-    internal scale gain companion entries on the natural scale, plus a
-    standard-deviation column for each free precision.
+    Hyperparameter columns named on the internal scale gain companion
+    entries on the natural scale, plus a standard-deviation column for
+    each free precision.
     """
     out = {}
 
@@ -896,7 +898,7 @@ def posterior_summary(output: ChainOutput, natural_hypers: bool = True) -> dict:
 
     for j, name in enumerate(output.columns):
         summarize(name, output.draws[:, j])
-        if natural_hypers and name in mdl._NATURAL_NAME:
+        if name in mdl._NATURAL_NAME:
             natural = mdl.to_natural_hyper(name, output.draws[:, j])
             summarize(mdl._NATURAL_NAME[name], natural)
             if name.startswith("log_precision_"):

@@ -284,26 +284,10 @@ def test_laplacian_is_rank_deficient_by_component_count(two_component_graph):
     assert str(res) == "RankDeficient(2)"
 
 
-def test_laplacian_proper_on_constraint_subspace(two_component_graph):
-    labels = component_labels(two_component_graph)
-    rows = np.zeros((2, 7))
-    for c in range(2):
-        rows[c, labels == c] = 1.0
-    res = propriety_check(graph_laplacian(two_component_graph), constraints=rows)
-    assert res.proper
-    assert res.deficiency == 0
-    assert str(res) == "Proper"
-
-
 def test_propriety_identity_and_negative():
     assert propriety_check(np.eye(4)).proper
     res = propriety_check(-np.eye(4))
     assert not res.proper and res.deficiency == 4
-
-
-def test_propriety_fully_constrained_space_is_vacuously_proper():
-    res = propriety_check(np.zeros((2, 2)), constraints=np.eye(2))
-    assert res.proper
 
 
 # ---------------------------------------------------------------------------

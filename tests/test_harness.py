@@ -124,8 +124,8 @@ def test_study_config_refuses_chain_settings_a_study_cannot_summarise(kind):
     # Two kept draws are enough.
     config = tiny_config(kind, mcmc_iterations=120, mcmc_burn_in=100, mcmc_thin=10)
     assert config.chain_config(0).n_kept == 2
-    # Every study chain draws in chunks of 64 sweeps.
-    assert config.chain_config(0).rng_chunk == mcmc.STUDY_RNG_CHUNK == 64
+    # Every chain draws in chunks of 64 sweeps: no config sets it.
+    assert mcmc.RNG_CHUNK == 64
 
 
 def test_config_json_round_trip(tmp_path):
@@ -540,7 +540,7 @@ def three_sweep_poisson_config(seed, n_datasets=1):
     """Chains of three sweeps with one burn-in sweep, each kept: short
     enough that some keep one value of a tracked parameter.  Which ones
     do depends on the draws; the seeds below were found with study
-    chains drawn in chunks of mcmc.STUDY_RNG_CHUNK = 64 sweeps."""
+    chains drawn in chunks of mcmc.RNG_CHUNK = 64 sweeps."""
     return study_config(
         "poisson",
         seed=seed,
