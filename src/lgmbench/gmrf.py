@@ -17,13 +17,15 @@ edgewise in a fixed edge order so repeated evaluations are bit-exact.
 Sum-to-zero constraints are imposed by conditioning by kriging: draw an
 unconstrained Gaussian vector from a null-space-regularized precision,
 then subtract ``Sigma A' (A Sigma A')^{-1} (A x)`` where ``A`` has one
-all-ones indicator row per connected component.
+all-ones indicator row per connected component.  This module is the one
+place that states both rules of the field: ``sum_to_zero_rows`` gives
+``A`` and ``icar_log_tau_coefficient`` the coefficient of log tau.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -32,7 +34,6 @@ from scipy.linalg import lapack
 __all__ = [
     "Constraint",
     "AdjacencyGraph",
-    "IcarSpec",
     "ProprietyResult",
     "Factor",
     "SingularConstraintError",
@@ -40,8 +41,10 @@ __all__ = [
     "connected_components",
     "component_labels",
     "icar_log_density",
+    "icar_log_tau_coefficient",
     "icar_quadratic_form",
     "sample_icar_kriging",
+    "sum_to_zero_rows",
     "null_space_basis",
     "propriety_check",
     "lattice_graph",
@@ -62,14 +65,14 @@ NULL_SPACE_JITTER = 1e-8
 class Constraint(enum.Enum):
     """How (or whether) an intrinsic field is identified.
 
-    Both sum-to-zero values name one posterior, each connected component
-    summing to zero (Rue & Held 2005, section 2.3.3); they differ only in
-    how the sampler keeps to it (see ``lgmbench.mcmc``).
+    ``SUM_TO_ZERO_KRIGING`` makes each connected component sum to zero
+    (Rue & Held 2005, section 2.3.3): the Laplace engine reduces to the
+    null space of ``sum_to_zero_rows``, and the sampler recentres each
+    component once per sweep (see ``lgmbench.mcmc``).
     """
 
     NONE = "none"
     SUM_TO_ZERO_KRIGING = "sum_to_zero_kriging"
-    SUM_TO_ZERO_CENTERING = "sum_to_zero_centering"
 
 
 class SingularConstraintError(ValueError):
@@ -141,22 +144,6 @@ class AdjacencyGraph:
 
 
 @dataclass(frozen=True)
-class IcarSpec:
-    """An intrinsic CAR field: graph, precision scale, and constraint."""
-
-    graph: AdjacencyGraph
-    tau: float
-    constraint: Constraint = Constraint.NONE
-    half_exponent: bool = False
-    n_components: int = field(init=False)
-
-    def __post_init__(self):
-        if not (self.tau > 0.0 and np.isfinite(self.tau)):
-            raise ValueError("tau must be positive and finite")
-        object.__setattr__(self, "n_components", connected_components(self.graph))
-
-
-@dataclass(frozen=True)
 class ProprietyResult:
     """Outcome of a positive-definiteness check of a dense precision."""
 
@@ -225,18 +212,35 @@ def icar_quadratic_form(mu: np.ndarray, graph: AdjacencyGraph) -> float:
     return float(np.add.reduce(d * d))
 
 
-def icar_log_density(mu: np.ndarray, spec: IcarSpec) -> float:
-    """Unnormalized ICAR log density at mu.
+def sum_to_zero_rows(graph: AdjacencyGraph) -> np.ndarray:
+    """The (k, n) sum-to-zero constraint rows A: one all-ones indicator
+    row per connected component, in component order."""
+    labels = component_labels(graph)
+    return (labels == np.arange(labels.max() + 1)[:, None]).astype(np.float64)
 
-    ``(n - k) log tau - (tau / 2) * quadratic_form`` by default; with
-    ``half_exponent`` the leading coefficient becomes ``(n - k) / 2``.
-    """
+
+def icar_log_tau_coefficient(graph: AdjacencyGraph, half_exponent: bool = False) -> float:
+    """The coefficient of log tau in the ICAR log density: the rank
+    n - k of the graph Laplacian, or (n - k) / 2 under ``half_exponent``
+    (R-INLA's convention)."""
+    n_minus_k = graph.n_nodes - connected_components(graph)
+    return 0.5 * n_minus_k if half_exponent else float(n_minus_k)
+
+
+def _check_tau(tau: float) -> None:
+    if not (tau > 0.0 and np.isfinite(tau)):
+        raise ValueError("tau must be positive and finite")
+
+
+def icar_log_density(mu: np.ndarray, graph: AdjacencyGraph, tau: float, half_exponent: bool = False) -> float:
+    """Unnormalized ICAR log density at mu with precision scale ``tau``:
+    ``icar_log_tau_coefficient * log tau - (tau / 2) * quadratic_form``."""
+    _check_tau(tau)
     mu = np.asarray(mu, dtype=np.float64)
-    if mu.shape != (spec.graph.n_nodes,):
+    if mu.shape != (graph.n_nodes,):
         raise ValueError("mu has wrong length for graph")
-    n_minus_k = spec.graph.n_nodes - spec.n_components
-    coef = 0.5 * n_minus_k if spec.half_exponent else float(n_minus_k)
-    return coef * np.log(spec.tau) - 0.5 * spec.tau * icar_quadratic_form(mu, spec.graph)
+    coef = icar_log_tau_coefficient(graph, half_exponent)
+    return coef * np.log(tau) - 0.5 * tau * icar_quadratic_form(mu, graph)
 
 
 class Factor:
@@ -336,46 +340,42 @@ def _triangular_solve(upper: np.ndarray, b: np.ndarray, trans: int) -> np.ndarra
     return x
 
 
-def _regularized_precision(spec: IcarSpec) -> tuple[np.ndarray, np.ndarray]:
+def _regularized_precision(graph: AdjacencyGraph, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Dense tau*Q plus null-space jitter, and the constraint rows A.
 
     The Laplacian's null space is spanned by the per-component indicator
     vectors; adding ``jitter * v v' / |c|`` along each leaves the range
     space untouched while making the matrix positive definite.
     """
-    q = graph_laplacian(spec.graph) * spec.tau
-    labels = component_labels(spec.graph)
-    k = labels.max() + 1
-    a_rows = np.zeros((k, spec.graph.n_nodes))
-    for c in range(k):
-        a_rows[c, labels == c] = 1.0
-    jitter = NULL_SPACE_JITTER * np.mean(np.diag(q)) if spec.graph.n_edges else NULL_SPACE_JITTER
-    for c in range(k):
-        v = a_rows[c]
+    q = graph_laplacian(graph) * tau
+    a_rows = sum_to_zero_rows(graph)
+    jitter = NULL_SPACE_JITTER * np.mean(np.diag(q)) if graph.n_edges else NULL_SPACE_JITTER
+    for v in a_rows:
         q += (jitter / v.sum()) * np.outer(v, v)
     return q, a_rows
 
 
 def sample_icar_kriging(
-    spec: IcarSpec,
+    graph: AdjacencyGraph,
+    tau: float,
     rng: np.random.Generator,
     size: int | None = None,
 ) -> np.ndarray:
-    """Draw from the ICAR prior under per-component sum-to-zero constraints.
+    """Draw from the ICAR prior with precision scale ``tau`` under
+    per-component sum-to-zero constraints.
 
     Unconstrained draws use the null-space-regularized precision; the
     kriging correction ``x - Sigma A' (A Sigma A')^{-1} A x`` then
     conditions each component's sum to zero exactly.  Returns shape
     ``(n,)`` for ``size=None`` else ``(size, n)``.
     """
-    if spec.constraint is not Constraint.SUM_TO_ZERO_KRIGING:
-        raise ValueError("sampling requires the sum-to-zero kriging constraint")
-    q_reg, a_rows = _regularized_precision(spec)
+    _check_tau(tau)
+    q_reg, a_rows = _regularized_precision(graph, tau)
     factor = Factor.of(q_reg)
     if factor is None:  # pragma: no cover - regularization prevents this
         raise SingularConstraintError("regularized precision not positive definite")
 
-    n = spec.graph.n_nodes
+    n = graph.n_nodes
     m = size if size is not None else 1
     z = rng.standard_normal((m, n))
     # x' L = z  =>  x = z L^{-1}, giving cov (L L')^{-1} = Q_reg^{-1}

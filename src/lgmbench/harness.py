@@ -50,15 +50,7 @@ from . import __version__
 from . import laplace as lap
 from . import mcmc as mc
 from . import models as mdl
-from .gmrf import (
-    AdjacencyGraph,
-    Constraint,
-    IcarSpec,
-    lattice_graph,
-    read_edge_list,
-    sample_icar_kriging,
-    write_edge_list,
-)
+from .gmrf import AdjacencyGraph, Constraint, lattice_graph, read_edge_list, sample_icar_kriging, write_edge_list
 from .metrics import percent_change, percent_error, rate_ratio, select_model, waic
 from .posterior import PosteriorMarginal
 from .streams import stream, substream_seed
@@ -88,6 +80,10 @@ __all__ = [
 
 STUDY_KINDS = ("poisson", "bym", "selection", "zinb")
 SCALES = ("desk", "paper")
+# Candidate models of a selection study, in fitting order.
+_SELECTION_MODELS = ("poisson", "bym")
+# The zinb study's covariate columns, read from a covariate file or generated.
+_ZINB_COLUMNS = ("z1", "z2", "z3", "z4", "z5")
 
 
 @dataclass(frozen=True)
@@ -105,6 +101,8 @@ class GeneratingValues:
 
     def __post_init__(self):
         object.__setattr__(self, "zinb_betas", tuple(float(b) for b in self.zinb_betas))
+        if len(self.zinb_betas) != len(_ZINB_COLUMNS):
+            raise ValueError(f"zinb_betas needs one coefficient per covariate: {len(_ZINB_COLUMNS)}")
 
 
 @dataclass(frozen=True)
@@ -135,9 +133,14 @@ class StudyConfig:
             raise ValueError("n_areas must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.selection_family not in _SELECTION_MODELS:
+            raise ValueError(f"selection_family must be one of {_SELECTION_MODELS}, not {self.selection_family!r}")
         strategy = lap.Strategy(self.strategy)  # validates
         if self.int_strategy not in lap.INT_STRATEGIES:
             raise ValueError(f"int_strategy must be one of {lap.INT_STRATEGIES}, not {self.int_strategy!r}")
+        modes = [c.value for c in Constraint]
+        if self.constraint_mode not in modes:
+            raise ValueError(f"constraint_mode must name a Constraint, one of {modes}, not {self.constraint_mode!r}")
         if Constraint(self.constraint_mode) is not Constraint.NONE and strategy is lap.Strategy.FULL_LAPLACE:
             raise ValueError("full_laplace is not available with a sum-to-zero constraint")
         # Refused here, not after the Laplace fits have run: a chain needs
@@ -252,10 +255,10 @@ def _zinb_covariates(config: StudyConfig) -> tuple[np.ndarray, np.ndarray]:
     """Five standardized covariate columns and a population offset."""
     n = config.n_areas
     if config.covariate_csv:
-        *z, pop = _covariate_columns(config.covariate_csv, ("z1", "z2", "z3", "z4", "z5", "population"), n)
+        *z, pop = _covariate_columns(config.covariate_csv, _ZINB_COLUMNS + ("population",), n)
         return np.column_stack(z), pop
     g = stream(config.master_seed, "covariates")
-    raw = g.standard_normal((n, 5))
+    raw = g.standard_normal((n, len(_ZINB_COLUMNS)))
     z = (raw - raw.mean(axis=0)) / raw.std(axis=0)
     pop = np.floor(10.0 ** g.uniform(3.0, 5.5, n))
     return z, pop
@@ -296,14 +299,13 @@ def _count_data(config: StudyConfig, graph: AdjacencyGraph | None, icar: bool) -
     gv = config.generating
     generating = {"intercept": gv.intercept, "beta_x": gv.beta_x, "sd_iid": gv.sigma}
     if icar:
-        field_spec = IcarSpec(graph=graph, tau=gv.tau, constraint=Constraint.SUM_TO_ZERO_KRIGING)
         generating["tau_icar"] = gv.tau
     out = []
     for i in range(config.n_datasets):
         g = stream(config.master_seed, "dataset", i)
         eta = gv.intercept + gv.beta_x * x
         if icar:
-            eta = eta + sample_icar_kriging(field_spec, g)
+            eta = eta + sample_icar_kriging(graph, gv.tau, g)
         eta = eta + g.normal(0.0, gv.sigma, config.n_areas)
         y = g.poisson(total * np.exp(eta))
         out.append(
@@ -319,8 +321,6 @@ def generate_zinb_data(config: StudyConfig) -> list:
     z, pop = _zinb_covariates(config)
     gv = config.generating
     betas = np.asarray(gv.zinb_betas, dtype=float)
-    if betas.size != z.shape[1]:
-        raise ValueError("zinb_betas length must match the covariate count")
     out = []
     for i in range(config.n_datasets):
         g = stream(config.master_seed, "dataset", i)
@@ -352,9 +352,7 @@ def generate_datasets(config: StudyConfig) -> list:
     if config.kind == "selection":
         if config.selection_family == "poisson":
             return generate_poisson_data(config, attach_graph=True)
-        if config.selection_family == "bym":
-            return generate_bym_data(config)
-        raise ValueError(f"unknown selection family {config.selection_family!r}")
+        return generate_bym_data(config)
     return generate_zinb_data(config)
 
 
@@ -442,9 +440,6 @@ _TRACKED = {
     "poisson": {"beta_x": "beta_x", "sd_iid": "sd_iid"},
     "bym": {"beta_x": "beta_x", "sd_iid": "sd_iid", "precision_icar": "tau_icar"},
 }
-
-# Candidate models of a selection study, in fitting order.
-_SELECTION_MODELS = ("poisson", "bym")
 
 
 def _paired_rows(config, index, data, failures) -> dict:

@@ -304,10 +304,10 @@ class FitResult:
 class _Context:
     """Design, offsets, and optional constraint reduction.
 
-    With a sum-to-zero constraint (either spelling) the whole problem
-    is reduced to coordinates u with x = Z u, Z an orthonormal basis of
-    the constraint null space, which turns the constrained Laplace
-    approximation into an ordinary one.
+    With the sum-to-zero constraint (``gmrf.sum_to_zero_rows``) the
+    whole problem is reduced to coordinates u with x = Z u, Z an
+    orthonormal basis of the constraint null space, which turns the
+    constrained Laplace approximation into an ordinary one.
     """
 
     def __init__(self, spec: mdl.ModelSpec, data: mdl.Dataset, int_strategy: str = "auto"):

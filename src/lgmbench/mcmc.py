@@ -19,9 +19,8 @@ in a fixed order:
 4. intrinsic CAR random effects: sites are grouped by a greedy graph
    coloring and each color class is proposed simultaneously — no two
    updated sites are neighbors, so the class conditional factorizes.
-   The spec's sum-to-zero constraint subtracts each connected
-   component's mean after every color class (``SUM_TO_ZERO_CENTERING``)
-   or once after the block (``SUM_TO_ZERO_KRIGING``);
+   The spec's sum-to-zero constraint (``SUM_TO_ZERO_KRIGING``)
+   subtracts each connected component's mean once after the block;
 5. when both random-effect blocks are present and unconstrained, a
    per-component level swap (mu + gamma, eps - gamma) that again
    leaves the linear predictor untouched; the intrinsic prior is
@@ -57,7 +56,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import models as mdl
-from .gmrf import Constraint, Factor, component_labels, graph_laplacian, icar_quadratic_form
+from .gmrf import Constraint, Factor, component_labels, graph_laplacian, icar_log_tau_coefficient, icar_quadratic_form
 from .streams import CounterStream
 
 __all__ = [
@@ -305,7 +304,7 @@ def _draw_chunk(stream: CounterStream, sweep: int, k: int, m: int, m_u: int):
     return g.standard_normal((k, m)), g.random((k, m_u))
 
 
-def _recentre(spec, hyper, data, mu, eta, ll, comp_masks, sweep, what):
+def _recentre(spec, hyper, data, mu, eta, ll, comp_masks, sweep):
     """Subtract each connected component's mean from the intrinsic field
     and the predictor; returns the new (mu, eta, ll)."""
     shift = np.zeros(mu.size)
@@ -316,7 +315,7 @@ def _recentre(spec, hyper, data, mu, eta, ll, comp_masks, sweep, what):
     eta = eta - shift
     ll = _loglik_vec(spec, eta, hyper, data)
     if ll is None:
-        raise ChainAbort(sweep, f"{what} produced an invalid state")
+        raise ChainAbort(sweep, "constraint projection produced an invalid state")
     return mu - shift, eta, ll
 
 
@@ -343,10 +342,7 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
         degrees = graph.degrees().astype(float)
         labels = component_labels(graph)
         n_comp = int(labels.max()) + 1
-        if spec.icar_term.half_exponent:
-            icar_coef = 0.5 * (n - n_comp)
-        else:
-            icar_coef = float(n - n_comp)
+        icar_coef = icar_log_tau_coefficient(graph, spec.icar_term.half_exponent)
         comp_masks = [np.flatnonzero(labels == c) for c in range(n_comp)]
         # Dense adjacency rows let each color class compute its neighbor
         # sums in a single matrix-vector product.
@@ -443,7 +439,6 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
     metric_sigma = None
     beta2 = beta**2
     chunk = RNG_CHUNK
-    centering = constraint is Constraint.SUM_TO_ZERO_CENTERING
 
     # The site blocks take np.log of uniform draws, which can be 0: -inf, no warning.
     with np.errstate(divide="ignore"):
@@ -548,21 +543,19 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                 log_u = log_uc[r]
                 # Each site's step, for every class at once: the products
                 # are elementwise, so the bits match a per-class one.
+                # Classes share no sites, and a class moves mu, eta and ll
+                # only at its own sites, so one pass over every site's
+                # proposal (one likelihood call: the kernels are
+                # elementwise) serves all classes.
                 step = adapt["icar"].scales * zc[r]
                 two_step = 2.0 * step
+                mu_new = mu + step
+                d_deg = degrees * (mu_new**2 - mu**2)
+                eta_new = eta + step
+                ll_new = _site_loglik(spec, eta_new, bound, data)
+                d_ll = ll_new - ll
                 accepted = np.zeros(n, dtype=bool)
-                for c, (cls, a_rows) in enumerate(zip(classes, class_adj)):
-                    # Classes share no sites, and a class moves mu, eta and ll
-                    # only at its own sites, so one pass over every site's
-                    # proposal (one likelihood call: the kernels are
-                    # elementwise) serves all classes.  Recentring moves
-                    # every site, so it takes a pass per class.
-                    if c == 0 or centering:
-                        mu_new = mu + step
-                        d_deg = degrees * (mu_new**2 - mu**2)
-                        eta_new = eta + step
-                        ll_new = _site_loglik(spec, eta_new, bound, data)
-                        d_ll = ll_new - ll
+                for cls, a_rows in zip(classes, class_adj):
                     s_neigh = a_rows @ mu
                     d_quad = d_deg[cls] - two_step[cls] * s_neigh
                     d_site = d_ll[cls] - 0.5 * tau * d_quad
@@ -572,15 +565,10 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                     mu[idx] = mu_new[idx]
                     icar_quad += float(np.add.reduce(d_quad[accept]))
                     accepted[idx] = True
-                    if centering:
-                        eta[idx] = eta_new[idx]
-                        ll[idx] = ll_new[idx]
-                        mu, eta, ll = _recentre(spec, bound, data, mu, eta, ll, comp_masks, sweep, "recentering")
-                if not centering:
-                    np.copyto(eta, eta_new, where=accepted)
-                    np.copyto(ll, ll_new, where=accepted)
+                np.copyto(eta, eta_new, where=accepted)
+                np.copyto(ll, ll_new, where=accepted)
                 if constraint is Constraint.SUM_TO_ZERO_KRIGING:
-                    mu, eta, ll = _recentre(spec, bound, data, mu, eta, ll, comp_masks, sweep, "constraint projection")
+                    mu, eta, ll = _recentre(spec, bound, data, mu, eta, ll, comp_masks, sweep)
                 adapt["icar"].record(accepted)
                 held = None
 

@@ -27,14 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as sps
 
-from .gmrf import (
-    AdjacencyGraph,
-    Constraint,
-    IcarSpec,
-    component_labels,
-    graph_laplacian,
-    icar_log_density,
-)
+from .gmrf import AdjacencyGraph, Constraint, graph_laplacian, icar_log_density, sum_to_zero_rows
 
 __all__ = [
     "Family",
@@ -127,24 +120,15 @@ class NormalPrior:
 
 @dataclass(frozen=True)
 class LogGammaPrior:
-    """Prior on a log precision t with exp(t) ~ Gamma(shape, scale).
-
-    ``scale_is_rate`` selects how the second Gamma parameter is read:
-    True means Gamma(shape, rate=scale) (density ~ x^{a-1} e^{-scale x}),
-    False means Gamma(shape, scale=scale) (density ~ x^{a-1} e^{-x/scale}).
-    """
+    """Prior on a log precision t with exp(t) ~ Gamma(shape, rate), whose
+    density is ~ x^{shape-1} e^{-rate x}."""
 
     shape: float
-    scale: float
-    scale_is_rate: bool = True
+    rate: float
 
     def __post_init__(self):
-        if not (self.shape > 0.0 and self.scale > 0.0):
-            raise ValueError("shape and scale must be positive")
-
-    @property
-    def rate(self) -> float:
-        return self.scale if self.scale_is_rate else 1.0 / self.scale
+        if not (self.shape > 0.0 and self.rate > 0.0):
+            raise ValueError("shape and rate must be positive")
 
     def logpdf(self, t: float) -> float:
         # Change of variables x = exp(t): log Gamma(x; a, rate) + t
@@ -868,14 +852,8 @@ def latent_log_prior(spec: ModelSpec, latent: np.ndarray, hyper: np.ndarray, dat
         eps = latent[sl["iid"]]
         total += 0.5 * eps.size * (prec["iid"] - math.log(2.0 * math.pi)) - 0.5 * s * float(eps @ eps)
     if "icar" in sl:
-        term = spec.icar_term
-        icar = IcarSpec(
-            graph=_require_graph(data),
-            tau=math.exp(prec["icar"]),
-            constraint=term.constraint,
-            half_exponent=term.half_exponent,
-        )
-        total += icar_log_density(latent[sl["icar"]], icar)
+        tau = math.exp(prec["icar"])
+        total += icar_log_density(latent[sl["icar"]], _require_graph(data), tau, spec.icar_term.half_exponent)
     return float(total)
 
 
@@ -912,22 +890,15 @@ def latent_prior_precision(spec: ModelSpec, hyper: np.ndarray, data: Dataset) ->
 
 
 def constraint_rows(spec: ModelSpec, data: Dataset) -> np.ndarray | None:
-    """Sum-to-zero constraint rows over the full latent vector, if any.
-
-    One all-ones row per connected component of the icar block under
-    either sum-to-zero constraint (one posterior); None otherwise.
-    """
+    """The icar block's sum-to-zero constraint rows (``gmrf.sum_to_zero_rows``)
+    over the full latent vector under ``SUM_TO_ZERO_KRIGING``; None
+    otherwise."""
     term = spec.icar_term
     if term is None or term.constraint is Constraint.NONE:
         return None
-    graph = _require_graph(data)
-    labels = component_labels(graph)
-    k = labels.max() + 1
-    d = latent_dim(spec, data.n)
-    off = latent_slices(spec, data.n)["icar"].start
-    rows = np.zeros((k, d))
-    for c in range(k):
-        rows[c, off + np.flatnonzero(labels == c)] = 1.0
+    block = sum_to_zero_rows(_require_graph(data))
+    rows = np.zeros((len(block), latent_dim(spec, data.n)))
+    rows[:, latent_slices(spec, data.n)["icar"]] = block
     return rows
 
 

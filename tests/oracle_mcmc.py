@@ -325,17 +325,6 @@ def run_chain(spec: mdl.ModelSpec, data: mdl.Dataset, config: ChainConfig) -> Ch
                     ll[idx] = ll_new[idx]
                     icar_quad += float(np.add.reduce(d_quad[accept]))
                 acc_vec[cls] = accept.astype(float)
-                if constraint is Constraint.SUM_TO_ZERO_CENTERING:
-                    shift = np.zeros(n)
-                    for comp in comp_masks:
-                        shift[comp] = np.add.reduce(mu[comp]) / comp.size
-                    if np.any(shift != 0.0):
-                        mu = mu - shift
-                        eta = eta - shift
-                        ll_c = _loglik_vec(spec, eta, hyper, data)
-                        if ll_c is None:
-                            raise ChainAbort(sweep, "recentering produced an invalid state")
-                        ll = ll_c
             if constraint is Constraint.SUM_TO_ZERO_KRIGING:
                 shift = np.zeros(n)
                 for comp in comp_masks:

@@ -20,7 +20,7 @@ import scipy.special
 
 from lgmbench import harness, laplace, mcmc, metrics
 from lgmbench import models as mdl
-from lgmbench.gmrf import Constraint, IcarSpec, lattice_graph, sample_icar_kriging
+from lgmbench.gmrf import lattice_graph, sample_icar_kriging
 from lgmbench.laplace import FitFailure, Strategy
 from lgmbench.mcmc import ChainConfig
 from lgmbench.posterior import PosteriorMarginal
@@ -181,9 +181,8 @@ def test_criterion_2_conjugate_sampler_correctness():
 def test_criterion_3_constrained_icar_sampler_fidelity():
     graph = lattice_graph(2, 5)
     tau = 1.3
-    spec = IcarSpec(graph=graph, tau=tau, constraint=Constraint.SUM_TO_ZERO_KRIGING)
     t0 = time.perf_counter()
-    draws = sample_icar_kriging(spec, np.random.default_rng(301), size=100_000)
+    draws = sample_icar_kriging(graph, tau, np.random.default_rng(301), size=100_000)
     elapsed = time.perf_counter() - t0
     sums = np.abs(draws.sum(axis=1))
     assert sums.max() < 1e-10, sums.max()

@@ -132,20 +132,32 @@ def test_fewer_than_one_worker_is_a_usage_error(tmp_path, capsys, command):
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("setting", [("mcmc_burn_in", -5), ("adaptation_window", 0), ("mcmc_thin", 0)])
+@pytest.mark.parametrize(
+    "setting",
+    [
+        ("mcmc_burn_in", -5),
+        ("adaptation_window", 0),
+        ("mcmc_thin", 0),
+        ("constraint_mode", "sum_to_zero_centering"),
+        ("selection_family", "zinb"),
+        ("generating.zinb_betas", [0.1, 0.2]),
+    ],
+)
 def test_a_config_the_study_refuses_is_a_usage_error(tmp_path, capsys, setting):
     # A window of 0 raised ZeroDivisionError after the Laplace fits had
-    # run, and a negative burn-in ran.
+    # run, and a negative burn-in ran; a selection family or a zinb
+    # coefficient count that no generator takes raised from the generator.
     cfg_path, _ = write_config(tmp_path)
     payload = json.loads(cfg_path.read_text())
-    payload[setting[0]] = setting[1]
+    *block, name = setting[0].split(".")
+    (payload[block[0]] if block else payload)[name] = setting[1]
     cfg_path.write_text(json.dumps(payload))
     for command in ("run", "audit"):
         with pytest.raises(SystemExit) as info:
             cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "x")])
         assert info.value.code == 2
         err = capsys.readouterr().err
-        assert "usage:" in err and f"invalid study config: {setting[0]}" in err
+        assert "usage:" in err and f"invalid study config: {name}" in err
     assert not (tmp_path / "x").exists()
 
 

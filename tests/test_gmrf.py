@@ -17,18 +17,19 @@ from lgmbench.gmrf import (
     AdjacencyGraph,
     Constraint,
     Factor,
-    IcarSpec,
     component_labels,
     connected_components,
     cycle_graph,
     graph_laplacian,
     icar_log_density,
+    icar_log_tau_coefficient,
     icar_quadratic_form,
     lattice_graph,
     path_graph,
     propriety_check,
     read_edge_list,
     sample_icar_kriging,
+    sum_to_zero_rows,
     write_edge_list,
 )
 
@@ -211,12 +212,19 @@ def test_icar_log_density_exponent_conventions(two_component_graph):
     tau = 2.5
     n_minus_k = 7 - 2
     quad = icar_quadratic_form(mu, two_component_graph)
-    full = icar_log_density(mu, IcarSpec(two_component_graph, tau))
-    half = icar_log_density(
-        mu, IcarSpec(two_component_graph, tau, half_exponent=True)
-    )
+    full = icar_log_density(mu, two_component_graph, tau)
+    half = icar_log_density(mu, two_component_graph, tau, half_exponent=True)
     assert full == pytest.approx(n_minus_k * np.log(tau) - 0.5 * tau * quad, rel=1e-12)
     assert half == pytest.approx(0.5 * n_minus_k * np.log(tau) - 0.5 * tau * quad, rel=1e-12)
+    assert icar_log_tau_coefficient(two_component_graph) == 5.0
+    assert icar_log_tau_coefficient(two_component_graph, half_exponent=True) == 2.5
+
+
+def test_sum_to_zero_rows_are_one_indicator_per_component(two_component_graph):
+    rows = sum_to_zero_rows(two_component_graph)
+    labels = component_labels(two_component_graph)
+    np.testing.assert_array_equal(rows, [(labels == c).astype(float) for c in range(2)])
+    np.testing.assert_array_equal(rows @ graph_laplacian(two_component_graph), np.zeros((2, 7)))
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +232,7 @@ def test_icar_log_density_exponent_conventions(two_component_graph):
 
 
 def test_kriging_draws_sum_to_zero_per_component(two_component_graph, rng):
-    spec = IcarSpec(two_component_graph, 1.3, Constraint.SUM_TO_ZERO_KRIGING)
-    draws = sample_icar_kriging(spec, rng, size=200)
+    draws = sample_icar_kriging(two_component_graph, 1.3, rng, size=200)
     labels = component_labels(two_component_graph)
     for c in range(2):
         sums = draws[:, labels == c].sum(axis=1)
@@ -234,8 +241,7 @@ def test_kriging_draws_sum_to_zero_per_component(two_component_graph, rng):
 
 def test_kriging_covariance_matches_pseudoinverse(lattice_5x4, rng):
     tau = 0.7
-    spec = IcarSpec(lattice_5x4, tau, Constraint.SUM_TO_ZERO_KRIGING)
-    draws = sample_icar_kriging(spec, rng, size=60_000)
+    draws = sample_icar_kriging(lattice_5x4, tau, rng, size=60_000)
     emp = np.cov(draws.T)
     oracle = constrained_pseudoinverse_oracle(lattice_5x4, tau)
     rel = np.linalg.norm(emp - oracle) / np.linalg.norm(oracle)
@@ -245,32 +251,33 @@ def test_kriging_covariance_matches_pseudoinverse(lattice_5x4, rng):
 
 def test_kriging_variance_scales_inversely_with_tau(lattice_5x4):
     rng = np.random.default_rng(9)
-    spec1 = IcarSpec(lattice_5x4, 1.0, Constraint.SUM_TO_ZERO_KRIGING)
-    spec4 = IcarSpec(lattice_5x4, 4.0, Constraint.SUM_TO_ZERO_KRIGING)
-    v1 = sample_icar_kriging(spec1, rng, size=20_000).var()
-    v4 = sample_icar_kriging(spec4, rng, size=20_000).var()
+    v1 = sample_icar_kriging(lattice_5x4, 1.0, rng, size=20_000).var()
+    v4 = sample_icar_kriging(lattice_5x4, 4.0, rng, size=20_000).var()
     assert v1 / v4 == pytest.approx(4.0, rel=0.1)
 
 
 def test_kriging_single_draw_matches_batch_head(lattice_5x4):
     # Same underlying normals; LAPACK may block (n,1) and (n,3) solves
     # differently, so agreement is to solver rounding, not bitwise.
-    spec = IcarSpec(lattice_5x4, 1.0, Constraint.SUM_TO_ZERO_KRIGING)
-    single = sample_icar_kriging(spec, np.random.default_rng(5))
-    batch = sample_icar_kriging(spec, np.random.default_rng(5), size=3)
+    single = sample_icar_kriging(lattice_5x4, 1.0, np.random.default_rng(5))
+    batch = sample_icar_kriging(lattice_5x4, 1.0, np.random.default_rng(5), size=3)
     np.testing.assert_allclose(single, batch[0], rtol=1e-10, atol=1e-12)
 
 
-def test_kriging_requires_kriging_constraint(lattice_5x4, rng):
-    with pytest.raises(ValueError, match="kriging"):
-        sample_icar_kriging(IcarSpec(lattice_5x4, 1.0), rng)
+def test_icar_sampling_and_density_reject_bad_tau(lattice_5x4, rng):
+    mu = np.zeros(lattice_5x4.n_nodes)
+    for tau in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="tau"):
+            sample_icar_kriging(lattice_5x4, tau, rng)
+        with pytest.raises(ValueError, match="tau"):
+            icar_log_density(mu, lattice_5x4, tau)
 
 
-def test_icar_spec_rejects_bad_tau(lattice_5x4):
+def test_constraint_has_no_centering_value():
+    # One sum-to-zero path: the sampler recentres once per sweep.
+    assert [c.value for c in Constraint] == ["none", "sum_to_zero_kriging"]
     with pytest.raises(ValueError):
-        IcarSpec(lattice_5x4, 0.0)
-    with pytest.raises(ValueError):
-        IcarSpec(lattice_5x4, np.inf)
+        Constraint("sum_to_zero_centering")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 
 from lgmbench import harness, laplace, mcmc
 from lgmbench import models as mdl
-from lgmbench.gmrf import Constraint, IcarSpec, sample_icar_kriging
+from lgmbench.gmrf import Constraint, sample_icar_kriging
 from lgmbench.posterior import PosteriorMarginal
 from lgmbench.harness import (
     ComparisonReport,
@@ -84,9 +84,20 @@ def test_study_config_validation(tmp_path):
     for int_strategy in laplace.INT_STRATEGIES:
         assert study_config("poisson", int_strategy=int_strategy).int_strategy == int_strategy
     # The constraint takes a gmrf.Constraint value and nothing else.
-    for mode in ("sideways", "center_on_the_fly", "kriging_project"):
+    for mode in ("sideways", "center_on_the_fly", "kriging_project", "sum_to_zero_centering"):
         with pytest.raises(ValueError, match="Constraint"):
             study_config("bym", constraint_mode=mode, strategy="gaussian")
+    # A selection study generates from one of its two candidate models;
+    # another family used to raise only when its datasets were generated.
+    for family in ("weird", "zinb"):
+        with pytest.raises(ValueError, match="selection_family"):
+            study_config("selection", selection_family=family)
+    # A saved config naming the removed centering path is refused on load.
+    payload = json.loads(config_to_json(study_config("bym", strategy="gaussian")))
+    payload["constraint_mode"] = "sum_to_zero_centering"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match="constraint_mode"):
+        config_from_json(path)
     # Full Laplace would fail every fit of a constrained model.
     with pytest.raises(ValueError, match="full_laplace"):
         study_config("bym", constraint_mode="sum_to_zero_kriging")
@@ -180,7 +191,7 @@ def test_only_a_selection_study_records_pointwise_likelihoods(kind):
     assert tiny_config(kind=kind).chain_config(0).record_pointwise == (kind == "selection")
 
 
-@pytest.mark.parametrize("constraint", [Constraint.SUM_TO_ZERO_KRIGING, Constraint.SUM_TO_ZERO_CENTERING])
+@pytest.mark.parametrize("constraint", [Constraint.SUM_TO_ZERO_KRIGING])
 def test_a_constrained_bym_study_fits_one_model_with_both_engines(constraint):
     config = tiny_config(
         kind="bym", n_datasets=1, n_areas=9, mcmc_iterations=600, mcmc_burn_in=100, mcmc_thin=2,
@@ -245,10 +256,9 @@ def test_bym_generator_matches_stream_reconstruction():
     g_cov = stream(config.master_seed, "covariates")
     x = g_cov.uniform(0.0, 60.0, 12)
     total = 50.0 + g_cov.poisson(500.0, 12).astype(float)
-    icar = IcarSpec(graph=graph, tau=1.0, constraint=Constraint.SUM_TO_ZERO_KRIGING)
     for i, data in enumerate(datasets):
         g = stream(config.master_seed, "dataset", i)
-        mu = sample_icar_kriging(icar, g)
+        mu = sample_icar_kriging(graph, 1.0, g)
         assert abs(mu.sum()) < 1e-9  # constrained spatial field
         eps = g.normal(0.0, 1.0, 12)
         y = g.poisson(total * np.exp(0.1 + 0.05 * x + mu + eps))
@@ -280,9 +290,11 @@ def test_zinb_generator_matches_stream_reconstruction():
 
 
 def test_zinb_generator_rejects_wrong_beta_count():
-    config = tiny_config(kind="zinb", generating=GeneratingValues(zinb_betas=(0.1, 0.2)))
-    with pytest.raises(ValueError):
-        harness.generate_zinb_data(config)
+    # The generator takes one coefficient per covariate, and there are
+    # always five: the settings refuse another count when they are built.
+    for betas in ((0.1, 0.2), (0.1,) * 6):
+        with pytest.raises(ValueError, match="zinb_betas"):
+            GeneratingValues(zinb_betas=betas)
 
 
 COVARIATE_COLUMNS = {
@@ -361,8 +373,6 @@ def test_generate_datasets_dispatch():
     assert harness.generate_datasets(tiny_config())[0].graph is None
     sel = harness.generate_datasets(tiny_config(kind="selection"))
     assert sel[0].graph is not None  # selection needs the spatial candidate
-    with pytest.raises(ValueError):
-        harness.generate_datasets(tiny_config(kind="selection", selection_family="weird"))
 
 
 # ---------------------------------------------------------------------------
