@@ -88,9 +88,21 @@ def _config_of(args, default_kind: str | None) -> harness.StudyConfig:
     return config
 
 
+def _study_datasets(args, config: harness.StudyConfig) -> list:
+    """The study's datasets, generated before any fit runs; an input file
+    (``graph_path``, ``covariate_csv``) that cannot be read or does not
+    fit the config is a usage error (exit code 2) that names it."""
+    try:
+        return harness.generate_datasets(config)
+    except OSError as exc:
+        args.usage_error(f"cannot read study input: {exc}")
+    except ValueError as exc:
+        args.usage_error(f"invalid study input: {exc}")
+
+
 def _cmd_generate(args) -> int:
     config = _resolve_config(args, default_kind=None)
-    written = harness.write_datasets(config, args.out)
+    written = harness.write_datasets(config, _study_datasets(args, config), args.out)
     print(f"wrote {len(written)} files to {args.out}")
     return 0
 
@@ -124,7 +136,7 @@ def _summary_lines(report: harness.ComparisonReport) -> list:
 
 def _cmd_run(args) -> int:
     config = _resolve_config(args, default_kind="poisson")
-    report = harness.run_study(config)
+    report = harness.run_study(config, datasets=_study_datasets(args, config))
     paths = harness.emit_report(report, args.out)
     failures = report.table("failures").rows
     print(f"{config.kind} study: {config.n_datasets} datasets, {len(failures)} failures")
@@ -137,6 +149,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_audit(args) -> int:
     config = _resolve_config(args, default_kind="poisson")
+    _study_datasets(args, config)  # each audited run generates its own
     worker_counts = (1, args.workers) if args.workers else (1, 4)
     report = harness.reproducibility_audit(config, worker_counts=worker_counts)
     os.makedirs(args.out, exist_ok=True)

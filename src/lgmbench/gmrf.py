@@ -48,8 +48,6 @@ __all__ = [
     "null_space_basis",
     "propriety_check",
     "lattice_graph",
-    "path_graph",
-    "cycle_graph",
     "read_edge_list",
     "write_edge_list",
 ]
@@ -432,22 +430,12 @@ def lattice_graph(n_rows: int, n_cols: int) -> AdjacencyGraph:
     return AdjacencyGraph(n_rows * n_cols, tuple(edges))
 
 
-def path_graph(n: int) -> AdjacencyGraph:
-    return AdjacencyGraph(n, tuple((i, i + 1) for i in range(n - 1)))
-
-
-def cycle_graph(n: int) -> AdjacencyGraph:
-    if n < 3:
-        raise ValueError("cycle needs at least 3 nodes")
-    edges = tuple((i, i + 1) for i in range(n - 1)) + ((0, n - 1),)
-    return AdjacencyGraph(n, edges)
-
-
 def read_edge_list(path, n_nodes: int | None = None) -> AdjacencyGraph:
     """Read a graph from a text file with one '0-indexed i j' pair per line.
 
     Blank lines and lines starting with '#' are skipped.  When
     ``n_nodes`` is omitted the node count is inferred as max index + 1.
+    Every ValueError names the file.
     """
     edges = []
     max_idx = -1
@@ -456,16 +444,19 @@ def read_edge_list(path, n_nodes: int | None = None) -> AdjacencyGraph:
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'i j', got {text!r}")
-            i, j = int(parts[0]), int(parts[1])
+            try:
+                i, j = map(int, text.split())
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected 'i j', got {text!r}") from None
             edges.append((i, j))
             max_idx = max(max_idx, i, j)
     n = n_nodes if n_nodes is not None else max_idx + 1
     if n < 1:
-        raise ValueError("empty edge list and no n_nodes given")
-    return AdjacencyGraph(n, tuple(edges))
+        raise ValueError(f"{path}: empty edge list and no n_nodes given")
+    try:
+        return AdjacencyGraph(n, tuple(edges))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_edge_list(graph: AdjacencyGraph, path) -> None:

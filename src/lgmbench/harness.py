@@ -41,6 +41,7 @@ import concurrent.futures
 import hashlib
 import io
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -63,9 +64,6 @@ __all__ = [
     "config_to_json",
     "config_hash",
     "default_lattice",
-    "generate_poisson_data",
-    "generate_bym_data",
-    "generate_zinb_data",
     "generate_datasets",
     "Table",
     "ComparisonReport",
@@ -103,6 +101,15 @@ class GeneratingValues:
         object.__setattr__(self, "zinb_betas", tuple(float(b) for b in self.zinb_betas))
         if len(self.zinb_betas) != len(_ZINB_COLUMNS):
             raise ValueError(f"zinb_betas needs one coefficient per covariate: {len(_ZINB_COLUMNS)}")
+        # Refused here, not by the generator: numpy and the field sampler
+        # raise on these, and a p_zero outside [0, 1] draws nonsense.
+        for name in ("tau", "dispersion"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be non-negative and finite")
+        if not 0.0 <= self.p_zero <= 1.0:
+            raise ValueError("p_zero must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -265,30 +272,24 @@ def _zinb_covariates(config: StudyConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _covariate_columns(path, names: tuple[str, ...], n: int) -> list:
-    """The first ``n`` values of each named column of a covariate file."""
+    """The first ``n`` values of each named column of a covariate file,
+    each finite; the last column is the exposure, which is positive."""
     _, cols = mdl.read_csv_table(path)
     out = []
     for name in names:
         if name not in cols:
-            raise ValueError(f"covariate file has no column {name!r}")
+            raise ValueError(f"{path}: no column {name!r}")
         if len(cols[name]) < n:
-            raise ValueError("covariate file has fewer rows than n_areas")
-        out.append(np.array([float(v) for v in cols[name][:n]]))
+            raise ValueError(f"{path}: fewer rows than n_areas")
+        try:
+            out.append(np.array([float(v) for v in cols[name][:n]]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: column {name!r}: {exc}") from None
+        if not np.all(np.isfinite(out[-1])):
+            raise ValueError(f"{path}: column {name!r} holds a value that is not finite")
+    if not np.all(out[-1] > 0.0):
+        raise ValueError(f"{path}: column {names[-1]!r} holds a value that is not positive")
     return out
-
-
-def generate_poisson_data(config: StudyConfig, attach_graph: bool = False) -> list:
-    """Counts from exp(intercept + slope * x + noise) scaled by exposure.
-
-    Covariates are drawn once per study and shared by every dataset;
-    only the noise and the counts are redrawn per dataset.
-    """
-    return _count_data(config, _study_graph(config) if attach_graph else None, icar=False)
-
-
-def generate_bym_data(config: StudyConfig, graph: AdjacencyGraph | None = None) -> list:
-    """Adds a constrained intrinsic CAR field to the count generator."""
-    return _count_data(config, graph if graph is not None else _study_graph(config), icar=True)
 
 
 def _count_data(config: StudyConfig, graph: AdjacencyGraph | None, icar: bool) -> list:
@@ -316,7 +317,7 @@ def _count_data(config: StudyConfig, graph: AdjacencyGraph | None, icar: bool) -
     return out
 
 
-def generate_zinb_data(config: StudyConfig) -> list:
+def _zinb_data(config: StudyConfig) -> list:
     """Zero-inflated negative binomial counts over standardized covariates."""
     z, pop = _zinb_covariates(config)
     gv = config.generating
@@ -345,15 +346,16 @@ def generate_zinb_data(config: StudyConfig) -> list:
 
 
 def generate_datasets(config: StudyConfig) -> list:
-    if config.kind == "poisson":
-        return generate_poisson_data(config)
-    if config.kind == "bym":
-        return generate_bym_data(config)
-    if config.kind == "selection":
-        if config.selection_family == "poisson":
-            return generate_poisson_data(config, attach_graph=True)
-        return generate_bym_data(config)
-    return generate_zinb_data(config)
+    """The study's datasets.  The count kinds draw exp(intercept + slope
+    * x + noise) times exposure, with covariates drawn once per study; a
+    bym study, and a selection study of the bym family, add an intrinsic
+    CAR field on the study graph, which every count kind but poisson
+    carries."""
+    if config.kind == "zinb":
+        return _zinb_data(config)
+    graph = None if config.kind == "poisson" else _study_graph(config)
+    icar = config.kind == "bym" or (config.kind == "selection" and config.selection_family == "bym")
+    return _count_data(config, graph, icar)
 
 
 # ---------------------------------------------------------------------------
@@ -866,19 +868,18 @@ def emit_report(report: ComparisonReport, out_dir) -> list:
     return written
 
 
-def write_datasets(config: StudyConfig, out_dir) -> list:
+def write_datasets(config: StudyConfig, datasets: list, out_dir) -> list:
     """Materialize the study's datasets (and graph) as CSV files."""
     os.makedirs(out_dir, exist_ok=True)
-    data_list = generate_datasets(config)
     offset_name = "population" if config.kind == "zinb" else "total"
     written = []
-    for i, data in enumerate(data_list):
+    for i, data in enumerate(datasets):
         path = os.path.join(out_dir, f"dataset_{i:03d}.csv")
         mdl.dataset_to_csv(data, path, offset_name=offset_name)
         written.append(path)
-    if data_list and data_list[0].graph is not None:
+    if datasets and datasets[0].graph is not None:
         gpath = os.path.join(out_dir, "graph.edges")
-        write_edge_list(data_list[0].graph, gpath)
+        write_edge_list(datasets[0].graph, gpath)
         written.append(gpath)
     cpath = os.path.join(out_dir, "config.json")
     config_to_json(config, cpath)

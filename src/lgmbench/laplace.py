@@ -56,7 +56,7 @@ import enum
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import interpolate, optimize
@@ -69,14 +69,12 @@ from .posterior import PosteriorMarginal
 __all__ = [
     "Strategy",
     "INT_STRATEGIES",
-    "GaussianApprox",
     "ThetaPoint",
     "ThetaGrid",
     "HyperMarginal",
     "FitDiagnostics",
     "FitResult",
     "FitFailure",
-    "gaussian_approx_latent",
     "explore_theta",
     "hyper_marginals",
     "fit",
@@ -131,17 +129,6 @@ MARGINAL_GRID_SDS = 6.0
 # blocks of this many consecutive latents (see ``_mix_marginals``).
 MARGINAL_BLOCK = 16
 FD_STEP = 1e-3
-
-
-@dataclass
-class GaussianApprox:
-    """Gaussian approximation to p(x | theta, y) at its mode."""
-
-    mode: np.ndarray
-    precision: np.ndarray  # dense, symmetric
-    log_det_half: float
-    newton_iters: int
-    curvature_clipped: bool = field(default=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -582,14 +569,15 @@ def _ascend(ctx: _Context, thetas: np.ndarray, p_mats: np.ndarray, u: np.ndarray
     field: of one problem, or in lockstep of a stack of k independent ones.
 
     One problem maximizes log p(y | u, thetas) - u' p_mats u / 2 over the
-    coordinates ``free`` (an ascending index array; None means all of them), holding
-    the others at their values in ``u``.  A stack adds a leading axis of
-    k to ``thetas``, ``p_mats``, ``u`` and ``free``, and member r solves
-    the problem of its rows.  One problem is the k = 1 case of the same
-    code, run without the leading axis.  The members of a stack advance
-    together, one stacked kernel call per Newton iteration and per
-    line-search halving, and leave the stack as they stop, but every
-    member runs the one-problem arithmetic: its bits do not depend on
+    coordinates ``free`` (an ascending index array; None means all of
+    them), holding the others at their values in ``u``.  A stack adds a
+    leading axis of k to ``thetas``, ``p_mats``, ``u`` and ``free``, which
+    a stack always has, and member r solves the problem of its rows.
+    One problem is the k = 1 case of the same code, run without the
+    leading axis.  The members of a stack advance together, one stacked
+    kernel call per Newton iteration and per line-search halving, and
+    leave the stack as they stop, but every member runs the one-problem
+    arithmetic: its bits do not depend on
     which other members share the stack.  ``thetas`` is bound once
     (``models.bind``; a caller may pass the binding) and its rows are
     selected as members stop; a last member runs on the one-row form.
@@ -628,8 +616,6 @@ def _ascend(ctx: _Context, thetas: np.ndarray, p_mats: np.ndarray, u: np.ndarray
     bl = ctx.blocks
     if free is None:
         jt, pf = ctx.j.T, p_mats
-        if bl is not None and not one:
-            bl = bl.restrict(np.broadcast_to(np.arange(ctx.dim_u), (k, ctx.dim_u)))
     else:
         # Member r's design is ctx.j[:, free[r]], an F-ordered copy, so
         # its transpose is C-ordered: the layout BLAS saw one at a time.
@@ -657,7 +643,7 @@ def _ascend(ctx: _Context, thetas: np.ndarray, p_mats: np.ndarray, u: np.ndarray
         """The running members' arrays at the mask ``keep``, ``act`` first."""
         at = rows_of(keep)
         out = [act[keep]] + [a[at] for a in (th, p, cu, ceta, cf, pu) + arrays]
-        out += [jt if free is None else jt[at], pf[at], None if free is None else fr[at]]
+        out += [jt[at], pf[at], fr[at]]
         return out + [None if bl is None else bl[at]]
 
     def stop(at, steps, label, factor):
@@ -761,7 +747,7 @@ def _ascend(ctx: _Context, thetas: np.ndarray, p_mats: np.ndarray, u: np.ndarray
                 took = srow[ok]
                 cu[took], ceta[took], cf[took], pu[took] = u_new[ok], eta_new[ok], f_new[ok], pu_new[ok]
                 srow, su, seta, sth, sp, sstep, sj = (a[no] for a in (srow, su, seta, sth, sp, sstep, sj))
-                sfr = None if free is None else sfr[no]
+                sfr = sfr[no]
                 floor = [lo for lo, a in zip(floor, no) if a]
                 if not srow.size:
                     break
@@ -816,39 +802,6 @@ def _newton(ctx: _Context, theta: np.ndarray, u0: np.ndarray | None = None, boun
             f"no convergence in {NEWTON_MAX_ITER} iterations",
         )
     return _Approx(u, eta, log_det_half, iters, clipped)
-
-
-def gaussian_approx_latent(
-    spec: mdl.ModelSpec,
-    theta: np.ndarray,
-    data: mdl.Dataset,
-    x0: np.ndarray | None = None,
-) -> GaussianApprox:
-    """Public Gaussian approximation at fixed hyperparameters.
-
-    Returns the mode and precision in the full latent coordinates (for
-    constrained specs the precision is the reduced-space curvature
-    pushed back through the constraint basis).
-    """
-    ctx = _Context(spec, data)
-    theta = np.asarray(theta, dtype=float)
-    u0 = None
-    if x0 is not None:
-        u0 = ctx.basis.T @ x0 if ctx.basis is not None else np.asarray(x0, dtype=float)
-    approx = _newton(ctx, theta, u0)
-    hess = _point_curvature(ctx, theta, approx.eta)[0]
-    mode = ctx.to_x(approx.mode_u)
-    if ctx.basis is not None:
-        dense = ctx.basis @ hess @ ctx.basis.T
-    else:
-        dense = hess
-    return GaussianApprox(
-        mode=mode,
-        precision=0.5 * (dense + dense.T),
-        log_det_half=approx.log_det_half,
-        newton_iters=approx.iters,
-        curvature_clipped=approx.clipped,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -919,8 +872,6 @@ def _theta_mode(ctx: _Context, cache: dict) -> tuple[np.ndarray, dict]:
 def _theta_hessian(ctx: _Context, mode: np.ndarray, cache: dict) -> np.ndarray:
     """Negative Hessian of log p(theta | y) by central differences."""
     m = mode.size
-    if m == 0:
-        return np.zeros((0, 0))
     h = np.array([FD_STEP * max(1.0, abs(v)) for v in mode])
 
     def lp(th):
@@ -947,8 +898,6 @@ def _theta_hessian(ctx: _Context, mode: np.ndarray, cache: dict) -> np.ndarray:
 
 def _standardizer(hess: np.ndarray) -> np.ndarray:
     """Columns are the standardized axes: theta = mode + axes @ z."""
-    if hess.shape[0] == 0:
-        return np.zeros((0, 0))
     eigval, eigvec = np.linalg.eigh(hess)
     if np.any(eigval <= 0):
         raise FitFailure(

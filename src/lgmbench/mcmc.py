@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,24 +141,6 @@ class ChainOutput:
 
     def column(self, name: str) -> np.ndarray:
         return self.draws[:, self.columns.index(name)]
-
-    def to_csv(self, path) -> None:
-        header = ",".join(self.columns)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for row in self.draws:
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-
-    def to_dict(self) -> dict:
-        return {
-            "engine": "mcmc",
-            "columns": list(self.columns),
-            "config": asdict(self.config),
-            "acceptance": self.acceptance,
-            "final_scales": self.final_scales,
-            "runtime_s": self.runtime_s,
-            "n_kept": self.n_kept,
-        }
 
 
 def greedy_coloring(graph) -> list:
@@ -752,26 +734,9 @@ def _split_rhat_rows(x: np.ndarray) -> np.ndarray:
     return np.where(w == 0.0, np.where(b == 0.0, 1.0, math.inf), rhat)
 
 
-def _trace_slope_rows(x: np.ndarray, ess: np.ndarray) -> np.ndarray:
-    """``trace_slope_z`` of each row, given each row's ``ess_ips``."""
-    k, n = x.shape
-    t = np.arange(n, dtype=float)
-    t -= t.mean()
-    denom = float(t @ t)
-    if denom == 0.0:
-        return np.zeros(k)
-    xc = x - x.mean(axis=-1, keepdims=True)
-    slope = np.vecdot(xc, t) / denom
-    resid = xc - slope[:, None] * t
-    s2 = np.vecdot(resid, resid) / max(n - 2, 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = slope / (np.sqrt(s2 / denom) * np.sqrt(n / ess))
-    return np.where(s2 == 0.0, 0.0, z)
-
-
-def _one(rows, x: np.ndarray, *args) -> float:
+def _one(rows, x: np.ndarray) -> float:
     """``rows`` of the single series ``x``."""
-    return float(rows(np.asarray(x, dtype=float)[None], *args)[0])
+    return float(rows(np.asarray(x, dtype=float)[None])[0])
 
 
 def ess_ips(x: np.ndarray) -> float:
@@ -791,19 +756,11 @@ def split_rhat(x: np.ndarray) -> float:
     return _one(_split_rhat_rows, x)
 
 
-def trace_slope_z(x: np.ndarray) -> float:
-    """Standardized linear drift of the trace, autocorrelation adjusted."""
-    return _one(_trace_slope_rows, x, np.array([ess_ips(x)]))
-
-
 @dataclass
 class ChainDiagnostics:
     verdict: str  # "Pass" | "Warn" | "Fail"
     reasons: list
     per_column: dict
-
-    def to_dict(self) -> dict:
-        return {"verdict": self.verdict, "reasons": list(self.reasons), "per_column": self.per_column}
 
 
 def diagnose(output: ChainOutput) -> ChainDiagnostics:
@@ -828,7 +785,7 @@ def diagnose(output: ChainOutput) -> ChainDiagnostics:
     degenerate = np.ptp(output.draws, axis=0) == 0.0
     k = len(output.columns)
     ess = np.full(k, float(n))
-    z, rhat, slope = np.zeros(k), np.ones(k), np.zeros(k)
+    z, rhat = np.zeros(k), np.ones(k)
     # The other columns in chunks, one contiguous series per row, each
     # statistic over a chunk at once.
     live = np.flatnonzero(~degenerate)
@@ -838,13 +795,11 @@ def diagnose(output: ChainOutput) -> ChainDiagnostics:
         ess[cols] = _ess_rows(x)
         z[cols] = _geweke_rows(x)
         rhat[cols] = _split_rhat_rows(x)
-        slope[cols] = _trace_slope_rows(x, ess[cols])
     for j, name in enumerate(output.columns):
         per_column[name] = {
             "ess": float(ess[j]),
             "geweke_z": float(z[j]),
             "split_rhat": float(rhat[j]),
-            "trace_slope_z": float(slope[j]),
             "degenerate": bool(degenerate[j]),
         }
         if degenerate[j]:

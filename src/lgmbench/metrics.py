@@ -84,15 +84,6 @@ class WaicResult:
     pointwise_lppd: np.ndarray
     pointwise_p_waic: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "waic": self.waic,
-            "lppd": self.lppd,
-            "p_waic": self.p_waic,
-            "pointwise_lppd": np.asarray(self.pointwise_lppd).tolist(),
-            "pointwise_p_waic": np.asarray(self.pointwise_p_waic).tolist(),
-        }
-
 
 def waic(loglik: np.ndarray, weights: np.ndarray | None = None) -> WaicResult:
     """Widely applicable information criterion from pointwise log likelihoods.
@@ -143,14 +134,6 @@ class SelectionResult:
     margin: float
     tie: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "best": self.best,
-            "waic_by_model": dict(self.waic_by_model),
-            "margin": self.margin,
-            "tie": self.tie,
-        }
-
 
 def select_model(waic_by_model: dict) -> SelectionResult:
     """Pick the lowest-criterion model; names break exact ties."""
@@ -176,16 +159,6 @@ class RateRatioResult:
     upper: float
     significant: bool
     iqr: float
-
-    def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "mean": self.mean,
-            "lower": self.lower,
-            "upper": self.upper,
-            "significant": self.significant,
-            "iqr": self.iqr,
-        }
 
 
 def rate_ratio(beta, iqr: float) -> RateRatioResult:

@@ -659,26 +659,25 @@ def bind(spec: ModelSpec, hyper, data: Dataset, like: ZinbConstants | None = Non
     if spec.family is not Family.ZERO_INFLATED_NEG_BINOMIAL or isinstance(hyper, ZinbConstants):
         return hyper
     if np.ndim(hyper) == 1:
-        return _bind_row(data, *_zinb_params(hyper), like, like)
+        return _bind_row(data, *_zinb_params(hyper), like)
     keys = [_zinb_params(h) for h in hyper]
-    rows, by_theta1, by_size = {}, {}, {}
-    for theta1, size in keys:
-        if (theta1, size) not in rows:
-            row = _bind_row(data, theta1, size, by_theta1.get(theta1, like), by_size.get(size, like))
-            rows[theta1, size] = by_theta1[theta1] = by_size[size] = row
+    rows = {}
+    for key in keys:
+        if key not in rows:
+            rows[key] = _bind_row(data, *key, like)
     return _stack([rows[key] for key in keys])
 
 
-def _bind_row(data: Dataset, theta1: float, size: float, p_from, size_from) -> ZinbConstants:
+def _bind_row(data: Dataset, theta1: float, size: float, like: ZinbConstants | None) -> ZinbConstants:
     """The one-row binding of ``(theta1, size)``, taking the ``logit p_zero``
-    part from the binding ``p_from`` and the dispersion part from
-    ``size_from`` where their values are the same."""
-    if p_from is not None and p_from.theta1 == theta1:
-        log_pz, log_1mpz = p_from.parts[:2]
+    part and the dispersion part from the binding ``like`` where their
+    values are the same."""
+    if like is not None and like.theta1 == theta1:
+        log_pz, log_1mpz = like.parts[:2]
     else:
         log_pz, log_1mpz = sps.log_expit(theta1), sps.log_expit(-theta1)
-    if size_from is not None and size_from.size == size:
-        consts = size_from.parts[4]
+    if like is not None and like.size == size:
+        consts = like.parts[4]
     else:
         consts = _dispersion_constants(data, size)
     return ZinbConstants(theta1, size, (log_pz, log_1mpz, size, size**2, consts))

@@ -71,7 +71,7 @@ class PosteriorMarginal:
         var = float(np.add.reduce(c * density * (values - mean) ** 2))
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "sd", float(np.sqrt(max(var, 0.0))))
-        object.__setattr__(self, "quantiles", {p: self._quantile(p, c) for p in QUANTILE_PROBS})
+        object.__setattr__(self, "quantiles", {p: self._quantile(p) for p in QUANTILE_PROBS})
 
     @classmethod
     def from_unnormalized(cls, values: np.ndarray, density: np.ndarray) -> "PosteriorMarginal":
@@ -117,7 +117,7 @@ class PosteriorMarginal:
         cdf = np.concatenate([[0.0], np.cumsum(seg)])
         return cdf / cdf[-1]
 
-    def _quantile(self, p: float, _c=None) -> float:
+    def _quantile(self, p: float) -> float:
         return float(np.interp(p, self._cdf_nodes(), self.values))
 
     def quantile(self, p: float) -> float:

@@ -8,8 +8,8 @@ both of its counters, and ``_Welford`` the one that called ``np.outer``.
 The sampler in ``lgmbench.mcmc`` must reproduce their draws, acceptance
 rates and scales bit for bit.
 
-``ess_ips``, ``geweke_z``, ``split_rhat``, ``trace_slope_z`` and
-``diagnose`` at the end are the versions that looped over the columns
+``ess_ips``, ``geweke_z``, ``split_rhat`` and ``diagnose`` at the
+end are the versions that looped over the columns
 of a chain one at a time in Python; ``lgmbench.mcmc.diagnose`` runs
 them over all columns at once and must give the same ``per_column``
 values bit for bit.  The helpers they share with the sampler
@@ -500,29 +500,6 @@ def split_rhat(x: np.ndarray) -> float:
     return float(math.sqrt(v / w))
 
 
-def trace_slope_z(x: np.ndarray, ess: float | None = None) -> float:
-    """Standardized linear drift of the trace, autocorrelation adjusted.
-
-    ``ess`` is ``ess_ips(x)`` when the caller has it already.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    t = np.arange(n, dtype=float)
-    t -= t.mean()
-    denom = float(t @ t)
-    if denom == 0.0:
-        return 0.0
-    slope = float(t @ (x - x.mean())) / denom
-    resid = x - x.mean() - slope * t
-    s2 = float(resid @ resid) / max(n - 2, 1)
-    if s2 == 0.0:
-        return 0.0
-    if ess is None:
-        ess = ess_ips(x)
-    se = math.sqrt(s2 / denom) * math.sqrt(n / ess)
-    return float(slope / se)
-
-
 def diagnose(output: ChainOutput, z_threshold: float = 4.0, rhat_threshold: float = 1.1) -> ChainDiagnostics:
     """Stationarity screen over every recorded column.
 
@@ -548,12 +525,10 @@ def diagnose(output: ChainOutput, z_threshold: float = 4.0, rhat_threshold: floa
         ess = float(n) if degenerate else ess_ips(x)
         z = 0.0 if degenerate else geweke_z(x)
         rhat = 1.0 if degenerate else split_rhat(x)
-        slope = 0.0 if degenerate else trace_slope_z(x, ess)
         per_column[name] = {
             "ess": ess,
             "geweke_z": z,
             "split_rhat": rhat,
-            "trace_slope_z": slope,
             "degenerate": degenerate,
         }
         if degenerate:

@@ -86,9 +86,9 @@ def test_seed_and_workers_flags_override_config(tmp_path, monkeypatch):
     out = tmp_path / "report"
     run_study, seen = harness.run_study, []
 
-    def recording(config):
+    def recording(config, **kwargs):
         seen.append(config.workers)
-        return run_study(config)
+        return run_study(config, **kwargs)
 
     monkeypatch.setattr(harness, "run_study", recording)
     assert cli.main(["run", "--config", str(cfg_path), "--seed", "99", "--workers", "2", "--out", str(out)]) == 0
@@ -141,12 +141,21 @@ def test_fewer_than_one_worker_is_a_usage_error(tmp_path, capsys, command):
         ("constraint_mode", "sum_to_zero_centering"),
         ("selection_family", "zinb"),
         ("generating.zinb_betas", [0.1, 0.2]),
+        ("generating.tau", 0.0),
+        ("generating.tau", -1.0),
+        ("generating.tau", float("inf")),
+        ("generating.sigma", -1.0),
+        ("generating.dispersion", 0.0),
+        ("generating.dispersion", -1.0),
+        ("generating.p_zero", 1.5),
+        ("generating.p_zero", -0.2),
     ],
 )
 def test_a_config_the_study_refuses_is_a_usage_error(tmp_path, capsys, setting):
     # A window of 0 raised ZeroDivisionError after the Laplace fits had
-    # run, and a negative burn-in ran; a selection family or a zinb
-    # coefficient count that no generator takes raised from the generator.
+    # run, and a negative burn-in ran; a selection family, a zinb
+    # coefficient count or a generating value that no generator takes
+    # raised from the generator (a p_zero outside [0, 1] drew nonsense).
     cfg_path, _ = write_config(tmp_path)
     payload = json.loads(cfg_path.read_text())
     *block, name = setting[0].split(".")
@@ -158,6 +167,50 @@ def test_a_config_the_study_refuses_is_a_usage_error(tmp_path, capsys, setting):
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert "usage:" in err and f"invalid study config: {name}" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_a_bym_study_read_from_the_graph_file_generate_wrote_is_the_same_study(tmp_path):
+    settings = dict(kind="bym", n_areas=9, mcmc_iterations=300, strategy="gaussian")
+    cfg_path, _ = write_config(tmp_path, **settings)
+    assert cli.main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "gen")]) == 0
+    edges = tmp_path / "gen" / "graph.edges"
+    graph_path, _ = write_config(tmp_path, name="graph.json", graph_path=str(edges), **settings)
+    for path, out in ((cfg_path, "lattice"), (graph_path, "file")):
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / out)]) == 0
+    assert len((tmp_path / "lattice" / "results.csv").read_text().splitlines()) == 4  # header + 3 parameters
+    for name in ("results.csv", "pe_long.csv", "pc_long.csv", "failures.csv"):
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "lattice" / name).read_bytes(), name
+
+
+# A study input file that does not fit: its name and its text (None: no file).
+BAD_INPUTS = {
+    "missing graph": ("graph.edges", None),
+    "edge out of range": ("graph.edges", "0 1\n1 9\n"),
+    "covariate column": ("covariates.csv", "x\n" + "1.0\n" * 9),
+    "covariate value": ("covariates.csv", "x,total\n" + "1.0,2.0\n" * 8 + "1.0,two\n"),
+    "covariate not finite": ("covariates.csv", "x,total\n" + "1.0,2.0\n" * 8 + "nan,2.0\n"),
+    "exposure not positive": ("covariates.csv", "x,total\n" + "1.0,2.0\n" * 8 + "1.0,-2.0\n"),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(BAD_INPUTS))
+def test_a_study_input_file_that_does_not_fit_is_a_usage_error(tmp_path, capsys, problem):
+    # Each raised a traceback from the generator after `run` had started.
+    name, text = BAD_INPUTS[problem]
+    named = tmp_path / name
+    if text is not None:
+        named.write_text(text, encoding="utf-8")
+    if name == "covariates.csv":
+        cfg_path, _ = write_config(tmp_path, n_areas=9, covariate_csv=str(named))
+    else:
+        cfg_path, _ = write_config(tmp_path, kind="bym", n_areas=9, strategy="gaussian", graph_path=str(named))
+    for command in ("generate", "run", "audit"):
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "study input" in err and str(named) in err
     assert not (tmp_path / "x").exists()
 
 

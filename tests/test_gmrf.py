@@ -19,13 +19,11 @@ from lgmbench.gmrf import (
     Factor,
     component_labels,
     connected_components,
-    cycle_graph,
     graph_laplacian,
     icar_log_density,
     icar_log_tau_coefficient,
     icar_quadratic_form,
     lattice_graph,
-    path_graph,
     propriety_check,
     read_edge_list,
     sample_icar_kriging,
@@ -86,10 +84,9 @@ def test_lattice_structure():
 
 
 def test_path_and_cycle_degrees():
-    assert list(path_graph(4).degrees()) == [1, 2, 2, 1]
-    assert list(cycle_graph(5).degrees()) == [2, 2, 2, 2, 2]
-    with pytest.raises(ValueError):
-        cycle_graph(2)
+    assert list(lattice_graph(1, 4).degrees()) == [1, 2, 2, 1]
+    cycle = AdjacencyGraph(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
+    assert list(cycle.degrees()) == [2, 2, 2, 2, 2]
 
 
 def test_neighbor_lists_match_edges(lattice_5x4):
@@ -129,7 +126,7 @@ def union_find_oracle(graph: AdjacencyGraph) -> list[int]:
         AdjacencyGraph(5, ((3, 4),)),
         AdjacencyGraph(3, ()),
         lattice_graph(4, 5),
-        cycle_graph(6),
+        AdjacencyGraph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5))),
     ],
 )
 def test_graph_caches_are_read_only_and_match_a_fresh_computation(graph):
@@ -164,7 +161,7 @@ def test_graph_caches_are_read_only_and_match_a_fresh_computation(graph):
 
 
 def test_laplacian_matches_dense_oracle(lattice_5x4, two_component_graph):
-    for g in (lattice_5x4, two_component_graph, path_graph(6)):
+    for g in (lattice_5x4, two_component_graph, lattice_graph(1, 6)):
         np.testing.assert_allclose(graph_laplacian(g), dense_laplacian_oracle(g), atol=0.0)
 
 
@@ -183,7 +180,7 @@ def test_laplacian_frozen_2x2():
 
 def test_quadratic_form_frozen_path():
     # (0-1)^2 + (1-3)^2 = 5 on the 3-node path
-    assert icar_quadratic_form(np.array([0.0, 1.0, 3.0]), path_graph(3)) == 5.0
+    assert icar_quadratic_form(np.array([0.0, 1.0, 3.0]), lattice_graph(1, 3)) == 5.0
 
 
 @given(st.integers(2, 12), st.integers(0, 2**32 - 1))

@@ -103,6 +103,21 @@ def test_study_config_validation(tmp_path):
         study_config("bym", constraint_mode="sum_to_zero_kriging")
     for c in Constraint:
         assert study_config("bym", constraint_mode=c.value, strategy="gaussian").constraint_mode == c.value
+    # A generating value the generators cannot draw from is refused when
+    # the settings are built or loaded; each used to raise from numpy or
+    # the field sampler, or (p_zero) to draw nonsense counts.
+    refused = [("tau", 0.0), ("tau", -1.0), ("tau", math.inf), ("sigma", -1.0), ("sigma", math.nan)]
+    refused += [("dispersion", 0.0), ("dispersion", -1.0), ("p_zero", 1.5), ("p_zero", -0.2)]
+    for name, value in refused:
+        with pytest.raises(ValueError, match=f"^{name} "):
+            GeneratingValues(**{name: value})
+        payload = json.loads(config_to_json(study_config("poisson")))
+        payload["generating"][name] = value
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{name} "):
+            config_from_json(path)
+    edges = GeneratingValues(sigma=0.0, p_zero=0.0), GeneratingValues(p_zero=1.0)
+    assert [(g.sigma, g.p_zero) for g in edges] == [(0.0, 0.0), (1.0, 1.0)]
 
 
 def test_study_config_and_run_study_refuse_fewer_than_one_worker():
@@ -222,8 +237,8 @@ def test_default_lattice_shapes():
 
 def test_poisson_generator_is_deterministic_and_shares_covariates():
     config = tiny_config(n_datasets=3)
-    a = harness.generate_poisson_data(config)
-    b = harness.generate_poisson_data(config)
+    a = harness.generate_datasets(config)
+    b = harness.generate_datasets(config)
     assert len(a) == 3
     for da, db in zip(a, b):
         assert np.array_equal(da.y, db.y)
@@ -237,7 +252,7 @@ def test_poisson_generator_is_deterministic_and_shares_covariates():
 
 def test_poisson_generator_matches_stream_reconstruction():
     config = tiny_config(n_datasets=2, n_areas=30)
-    datasets = harness.generate_poisson_data(config)
+    datasets = harness.generate_datasets(config)
     g_cov = stream(config.master_seed, "covariates")
     x = g_cov.uniform(0.0, 60.0, 30)
     total = 50.0 + g_cov.poisson(500.0, 30).astype(float)
@@ -251,7 +266,7 @@ def test_poisson_generator_matches_stream_reconstruction():
 
 def test_bym_generator_matches_stream_reconstruction():
     config = tiny_config(kind="bym", n_datasets=2, n_areas=12)
-    datasets = harness.generate_bym_data(config)
+    datasets = harness.generate_datasets(config)
     graph = default_lattice(12)
     g_cov = stream(config.master_seed, "covariates")
     x = g_cov.uniform(0.0, 60.0, 12)
@@ -269,7 +284,7 @@ def test_bym_generator_matches_stream_reconstruction():
 
 def test_zinb_generator_matches_stream_reconstruction():
     config = tiny_config(kind="zinb", n_datasets=2, n_areas=40)
-    datasets = harness.generate_zinb_data(config)
+    datasets = harness.generate_datasets(config)
     g_cov = stream(config.master_seed, "covariates")
     raw = g_cov.standard_normal((40, 5))
     z = (raw - raw.mean(axis=0)) / raw.std(axis=0)
@@ -373,6 +388,14 @@ def test_generate_datasets_dispatch():
     assert harness.generate_datasets(tiny_config())[0].graph is None
     sel = harness.generate_datasets(tiny_config(kind="selection"))
     assert sel[0].graph is not None  # selection needs the spatial candidate
+    # The field comes with the bym kind and the bym selection family only.
+    cases = [("poisson", "poisson", False), ("bym", "poisson", True), ("selection", "poisson", False), ("selection", "bym", True)]
+    for kind, family, field in cases:
+        data = harness.generate_datasets(tiny_config(kind=kind, selection_family=family))[0]
+        assert ("tau_icar" in data.generating_values) is field
+    bym = harness.generate_datasets(tiny_config(kind="bym"))
+    sel = harness.generate_datasets(tiny_config(kind="selection", selection_family="bym"))
+    assert all(np.array_equal(a.y, b.y) for a, b in zip(bym, sel))
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +687,7 @@ def test_run_study_dispatches_by_kind():
 
 def test_zinb_study_rows_satisfy_their_definitions():
     config = tiny_config(kind="zinb", n_datasets=1, n_areas=60, mcmc_iterations=1_200, mcmc_burn_in=300, mcmc_thin=1)
-    data = harness.generate_zinb_data(config)[0]
+    data = harness.generate_datasets(config)[0]
     report = harness.run_zinb_study(config, workers=1, datasets=[data])
     assert report.table("failures").rows == []
     rates = report.table("rate_ratios").rows
@@ -753,10 +776,10 @@ def test_emit_report_writes_canonical_bytes(tmp_path):
 
 def test_write_datasets_materializes_study_inputs(tmp_path):
     config = tiny_config(kind="bym", n_datasets=2)
-    written = harness.write_datasets(config, tmp_path)
+    datasets = harness.generate_datasets(config)
+    written = harness.write_datasets(config, datasets, tmp_path)
     names = {p.split("/")[-1] for p in written}
     assert names == {"dataset_000.csv", "dataset_001.csv", "graph.edges", "config.json"}
-    datasets = harness.generate_datasets(config)
     back = mdl.dataset_from_csv(tmp_path / "dataset_000.csv", offset_name="total")
     assert np.array_equal(back.y, datasets[0].y)
     assert np.array_equal(back.covariates["x"], datasets[0].covariates["x"])

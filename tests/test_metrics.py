@@ -194,12 +194,6 @@ def test_waic_input_validation():
         metrics.waic(ll, np.array([0.0, 0.0]))
 
 
-def test_waic_result_serializes():
-    d = metrics.waic(np.array(TOY_2X3)).to_dict()
-    assert set(d) == {"waic", "lppd", "p_waic", "pointwise_lppd", "pointwise_p_waic"}
-    assert isinstance(d["pointwise_lppd"], list)
-
-
 # ---------------------------------------------------------------------------
 # Model selection
 
@@ -304,9 +298,3 @@ def test_rate_ratio_input_validation():
         metrics.rate_ratio(draws[:1], 1.0)
     with pytest.raises(ValueError):
         metrics.rate_ratio(draws.reshape(10, 10), 1.0)
-
-
-def test_rate_ratio_result_serializes():
-    d = metrics.rate_ratio(normal_marginal(0.1, 0.05), 2.0).to_dict()
-    assert set(d) == {"estimate", "mean", "lower", "upper", "significant", "iqr"}
-    assert isinstance(d["significant"], bool)
