@@ -168,21 +168,31 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.report, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    tables = [
-        harness.Table(name, t["columns"], t["rows"]) for name, t in sorted(payload["tables"].items())
-    ]
-    report = harness.ComparisonReport(
-        kind=payload["kind"],
-        config=payload["config"],
-        tables=tables,
-        version=payload["version"],
-        config_digest=payload["config_hash"],
-    )
-    paths = harness.emit_report(report, args.out)
+    paths = harness.emit_report(_saved_report(args), args.out)
     print(f"re-emitted {len(paths)} files to {args.out}")
     return 0
+
+
+def _saved_report(args) -> harness.ComparisonReport:
+    """The report saved at ``--report``; a file that cannot be read or
+    does not hold a report is a usage error (exit code 2) that names it."""
+    try:
+        with open(args.report, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        tables = [
+            harness.Table(name, t["columns"], t["rows"]) for name, t in sorted(payload["tables"].items())
+        ]
+        return harness.ComparisonReport(
+            kind=payload["kind"],
+            config=payload["config"],
+            tables=tables,
+            version=payload["version"],
+            config_digest=payload["config_hash"],
+        )
+    except OSError as exc:
+        args.usage_error(f"cannot read report: {exc}")
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        args.usage_error(f"{args.report} holds no saved report: {type(exc).__name__}: {exc}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="re-emit tables from report.json")
     p.add_argument("--report", required=True, help="path to report.json")
     p.add_argument("--out", default="lgmbench_out")
-    p.set_defaults(fn=_cmd_report)
+    p.set_defaults(fn=_cmd_report, usage_error=p.error)
 
     return parser
 

@@ -42,8 +42,9 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -84,6 +85,31 @@ _SELECTION_MODELS = ("poisson", "bym")
 _ZINB_COLUMNS = ("z1", "z2", "z3", "z4", "z5")
 
 
+# What a setting of each declared field type must hold; bools are refused
+# as numbers, although Python counts them as ints.
+_FIELD_TYPES = {
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a real number"),
+    "str": (str, "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+}
+
+
+def _check_types(settings) -> None:
+    """Refuse a setting of the dataclass ``settings`` whose value does not
+    have its field's declared type: a ValueError that names the setting."""
+    for f in fields(settings):
+        if f.type in _FIELD_TYPES:
+            want, what = _FIELD_TYPES[f.type]
+            value = getattr(settings, f.name)
+            if not _is_a(value, want):
+                raise ValueError(f"{f.name} must be {what}, not {value!r}")
+
+
+def _is_a(value, want) -> bool:
+    return isinstance(value, want) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GeneratingValues:
     """True parameter values used by the synthetic data generators."""
@@ -98,7 +124,11 @@ class GeneratingValues:
     zinb_betas: tuple = (0.15, -0.1, 0.0, 0.05, 0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "zinb_betas", tuple(float(b) for b in self.zinb_betas))
+        _check_types(self)
+        betas = self.zinb_betas
+        if not isinstance(betas, (list, tuple)) or not all(_is_a(b, numbers.Real) for b in betas):
+            raise ValueError(f"zinb_betas must be a list of real numbers, not {betas!r}")
+        object.__setattr__(self, "zinb_betas", tuple(float(b) for b in betas))
         if len(self.zinb_betas) != len(_ZINB_COLUMNS):
             raise ValueError(f"zinb_betas needs one coefficient per covariate: {len(_ZINB_COLUMNS)}")
         # Refused here, not by the generator: numpy and the field sampler
@@ -132,6 +162,7 @@ class StudyConfig:
     workers: int = 1  # how the study runs, not what it is: left out of its JSON and hash
 
     def __post_init__(self):
+        _check_types(self)
         if self.kind not in STUDY_KINDS:
             raise ValueError(f"unknown study kind {self.kind!r}")
         if self.n_datasets < 1:
@@ -206,21 +237,28 @@ def config_to_json(config: StudyConfig, path=None) -> str:
 
 
 def config_from_json(path) -> StudyConfig:
-    """Build a config from a JSON file; a key that names no setting is a
-    ValueError."""
+    """Build a config from a JSON file; a value that is not an object
+    where one belongs, a missing required setting and a key that names
+    no setting are each a ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        payload = _settings(StudyConfig, json.load(fh), "a study config")
     gen = payload.pop("generating", None)
-    config = StudyConfig(**_settings(StudyConfig, payload))
+    config = StudyConfig(**payload)
     if gen is not None:
-        config = replace(config, generating=GeneratingValues(**_settings(GeneratingValues, gen)))
+        config = replace(config, generating=GeneratingValues(**_settings(GeneratingValues, gen, "generating")))
     return config
 
 
-def _settings(cls, payload: dict) -> dict:
+def _settings(cls, payload, name: str) -> dict:
+    if not isinstance(payload, dict):
+        raise ValueError(f"{name} must be a JSON object, not {payload!r}")
     unknown = sorted(set(payload) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown settings {unknown}")
+    required = (f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING)
+    missing = sorted(set(required) - set(payload))
+    if missing:
+        raise ValueError(f"missing settings {missing}")
     return payload
 
 

@@ -43,11 +43,11 @@ Everything here is deterministic: no random numbers are drawn, grids
 are traversed in fixed order, and reductions are ordered, so repeated
 fits are bit-identical.  ``_ascend``, the one Newton routine, solves a
 stack of independent problems in lockstep (the theta-point solve is
-one problem, run without the stack axis); each member runs the
-one-problem arithmetic, with
-kernels, products and factorizations that give each row the bits of
-its own call, so a member's bits never depend on the stack or chunk it
-ran in.
+one problem, run without the stack axis; a stack keeps its axis down to
+its last running member); each member runs the one-problem arithmetic,
+with kernels, products and factorizations that give each row the bits
+of its own call, so a member's bits never depend on the stack or chunk
+it ran in.
 """
 
 from __future__ import annotations
@@ -346,21 +346,21 @@ class _Context:
 
 class _Blocks:
     """J'WJ of an unconstrained design J = [X | I | I] from its column
-    blocks, over the free coordinates of one problem or of each member
-    of a stack.
+    blocks, over every coordinate of one problem or over the free
+    coordinates of each member of a stack.
 
     Each non-zero of J'WJ is one entry, placed by a single scatter-add.
-    X'WX is the top-left block of X0' W X0, with X0 the free columns of
-    X followed by zero columns up to p + 1, in C order, and its
-    transposed view the left operand: gemm then rounds each entry as it
-    does in the dense product J'WJ (a one-column X0 would go to numpy's
-    dot, and a C-ordered left operand rounds differently).  Every other
-    non-zero is one product w[site] * coef (coef 1, or an entry of X)
-    where a site's unit column meets itself, its other unit column or a
-    column of X; the dense product adds only zeros to it, so placing it
-    keeps its bits too.
+    X'WX is read from X0' W X0, with X0 = [X | 0] the design padded with
+    one zero column, in C order, and its transposed view the left
+    operand: gemm then rounds each entry as it does in the dense product
+    J'WJ, wherever the entry sits in X0'WX0 (a one-column X0 would go to
+    numpy's dot, and a C-ordered left operand rounds differently).  Every
+    other non-zero is one product w[site] * coef (coef 1, or an entry of
+    X) where a site's unit column meets itself, its other unit column or
+    a column of X; the dense product adds only zeros to it, so placing
+    it keeps its bits too.
 
-    ``x0`` is (n, p + 1) for one problem, (k, n, p + 1) for a stack, or
+    ``x0`` is the (n, p + 1) X0, one for every member of a stack, or
     None without fixed effects.  A member's source row holds its weights
     w and, after them, its X0'WX0 flattened; entry e adds source[src[e]]
     * coef[e] (coef 1 for X'WX) at flat position ``loc[e]`` of member
@@ -372,7 +372,7 @@ class _Blocks:
         self.member, self.loc, self.src, self.coef = member, loc, src, coef
         # The entries' positions in the flattened curvatures and sources.
         self.flat = member * (df * df) + loc
-        self.sources = member * (n if x0 is None else n + x0.shape[-1] ** 2) + src
+        self.sources = member * (n if x0 is None else n + x0.shape[1] ** 2) + src
         self._restricted = None  # (free.shape, free bytes, blocks) of the last restrict
 
     @classmethod
@@ -398,47 +398,28 @@ class _Blocks:
 
     def restrict(self, free: np.ndarray) -> _Blocks:
         """These blocks of one problem over every coordinate, restricted to
-        the ascending coordinates ``free`` of one problem (df,) or of each
-        member of a stack (k x df).  The last restriction is kept: a
-        lockstep chunk of profile scans asks for the same free sets at
-        every scanned value."""
+        the ascending coordinates ``free`` of each member of a stack (k x
+        df).  The last restriction is kept: a lockstep chunk of profile
+        scans asks for the same free sets at every scanned value."""
         last = self._restricted
         if last is not None and last[0] == free.shape and last[1] == free.tobytes():
             return last[2]
-        stack = np.atleast_2d(free)
-        k, df = stack.shape
-        d, n = self.df, self.n
+        k, df = free.shape
+        d = self.df
         pos = np.full((k, d), -1)
-        pos[np.arange(k)[:, None], stack] = np.arange(df)
+        pos[_at(free)] = np.arange(df)
         rows, cols = pos[:, self.loc // d], pos[:, self.loc % d]
         member, e = np.nonzero((rows >= 0) & (cols >= 0))
-        rows, cols, src = rows[member, e], cols[member, e], self.src[e]
-        x0 = None
-        if self.x0 is not None:
-            # Each member's free columns of X, in order, then the zero
-            # column; its X'WX entries read its own X0'WX0.
-            p = self.x0.shape[1] - 1
-            first = stack[:, : p + 1]
-            at = np.full((k, p + 1), p)
-            at[:, : first.shape[1]] = np.where(first < p, first, p)
-            x0 = np.ascontiguousarray(self.x0.T[at].swapaxes(-1, -2))
-            src = np.where(src < n, src, n + rows * (p + 1) + cols)
-        out = _Blocks(x0, n, df, member, rows * df + cols, src, self.coef[e])
-        out = out if free.ndim == 2 else out[0]
+        loc = rows[member, e] * df + cols[member, e]
+        out = _Blocks(self.x0, self.n, df, member, loc, self.src[e], self.coef[e])
         self._restricted = (free.shape, free.tobytes(), out)
         return out
 
-    def __getitem__(self, at) -> _Blocks:
-        """The members at ``at`` of a stack: one position, which drops the
-        stack axis, or a boolean mask."""
-        if isinstance(at, (int, np.integer)):
-            e = self.member == at
-            member = np.zeros(np.count_nonzero(e), dtype=int)
-        else:
-            e = at[self.member]
-            member = (np.cumsum(at) - 1)[self.member[e]]
-        x0 = None if self.x0 is None else self.x0[at]
-        return _Blocks(x0, self.n, self.df, member, self.loc[e], self.src[e], self.coef[e])
+    def __getitem__(self, keep: np.ndarray) -> _Blocks:
+        """The members of a stack at the boolean mask ``keep``."""
+        e = keep[self.member]
+        member = (np.cumsum(keep) - 1)[self.member[e]]
+        return _Blocks(self.x0, self.n, self.df, member, self.loc[e], self.src[e], self.coef[e])
 
     def plus(self, w: np.ndarray, p_free: np.ndarray) -> np.ndarray:
         """``p_free`` + J'WJ at the likelihood weights ``w``: of one problem
@@ -446,7 +427,7 @@ class _Blocks:
         hess = p_free.copy()
         source = w
         if self.x0 is not None:
-            g = self.x0.swapaxes(-1, -2) @ (w[..., None] * self.x0)
+            g = self.x0.T @ (w[..., None] * self.x0)
             source = np.concatenate((w, g.reshape(w.shape[:-1] + (-1,))), axis=-1)
         hess.ravel()[self.flat] += source.ravel()[self.sources] * self.coef
         return hess
@@ -496,9 +477,9 @@ def _each(x) -> list:
 
 
 def _at(free: np.ndarray):
-    """Index of the coordinates ``free`` along the last axis: of one
-    problem's array, or of each member's row of a stack's (``free`` k x df)."""
-    return free if free.ndim == 1 else (np.arange(len(free))[:, None], free)
+    """Index of the coordinates ``free`` (k x df) of each member's row
+    along the last axis of a stack's array."""
+    return np.arange(len(free))[:, None], free
 
 
 _NO_MEMBERS = np.zeros(0, dtype=int)
@@ -568,19 +549,20 @@ def _ascend(ctx: _Context, thetas: np.ndarray, p_mats: np.ndarray, u: np.ndarray
     """Damped Newton ascent of the conditional log posterior of the latent
     field: of one problem, or in lockstep of a stack of k independent ones.
 
-    One problem maximizes log p(y | u, thetas) - u' p_mats u / 2 over the
-    coordinates ``free`` (an ascending index array; None means all of
-    them), holding the others at their values in ``u``.  A stack adds a
-    leading axis of k to ``thetas``, ``p_mats``, ``u`` and ``free``, which
-    a stack always has, and member r solves the problem of its rows.
-    One problem is the k = 1 case of the same code, run without the
-    leading axis.  The members of a stack advance together, one stacked
-    kernel call per Newton iteration and per line-search halving, and
-    leave the stack as they stop, but every member runs the one-problem
-    arithmetic: its bits do not depend on
-    which other members share the stack.  ``thetas`` is bound once
-    (``models.bind``; a caller may pass the binding) and its rows are
-    selected as members stop; a last member runs on the one-row form.
+    One problem (``free`` None), the theta-point solve, maximizes
+    log p(y | u, thetas) - u' p_mats u / 2 over every coordinate.  A
+    stack adds a leading axis of k to ``thetas``, ``p_mats`` and ``u``,
+    and member r maximizes its rows' objective over the ascending
+    coordinates ``free[r]`` (``free`` k x df), holding the others at
+    their values in ``u``.  One problem is the k = 1 case of the same
+    code, run without the leading axis.  The members of a stack advance
+    together, one stacked kernel call per Newton iteration and per
+    line-search halving, and leave the stack as they stop; a stack stays
+    a stack down to its last running member.  Every member runs the
+    one-problem arithmetic: its bits do not depend on which other
+    members share the stack.  ``thetas`` is bound once (``models.bind``;
+    a caller may pass the binding) and its rows are selected as members
+    stop.
 
     Returns ``(u, eta, f, log_det_half, iters, outcome, clipped)``, per
     member for a stack (the last three as lists): the point, its linear
@@ -606,16 +588,15 @@ def _ascend(ctx: _Context, thetas: np.ndarray, p_mats: np.ndarray, u: np.ndarray
     ``NEWTON_MAX_ITER`` steps the gradient test is applied once more.
     """
     u = np.array(u, dtype=float)
-    one = u.ndim == 1
+    one = free is None
     k = 1 if one else len(u)
     thetas = mdl.bind(ctx.spec, thetas, ctx.data)
     eta = ctx.eta(u)
     f, pu = _objective(ctx, thetas, p_mats, eta, u)
     log_det_half = np.zeros(k)
     iters, outcome, clipped = [0] * k, [None] * k, [False] * k
-    bl = ctx.blocks
-    if free is None:
-        jt, pf = ctx.j.T, p_mats
+    if one:
+        jt, pf, bl = ctx.j.T, p_mats, ctx.blocks
     else:
         # Member r's design is ctx.j[:, free[r]], an F-ordered copy, so
         # its transpose is C-ordered: the layout BLAS saw one at a time.
@@ -623,50 +604,38 @@ def _ascend(ctx: _Context, thetas: np.ndarray, p_mats: np.ndarray, u: np.ndarray
         # p[free][:, free] per member: rows, then rows of the transpose.
         at = _at(free)
         pf = np.ascontiguousarray(p_mats[at].swapaxes(-1, -2)[at].swapaxes(-1, -2))
-        bl = None if bl is None else bl.restrict(free)
+        bl = None if ctx.blocks is None else ctx.blocks.restrict(free)
 
     # The running members: ``act`` holds their indices, the arrays below
     # their rows and ``ref_grad`` their first gradient norms, compacted
-    # whenever some members of a stack stop and others run on.  A stack's
-    # last running member, or the member of a stack of one, runs on as
-    # one problem.  Each member's scalar tests run on Python floats, as
-    # in a one-problem loop.
+    # at a mask whenever some members of a stack stop and others run on.
+    # Each member's scalar tests run on Python floats, as in a
+    # one-problem loop.
     act, th, p, fr = np.arange(k), thetas, p_mats, free
     cu, ceta, cf, ref_grad = u, eta, f, []
 
-    def rows_of(keep):
-        """Index of the running members at the mask ``keep``: the mask, or
-        the position of a last one, which drops the stack axis."""
-        return keep if np.count_nonzero(keep) > 1 else int(np.flatnonzero(keep)[0])
-
     def running(keep, *arrays):
         """The running members' arrays at the mask ``keep``, ``act`` first."""
-        at = rows_of(keep)
-        out = [act[keep]] + [a[at] for a in (th, p, cu, ceta, cf, pu) + arrays]
-        out += [jt[at], pf[at], fr[at]]
-        return out + [None if bl is None else bl[at]]
+        out = [act[keep]] + [a[keep] for a in (th, p, cu, ceta, cf, pu) + arrays]
+        return out + [jt[keep], pf[keep], fr[keep], None if bl is None else bl[keep]]
 
     def stop(at, steps, label, factor):
         """Record the running members at the mask ``at`` (None: all) as
         stopped with ``label``, one string or one per member."""
         nonlocal u, eta, f, log_det_half
-        if at is None and (one or len(act) == k > 1):
+        at = np.ones(len(act), dtype=bool) if at is None else at
+        rows = act[at]
+        if len(rows) == k:
             # Every member stops at once, none before: the running arrays
             # are the results.
             u, eta, f, log_det_half = cu, ceta, cf, factor.half_log_det()
-        elif at is None:
-            u[act], eta[act], f[act] = cu, ceta, cf
-            log_det_half[act] = factor.half_log_det()
         else:
-            rows = act[at]
             u[rows], eta[rows], f[rows] = cu[at], ceta[at], cf[at]
             log_det_half[rows] = Factor(factor.lower[at]).half_log_det()
-        for i, r in enumerate(act.tolist() if at is None else act[at].tolist()):
+        for i, r in enumerate(rows.tolist()):
             iters[r] = steps
             outcome[r] = label if isinstance(label, str) else label[i]
 
-    if k == 1 and not one:
-        act, th, p, cu, ceta, cf, pu, jt, pf, fr, bl = running(np.ones(1, dtype=bool))
     start_ok = [math.isfinite(v) for v in _each(f)]
     if not all(start_ok):
         for r in np.flatnonzero(~np.array(start_ok)):
@@ -692,11 +661,11 @@ def _ascend(ctx: _Context, thetas: np.ndarray, p_mats: np.ndarray, u: np.ndarray
                 if failed.size == len(act):
                     break
                 live = factor.ok
-                factor = Factor(factor.lower[rows_of(live)])
+                factor = Factor(factor.lower[live])
                 ref_grad = [r for r, keep in zip(ref_grad, live) if keep]
                 act, th, p, cu, ceta, cf, pu, g1, jt, pf, fr, bl = running(live, g1)
         # P u at the current point, from the objective that accepted it.
-        grad = _mv(jt, g1) - (pu if free is None else pu[_at(fr)])
+        grad = _mv(jt, g1) - (pu if one else pu[_at(fr)])
         gnorm = [math.sqrt(g) for g in _each(_dot(grad, grad))]
         if it == 0:
             ref_grad = [max(1.0, g) for g in gnorm]
@@ -718,17 +687,17 @@ def _ascend(ctx: _Context, thetas: np.ndarray, p_mats: np.ndarray, u: np.ndarray
         if any(done):
             stop(np.array(done), it, "converged", factor)
             go = np.array([not d for d in done])
-            factor = Factor(factor.lower[rows_of(go)])
+            factor = Factor(factor.lower[go])
             gnorm, ref_grad, f_cur = ([x for x, d in zip(a, done) if not d] for a in (gnorm, ref_grad, f_cur))
             act, th, p, cu, ceta, cf, pu, step, jt, pf, fr, bl = running(go, step)
         # Line search over the running members, halving t together.  The
         # ``s`` arrays hold the members still searching, at rows ``srow``.
-        j_step = _mv(ctx.j if free is None else np.swapaxes(jt, -1, -2), step)
+        j_step = _mv(ctx.j if one else np.swapaxes(jt, -1, -2), step)
         floor = [v - 1e-12 * max(1.0, abs(v)) for v in f_cur]
         srow, su, seta, sth, sp, sstep, sj, sfr = None, cu, ceta, th, p, step, j_step, fr
         t = 1.0
         for _ in range(MAX_STEP_HALVINGS + 1):
-            if free is None:
+            if one:
                 u_new = su + t * sstep
             else:
                 u_new = su.copy()
@@ -746,8 +715,7 @@ def _ascend(ctx: _Context, thetas: np.ndarray, p_mats: np.ndarray, u: np.ndarray
                 no = ~ok
                 took = srow[ok]
                 cu[took], ceta[took], cf[took], pu[took] = u_new[ok], eta_new[ok], f_new[ok], pu_new[ok]
-                srow, su, seta, sth, sp, sstep, sj = (a[no] for a in (srow, su, seta, sth, sp, sstep, sj))
-                sfr = sfr[no]
+                srow, su, seta, sth, sp, sstep, sj, sfr = (a[no] for a in (srow, su, seta, sth, sp, sstep, sj, sfr))
                 floor = [lo for lo, a in zip(floor, no) if a]
                 if not srow.size:
                     break

@@ -149,6 +149,11 @@ def test_fewer_than_one_worker_is_a_usage_error(tmp_path, capsys, command):
         ("generating.dispersion", -1.0),
         ("generating.p_zero", 1.5),
         ("generating.p_zero", -0.2),
+        ("n_areas", "9"),
+        ("mcmc_iterations", "300"),
+        ("n_datasets", 1.5),
+        ("n_datasets", True),
+        ("generating.sigma", "1"),
     ],
 )
 def test_a_config_the_study_refuses_is_a_usage_error(tmp_path, capsys, setting):
@@ -167,6 +172,27 @@ def test_a_config_the_study_refuses_is_a_usage_error(tmp_path, capsys, setting):
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert "usage:" in err and f"invalid study config: {name}" in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1, 2]", "a study config must be a JSON object"),
+        ('"poisson"', "a study config must be a JSON object"),
+        ('{"kind": "poisson", "generating": 5}', "missing settings ['n_areas', 'n_datasets']"),
+    ],
+)
+def test_a_config_file_that_holds_no_study_config_is_a_usage_error(tmp_path, capsys, text, message):
+    # Each ended in a TypeError or AttributeError traceback.
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(text)
+    for command in ("generate", "run", "audit"):
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"invalid study config: {message}" in err
     assert not (tmp_path / "x").exists()
 
 
@@ -271,6 +297,21 @@ def test_report_round_trips_saved_tables(tmp_path):
     assert cli.main(["report", "--report", str(first / "report.json"), "--out", str(second)]) == 0
     for name in ("results.csv", "pe_long.csv", "pc_long.csv", "failures.csv"):
         assert (second / name).read_bytes() == (first / name).read_bytes()
+
+
+@pytest.mark.parametrize("text", [None, '{"kind": "poisson"}'])
+def test_a_report_file_that_holds_no_report_is_a_usage_error(tmp_path, capsys, text):
+    # A missing file ended in a FileNotFoundError traceback, and a file
+    # without tables in a KeyError one.
+    path = tmp_path / "report.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["report", "--report", str(path), "--out", str(tmp_path / "x")])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and str(path) in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_console_script_is_installed():

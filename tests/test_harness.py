@@ -118,6 +118,26 @@ def test_study_config_validation(tmp_path):
             config_from_json(path)
     edges = GeneratingValues(sigma=0.0, p_zero=0.0), GeneratingValues(p_zero=1.0)
     assert [(g.sigma, g.p_zero) for g in edges] == [(0.0, 0.0), (1.0, 1.0)]
+    # A value of the wrong type is refused with the setting's name; each
+    # used to raise a TypeError from a comparison or from the generator,
+    # and a bool count passed as 1.
+    wrong = [("n_areas", "9"), ("mcmc_iterations", "300"), ("n_datasets", 1.5), ("n_datasets", True)]
+    wrong += [("strategy", 1), ("graph_path", 5)]
+    for name, value in wrong:
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            study_config("poisson", **{name: value})
+    for name, value in [("sigma", "1"), ("tau", True), ("zinb_betas", [0.1, "0.2", 0.0, 0.0, 0.0]), ("zinb_betas", 5)]:
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            GeneratingValues(**{name: value})
+    # A file whose top level or generating block is not an object, or
+    # that leaves out a required setting, is refused on load.
+    texts = {"[1, 2]": "a study config", '"poisson"': "a study config"}
+    texts['{"kind": "poisson", "generating": 5}'] = r"missing settings \['n_areas', 'n_datasets'\]"
+    texts['{"kind": "poisson", "n_datasets": 1, "n_areas": 9, "generating": 5}'] = "generating"
+    for text, message in texts.items():
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{message}"):
+            config_from_json(path)
 
 
 def test_study_config_and_run_study_refuse_fewer_than_one_worker():

@@ -1033,6 +1033,39 @@ def test_full_laplace_fit_does_not_depend_on_the_chunk_size(monkeypatch, model, 
     assert len(chunks) == chunks[-1] + 1 and set(chunks[:-1]) == {1} and chunks[-1] > 1
 
 
+def test_a_profile_scan_stack_keeps_its_axis_down_to_its_last_member(monkeypatch):
+    # The stragglers of this dataset's profile scans run 50 Newton
+    # iterations, long after the other members of their stack stopped.
+    # Every curvature of a scan is built for a (k x n) stack of
+    # predictors, k = 1 included: a chunk of one scan is a stack of one.
+    spec, data = _pool_dataset(seed=258543359, index=10)
+    curvature, fl_profiles = laplace._curvature, laplace._fl_profiles
+    shapes, scanning = [], [False]
+
+    def traced_curvature(ctx, thetas, eta, *args):
+        if scanning[0]:
+            shapes.append(eta.shape)
+        return curvature(ctx, thetas, eta, *args)
+
+    def traced_profiles(ctx, scans):
+        scanning[0] = True
+        try:
+            return fl_profiles(ctx, scans)
+        finally:
+            scanning[0] = False
+
+    monkeypatch.setattr(laplace, "_curvature", traced_curvature)
+    monkeypatch.setattr(laplace, "_fl_profiles", traced_profiles)
+    for budget in (1, laplace.FL_CHUNK_BYTES):
+        monkeypatch.setattr(laplace, "FL_CHUNK_BYTES", budget)
+        shapes.clear()
+        res = laplace.fit(spec, data, strategy=Strategy.FULL_LAPLACE)
+        assert res.diagnostics.fl_unconverged_points > 0
+        assert shapes and all(len(shape) == 2 and shape[1] == data.n for shape in shapes)
+        if budget == 1:
+            assert {shape[0] for shape in shapes} == {1}
+
+
 def _calls_with_builds(monkeypatch, built, module, name) -> list:
     """Wrap ``module.name``: one record per call, with the call's first
     argument after the context, the entries added to ``built`` during
@@ -1399,18 +1432,13 @@ def test_block_curvature_is_bit_identical_to_the_dense_product(monkeypatch, p, e
     p_mats = np.array([ctx.prior_precision_u(th) for th in thetas])
     free = np.array([[c for c in range(d) if c != i] for i in drops])
     at = laplace._at(free)
+    p_free = np.ascontiguousarray(p_mats[at].swapaxes(-1, -2)[at].swapaxes(-1, -2))
     # Each free set as the engine forms it: rows of J' and of P.
     problems = [
         (thetas[0], eta[0], ctx.j.T, p_mats[0], ctx.blocks),
         (thetas, eta, ctx.j.T, p_mats, ctx.blocks.restrict(np.broadcast_to(np.arange(d), (k, d)))),
-        (thetas[0], eta[0], ctx.j.T[free[0]], p_mats[0][free[0]][:, free[0]], ctx.blocks.restrict(free[0])),
-        (
-            thetas,
-            eta,
-            ctx.j.T[free],
-            np.ascontiguousarray(p_mats[at].swapaxes(-1, -2)[at].swapaxes(-1, -2)),
-            ctx.blocks.restrict(free),
-        ),
+        (thetas[:1], eta[:1], ctx.j.T[free[:1]], p_free[:1], ctx.blocks.restrict(free[:1])),
+        (thetas, eta, ctx.j.T[free], p_free, ctx.blocks.restrict(free)),
     ]
     for th, et, jt, pf, blocks in problems:
         got = laplace._curvature(ctx, th, et, jt, pf.copy(), blocks)
